@@ -29,12 +29,6 @@ def mat_vec(a: Matrix, v: Sequence) -> tuple:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
-def vec_mat(v: Sequence, a: Matrix) -> tuple:
-    # row vector times matrix
-    n = len(a)
-    return tuple(sum(v[i] * a[i][j] for i in range(n)) for j in range(len(a[0])))
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 

@@ -19,14 +19,15 @@ from math import ceil
 from .affine import (
     AffineElt,
     affine_length,
-    cocovers,
     descent_left,
     embed,
     lower_interval,
+    translation,
 )
 from .errors import BudgetError, RefusalError
 from .qbg import build_qbg, reflection_length_w0
 from .rootsys import (
+    TYPE_TABLE,
     Coweight,
     RootSystem,
     coweight,
@@ -72,13 +73,6 @@ class AdmSet:
     def __contains__(self, w: AffineElt) -> bool:
         return w in self.members
 
-    def assert_downward_closed(self) -> None:
-        """Every cocover of a member is a member (hence the whole lower
-        set is); quadratic, for test-sized sets."""
-        for w in self.members:
-            for c in cocovers(w):
-                assert c in self.members, "admissible set not downward closed"
-
 
 @dataclass(frozen=True)
 class BInvariants:
@@ -103,8 +97,7 @@ def adm_set(mu: Coweight, budget: int = DEFAULT_ADM_BUDGET) -> AdmSet:
     rs = mu.rs
     if not mu.is_dominant():
         raise RefusalError("admissible sets are indexed by dominant mu")
-    mu_int = tuple(int(p) for p in mu.pairing)
-    assert tuple(mu.pairing) == mu_int, "mu must be a lattice point"
+    mu_int = mu.int_pairing()
     lt = pairing(rs, rs.two_rho, mu)
     if lt > budget:
         raise BudgetError(
@@ -137,9 +130,7 @@ class MembershipResult:
 
 
 def membership_depth_ok(mu: Coweight) -> bool:
-    ct = mu.rs.cartan_type
-    c = 3 if ct in ("A", "D", "E") else (6 if ct == "G" else 4)
-    return depth(mu) >= c
+    return depth(mu) >= TYPE_TABLE[mu.rs.cartan_type].depth_threshold
 
 
 def adm_membership_char(
@@ -159,8 +150,8 @@ def adm_membership_char(
     rs = mu.rs
     if not (mu.is_dominant() and lam.is_dominant()):
         raise RefusalError("mu and lam must both be dominant")
-    ct = rs.cartan_type
-    c = 3 if ct in ("A", "D", "E") else (6 if ct == "G" else 4)
+    lam_elt, mu_elt = translation(lam), translation(mu)
+    c = TYPE_TABLE[rs.cartan_type].depth_threshold
     reasons = []
     if depth(mu) < c:
         reasons.append(f"depth(mu) < {c}")
@@ -169,12 +160,6 @@ def adm_membership_char(
         reasons.append("<rho, mu - lam> not below the ceiling")
     if reasons and not force:
         return MembershipResult("outside-regime", None, "; ".join(reasons))
-    lam_elt = AffineElt(
-        rs, tuple(int(p) for p in lam.pairing), identity_elt(rs)
-    )
-    mu_elt = AffineElt(
-        rs, tuple(int(p) for p in mu.pairing), identity_elt(rs)
-    )
     if lam_elt.omega != mu_elt.omega:
         value = False
     else:
@@ -309,7 +294,7 @@ def adm_summary(
     da = d_adm(mu, b)
     dx = dim_X_formula(mu, b)
     return {
-        "mu": [int(p) for p in mu.pairing],
+        "mu": list(mu.int_pairing()),
         "size_of_adm": len(adm_set(mu, budget)),
         "d_adm": None if da.value is None else str(da.value),
         "d_adm_status": da.status,

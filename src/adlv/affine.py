@@ -22,18 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._matrix import transpose, mat_vec
 from .errors import BudgetError
-from .rootsys import Coweight, RootSystem
+from .rootsys import Coweight, RootSystem, _sign
 from .weyl import (
     GroupTable,
     WeylElt,
     identity_elt,
     reflection,
     simple_reflection,
-    word_str,
 )
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "demazure_rtri",
     "demazure_ltri",
     "IntervalEngine",
-    "affine_word_str",
 ]
 
 DEFAULT_INTERVAL_BUDGET = 30
@@ -93,9 +91,6 @@ class AffineElt:
 
     def is_identity(self) -> bool:
         return not any(self.lam) and self.fin.is_identity()
-
-    def is_translation(self) -> bool:
-        return self.fin.is_identity()
 
     @property
     def omega(self) -> tuple:
@@ -134,11 +129,8 @@ def embed(x: WeylElt) -> AffineElt:
 
 
 def translation(lam: Coweight) -> AffineElt:
-    """t^lam; lam must have integer pairing coordinates."""
-    assert all(isinstance(c, int) for c in lam.pairing), (
-        "translation requires an integral coweight"
-    )
-    return AffineElt(lam.rs, lam.pairing, identity_elt(lam.rs))
+    """t^lam; RefusalError unless lam has integer pairing coordinates."""
+    return AffineElt(lam.rs, lam.int_pairing(), identity_elt(lam.rs))
 
 
 @lru_cache(maxsize=None)
@@ -198,17 +190,10 @@ def affine_length(w: AffineElt) -> int:
     for root in w.rs.positive_roots:
         a = sum(c * p for c, p in zip(root, lam))
         img = fin.act_root_inv(root)
-        pos = _root_sign(img) > 0
+        pos = _sign(img) > 0
         total += abs(a) if pos else abs(a - 1)
     w._len = total
     return total
-
-
-def _root_sign(v: Sequence[int]) -> int:
-    for x in v:
-        if x:
-            return 1 if x > 0 else -1
-    return 0
 
 
 def descent_right(w: AffineElt, j: int) -> bool:
@@ -217,10 +202,10 @@ def descent_right(w: AffineElt, j: int) -> bool:
     if j == 0:
         gamma = w.fin.act_root(rs.theta)
         c = sum(g * p for g, p in zip(gamma, w.lam))
-        return c < -1 or (c == -1 and _root_sign(gamma) > 0)
+        return c < -1 or (c == -1 and _sign(gamma) > 0)
     gamma = w.fin.act_root(rs.simple_root(j - 1))
     c = sum(g * p for g, p in zip(gamma, w.lam))
-    return c > 0 or (c == 0 and _root_sign(gamma) < 0)
+    return c > 0 or (c == 0 and _sign(gamma) < 0)
 
 
 def descent_left(w: AffineElt, j: int) -> bool:
@@ -228,11 +213,11 @@ def descent_left(w: AffineElt, j: int) -> bool:
     rs = w.rs
     if j == 0:
         c = sum(g * p for g, p in zip(rs.theta, w.lam))
-        return c > 1 or (c == 1 and _root_sign(w.fin.act_root_inv(rs.theta)) > 0)
+        return c > 1 or (c == 1 and _sign(w.fin.act_root_inv(rs.theta)) > 0)
     i = j - 1
     li = w.lam[i]
     return li < 0 or (
-        li == 0 and _root_sign(w.fin.act_root_inv(rs.simple_root(i))) < 0
+        li == 0 and _sign(w.fin.act_root_inv(rs.simple_root(i))) < 0
     )
 
 
@@ -286,10 +271,6 @@ def tau_letter_map(tau: AffineElt) -> tuple[int, ...]:
         out.append(k)
     assert sorted(out) == list(range(rs.rank + 1))
     return tuple(out)
-
-
-def affine_word_str(word: Iterable[int]) -> str:
-    return word_str(word, letters_are_affine=True)
 
 
 @lru_cache(maxsize=500_000)
@@ -449,10 +430,6 @@ class IntervalEngine:
             code, s = divmod(code, self.width)
             mu.append(s - self.bound)
         return x_idx, tuple(mu)
-
-    def to_elt(self, state: int) -> AffineElt:
-        x_idx, mu = self.unpack(state)
-        return AffineElt(self.rs, mu, self.table.elements[x_idx])
 
     def apply(self, state: int, j: int) -> int:
         if j >= 1:

@@ -21,9 +21,15 @@ Three subcommands:
     Run a named suite (tables, qbg, newton, cover, adm, cascade) and write
     a json report; exit code 0 iff the suite passes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 budget exceeded.  Reports are deterministic for a fixed config and seed,
-except for the wall_time field in verify reports.
+Type and rank are checked against the per-type table in ``adlv.rootsys``.
+Every suite but tables, and every query operator but len and eta,
+enumerates the finite Weyl group, so it first checks the group order
+against --cap.
+
+Exit codes: 0 success, 1 verification failure, 2 usage/parse error or
+refused input (including --cap/--budget below 1), 3 budget exceeded.
+Reports are deterministic for a fixed config and seed, except for the
+wall_time field in verify reports.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -66,9 +72,10 @@ from .qbg import (
     wt_w0_closed_form,
 )
 from .rootsys import (
-    VALID_RANKS,
+    TYPE_TABLE,
     WEYL_ORDER,
     build_root_system,
+    check_type,
     coweight,
     pairing,
 )
@@ -82,19 +89,16 @@ from .weyl import (
 
 SCHEMA_VERSION = 1
 
-# ranks covered by `tables --type all`; the S identity is asserted through 8
-ALL_TABLE_RANKS = {
-    "A": range(1, 9),
-    "B": range(2, 9),
-    "C": range(2, 9),
-    "D": range(4, 9),
-    "E": (6, 7, 8),
-    "F": (4,),
-    "G": (2,),
-}
+# ranks covered by `tables --type all`; the S identity is asserted on each
+ALL_TABLE_RANKS = {ct: row.table_ranks for ct, row in TYPE_TABLE.items()}
 
 # groups this small get brute-force companion columns in the tables
 TABLE_BRUTE_CAP = 10_000
+
+
+class QueryError(ValueError):
+    """Malformed query expression or usage; message names the offending
+    token or flag."""
 
 
 @dataclass
@@ -106,15 +110,21 @@ class RunConfig:
     sweep_seed: int = 0
     output_format: str = "json"
     with_brute: bool = False
-    suites: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        assert self.group_cap > 0 and self.interval_budget > 0
-        assert self.sweep_seed == int(self.sweep_seed)
+        for flag, value in (("--cap", self.group_cap),
+                            ("--budget", self.interval_budget)):
+            if value <= 0:
+                raise QueryError(f"{flag} must be positive, got {value}")
 
 
-class QueryError(ValueError):
-    """Malformed query expression; message names the offending token."""
+def _check_cap(config: RunConfig, rs) -> None:
+    """The one --cap check, made before anything enumerates W."""
+    order = WEYL_ORDER(rs.cartan_type, rs.rank)
+    if order > config.group_cap:
+        raise BudgetError(
+            f"group order {order} exceeds --cap {config.group_cap}"
+        )
 
 
 # -- tables ----------------------------------------------------------------
@@ -124,22 +134,12 @@ def table_rows(config: RunConfig) -> list[dict]:
     """One row per (type, rank): the four tabulated bounds plus the wt(w0)
     coefficient vector; with ``with_brute`` set, small groups also carry
     brute-force companion columns."""
-    if config.cartan_type is None or config.cartan_type == "all":
-        scope = [
-            (ct, n) for ct in "ABCDEFG" for n in ALL_TABLE_RANKS[ct]
-        ]
+    if config.cartan_type in (None, "all"):
+        scope = [(ct, n) for ct, ns in ALL_TABLE_RANKS.items() for n in ns]
     else:
-        ct = config.cartan_type
-        if ct not in ALL_TABLE_RANKS:
-            raise QueryError(f"unsupported Cartan type {ct!r}")
-        if config.rank is None:
-            scope = [(ct, n) for n in ALL_TABLE_RANKS[ct]]
-        else:
-            if not VALID_RANKS[ct](config.rank):
-                raise QueryError(
-                    f"rank {config.rank} invalid for type {ct}"
-                )
-            scope = [(ct, config.rank)]
+        ct = check_type(config.cartan_type, config.rank)
+        ns = ALL_TABLE_RANKS[ct] if config.rank is None else [config.rank]
+        scope = [(ct, n) for n in ns]
     brute_cap = min(config.group_cap, TABLE_BRUTE_CAP)
     rows = []
     for ct, n in scope:
@@ -270,13 +270,11 @@ def run_query(config: RunConfig, expression: str) -> dict:
         raise QueryError("empty expression")
     if config.cartan_type in (None, "all") or config.rank is None:
         raise QueryError("query needs --type and --rank")
-    ct = config.cartan_type
-    if ct not in VALID_RANKS or not VALID_RANKS[ct](config.rank):
-        raise QueryError(
-            f"unsupported type/rank {ct}{config.rank}"
-        )
-    rs = build_root_system(ct, config.rank)
+    rs = build_root_system(config.cartan_type, config.rank)
     op, rest = tokens[0], tokens[1:]
+    # every operator but len and eta enumerates W
+    if op in ("nu", "wt", "elldown", "dp", "ellred", "cascade", "admsize"):
+        _check_cap(config, rs)
     result: dict = {
         "schema_version": SCHEMA_VERSION,
         "type": rs.cartan_type,
@@ -301,7 +299,6 @@ def run_query(config: RunConfig, expression: str) -> dict:
     if op == "nu":
         methods = []
         nu = None
-        formula_status = None
         try:
             fr = max_newton_formula(w)
             formula_status = fr.status
@@ -311,13 +308,15 @@ def run_query(config: RunConfig, expression: str) -> dict:
         except RefusalError as e:
             formula_status = f"refused: {e}"
         brute = None
-        if (
-            WEYL_ORDER(rs.cartan_type, rs.rank) <= config.group_cap
-            and affine_length(w) <= config.interval_budget
-        ):
+        if affine_length(w) <= config.interval_budget:
             brute = max_newton_brute(w).pairing
             methods.append("brute")
-        result["method"] = "+".join(methods) if methods else "none"
+        elif nu is None:
+            raise BudgetError(
+                "element length exceeds --budget and the closed form does "
+                "not apply"
+            )
+        result["method"] = "+".join(methods)
         result["formula_status"] = formula_status
         if nu is not None and brute is not None:
             result["match"] = tuple(nu) == tuple(brute)
@@ -372,15 +371,11 @@ def cmd_query(config: RunConfig, expression: str, out_path: str | None) -> int:
 # -- verify ----------------------------------------------------------------
 
 
-def _suite_scope(config: RunConfig, default=("A", 2)) -> tuple[str, int]:
-    ct = config.cartan_type if config.cartan_type not in (None, "all") else default[0]
-    n = config.rank if config.rank is not None else default[1]
-    if ct not in VALID_RANKS or not VALID_RANKS[ct](n):
-        raise QueryError(f"rank {n} invalid for type {ct}")
-    return ct, n
+# Each suite takes the config and the scoped root system (None for tables,
+# which scopes itself) and returns (cases, failures, extra report keys).
 
 
-def _suite_tables(config: RunConfig) -> tuple[int, list, dict]:
+def _suite_tables(config: RunConfig, _rs: None) -> tuple[int, list, dict]:
     cases, failures = 0, []
     for row in table_rows(replace(config, with_brute=True)):
         cases += 1
@@ -391,11 +386,7 @@ def _suite_tables(config: RunConfig) -> tuple[int, list, dict]:
     return cases, failures, {}
 
 
-def _suite_qbg(config: RunConfig) -> tuple[int, list, dict]:
-    ct, n = _suite_scope(config)
-    rs = build_root_system(ct, n)
-    if WEYL_ORDER(ct, n) > config.group_cap:
-        raise BudgetError("group order exceeds --cap")
+def _suite_qbg(config: RunConfig, rs) -> tuple[int, list, dict]:
     g = build_qbg(rs)  # construction itself checks weight consistency
     table = enumerate_group(rs)
     cases, failures = 0, []
@@ -431,11 +422,7 @@ def _suite_qbg(config: RunConfig) -> tuple[int, list, dict]:
     return cases, failures, {}
 
 
-def _suite_newton(config: RunConfig) -> tuple[int, list, dict]:
-    ct, n = _suite_scope(config)
-    rs = build_root_system(ct, n)
-    if WEYL_ORDER(ct, n) > config.group_cap:
-        raise BudgetError("group order exceeds --cap")
+def _suite_newton(config: RunConfig, rs) -> tuple[int, list, dict]:
     recs = sweep_records(rs, theorem_grid(rs))
     failures = [
         {"lambda": r["lambda"], "x": r["x"], "nu_formula": r["nu_formula"],
@@ -446,15 +433,11 @@ def _suite_newton(config: RunConfig) -> tuple[int, list, dict]:
     return len(recs), failures, {}
 
 
-def _suite_cover(config: RunConfig) -> tuple[int, list, dict]:
-    ct, n = _suite_scope(config)
-    rs = build_root_system(ct, n)
-    if WEYL_ORDER(ct, n) > config.group_cap:
-        raise BudgetError("group order exceeds --cap")
-    thr = cover_depth_threshold(ct)
+def _suite_cover(config: RunConfig, rs) -> tuple[int, list, dict]:
+    thr = cover_depth_threshold(rs.cartan_type)
     lams = [
         coweight(rs, p)
-        for p in product((thr, thr + 1), repeat=n)
+        for p in product((thr, thr + 1), repeat=rs.rank)
     ]
     reports = cover_sweep(rs, lams)
     failures = [
@@ -466,11 +449,8 @@ def _suite_cover(config: RunConfig) -> tuple[int, list, dict]:
     return len(reports), failures, {}
 
 
-def _suite_adm(config: RunConfig) -> tuple[int, list, dict]:
-    ct, n = _suite_scope(config)
-    rs = build_root_system(ct, n)
-    if WEYL_ORDER(ct, n) > config.group_cap:
-        raise BudgetError("group order exceeds --cap")
+def _suite_adm(config: RunConfig, rs) -> tuple[int, list, dict]:
+    n = rs.rank
     cases, failures = 0, []
     ones = coweight(rs, (1,) * n)
     lt = pairing(rs, rs.two_rho, ones)
@@ -492,11 +472,9 @@ def _suite_adm(config: RunConfig) -> tuple[int, list, dict]:
     return cases, failures, {}
 
 
-def _suite_cascade(config: RunConfig) -> tuple[int, list, dict]:
-    ct, n = _suite_scope(config)
-    if WEYL_ORDER(ct, n) > config.group_cap:
-        raise BudgetError("group order exceeds --cap")
-    rep = compare_wt_r(build_root_system(ct, n))
+def _suite_cascade(config: RunConfig, rs) -> tuple[int, list, dict]:
+    ct = rs.cartan_type
+    rep = compare_wt_r(rs)
     mism = [row for row in rep["rows"] if not row["match"]]
     failures = []
     if ct == "A" and mism:
@@ -523,11 +501,17 @@ def run_suite(config: RunConfig, suite: str) -> dict:
             f"unknown suite {suite!r}; choose from {sorted(_SUITES)}"
         )
     t0 = time.time()
-    cases, failures, extras = _SUITES[suite](config)
     if suite == "tables":
-        ct, n = config.cartan_type or "all", config.rank
+        ct, n, rs = config.cartan_type or "all", config.rank, None
     else:
-        ct, n = _suite_scope(config)
+        # the other suites default to A2
+        rs = build_root_system(
+            "A" if config.cartan_type in (None, "all") else config.cartan_type,
+            2 if config.rank is None else config.rank,
+        )
+        _check_cap(config, rs)
+        ct, n = rs.cartan_type, rs.rank
+    cases, failures, extras = _SUITES[suite](config, rs)
     report = {
         "schema_version": SCHEMA_VERSION,
         "suite": suite,
@@ -595,16 +579,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        cartan_type=args.cartan_type,
-        rank=args.rank,
-        group_cap=args.group_cap,
-        interval_budget=args.interval_budget,
-        sweep_seed=args.sweep_seed,
-        output_format=args.output_format,
-        with_brute=getattr(args, "with_brute", False),
-    )
     try:
+        config = RunConfig(
+            cartan_type=args.cartan_type,
+            rank=args.rank,
+            group_cap=args.group_cap,
+            interval_budget=args.interval_budget,
+            sweep_seed=args.sweep_seed,
+            output_format=args.output_format,
+            with_brute=getattr(args, "with_brute", False),
+        )
         if args.command == "tables":
             return cmd_tables(config, args.out_path)
         if args.command == "query":
@@ -612,7 +596,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config, args.suite, args.out_path)
         raise QueryError(f"unknown command {args.command!r}")
-    except QueryError as e:
+    except ValueError as e:  # QueryError, RefusalError, bad type or rank
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BudgetError as e:

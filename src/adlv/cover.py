@@ -29,9 +29,11 @@ from .affine import (
 )
 from .errors import RefusalError
 from .rootsys import (
+    TYPE_TABLE,
     Coweight,
     Root,
     RootSystem,
+    check_type,
     coweight,
     depth,
     pair_root_coroot,
@@ -57,16 +59,9 @@ __all__ = [
 
 
 def cover_depth_threshold(cartan_type: str) -> int:
-    """Depth of lam above which the four-case classification is asserted:
-    3 for simply laced types, 6 for G, 4 otherwise."""
-    ct = cartan_type.upper()
-    if ct in ("A", "D", "E"):
-        return 3
-    if ct == "G":
-        return 6
-    if ct in ("B", "C", "F"):
-        return 4
-    raise ValueError(f"unknown Cartan type {cartan_type!r}")
+    """Depth of lam from which the four-case classification is asserted,
+    read from the per-type table."""
+    return TYPE_TABLE[check_type(cartan_type)].depth_threshold
 
 
 @dataclass(frozen=True)
@@ -134,13 +129,13 @@ def predicted_cocovers(
     rs = lam.rs
     if not lam.is_dominant():
         raise RefusalError("translation part must be dominant to classify")
+    lam_int = lam.int_pairing()
     thr = cover_depth_threshold(rs.cartan_type)
     d = depth(lam)
     ok = d >= thr
     if not ok and not force:
         return CoverResult("below-threshold", [], d, thr)
 
-    lam_int = tuple(int(p) for p in lam.pairing)
     w = embed(u).mul(AffineElt(rs, lam_int, identity_elt(rs))).mul(embed(v))
     lw = affine_length(w)
     quantum = set(quantum_roots(rs))
@@ -220,7 +215,7 @@ def verify_cover_theorem(
     flagged and carries the mismatch data without any claim."""
     rs = lam.rs
     res = predicted_cocovers(u, lam, v, force=True)
-    lam_int = tuple(int(p) for p in lam.pairing)
+    lam_int = lam.int_pairing()
     w = embed(u).mul(AffineElt(rs, lam_int, identity_elt(rs))).mul(embed(v))
     enumerated = set(cocovers(w))
     predicted = {r.result for r in res.records}

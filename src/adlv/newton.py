@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
-from random import Random
 
 from .affine import (
     AffineElt,
@@ -31,11 +30,12 @@ from .affine import (
 from .errors import RefusalError
 from .qbg import DEFAULT_QBG_CAP, build_qbg, m_tilde
 from .rootsys import (
+    TYPE_TABLE,
     Coweight,
     Num,
     RootSystem,
     _dominantize,
-    build_root_system,
+    check_type,
     coweight,
     coweight_from_coroot,
     depth,
@@ -55,9 +55,7 @@ __all__ = [
     "xi_bound",
     "s_bound",
     "theorem_grid",
-    "sample_lambdas",
     "sweep_records",
-    "exploration_report",
 ]
 
 
@@ -229,22 +227,8 @@ def max_translation_below(w: AffineElt, state_cap: int | None = 5_000_000) -> Ne
 
 def s_bound(cartan_type: str, rank: int) -> int:
     """<theta, 2 rho_check>, i.e. twice the coefficient sum of the highest
-    root: A_n 2n; B_n/C_n 4n-2; D_n 4n-6; E6 22; E7 34; E8 58; F4 22;
-    G2 10.  Checked against the built root system at small rank."""
-    ct = cartan_type.upper()
-    if ct == "A":
-        val = 2 * rank
-    elif ct in ("B", "C"):
-        val = 4 * rank - 2
-    elif ct == "D":
-        val = 4 * rank - 6
-    else:
-        val = {("E", 6): 22, ("E", 7): 34, ("E", 8): 58,
-               ("F", 4): 22, ("G", 2): 10}[(ct, rank)]
-    if rank <= 8:
-        rs = build_root_system(ct, rank)
-        assert val == 2 * sum(rs.theta), "table disagrees with the root system"
-    return val
+    root, read from the per-type table."""
+    return TYPE_TABLE[check_type(cartan_type, rank)].s(rank)
 
 
 def xi_bound(cartan_type: str, rank: int) -> int:
@@ -263,7 +247,7 @@ def reduce_to_dominant(u: WeylElt, lam: Coweight, v: WeylElt) -> AffineElt:
     if not (lam.is_dominant() and lam.is_regular()):
         raise RefusalError("lambda must be dominant regular to reduce")
     x = demazure_ltri(embed(v), embed(u)).fin
-    return AffineElt(lam.rs, tuple(int(p) for p in lam.pairing), x)
+    return AffineElt(lam.rs, lam.int_pairing(), x)
 
 
 @dataclass
@@ -278,11 +262,6 @@ class FormulaResult:
     value: Coweight | None
     depth: Num
     threshold: int
-
-    @property
-    def point(self) -> NewtonPoint:
-        assert self.value is not None, "no value computed"
-        return NewtonPoint(self.value)
 
 
 def _wt_coweight(rs: RootSystem, x: WeylElt, cap: int) -> Coweight:
@@ -331,20 +310,6 @@ def theorem_grid(rs: RootSystem) -> list[Coweight]:
     ]
 
 
-def sample_lambdas(
-    rs: RootSystem, count: int, lo: int, hi: int, seed: int = 0
-) -> list[Coweight]:
-    """Seeded sample of dominant regular coweights with coordinates in
-    [lo, hi]."""
-    rng = Random(seed)
-    out = []
-    for _ in range(count):
-        out.append(
-            coweight(rs, tuple(rng.randint(lo, hi) for _ in range(rs.rank)))
-        )
-    return out
-
-
 def _chain_cover(table: GroupTable) -> list[tuple[int, ...]]:
     """Reduced words of the longest element whose prefix products p_k,
     left-multiplied by w0, jointly cover the whole group.  Greedy and
@@ -391,7 +356,7 @@ def sweep_records(
         assert lam.is_dominant() and lam.is_regular(), (
             "sweep needs dominant regular lambda"
         )
-        lam_int = tuple(int(p) for p in lam.pairing)
+        lam_int = lam.int_pairing()
         base_word, base_tau = reduced_word_and_tau(
             AffineElt(rs, lam_int, w0_elt)
         )
@@ -430,32 +395,3 @@ def sweep_records(
                     pref = table.rmult[j][pref]
         records.extend(results[i] for i in sorted(results))
     return records
-
-
-def exploration_report(
-    rs: RootSystem,
-    max_depth: int,
-    state_cap: int | None = 5_000_000,
-) -> list[dict]:
-    """Data, not assertions: for each x, the least depth d (lam = d along
-    every coordinate) at which the closed form agrees with brute force, and
-    whether agreement holds at every depth from there through max_depth."""
-    per_x: dict[str, list[tuple[int, bool]]] = {}
-    for d in range(1, max_depth + 1):
-        lam = coweight(rs, (d,) * rs.rank)
-        for rec in sweep_records(rs, [lam], state_cap):
-            per_x.setdefault(rec["x"], []).append((d, rec["match"]))
-    report = []
-    for x, seq in sorted(per_x.items()):
-        first = next((d for d, m in seq if m), None)
-        stable = first is not None and all(m for d, m in seq if d >= first)
-        report.append(
-            {
-                "type": rs.cartan_type,
-                "rank": rs.rank,
-                "x": x,
-                "first_agree_depth": first,
-                "agrees_onward": stable,
-            }
-        )
-    return report

@@ -25,8 +25,10 @@ from .rootsys import (
     Coroot,
     Root,
     RootSystem,
-    VALID_RANKS,
+    TYPE_TABLE,
     WEYL_ORDER,
+    _unit,
+    check_type,
     pair_root_coroot,
 )
 from .weyl import (
@@ -108,7 +110,6 @@ class QBGraph:
         self.rin = rin
         self.rin_down = rin_down
         self._fwd: dict[int, tuple[list[int], list[Coroot]]] = {}
-        self._rev: tuple[list[int], list[Coroot]] | None = None
         self._rev_down: tuple[list[int], list[Coroot], list] | None = None
         # Strong connectivity: the identity reaches everything and is
         # reachable from everything.
@@ -116,7 +117,7 @@ class QBGraph:
         assert all(d >= 0 for d in dist_from_e), "graph not strongly connected"
         rd, rwts, _step = self._run_bfs(0, rin)
         assert all(d >= 0 for d in rd), "graph not strongly connected"
-        self._rev = (rd, rwts)
+        self._rev: tuple[list[int], list[Coroot]] = (rd, rwts)
 
     # -- searches ---------------------------------------------------------
 
@@ -158,12 +159,6 @@ class QBGraph:
             self._fwd[src] = got
         return got
 
-    def _reverse(self):
-        if self._rev is None:
-            dist, wts, _ = self._run_bfs(0, self.rin)
-            self._rev = (dist, wts)
-        return self._rev
-
     def _reverse_down(self):
         if self._rev_down is None:
             dist, wts, step = self._run_bfs(0, self.rin_down)
@@ -172,7 +167,7 @@ class QBGraph:
             )
             # Down-only distance to the identity agrees with the
             # unrestricted one.
-            assert dist == self._reverse()[0], (
+            assert dist == self._rev[0], (
                 "a shortest path to the identity beats the down-only one"
             )
             self._rev_down = (dist, wts, step)
@@ -207,7 +202,7 @@ class QBGraph:
 
     def wt1(self, x) -> Coroot:
         """wt(x, 1), the weight to the identity."""
-        return self._reverse()[1][self._idx(x)]
+        return self._rev[1][self._idx(x)]
 
     def ell_down(self, x) -> int:
         """Least number of down edges from x to the identity."""
@@ -225,14 +220,10 @@ class QBGraph:
         return RQRD(tuple(roots[a] for a in reversed(labels)))
 
     def all_wt1(self) -> list[Coroot]:
-        return self._reverse()[1]
+        return self._rev[1]
 
     def all_ell_down(self) -> list[int]:
         return self._reverse_down()[0]
-
-    def down_root_indices(self) -> set[int]:
-        """Indices of roots that appear on at least one down edge."""
-        return {a for edges in self.out for _, a, down in edges if down}
 
 
 _GRAPHS: dict[RootSystem, QBGraph] = {}
@@ -316,13 +307,6 @@ def verify_rqrd(x: WeylElt, factors, cap: int = DEFAULT_QBG_CAP) -> RQRDReport:
 # -- closed forms ---------------------------------------------------------
 
 
-def _check_type(cartan_type: str, rank: int) -> str:
-    ct = cartan_type.upper()
-    if ct not in VALID_RANKS or not VALID_RANKS[ct](rank):
-        raise ValueError(f"no irreducible type {cartan_type}{rank}")
-    return ct
-
-
 def _pairs(top: int) -> list[int]:
     """(2, 2, 4, 4, ..., top, top) for even top >= 0."""
     out: list[int] = []
@@ -339,7 +323,7 @@ def wt_w0_closed_form(cartan_type: str, rank: int) -> Coroot:
     >>> wt_w0_closed_form("G", 2)
     (2, 2)
     """
-    ct = _check_type(cartan_type, rank)
+    ct = check_type(cartan_type, rank)
     n = rank
     k = n // 2
     if ct == "A":
@@ -367,11 +351,6 @@ def wt_w0_closed_form(cartan_type: str, rank: int) -> Coroot:
     }[(ct, n)]
 
 
-def _unit_root(n: int, pos: int) -> Root:
-    """alpha_pos as a coefficient vector, 1-based position."""
-    return tuple(1 if j == pos - 1 else 0 for j in range(n))
-
-
 def w0_rqrd_exhibit(cartan_type: str, rank: int) -> tuple[Root, ...]:
     """A minimal downward decomposition of the longest element, as root
     coefficient vectors in product order.
@@ -380,7 +359,7 @@ def w0_rqrd_exhibit(cartan_type: str, rank: int) -> tuple[Root, ...]:
     orthogonal roots), the factor count equals the reflection length of w_0,
     and the coroots of the factors sum to ``wt_w0_closed_form``.  All three
     facts are what the test suite checks."""
-    ct = _check_type(cartan_type, rank)
+    ct = check_type(cartan_type, rank)
     n = rank
     k = n // 2
     facs: list[Root] = []
@@ -397,9 +376,9 @@ def w0_rqrd_exhibit(cartan_type: str, rank: int) -> tuple[Root, ...]:
                 0 if i < o - 1 else (1 if i == o - 1 else 2)
                 for i in range(n)
             )
-            facs += [long_root, _unit_root(n, o)]
+            facs += [long_root, _unit(n, o - 1)]
         if n % 2 == 1:
-            facs.append(_unit_root(n, n))
+            facs.append(_unit(n, n - 1))
         return tuple(facs)
     if ct == "C":
         for j in range(1, n + 1):
@@ -420,12 +399,12 @@ def w0_rqrd_exhibit(cartan_type: str, rank: int) -> tuple[Root, ...]:
                 else 2
                 for i in range(n)
             )
-            facs += [long_root, _unit_root(n, o)]
+            facs += [long_root, _unit(n, o - 1)]
         if n % 2 == 0:
-            facs += [_unit_root(n, n - 1), _unit_root(n, n)]
+            facs += [_unit(n, n - 2), _unit(n, n - 1)]
         else:
             fork = tuple(1 if i >= n - 3 else 0 for i in range(n))
-            facs += [fork, _unit_root(n, n - 2)]
+            facs += [fork, _unit(n, n - 3)]
         return tuple(facs)
     return {
         ("E", 6): (
@@ -468,27 +447,13 @@ def w0_rqrd_exhibit(cartan_type: str, rank: int) -> tuple[Root, ...]:
 
 def m_tilde(cartan_type: str, rank: int) -> int:
     """Tabulated bound for max over x and simple alpha of <alpha, wt(x)>."""
-    ct = _check_type(cartan_type, rank)
-    if ct == "A":
-        return rank + 1
-    if ct in ("B", "C", "D"):
-        return 2 * rank
-    return {("E", 6): 12, ("E", 7): 16, ("E", 8): 28,
-            ("F", 4): 12, ("G", 2): 4}[(ct, rank)]
+    return TYPE_TABLE[check_type(cartan_type, rank)].m_tilde(rank)
 
 
 def reflection_length_w0(cartan_type: str, rank: int) -> int:
     """Tabulated reflection length of the longest element (the least number
     of reflections, simple or not, whose product is w0)."""
-    ct = _check_type(cartan_type, rank)
-    if ct == "A":
-        return (rank + 1) // 2
-    if ct in ("B", "C"):
-        return rank
-    if ct == "D":
-        return 2 * (rank // 2)
-    return {("E", 6): 4, ("E", 7): 7, ("E", 8): 8,
-            ("F", 4): 4, ("G", 2): 2}[(ct, rank)]
+    return TYPE_TABLE[check_type(cartan_type, rank)].ell_r_w0(rank)
 
 
 def compute_M(rs: RootSystem, cap: int = DEFAULT_QBG_CAP) -> int:

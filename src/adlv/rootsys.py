@@ -9,6 +9,10 @@ in *pairing coordinates*: lambda is stored as the tuple
 The Cartan matrix convention is ``C[i][j] = <alpha_j, alpha_i_check>``, so
 row i lists the pairings of all simple roots against the i-th simple coroot.
 
+The per-type constants the paper's theorems use (valid ranks, |Phi+|, |W|,
+the depth threshold c, S, M-tilde and ell_R(w0)) are defined once, in
+``TYPE_TABLE``; ``check_type`` is the one type/rank validator.
+
 >>> rs = build_root_system("G", 2)
 >>> len(rs.positive_roots)
 6
@@ -24,9 +28,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from ._matrix import mat_inv, mat_vec, transpose
+from .errors import RefusalError
 
 __all__ = [
     "RootSystem",
@@ -42,52 +47,85 @@ __all__ = [
     "quantum_roots",
     "quantum_roots_by_classification",
     "root_leq",
+    "TYPE_TABLE",
+    "TypeRow",
     "VALID_RANKS",
     "WEYL_ORDER",
+    "check_type",
 ]
 
 Root = tuple[int, ...]          # coefficients over simple roots
 Coroot = tuple[int, ...]        # coefficients over simple coroots
 Num = Union[int, Fraction]
 
-VALID_RANKS = {
-    "A": lambda n: n >= 1,
-    "B": lambda n: n >= 2,
-    "C": lambda n: n >= 2,
-    "D": lambda n: n >= 4,
-    "E": lambda n: n in (6, 7, 8),
-    "F": lambda n: n == 4,
-    "G": lambda n: n == 2,
+
+@dataclass(frozen=True)
+class TypeRow:
+    """The per-type constants the paper's theorems depend on.
+
+    Ranks run from ``lo`` through ``hi`` (unbounded when None); every
+    callable field maps a valid rank to its value."""
+
+    lo: int
+    hi: int | None
+    depth_threshold: int               # c: cocover and Adm-membership depth
+    n_positive: Callable[[int], int]   # |Phi+|
+    weyl_order: Callable[[int], int]   # |W|
+    s: Callable[[int], int]            # S = <theta, 2 rho_check>
+    m_tilde: Callable[[int], int]      # bound on <alpha_i, wt(x)>
+    ell_r_w0: Callable[[int], int]     # reflection length of w0
+
+    def valid(self, n: int) -> bool:
+        return n >= self.lo and (self.hi is None or n <= self.hi)
+
+    @property
+    def table_ranks(self) -> range:
+        """The ranks ``adlv tables`` covers: classical types through 8."""
+        return range(self.lo, (self.hi or 8) + 1)
+
+
+# columns: lo, hi, c, |Phi+|, |W|, S, M-tilde, ell_R(w0)
+_BC = TypeRow(2, None, 4, lambda n: n * n,
+              lambda n: 2 ** n * math.factorial(n), lambda n: 4 * n - 2,
+              lambda n: 2 * n, lambda n: n)
+
+TYPE_TABLE = {
+    "A": TypeRow(1, None, 3, lambda n: n * (n + 1) // 2,
+                 lambda n: math.factorial(n + 1), lambda n: 2 * n,
+                 lambda n: n + 1, lambda n: (n + 1) // 2),
+    "B": _BC,
+    "C": _BC,
+    "D": TypeRow(4, None, 3, lambda n: n * (n - 1),
+                 lambda n: 2 ** (n - 1) * math.factorial(n),
+                 lambda n: 4 * n - 6, lambda n: 2 * n, lambda n: 2 * (n // 2)),
+    "E": TypeRow(6, 8, 3, {6: 36, 7: 63, 8: 120}.__getitem__,
+                 {6: 51840, 7: 2903040, 8: 696729600}.__getitem__,
+                 {6: 22, 7: 34, 8: 58}.__getitem__,
+                 {6: 12, 7: 16, 8: 28}.__getitem__,
+                 {6: 4, 7: 7, 8: 8}.__getitem__),
+    "F": TypeRow(4, 4, 4, lambda n: 24, lambda n: 1152, lambda n: 22,
+                 lambda n: 12, lambda n: 4),
+    "G": TypeRow(2, 2, 6, lambda n: 6, lambda n: 12, lambda n: 10,
+                 lambda n: 4, lambda n: 2),
 }
 
-# Number of positive roots, for a hard check on the closure computation.
-def _expected_positive_count(ct: str, n: int) -> int:
-    if ct == "A":
-        return n * (n + 1) // 2
-    if ct in ("B", "C"):
-        return n * n
-    if ct == "D":
-        return n * (n - 1)
-    if ct == "E":
-        return {6: 36, 7: 63, 8: 120}[n]
-    if ct == "F":
-        return 24
-    return 6  # G2
+VALID_RANKS = {ct: row.valid for ct, row in TYPE_TABLE.items()}
+
+
+def check_type(cartan_type: str, rank: int | None = None) -> str:
+    """The canonical type letter; ValueError when the type is unknown or
+    (if given) the rank is invalid for it."""
+    ct = cartan_type.upper()
+    if ct not in TYPE_TABLE:
+        raise ValueError(f"unsupported Cartan type {cartan_type!r}")
+    if rank is not None and not TYPE_TABLE[ct].valid(rank):
+        raise ValueError(f"rank {rank} invalid for type {ct}")
+    return ct
 
 
 def WEYL_ORDER(ct: str, n: int) -> int:
     """Order of the finite Weyl group of type ``ct`` rank ``n``."""
-    if ct == "A":
-        return math.factorial(n + 1)
-    if ct in ("B", "C"):
-        return 2 ** n * math.factorial(n)
-    if ct == "D":
-        return 2 ** (n - 1) * math.factorial(n)
-    if ct == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[n]
-    if ct == "F":
-        return 1152
-    return 12  # G2
+    return TYPE_TABLE[check_type(ct, n)].weyl_order(n)
 
 
 def _edges_and_d(ct: str, n: int) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
@@ -137,7 +175,6 @@ class RootSystem:
     theta_index: int
     two_rho: Root
     rho: tuple[Fraction, ...]                    # root coords of rho
-    rho_check_coroot: tuple[Fraction, ...]       # coroot coords of rho_check
     quantum_flags: tuple[bool, ...]
     reflection_lengths: tuple[int, ...]          # ell(s_beta) per positive root
     inv_cartan_t: tuple[tuple[Fraction, ...], ...] = field(repr=False)
@@ -148,16 +185,8 @@ class RootSystem:
         return self.positive_roots[self.theta_index]
 
     @property
-    def theta_coroot(self) -> Coroot:
-        return self.positive_coroots[self.theta_index]
-
-    @property
     def coxeter_number(self) -> int:
         return self.heights[self.theta_index] + 1
-
-    @property
-    def simple_indices(self) -> tuple[int, ...]:
-        return tuple(self.root_index[_unit(self.rank, i)] for i in range(self.rank))
 
     def simple_root(self, i: int) -> Root:
         return _unit(self.rank, i)
@@ -179,9 +208,7 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
     p - <beta, a_i_check> >= 1 where p is the length of the alpha_i-string
     below beta.  The result is checked against the classical root count.
     """
-    ct = cartan_type.upper()
-    if ct not in VALID_RANKS or not VALID_RANKS[ct](rank):
-        raise ValueError(f"invalid Cartan type/rank: {cartan_type}{rank}")
+    ct = check_type(cartan_type, rank)
     n = rank
     edges, d = _edges_and_d(ct, n)
     adj = {(i, j) for i, j in edges} | {(j, i) for i, j in edges}
@@ -220,7 +247,7 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
                         nxt.add(cand)
         roots |= nxt
         level = sorted(nxt)
-    assert len(roots) == _expected_positive_count(ct, n), (
+    assert len(roots) == TYPE_TABLE[ct].n_positive(n), (
         f"root closure produced {len(roots)} roots for {ct}{n}"
     )
 
@@ -258,11 +285,10 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
     for r in positive:
         assert all(t >= c for t, c in zip(th, r)), "theta not dominance-maximal"
 
-    # rho (root coords) and rho_check (coroot coords) by exact linear solves
+    # rho in root coords by an exact linear solve
     cinv = mat_inv(C)
     rho = mat_vec(cinv, (1,) * n)
     cinv_t = mat_inv(transpose(C))
-    rho_check = mat_vec(cinv_t, (1,) * n)
     two_rho = tuple(2 * x for x in rho)
     assert all(x.denominator == 1 for x in two_rho)
     two_rho = tuple(int(x) for x in two_rho)
@@ -304,7 +330,6 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
         theta_index=ti,
         two_rho=two_rho,
         rho=tuple(Fraction(x) for x in rho),
-        rho_check_coroot=tuple(Fraction(x) for x in rho_check),
         quantum_flags=qflags,
         reflection_lengths=refl_len,
         inv_cartan_t=cinv_t,
@@ -359,8 +384,14 @@ class Coweight:
     def __neg__(self) -> "Coweight":
         return Coweight(self.rs, tuple(-a for a in self.pairing))
 
-    def scale(self, c: Num) -> "Coweight":
-        return Coweight(self.rs, tuple(_norm_num(c * a) for a in self.pairing))
+    def int_pairing(self) -> tuple[int, ...]:
+        """The pairing coordinates, which must all be integers (lambda in
+        the coweight lattice); RefusalError otherwise."""
+        if self.lattice == "rational":
+            raise RefusalError(
+                f"coweight {[str(x) for x in self.pairing]} is not integral"
+            )
+        return self.pairing
 
     def is_dominant(self) -> bool:
         return all(x >= 0 for x in self.pairing)

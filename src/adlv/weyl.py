@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from ._matrix import identity, mat_mul, mat_rank, mat_sub, mat_vec
 from .errors import BudgetError
-from .rootsys import Root, RootSystem, WEYL_ORDER
+from .rootsys import RootSystem, WEYL_ORDER, _sign
 
 __all__ = [
     "WeylElt",
@@ -103,11 +103,6 @@ class WeylElt:
             self._len = cnt
         return self._len
 
-    def inv_set(self) -> list[Root]:
-        """Positive roots sent negative by this element."""
-        return [root for root in self.rs.positive_roots
-                if _sign(self.act_root(root)) < 0]
-
     def is_identity(self) -> bool:
         return self.m == _id_mat(self.rs)
 
@@ -145,13 +140,6 @@ class WeylElt:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         w = self.to_word()
         return "WeylElt(e)" if not w else f"WeylElt({word_str(w)})"
-
-
-def _sign(v: Sequence[int]) -> int:
-    for x in v:
-        if x:
-            return 1 if x > 0 else -1
-    return 0
 
 
 def word_str(word: Iterable[int], letters_are_affine: bool = False) -> str:
@@ -275,13 +263,8 @@ class GroupTable:
     Bruhat relation (as bitmasks) are built lazily.
     """
 
-    def __init__(self, rs: RootSystem, cap: int = 10 ** 6):
+    def __init__(self, rs: RootSystem):
         order = WEYL_ORDER(rs.cartan_type, rs.rank)
-        if order > cap:
-            raise BudgetError(
-                f"Weyl group of type {rs.cartan_type}{rs.rank} has {order} "
-                f"elements, exceeding the cap of {cap}"
-            )
         self.rs = rs
         n = rs.rank
         e = identity_elt(rs)
@@ -316,7 +299,6 @@ class GroupTable:
         self.index = index
         self.lengths = [len(w) for w in words]
         self.rmult = rmult
-        self._lmult: dict[int, list[int]] = {}
         self._refl_mult: dict[int, list[int]] = {}
         self._inv: list[int] | None = None
         self._leq_masks: list[int] | None = None
@@ -335,14 +317,6 @@ class GroupTable:
 
     def prod_idx(self, a: int, b: int) -> int:
         return self.index[mat_mul(self.elements[a].m, self.elements[b].m)]
-
-    def lmult_gen(self, i: int, a: int) -> int:
-        tab = self._lmult.get(i)
-        if tab is None:
-            s = simple_reflection(self.rs, i)
-            tab = [self.index[mat_mul(s.m, x.m)] for x in self.elements]
-            self._lmult[i] = tab
-        return tab[a]
 
     def rmult_root(self, root_idx: int) -> list[int]:
         """Table of right multiplication by the reflection s_beta."""
@@ -376,7 +350,7 @@ class GroupTable:
         return bool((self.bruhat_masks()[b] >> a) & 1)
 
 
-_TABLES: dict[tuple[RootSystem, int], GroupTable] = {}
+_TABLES: dict[RootSystem, GroupTable] = {}
 
 
 def enumerate_group(rs: RootSystem, cap: int = 10 ** 6) -> GroupTable:
@@ -387,11 +361,10 @@ def enumerate_group(rs: RootSystem, cap: int = 10 ** 6) -> GroupTable:
             f"Weyl group of type {rs.cartan_type}{rs.rank} has {order} "
             f"elements, exceeding the cap of {cap}"
         )
-    key = (rs, 0)
-    tab = _TABLES.get(key)
+    tab = _TABLES.get(rs)
     if tab is None:
-        tab = GroupTable(rs, cap)
-        _TABLES[key] = tab
+        tab = GroupTable(rs)
+        _TABLES[rs] = tab
     return tab
 
 

@@ -3,6 +3,9 @@ query results, verification suites, and byte-stability of the shipped
 tables."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -222,6 +225,10 @@ def test_query_finite_only_ops_refuse_translations(capsys):
         (["query", "--type", "Z", "--rank", "2", "wt w0"], "unsupported"),
         (["verify", "nosuch", "--type", "A", "--rank", "2"], "unknown suite"),
         (["verify", "qbg", "--type", "B", "--rank", "1"], "invalid for type"),
+        (["query", "--type", "A", "--rank", "0", "len s1"], "invalid for type"),
+        (["query", "--type", "A", "--rank", "2", "admsize [-1,2]"], "dominant"),
+        (["tables", "--cap", "0"], "--cap"),
+        (["tables", "--budget", "0"], "--budget"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, fragment):
@@ -237,11 +244,24 @@ def test_budget_errors_exit_3(capsys):
     assert "budget exceeded" in capsys.readouterr().err
     code = main(["verify", "qbg", "--type", "A", "--rank", "2", "--cap", "1"])
     assert code == 3
+    # every query operator that enumerates W honours --cap
+    for expr in ("nu s1", "wt w0", "elldown s1", "dp s1", "ellred s1",
+                 "cascade s1", "admsize [1,1]"):
+        argv = ["query", "--type", "A", "--rank", "2", "--cap", "1", expr]
+        assert main(argv) == 3, expr
+        assert "exceeds --cap" in capsys.readouterr().err
+    # nu with neither route available: too long to sweep, below threshold
+    argv = ["query", "--type", "A", "--rank", "2", "--budget", "1", "nu s1 s2"]
+    assert main(argv) == 3
+    # len and eta do not enumerate W, so they run at any cap
+    for ct, rank, expr in (("A", 2, "eta s1"), ("E", 8, "len s0")):
+        argv = ["query", "--type", ct, "--rank", str(rank), "--cap", "1", expr]
+        assert main(argv) == 0, expr
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(
-        cli._SUITES, "qbg", lambda config: (1, [{"check": "forced"}], {})
+        cli._SUITES, "qbg", lambda config, rs: (1, [{"check": "forced"}], {})
     )
     code, rep = run_json(
         capsys, ["verify", "qbg", "--type", "A", "--rank", "2"]
@@ -291,6 +311,27 @@ def test_verify_reports_deterministic():
     a.pop("wall_time")
     b.pop("wall_time")
     assert a == b
+
+
+def test_refusals_survive_python_O():
+    """The --cap refusal is not an assert, and the checks a suite relies on
+    still hold with asserts stripped."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(GOLDEN.parents[1]), env.get("PYTHONPATH")])
+    )
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "adlv.cli", *args],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    res = run("tables", "--cap", "0")
+    assert res.returncode == 2 and "--cap" in res.stderr
+    res = run("verify", "newton", "--type", "A", "--rank", "2")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["passed"] is True
 
 
 def test_run_query_requires_scope():

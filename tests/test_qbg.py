@@ -160,10 +160,10 @@ def test_w0_exhibits_high_rank():
 
 
 def test_reflection_length_w0_table_small():
+    from adlv.cli import ALL_TABLE_RANKS
     from adlv.weyl import reflection_length
 
-    for ct, n in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2),
-                  ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]:
+    for ct, n in [(ct, n) for ct, ns in ALL_TABLE_RANKS.items() for n in ns]:
         rs = build_root_system(ct, n)
         assert reflection_length_w0(ct, n) == reflection_length(
             longest_element(rs)

@@ -5,6 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adlv.adm import adm_membership_char, adm_set
+from adlv.cover import predicted_cocovers
+from adlv.errors import RefusalError
+from adlv.newton import reduce_to_dominant
 from adlv.rootsys import (
     VALID_RANKS,
     build_root_system,
@@ -19,6 +23,7 @@ from adlv.rootsys import (
     quantum_roots_by_classification,
     root_leq,
 )
+from adlv.weyl import identity_elt
 
 ALL_SMALL = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -113,6 +118,24 @@ def test_coweight_lattice_tags(a2):
     # a fundamental coweight has coroot coords (2/3, 1/3)
     assert coweight(a2, (1, 0)).lattice == "coweight"
     assert coweight(a2, (Fraction(1, 2), 0)).lattice == "rational"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e, lam: predicted_cocovers(e, lam, e),
+        lambda e, lam: reduce_to_dominant(e, lam, e),
+        lambda e, lam: adm_membership_char(e, lam, e, lam),
+        lambda e, lam: adm_set(lam),
+    ],
+    ids=["predicted_cocovers", "reduce_to_dominant", "adm_membership_char",
+         "adm_set"],
+)
+def test_non_integral_coweight_refused(a2, call):
+    # (7/2, 4) is dominant regular and deep; truncating it would give (3, 4)
+    lam = coweight(a2, (Fraction(7, 2), 4))
+    with pytest.raises(RefusalError, match="not integral"):
+        call(identity_elt(a2), lam)
 
 
 def test_depth_and_dominance(a2):
