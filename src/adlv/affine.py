@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from ._matrix import transpose, mat_vec
-from .errors import BudgetError
+from .errors import BudgetError, InvariantError
 from .rootsys import Coweight, RootSystem, _sign
 from .weyl import (
     GroupTable,
@@ -110,7 +110,7 @@ class AffineElt:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.lam, self.fin.m))
+            self._hash = hash((self.lam, self.fin.r))
         return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -418,7 +418,8 @@ class IntervalEngine:
         code = 0
         for c in reversed(mu):
             s = c + self.bound
-            assert 0 <= s < self.width, "interval state out of the coweight box"
+            if not 0 <= s < self.width:
+                raise InvariantError("interval state out of the coweight box")
             code = code * self.width + s
         return code * self.nw + x_idx
 

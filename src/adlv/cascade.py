@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .qbg import build_qbg
 from .rootsys import Coroot, Root, RootSystem, pair_root_coroot, root_leq
-from .weyl import GroupTable, WeylElt, enumerate_group, reflection, word_str
+from .weyl import GroupTable, WeylElt, enumerate_group, word_str
 
 __all__ = [
     "CascadeResult",
@@ -77,13 +77,8 @@ def cascade_r(x: WeylElt) -> CascadeResult:
     ones orthogonal to every root of the earlier levels; r is the sum of
     all their coroots.  Maximality is taken in the ambient dominance order
     on roots."""
-    _require_involution(x)
     rs = x.rs
-    neg = {
-        a
-        for a, beta in enumerate(rs.positive_roots)
-        if x.act_root(beta) == tuple(-c for c in beta)
-    }
+    neg = {rs.root_index[beta] for beta in minus_one_roots(x)}
     roots = rs.positive_roots
     coroots = rs.positive_coroots
     levels: list[tuple[Root, ...]] = []
@@ -116,7 +111,7 @@ def cascade_r(x: WeylElt) -> CascadeResult:
 
 def dp_root(rs: RootSystem, root_idx: int) -> int:
     """(ell(s_beta) + 1) / 2, an integer since reflection lengths are odd."""
-    l = reflection(rs, root_idx).length()
+    l = rs.reflection_lengths[root_idx]
     assert l % 2 == 1, "reflection of even length"
     return (l + 1) // 2
 
@@ -160,9 +155,7 @@ def _ell_red_table(table: GroupTable) -> tuple[int, ...]:
     element, by breadth-first search."""
     rs = table.rs
     nroots = len(rs.positive_roots)
-    refl_len = [
-        table.lengths[table.rmult_root(a)[0]] for a in range(nroots)
-    ]
+    refl_len = rs.reflection_lengths
     mult = [table.rmult_root(a) for a in range(nroots)]
     lengths = table.lengths
     dist = [None] * len(table)

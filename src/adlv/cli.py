@@ -27,7 +27,8 @@ enumerates the finite Weyl group, so it first checks the group order
 against --cap.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error or
-refused input (including --cap/--budget below 1), 3 budget exceeded.
+refused input (including --cap/--budget below 1), 3 budget exceeded,
+4 internal invariant violated (a bug, not bad input).
 Reports are deterministic for a fixed config and seed, except for the
 wall_time field in verify reports.
 """
@@ -55,7 +56,7 @@ from .affine import (
 )
 from .cascade import cascade_r, compare_wt_r, dp_all, ell_red_all
 from .cover import cover_depth_threshold, cover_sweep
-from .errors import BudgetError, RefusalError
+from .errors import BudgetError, InvariantError, RefusalError
 from .newton import (
     max_newton_brute,
     max_newton_formula,
@@ -500,7 +501,7 @@ def run_suite(config: RunConfig, suite: str) -> dict:
         raise QueryError(
             f"unknown suite {suite!r}; choose from {sorted(_SUITES)}"
         )
-    t0 = time.time()
+    t0 = time.perf_counter()
     if suite == "tables":
         ct, n, rs = config.cartan_type or "all", config.rank, None
     else:
@@ -522,7 +523,7 @@ def run_suite(config: RunConfig, suite: str) -> dict:
         "failures": failures,
         "passed": not failures,
         **extras,
-        "wall_time": round(time.time() - t0, 3),
+        "wall_time": round(time.perf_counter() - t0, 3),
     }
     return report
 
@@ -602,6 +603,9 @@ def main(argv=None) -> int:
     except BudgetError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
+    except InvariantError as e:
+        print(f"internal invariant violated: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

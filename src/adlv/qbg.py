@@ -5,15 +5,15 @@ there is an "up" edge x -> x s_beta of weight zero when the length rises by
 one, and a "down" edge of weight beta_check when the length drops by exactly
 <2 rho, beta_check> - 1.  A drop of that size forces ell(s_beta) =
 <2 rho, beta_check> - 1, so down edges can only use quantum roots; the
-builder asserts this instead of assuming it.
+builder checks this instead of assuming it.
 
 All shortest directed paths between two fixed vertices carry the same
 accumulated weight.  Rather than trusting that, the breadth-first searches
-here assert weight agreement layer by layer, which amounts to a complete
-check over the whole graph.  The common weight wt(x, y), the distance
-d_Gamma(x, y), and the downward-only decompositions extracted from the
-search drive the closed-form weight tables and the weight bound used
-elsewhere for Newton points.
+here check weight agreement layer by layer (raising InvariantError), which
+amounts to a complete check over the whole graph.  The common weight
+wt(x, y), the distance d_Gamma(x, y), and the downward-only decompositions
+extracted from the search drive the closed-form weight tables and the
+weight bound used elsewhere for Newton points.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .errors import InvariantError
 from .rootsys import (
     Coroot,
     Root,
@@ -77,14 +78,15 @@ class QBGraph:
 
     ``out[x]`` lists the edges ``(target, root_index, is_down)`` leaving x in
     root-index order; ``rin[y]`` lists them by target.  Searches are layered
-    and, with ``verify`` on (the default), assert that every predecessor of a
-    vertex on the shortest-path level agrees about the accumulated weight.
+    and check that every predecessor of a vertex on the shortest-path level
+    agrees about the accumulated weight.  The adjacency lists are kept
+    rather than re-deriving edges from ``rmult_root`` per search: a vertex
+    has a handful of edges but |Phi+| candidate roots.
     """
 
-    def __init__(self, table: GroupTable, verify: bool = True):
+    def __init__(self, table: GroupTable):
         self.table = table
         self.rs = rs = table.rs
-        self.verify = verify
         nv = len(table)
         nroots = len(rs.positive_roots)
         lengths = table.lengths
@@ -102,7 +104,8 @@ class QBGraph:
                     out[x].append((y, a, False))
                     rin[y].append((x, a, False))
                 elif d == -drop:
-                    assert quantum, "down edge through a non-quantum root"
+                    if not quantum:
+                        raise InvariantError("down edge through a non-quantum root")
                     out[x].append((y, a, True))
                     rin[y].append((x, a, True))
                     rin_down[y].append((x, a, True))
@@ -114,9 +117,9 @@ class QBGraph:
         # Strong connectivity: the identity reaches everything and is
         # reachable from everything.
         dist_from_e, _ = self._forward(0)
-        assert all(d >= 0 for d in dist_from_e), "graph not strongly connected"
         rd, rwts, _step = self._run_bfs(0, rin)
-        assert all(d >= 0 for d in rd), "graph not strongly connected"
+        if min(dist_from_e) < 0 or min(rd) < 0:
+            raise InvariantError("graph not strongly connected")
         self._rev: tuple[list[int], list[Coroot]] = (rd, rwts)
 
     # -- searches ---------------------------------------------------------
@@ -133,7 +136,6 @@ class QBGraph:
         dist[src] = 0
         wts[src] = (0,) * rs.rank
         q = deque([src])
-        verify = self.verify
         while q:
             v = q.popleft()
             dv = dist[v]
@@ -145,8 +147,8 @@ class QBGraph:
                     wts[u] = w
                     step[u] = (a, v)
                     q.append(u)
-                elif verify and dist[u] == dv + 1:
-                    assert wts[u] == w, (
+                elif dist[u] == dv + 1 and wts[u] != w:
+                    raise InvariantError(
                         "two shortest paths with different weights"
                     )
         return dist, wts, step
@@ -162,14 +164,14 @@ class QBGraph:
     def _reverse_down(self):
         if self._rev_down is None:
             dist, wts, step = self._run_bfs(0, self.rin_down)
-            assert all(d >= 0 for d in dist), (
-                "element with no downward decomposition"
-            )
+            if min(dist) < 0:
+                raise InvariantError("element with no downward decomposition")
             # Down-only distance to the identity agrees with the
             # unrestricted one.
-            assert dist == self._rev[0], (
-                "a shortest path to the identity beats the down-only one"
-            )
+            if dist != self._rev[0]:
+                raise InvariantError(
+                    "a shortest path to the identity beats the down-only one"
+                )
             self._rev_down = (dist, wts, step)
         return self._rev_down
 
@@ -177,20 +179,6 @@ class QBGraph:
 
     def _idx(self, x) -> int:
         return x if isinstance(x, int) else self.table.idx(x)
-
-    def edge(self, x, root_idx: int):
-        """("up"|"down", target index) for the edge at (x, beta), or None."""
-        xi = self._idx(x)
-        y = self.table.rmult_root(root_idx)[xi]
-        d = self.table.lengths[y] - self.table.lengths[xi]
-        if d == 1:
-            return ("up", y)
-        drop = pair_root_coroot(
-            self.rs, self.rs.two_rho, self.rs.positive_coroots[root_idx]
-        ) - 1
-        if d == -drop:
-            return ("down", y)
-        return None
 
     def d_gamma(self, x, y) -> int:
         dist, _ = self._forward(self._idx(x))

@@ -1,10 +1,10 @@
 """Finite Weyl group elements as exact integer matrices.
 
-An element carries four integer matrices: its action on coroot coordinates,
-its action on root coordinates, and the two inverses.  Carrying the inverses
-makes inversion free and gives O(n^2) access to both "how does w move this
-root" and "which root maps onto this one", which the graph algorithms lean on
-heavily.
+An element carries two integer matrices: its action on root coordinates and
+the inverse action.  Carrying the inverse makes inversion free and gives
+O(n^2) access to both "how does w move this root" and "which root maps onto
+this one", which the graph algorithms lean on heavily.  The coroot action is
+derived from the root action through the symmetrizer.
 
 Lengths come from counting inverted positive roots, Bruhat order from the
 standard lifting recursion, reflection length from the rank of (action - id)
@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from ._matrix import identity, mat_mul, mat_rank, mat_sub, mat_vec
-from .errors import BudgetError
+from .errors import BudgetError, InvariantError
 from .rootsys import RootSystem, WEYL_ORDER, _sign
 
 __all__ = [
@@ -43,13 +43,11 @@ __all__ = [
 class WeylElt:
     """A finite Weyl group element; build via the module constructors."""
 
-    __slots__ = ("rs", "m", "r", "mi", "ri", "_len", "_hash")
+    __slots__ = ("rs", "r", "ri", "_len", "_hash")
 
-    def __init__(self, rs: RootSystem, m, r, mi, ri):
+    def __init__(self, rs: RootSystem, r, ri):
         self.rs = rs
-        self.m = m      # action on coroot coordinates
-        self.r = r      # action on root coordinates
-        self.mi = mi
+        self.r = r      # action on root coordinates; column j is w(alpha_j)
         self.ri = ri
         self._len = None
         self._hash = None
@@ -59,15 +57,11 @@ class WeylElt:
     def mul(self, other: "WeylElt") -> "WeylElt":
         assert self.rs is other.rs
         return WeylElt(
-            self.rs,
-            mat_mul(self.m, other.m),
-            mat_mul(self.r, other.r),
-            mat_mul(other.mi, self.mi),
-            mat_mul(other.ri, self.ri),
+            self.rs, mat_mul(self.r, other.r), mat_mul(other.ri, self.ri)
         )
 
     def inv(self) -> "WeylElt":
-        return WeylElt(self.rs, self.mi, self.ri, self.m, self.r)
+        return WeylElt(self.rs, self.ri, self.r)
 
     # -- actions ----------------------------------------------------------
 
@@ -78,7 +72,13 @@ class WeylElt:
         return mat_vec(self.ri, coeffs)
 
     def act_coroot(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        return mat_vec(self.m, coeffs)
+        # alpha_j_check = alpha_j / d_j, so the coroot action is D r D^-1;
+        # every entry r[k][j] d_k / d_j is an integer.
+        d = self.rs.sym_d
+        return tuple(
+            sum(row[j] * d[k] // d[j] * coeffs[j] for j in range(len(d)))
+            for k, row in enumerate(self.r)
+        )
 
     def act_pairing(self, p: Sequence) -> tuple:
         # <alpha_k, w lambda> = <w^-1 alpha_k, lambda>; column k of ri holds
@@ -104,7 +104,7 @@ class WeylElt:
         return self._len
 
     def is_identity(self) -> bool:
-        return self.m == _id_mat(self.rs)
+        return self.r == _id_mat(self.rs)
 
     def descent_right(self, i: int) -> bool:
         """ell(w s_i) < ell(w), i.e. w(alpha_i) < 0 (i is 0-based)."""
@@ -130,11 +130,11 @@ class WeylElt:
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElt) and self.m == other.m and self.rs is other.rs
+        return isinstance(other, WeylElt) and self.r == other.r and self.rs is other.rs
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.m)
+            self._hash = hash(self.r)
         return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -161,7 +161,7 @@ def _id_mat(rs: RootSystem):
 @lru_cache(maxsize=None)
 def identity_elt(rs: RootSystem) -> WeylElt:
     e = _id_mat(rs)
-    return WeylElt(rs, e, e, e, e)
+    return WeylElt(rs, e, e)
 
 
 @lru_cache(maxsize=None)
@@ -169,15 +169,11 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
     """s_i for 0-based simple index i."""
     n = rs.rank
     C = rs.cartan
-    m = tuple(
-        tuple((1 if k == j else 0) - (C[j][i] if k == i else 0) for j in range(n))
-        for k in range(n)
-    )
     r = tuple(
         tuple((1 if k == j else 0) - (C[i][j] if k == i else 0) for j in range(n))
         for k in range(n)
     )
-    return WeylElt(rs, m, r, m, r)
+    return WeylElt(rs, r, r)
 
 
 def reflection(rs: RootSystem, root) -> WeylElt:
@@ -192,18 +188,13 @@ def _reflection_by_index(rs: RootSystem, a: int) -> WeylElt:
     bc = rs.positive_coroots[a]
     n = rs.rank
     C = rs.cartan
-    # <alpha_j, beta_check> and <beta, alpha_j_check>
+    # <alpha_j, beta_check>
     prc = tuple(sum(bc[i] * C[i][j] for i in range(n)) for j in range(n))
-    pr = rs.pairing_rows[a]
     r = tuple(
         tuple((1 if k == j else 0) - prc[j] * beta[k] for j in range(n))
         for k in range(n)
     )
-    m = tuple(
-        tuple((1 if k == j else 0) - pr[j] * bc[k] for j in range(n))
-        for k in range(n)
-    )
-    return WeylElt(rs, m, r, m, r)
+    return WeylElt(rs, r, r)
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElt:
@@ -250,80 +241,95 @@ def bruhat_leq(x: WeylElt, y: WeylElt) -> bool:
 
 def reflection_length(x: WeylElt) -> int:
     """Least number of reflections multiplying to x: the rank of (x - 1) on
-    the reflection representation."""
-    return mat_rank(mat_sub(x.m, _id_mat(x.rs)))
+    the reflection representation (the same on root and coroot
+    coordinates)."""
+    return mat_rank(mat_sub(x.r, _id_mat(x.rs)))
 
 
 class GroupTable:
     """Breadth-first enumeration of a finite Weyl group.
 
     Elements are indexed 0..|W|-1 ordered by (length, lexicographic reduced
-    word); index 0 is the identity.  ``rmult[i][a]`` is the index of
-    ``elements[a] * s_i``.  Reflection-multiplication tables and the full
-    Bruhat relation (as bitmasks) are built lazily.
+    word); index 0 is the identity and index |W|-1 the longest element.
+    The search runs over the orbit of rho_check: x is keyed by the pairing
+    coordinates of x^-1 rho_check, so x s_i is one reflection of the key and
+    a right descent is a negative key entry.  ``rmult[i][a]`` is the index
+    of ``elements[a] * s_i``; every other product (``prod_idx``,
+    ``inv_idx``, ``rmult_root``) is a fold of ``rmult`` along ``words``.
+    Reflection-multiplication tables and the full Bruhat relation (as
+    bitmasks) are built lazily.
     """
 
     def __init__(self, rs: RootSystem):
         order = WEYL_ORDER(rs.cartan_type, rs.rank)
         self.rs = rs
         n = rs.rank
-        e = identity_elt(rs)
+        C = rs.cartan
         gens = [simple_reflection(rs, i) for i in range(n)]
-        elements: list[WeylElt] = [e]
+        elements: list[WeylElt] = [identity_elt(rs)]
         words: list[tuple[int, ...]] = [()]
-        index: dict = {e.m: 0}
+        # key of x: <alpha_j, x^-1 rho_check> = ht(x alpha_j) for each j
+        index: dict = {(1,) * n: 0}
         rmult: list[list[int]] = [[-1] * order for _ in range(n)]
-        layer = [0]
+        layer = list(index.items())
         while layer:
-            nxt: list[int] = []
-            for a in layer:
-                x = elements[a]
+            nxt: list[tuple[tuple[int, ...], int]] = []
+            for p, a in layer:
                 for i in range(n):
-                    if x.descent_right(i):
+                    pi = p[i]
+                    if pi < 0:
                         continue
-                    y = x.mul(gens[i])
-                    b = index.get(y.m)
+                    Ci = C[i]
+                    q = tuple(p[j] - Ci[j] * pi for j in range(n))
+                    b = index.get(q)
                     if b is None:
                         b = len(elements)
-                        index[y.m] = b
+                        index[q] = b
+                        y = elements[a].mul(gens[i])
+                        y._len = len(words[a]) + 1
                         elements.append(y)
                         words.append(words[a] + (i,))
-                        y._len = len(words[b])
-                        nxt.append(b)
+                        nxt.append((q, b))
                     rmult[i][a] = b
                     rmult[i][b] = a
             layer = nxt
-        assert len(elements) == order, f"BFS found {len(elements)} of {order}"
+        if len(elements) != order:
+            raise InvariantError(f"BFS found {len(elements)} of {order}")
         self.elements = elements
         self.words = words
         self.index = index
         self.lengths = [len(w) for w in words]
         self.rmult = rmult
         self._refl_mult: dict[int, list[int]] = {}
-        self._inv: list[int] | None = None
         self._leq_masks: list[int] | None = None
-        self.w0_idx = index[longest_element(rs).m]
+        self.w0_idx = order - 1
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def idx(self, x: WeylElt) -> int:
-        return self.index[x.m]
+        return self.index[tuple(map(sum, zip(*x.r)))]
 
     def inv_idx(self, a: int) -> int:
-        if self._inv is None:
-            self._inv = [self.index[x.mi] for x in self.elements]
-        return self._inv[a]
+        v = 0
+        for i in reversed(self.words[a]):
+            v = self.rmult[i][v]
+        return v
 
     def prod_idx(self, a: int, b: int) -> int:
-        return self.index[mat_mul(self.elements[a].m, self.elements[b].m)]
+        rmult = self.rmult
+        for i in self.words[b]:
+            a = rmult[i][a]
+        return a
 
     def rmult_root(self, root_idx: int) -> list[int]:
         """Table of right multiplication by the reflection s_beta."""
         tab = self._refl_mult.get(root_idx)
         if tab is None:
-            s = reflection(self.rs, root_idx)
-            tab = [self.index[mat_mul(x.m, s.m)] for x in self.elements]
+            tab = list(range(len(self.elements)))
+            for i in self.words[self.idx(reflection(self.rs, root_idx))]:
+                ri = self.rmult[i]
+                tab = [ri[v] for v in tab]
             self._refl_mult[root_idx] = tab
         return tab
 
@@ -341,7 +347,8 @@ class GroupTable:
                     b = tabs[t][a]
                     if self.lengths[b] == la - 1:
                         m |= masks[b]
-                assert la == 0 or m != (1 << a), "element without a cocover"
+                if la and m == 1 << a:
+                    raise InvariantError("element without a cocover")
                 masks[a] = m
             self._leq_masks = masks
         return self._leq_masks

@@ -2,23 +2,11 @@
 
 The library caches root systems, group tables, and graphs aggressively, so
 fixtures hand out the cached objects rather than managing lifecycles.
-
-Heavy optional checks (anything needing the 51840-element rank-6
-exceptional group) run only when ADLV_HEAVY is set in the environment.
 """
-
-import os
 
 import pytest
 
 from adlv.rootsys import build_root_system
-
-HEAVY = bool(os.environ.get("ADLV_HEAVY"))
-
-heavy_only = pytest.mark.skipif(
-    not HEAVY, reason="set ADLV_HEAVY=1 to run large-group checks"
-)
-
 
 @pytest.fixture(scope="session")
 def a2():

@@ -21,6 +21,7 @@ from adlv.cli import (
     run_suite,
     table_rows,
 )
+from adlv.errors import InvariantError
 from adlv.rootsys import build_root_system
 
 GOLDEN = Path(__file__).resolve().parents[1] / "src" / "adlv" / "golden"
@@ -271,6 +272,15 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert rep["failures"] == [{"check": "forced"}]
 
 
+def test_invariant_violation_exits_4(capsys, monkeypatch):
+    def broken(config, rs):
+        raise InvariantError("forced")
+
+    monkeypatch.setitem(cli._SUITES, "qbg", broken)
+    assert main(["verify", "qbg", "--type", "A", "--rank", "2"]) == 4
+    assert "forced" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verification suites (fast scopes)
 
@@ -313,25 +323,60 @@ def test_verify_reports_deterministic():
     assert a == b
 
 
-def test_refusals_survive_python_O():
-    """The --cap refusal is not an assert, and the checks a suite relies on
-    still hold with asserts stripped."""
+def _python_O(*args):
+    """Run the interpreter with asserts stripped, on this checkout's src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(GOLDEN.parents[1]), env.get("PYTHONPATH")])
     )
+    return subprocess.run(
+        [sys.executable, "-O", *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+def test_refusals_survive_python_O():
+    """The --cap refusal is not an assert, and the checks a suite relies on
+    still hold with asserts stripped."""
 
     def run(*args):
-        return subprocess.run(
-            [sys.executable, "-O", "-m", "adlv.cli", *args],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        return _python_O("-m", "adlv.cli", *args)
 
     res = run("tables", "--cap", "0")
     assert res.returncode == 2 and "--cap" in res.stderr
     res = run("verify", "newton", "--type", "A", "--rank", "2")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["passed"] is True
+
+
+_BROKEN_INVARIANTS = """
+import copy
+from adlv.affine import engine_for
+from adlv.errors import InvariantError
+from adlv.qbg import QBGraph
+from adlv.rootsys import build_root_system
+from adlv.weyl import enumerate_group
+
+table = enumerate_group(build_root_system("A", 2))
+flat = copy.copy(table)
+flat.lengths = [0] * 6
+for check in (lambda: QBGraph(flat), lambda: engine_for(table, 0).pack(0, (99, 0))):
+    try:
+        check()
+    except InvariantError as e:
+        print("raised:", e)
+"""
+
+
+def test_invariants_survive_python_O():
+    """A graph with no edges and a state outside the coweight box are
+    refused by explicit checks, not asserts, so -O keeps them."""
+    res = _python_O("-c", _BROKEN_INVARIANTS)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "raised: graph not strongly connected",
+        "raised: interval state out of the coweight box",
+    ]
 
 
 def test_run_query_requires_scope():

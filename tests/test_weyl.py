@@ -39,7 +39,7 @@ def test_word_roundtrip(b2):
     rs = b2
     for word in [(), (0,), (0, 1), (1, 0, 1), (0, 1, 0, 1)]:
         x = from_word(rs, word)
-        assert from_word(rs, x.to_word()).m == x.m
+        assert from_word(rs, x.to_word()) == x
         assert x.length() <= len(word)
     # the 4-letter alternating word in B2 is reduced
     assert from_word(rs, (0, 1, 0, 1)).length() == 4
@@ -51,7 +51,7 @@ def test_simple_reflection_involution(a2):
     assert s1.length() == 1
     # braid relation s1 s2 s1 = s2 s1 s2 in A2
     s2 = simple_reflection(a2, 1)
-    assert s1.mul(s2).mul(s1).m == s2.mul(s1).mul(s2).m
+    assert s1.mul(s2).mul(s1) == s2.mul(s1).mul(s2)
 
 
 def test_reflections_negate_their_root(b3):
@@ -122,17 +122,39 @@ def test_reflection_length_vs_bfs(ct, n):
         assert reflection_length(x) == dist[a]
 
 
-def test_group_table_consistency(b2):
-    table = enumerate_group(b2)
+@pytest.mark.parametrize("ct,n", [("B", 2), ("G", 2), ("B", 3)])
+def test_group_table_consistency(ct, n):
+    """Index folds against matrix products."""
+    rs = build_root_system(ct, n)
+    table = enumerate_group(rs)
+    refls = [reflection(rs, t) for t in range(len(rs.positive_roots))]
     for a in range(len(table)):
         x = table.elements[a]
         assert table.idx(x) == a
         assert table.idx(x.inv()) == table.inv_idx(a)
         assert len(table.words[a]) == table.lengths[a] == x.length()
-        assert from_word(b2, table.words[a]).m == x.m
+        assert from_word(rs, table.words[a]) == x
         for b in range(len(table)):
             y = table.elements[b]
             assert table.prod_idx(a, b) == table.idx(x.mul(y))
+        for t, s in enumerate(refls):
+            assert table.rmult_root(t)[a] == table.idx(x.mul(s))
+    assert table.w0_idx == table.idx(longest_element(rs))
+
+
+@pytest.mark.parametrize("ct,n", [("B", 3), ("C", 3), ("G", 2), ("F", 4)])
+def test_coroot_action_matches_root_action(ct, n):
+    """x(beta) = +-gamma forces x(beta_check) = +-gamma_check; in the
+    non-simply-laced types the coroot action differs from the root action."""
+    rs = build_root_system(ct, n)
+    for x in enumerate_group(rs).elements:
+        for a, beta in enumerate(rs.positive_roots):
+            img = x.act_root(beta)
+            sign = 1 if sum(img) > 0 else -1
+            g = rs.root_index[tuple(sign * c for c in img)]
+            assert x.act_coroot(rs.positive_coroots[a]) == tuple(
+                sign * c for c in rs.positive_coroots[g]
+            )
 
 
 def test_word_str():
