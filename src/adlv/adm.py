@@ -83,8 +83,10 @@ class BInvariants:
     defect: int
 
     def __post_init__(self):
-        assert self.nu.is_dominant(), "Newton point must be dominant"
-        assert 0 <= self.defect <= self.nu.rs.rank, "defect out of range"
+        if not self.nu.is_dominant():
+            raise RefusalError("Newton point must be dominant")
+        if not 0 <= self.defect <= self.nu.rs.rank:
+            raise RefusalError("defect out of range")
 
 
 def _rho_pair(rs: RootSystem, lam: Coweight) -> Fraction:
@@ -109,7 +111,7 @@ def adm_set(mu: Coweight, budget: int = DEFAULT_ADM_BUDGET) -> AdmSet:
     members: set[AffineElt] = set()
     for pt in orbit:
         top = AffineElt(rs, pt, identity_elt(rs))
-        members |= lower_interval(top, budget=max(budget, lt)).members
+        members |= lower_interval(top, budget=budget).members
     return AdmSet(mu, frozenset(members))
 
 

@@ -11,10 +11,10 @@ number).  Clearing denominators by h makes the count pure integer
 arithmetic: for each positive root alpha the contribution is
 |<alpha, lambda>| when x^-1 alpha > 0 and |<alpha, lambda> - 1| otherwise.
 
-Bruhat order is by the lifting recursion, lower intervals by the subword
-dynamic program over a reduced word, cocovers by enumerating separating
-reflections, and the three Demazure products (max-fold, left min-fold,
-right min-fold) by folding reduced words.
+Bruhat order is by the lifting recursion, lower intervals by the packed
+subword dynamic program of ``IntervalEngine`` over a reduced word, cocovers
+by enumerating separating reflections, and the three Demazure products
+(max-fold, left min-fold, right min-fold) by folding reduced words.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .rootsys import Coweight, RootSystem, _sign
 from .weyl import (
     GroupTable,
     WeylElt,
+    enumerate_group,
     identity_elt,
     reflection,
     simple_reflection,
@@ -151,34 +152,6 @@ def simple_affine(rs: RootSystem, j: int) -> AffineElt:
     return embed(simple_reflection(rs, j - 1))
 
 
-def _mul_letter_right(w: AffineElt, j: int) -> AffineElt:
-    rs = w.rs
-    if j == 0:
-        thp = coroot_pairing_coords(rs, rs.theta_index)
-        moved = w.fin.act_pairing(thp)
-        return AffineElt(
-            rs,
-            tuple(a + b for a, b in zip(w.lam, moved)),
-            w.fin.mul(reflection(rs, rs.theta_index)),
-        )
-    return AffineElt(rs, w.lam, w.fin.mul(simple_reflection(rs, j - 1)))
-
-
-def _mul_letter_left(j: int, w: AffineElt) -> AffineElt:
-    rs = w.rs
-    if j == 0:
-        thp = coroot_pairing_coords(rs, rs.theta_index)
-        st = reflection(rs, rs.theta_index)
-        moved = st.act_pairing(w.lam)
-        return AffineElt(
-            rs,
-            tuple(a + b for a, b in zip(thp, moved)),
-            st.mul(w.fin),
-        )
-    s = simple_reflection(rs, j - 1)
-    return AffineElt(rs, s.act_pairing(w.lam), s.mul(w.fin))
-
-
 def affine_length(w: AffineElt) -> int:
     """Number of affine root hyperplanes separating the base alcove from its
     image under w, via an exact count at the point rho_check / h."""
@@ -236,7 +209,7 @@ def reduced_word_and_tau(w: AffineElt) -> tuple[tuple[int, ...], AffineElt]:
         j = next((k for k in range(n + 1) if descent_left(cur, k)), None)
         assert j is not None, "no descent on a length-positive element"
         out.append(j)
-        cur = _mul_letter_left(j, cur)
+        cur = simple_affine(w.rs, j).mul(cur)
     assert affine_length(cur) == 0, "peeling left descents left length behind"
     return tuple(out), cur
 
@@ -281,9 +254,10 @@ def _ableq(a: AffineElt, b: AffineElt) -> bool:
         return False
     n = a.rs.rank
     j = next(k for k in range(n + 1) if descent_left(b, k))
-    sb = _mul_letter_left(j, b)
+    s = simple_affine(a.rs, j)
+    sb = s.mul(b)
     if descent_left(a, j):
-        return _ableq(_mul_letter_left(j, a), sb)
+        return _ableq(s.mul(a), sb)
     return _ableq(a, sb)
 
 
@@ -297,20 +271,29 @@ def bruhat_leq_affine(a: AffineElt, b: AffineElt) -> bool:
 
 
 def lower_interval(w: AffineElt, budget: int = DEFAULT_INTERVAL_BUDGET) -> BruhatInterval:
-    """All u <= w, by the subword dynamic program along a reduced word."""
+    """All u <= w, by the packed subword dynamic program along a reduced
+    word.  The engine indexes the finite Weyl group, so a group above the
+    ``enumerate_group`` cap (E7, E8) raises BudgetError."""
     lw = affine_length(w)
     if lw > budget:
         raise BudgetError(
             f"lower interval of an element of length {lw} exceeds the budget "
             f"of {budget}; raise the budget explicitly to proceed"
         )
+    rs = w.rs
     word, tau = reduced_word_and_tau(w)
-    members: set[AffineElt] = {embed(identity_elt(w.rs))}
-    for j in word:
-        members |= {_mul_letter_right(u, j) for u in members}
-    if not tau.is_identity():
-        members = {u.mul(tau) for u in members}
-    assert w in members
+    eng = engine_for(enumerate_group(rs), lw)
+    twist = eng.tau_twist(tau)
+    elements = eng.table.elements
+    members = set()
+    for s in eng.interval_states(word):
+        x_idx, mu = eng.unpack(s)
+        if twist is not None:
+            mu = tuple(a + b for a, b in zip(mu, twist[1][x_idx]))
+            x_idx = twist[0][x_idx]
+        members.add(AffineElt(rs, mu, elements[x_idx]))
+    if w not in members:
+        raise InvariantError("lower interval misses its top element")
     return BruhatInterval(top=w, members=frozenset(members))
 
 
@@ -320,7 +303,7 @@ def cocovers_with_reflections(w: AffineElt) -> list[tuple[int, int, AffineElt]]:
 
     Candidate reflections are exactly those whose hyperplane separates the
     base alcove from w's alcove; their number must equal ell(w), which is
-    asserted.  Cocovers are the candidates that drop the length by exactly 1.
+    checked.  Cocovers are the candidates that drop the length by exactly 1.
     """
     rs = w.rs
     h = rs.coxeter_number
@@ -348,7 +331,10 @@ def cocovers_with_reflections(w: AffineElt) -> list[tuple[int, int, AffineElt]]:
             cand = r.mul(w)
             if affine_length(cand) == lw - 1:
                 out.append((a, m, cand))
-    assert nsep == lw, f"separating-hyperplane count {nsep} != length {lw}"
+    if nsep != lw:
+        raise InvariantError(
+            f"separating-hyperplane count {nsep} != length {lw}"
+        )
     return out
 
 
@@ -363,7 +349,7 @@ def demazure_star(x: AffineElt, y: AffineElt) -> AffineElt:
     word, tau = reduced_word_and_tau(y)
     cur = x
     for j in word:
-        cand = _mul_letter_right(cur, j)
+        cand = cur.mul(simple_affine(x.rs, j))
         if affine_length(cand) > affine_length(cur):
             cur = cand
     return cur if tau.is_identity() else cur.mul(tau)
@@ -374,7 +360,7 @@ def demazure_rtri(x: AffineElt, y: AffineElt) -> AffineElt:
     word, tau = reduced_word_and_tau(x)
     cur = y if tau.is_identity() else tau.mul(y)
     for j in reversed(word):
-        cand = _mul_letter_left(j, cur)
+        cand = simple_affine(x.rs, j).mul(cur)
         if affine_length(cand) < affine_length(cur):
             cur = cand
     return cur
@@ -385,7 +371,7 @@ def demazure_ltri(x: AffineElt, y: AffineElt) -> AffineElt:
     word, tau = reduced_word_and_tau(y)
     cur = x
     for j in word:
-        cand = _mul_letter_right(cur, j)
+        cand = cur.mul(simple_affine(x.rs, j))
         if affine_length(cand) < affine_length(cur):
             cur = cand
     return cur if tau.is_identity() else cur.mul(tau)
@@ -456,6 +442,18 @@ class IntervalEngine:
                 )
         return states
 
+    def tau_twist(self, tau: AffineElt):
+        """Per finite index z, what turns the state t^mu z into t^mu z tau
+        for a length-zero tau = t^nu g: the index of z g and the shift z(nu)
+        added to mu.  None when tau is trivial."""
+        if tau.is_identity():
+            return None
+        table = self.table
+        g_idx = table.idx(tau.fin)
+        zg = [table.prod_idx(x, g_idx) for x in range(self.nw)]
+        delta = [z.act_pairing(tau.lam) for z in table.elements]
+        return zg, delta
+
 
 def engine_for(table: GroupTable, max_length: int) -> IntervalEngine:
     """Engine sized for intervals below elements of the given length: every
@@ -464,8 +462,3 @@ def engine_for(table: GroupTable, max_length: int) -> IntervalEngine:
     bound = max_length + len(table.rs.positive_roots) + 2
     return IntervalEngine(table, bound)
 
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

@@ -22,7 +22,6 @@ from random import Random
 from .affine import (
     AffineElt,
     affine_length,
-    bruhat_leq_affine,
     cocovers,
     coroot_pairing_coords,
     embed,
@@ -146,6 +145,7 @@ def predicted_cocovers(
         if w2 in by_result:
             by_result[w2][0].append(case)
             return
+        # a reflection step with a length drop of one is a Bruhat cocover
         r = w2.mul(w.inv())
         beta, m = _reflection_shape(rs, r)
         assert affine_length(w2) == lw - 1, (
@@ -200,8 +200,6 @@ def predicted_cocovers(
         for w2, (cases, beta, m) in by_result.items()
     ]
     records.sort(key=lambda r: (r.case_label, r.root, r.m))
-    for rec in records:
-        assert bruhat_leq_affine(rec.result, w)
     return CoverResult("ok" if ok else "below-threshold", records, d, thr)
 
 

@@ -27,7 +27,7 @@ from .affine import (
     reduced_word_and_tau,
     tau_letter_map,
 )
-from .errors import RefusalError
+from .errors import InvariantError, RefusalError
 from .qbg import DEFAULT_QBG_CAP, build_qbg, m_tilde
 from .rootsys import (
     TYPE_TABLE,
@@ -127,29 +127,16 @@ def _averaging_data(table: GroupTable) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _tau_twist(eng: IntervalEngine, tau: AffineElt | None):
-    """Translate 'state followed by tau' into per-finite-part data: the index
-    of z*g and the shift z(nu) to add to mu, for tau = t^nu g.  None when tau
-    is trivial."""
-    if tau is None or tau.is_identity():
-        return None
-    table = eng.table
-    g_idx = table.idx(tau.fin)
-    zg = [table.prod_idx(x, g_idx) for x in range(len(table.elements))]
-    delta = [z.act_pairing(tau.lam) for z in table.elements]
-    return zg, delta
-
-
 def _nu_keys(
-    eng: IntervalEngine, states, tau: AffineElt | None = None
+    eng: IntervalEngine, states, tau: AffineElt
 ) -> set[tuple[tuple[int, ...], int]]:
-    """Distinct Newton points over a packed state set (each state optionally
-    right-multiplied by a length-zero tau), as normalized
+    """Distinct Newton points over a packed state set, each state
+    right-multiplied by the length-zero tau, as normalized
     (integer dominant vector, denominator) keys."""
     rs = eng.rs
     n = rs.rank
     data = _averaging_data(eng.table)
-    twist = _tau_twist(eng, tau)
+    twist = eng.tau_twist(tau)
     keys: set[tuple[tuple[int, ...], int]] = set()
     for s in states:
         x_idx, mu = eng.unpack(s)
@@ -170,9 +157,10 @@ def _nu_keys(
 
 
 def _max_point(rs: RootSystem, keys) -> NewtonPoint:
-    """Dominance maximum of a set of normalized keys; asserts the set has a
-    single top element."""
-    assert keys, "empty Newton point set"
+    """Dominance maximum of a set of normalized keys; InvariantError unless
+    the set has a single top element."""
+    if not keys:
+        raise InvariantError("empty Newton point set")
     pts = [
         coweight(rs, tuple(Fraction(c, m) for c in cs)) for cs, m in keys
     ]
@@ -181,10 +169,8 @@ def _max_point(rs: RootSystem, keys) -> NewtonPoint:
         pts,
         key=lambda p: sum(r * c for r, c in zip(two_rho, p.pairing)),
     )
-    for p in pts:
-        assert dominance_leq(p, best), (
-            "maximal Newton point is not unique"
-        )
+    if not all(dominance_leq(p, best) for p in pts):
+        raise InvariantError("maximal Newton point is not unique")
     return NewtonPoint(best)
 
 
@@ -205,18 +191,14 @@ def max_translation_below(w: AffineElt, state_cap: int | None = 5_000_000) -> Ne
     table = enumerate_group(rs)
     word, tau = reduced_word_and_tau(w)
     eng = engine_for(table, len(word))
-    twist = _tau_twist(eng, tau)
-    # u = t^mu z * tau is a translation iff its finite part z*g is trivial
-    if twist is None:
-        z_req = 0
-    else:
-        z_req = table.inv_idx(table.idx(tau.fin))
+    twist = eng.tau_twist(tau)
     keys = set()
     for s in eng.interval_states(word, state_cap):
         x_idx, mu = eng.unpack(s)
-        if x_idx == z_req:
-            if twist is not None:
-                mu = tuple(a + b for a, b in zip(mu, twist[1][x_idx]))
+        if twist is not None:
+            mu = tuple(a + b for a, b in zip(mu, twist[1][x_idx]))
+            x_idx = twist[0][x_idx]
+        if x_idx == 0:  # the twisted state is a translation
             dom, _ = _dominantize(rs, mu)
             keys.add((dom, 1))
     return _max_point(rs, keys)
@@ -353,9 +335,8 @@ def sweep_records(
     chains = _chain_cover(table)
     records: list[dict] = []
     for lam in lambdas:
-        assert lam.is_dominant() and lam.is_regular(), (
-            "sweep needs dominant regular lambda"
-        )
+        if not (lam.is_dominant() and lam.is_regular()):
+            raise RefusalError("sweep needs dominant regular lambda")
         lam_int = lam.int_pairing()
         base_word, base_tau = reduced_word_and_tau(
             AffineElt(rs, lam_int, w0_elt)

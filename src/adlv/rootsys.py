@@ -159,9 +159,11 @@ def _sign(v: Sequence[int]) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Immutable bundle of root-system data; build via :func:`build_root_system`."""
+    """Immutable bundle of root-system data; build via :func:`build_root_system`,
+    which makes one object per (type, rank), so equality and hashing are by
+    identity."""
 
     cartan_type: str
     rank: int
@@ -178,7 +180,7 @@ class RootSystem:
     quantum_flags: tuple[bool, ...]
     reflection_lengths: tuple[int, ...]          # ell(s_beta) per positive root
     inv_cartan_t: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    root_index: dict = field(repr=False, hash=False, compare=False)
+    root_index: dict = field(repr=False)
 
     @property
     def theta(self) -> Root:
@@ -199,17 +201,20 @@ def _unit(n: int, i: int) -> Root:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-@lru_cache(maxsize=None)
 def build_root_system(cartan_type: str, rank: int) -> RootSystem:
-    """Construct the root system of the given Cartan type and rank.
+    """Construct the root system of the given Cartan type and rank (cached:
+    one object per canonical type and rank).
 
     Positive roots are generated by closing the simple roots under root
     addition, using the string criterion: beta + a_i is a root iff
     p - <beta, a_i_check> >= 1 where p is the length of the alpha_i-string
     below beta.  The result is checked against the classical root count.
     """
-    ct = check_type(cartan_type, rank)
-    n = rank
+    return _build_root_system(check_type(cartan_type, rank), rank)
+
+
+@lru_cache(maxsize=None)
+def _build_root_system(ct: str, n: int) -> RootSystem:
     edges, d = _edges_and_d(ct, n)
     adj = {(i, j) for i, j in edges} | {(j, i) for i, j in edges}
     # symmetric bilinear form B[i][j] = (a_i, a_j), then C[i][j] = B[i][j]/d_i

@@ -10,6 +10,7 @@ Lengths come from counting inverted positive roots, Bruhat order from the
 standard lifting recursion, reflection length from the rank of (action - id)
 on the reflection representation.
 
+>>> from adlv.rootsys import build_root_system
 >>> rs = build_root_system("A", 2)
 >>> w0 = longest_element(rs)
 >>> w0.length(), reflection_length(w0)
@@ -374,8 +375,3 @@ def enumerate_group(rs: RootSystem, cap: int = 10 ** 6) -> GroupTable:
         _TABLES[rs] = tab
     return tab
 
-
-if __name__ == "__main__":  # pragma: no cover
-    import doctest
-
-    doctest.testmod()

@@ -176,10 +176,12 @@ def test_dim_X_formula(a2):
 
 
 def test_b_invariants_validation(a2):
-    with pytest.raises(AssertionError):
+    with pytest.raises(RefusalError):
         BInvariants(coweight(a2, (-1, 0)), 0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(RefusalError):
         BInvariants(coweight(a2, (0, 0)), 5)
+    with pytest.raises(RefusalError):
+        BInvariants(coweight(a2, (0, 0)), -1)
 
 
 def test_adm_summary_shape(a2):

@@ -135,6 +135,9 @@ def test_lower_interval_members_below_top(a2):
 def test_lower_interval_budget(a2):
     with pytest.raises(BudgetError):
         lower_interval(aff(a2, (20, 20)))
+    # the engine indexes the finite group, which E8 has too many elements for
+    with pytest.raises(BudgetError):
+        lower_interval(simple_affine(build_root_system("E", 8), 1))
 
 
 def test_cocover_counts(a2):
@@ -162,6 +165,30 @@ def _affine_ball(rs, max_len):
                     nxt.append(u)
         frontier = nxt
     return sorted(seen, key=affine_length)
+
+
+def _literal_interval(w):
+    """The subword dynamic program over sets of elements along a reduced
+    word, then the length-zero residual: the oracle for the packed engine."""
+    word, tau = reduced_word_and_tau(w)
+    members = {embed(identity_elt(w.rs))}
+    for j in word:
+        members |= {u.mul(simple_affine(w.rs, j)) for u in members}
+    if not tau.is_identity():
+        members = {u.mul(tau) for u in members}
+    return frozenset(members)
+
+
+@pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2), ("G", 2)])
+def test_lower_interval_matches_literal(ct, n):
+    """The packed engine against the literal DP on the affine ball, on
+    translations outside the coroot lattice (A2, B2) with and without w0,
+    and on a non-dominant translation times w0."""
+    rs = build_root_system(ct, n)
+    w0 = longest_element(rs)
+    extra = [aff(rs, (1, 0)), aff(rs, (1, 0), w0), aff(rs, (-1, 2), w0)]
+    for w in _affine_ball(rs, 5) + extra:
+        assert lower_interval(w).members == _literal_interval(w), w
 
 
 def _products(xs, ys):

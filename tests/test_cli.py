@@ -353,14 +353,20 @@ _BROKEN_INVARIANTS = """
 import copy
 from adlv.affine import engine_for
 from adlv.errors import InvariantError
+from adlv.newton import _max_point
 from adlv.qbg import QBGraph
 from adlv.rootsys import build_root_system
 from adlv.weyl import enumerate_group
 
-table = enumerate_group(build_root_system("A", 2))
+a2 = build_root_system("A", 2)
+table = enumerate_group(a2)
 flat = copy.copy(table)
 flat.lengths = [0] * 6
-for check in (lambda: QBGraph(flat), lambda: engine_for(table, 0).pack(0, (99, 0))):
+for check in (
+    lambda: QBGraph(flat),
+    lambda: engine_for(table, 0).pack(0, (99, 0)),
+    lambda: _max_point(a2, {((1, 0), 1), ((0, 1), 1)}),
+):
     try:
         check()
     except InvariantError as e:
@@ -369,13 +375,15 @@ for check in (lambda: QBGraph(flat), lambda: engine_for(table, 0).pack(0, (99, 0
 
 
 def test_invariants_survive_python_O():
-    """A graph with no edges and a state outside the coweight box are
-    refused by explicit checks, not asserts, so -O keeps them."""
+    """A graph with no edges, a state outside the coweight box and two
+    incomparable Newton points are refused by explicit checks, not asserts,
+    so -O keeps them."""
     res = _python_O("-c", _BROKEN_INVARIANTS)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         "raised: graph not strongly connected",
         "raised: interval state out of the coweight box",
+        "raised: maximal Newton point is not unique",
     ]
 
 

@@ -4,7 +4,7 @@ prediction against exhaustive enumeration."""
 import pytest
 
 from adlv.errors import RefusalError
-from adlv.rootsys import coweight
+from adlv.rootsys import build_root_system, coweight
 from adlv.affine import (
     AffineElt,
     affine_length,
@@ -63,24 +63,31 @@ def test_a2_diagonal_case_labels(a2):
     assert sorted(r.case_label for r in res.records) == [2, 2, 2, 3, 3]
 
 
-def test_records_carry_separating_reflection(a2):
-    """result = t^{m beta^} s_beta w, with a length drop of one."""
-    e = identity_elt(a2)
-    lam = coweight(a2, (3, 3))
-    w = translation(lam)
-    res = predicted_cocovers(e, lam, e)
-    for rec in res.records:
-        a = a2.root_index[rec.root]
-        refl = embed(reflection(a2, a))
-        shift = AffineElt(
-            a2,
-            tuple(rec.m * c for c in _coroot_pairing(a2, a)),
-            identity_elt(a2),
-        )
-        assert shift.mul(refl).mul(w) == rec.result
-        assert affine_length(rec.result) == affine_length(w) - 1
-        assert bruhat_leq_affine(rec.result, w)
-        assert rec.case_label == min(rec.labels)
+@pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2), ("G", 2)])
+def test_records_carry_separating_reflection(ct, n):
+    """result = t^{m beta^} s_beta w, with a length drop of one, and below
+    w in Bruhat order by the lifting recursion (the classifier itself does
+    not run it), for every v at the depth threshold."""
+    rs = build_root_system(ct, n)
+    e = identity_elt(rs)
+    thr = cover_depth_threshold(ct)
+    lam = coweight(rs, (thr,) * n)
+    for v in enumerate_group(rs).elements:
+        w = translation(lam).mul(embed(v))
+        res = predicted_cocovers(e, lam, v)
+        assert res.status == "ok" and res.records
+        for rec in res.records:
+            a = rs.root_index[rec.root]
+            refl = embed(reflection(rs, a))
+            shift = AffineElt(
+                rs,
+                tuple(rec.m * c for c in _coroot_pairing(rs, a)),
+                identity_elt(rs),
+            )
+            assert shift.mul(refl).mul(w) == rec.result
+            assert affine_length(rec.result) == affine_length(w) - 1
+            assert bruhat_leq_affine(rec.result, w)
+            assert rec.case_label == min(rec.labels)
 
 
 def _coroot_pairing(rs, a):

@@ -133,6 +133,13 @@ def test_sweep_records_a2_zero_mismatches(a2):
     assert all(r["match"] for r in recs)
 
 
+@pytest.mark.parametrize("coords", [(8, -1), (8, 0)],
+                         ids=["nondominant", "singular"])
+def test_sweep_records_refuses_lambda(a2, coords):
+    with pytest.raises(RefusalError, match="dominant regular"):
+        sweep_records(a2, [coweight(a2, coords)])
+
+
 def test_sweep_off_lattice_grid(a2):
     """Sweep lambdas outside the coroot lattice exercise the length-zero
     twist; still zero mismatches."""

@@ -65,6 +65,12 @@ def test_invalid_types_rejected():
             assert not VALID_RANKS[ct](n)
 
 
+def test_one_root_system_per_type_and_rank():
+    """Caches keyed by a root system hash it by identity, so a type letter
+    in either case must give the same object."""
+    assert build_root_system("a", 2) is build_root_system("A", 2)
+
+
 def test_cartan_matrices():
     a2 = build_root_system("A", 2)
     assert a2.cartan == ((2, -1), (-1, 2))
