@@ -11,10 +11,13 @@ number).  Clearing denominators by h makes the count pure integer
 arithmetic: for each positive root alpha the contribution is
 |<alpha, lambda>| when x^-1 alpha > 0 and |<alpha, lambda> - 1| otherwise.
 
-Bruhat order is by the lifting recursion, lower intervals by the packed
-subword dynamic program of ``IntervalEngine`` over a reduced word, cocovers
+Bruhat order is by the lifting recursion, lower intervals by the subword
+dynamic program of ``IntervalEngine`` over a reduced word, cocovers
 by enumerating separating reflections, and the three Demazure products
 (max-fold, left min-fold, right min-fold) by folding reduced words.
+
+The engine keeps a state set as one big-int bitset over a box of translation
+parts per finite Weyl index, so a letter costs one OR or shift per index.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from ._matrix import transpose, mat_vec
-from .errors import BudgetError, InvariantError
+from .errors import BudgetError, InvariantError, RefusalError
 from .rootsys import Coweight, RootSystem, _sign
 from .weyl import (
     GroupTable,
@@ -58,6 +61,7 @@ __all__ = [
     "demazure_rtri",
     "demazure_ltri",
     "IntervalEngine",
+    "StateSet",
 ]
 
 DEFAULT_INTERVAL_BUDGET = 30
@@ -69,7 +73,8 @@ class AffineElt:
     __slots__ = ("rs", "lam", "fin", "_len", "_hash", "_omega")
 
     def __init__(self, rs: RootSystem, lam: Sequence[int], fin: WeylElt):
-        assert all(isinstance(c, int) for c in lam), "translation part must be integral"
+        if not all(isinstance(c, int) for c in lam):
+            raise RefusalError("translation part must be integral")
         self.rs = rs
         self.lam = tuple(lam)
         self.fin = fin
@@ -283,15 +288,10 @@ def lower_interval(w: AffineElt, budget: int = DEFAULT_INTERVAL_BUDGET) -> Bruha
     rs = w.rs
     word, tau = reduced_word_and_tau(w)
     eng = engine_for(enumerate_group(rs), lw)
-    twist = eng.tau_twist(tau)
     elements = eng.table.elements
     members = set()
-    for s in eng.interval_states(word):
-        x_idx, mu = eng.unpack(s)
-        if twist is not None:
-            mu = tuple(a + b for a, b in zip(mu, twist[1][x_idx]))
-            x_idx = twist[0][x_idx]
-        members.add(AffineElt(rs, mu, elements[x_idx]))
+    for x_idx, mus in eng.twisted(eng.interval_states(word), eng.tau_twist(tau)):
+        members.update(AffineElt(rs, mu, elements[x_idx]) for mu in mus)
     if w not in members:
         raise InvariantError("lower interval misses its top element")
     return BruhatInterval(top=w, members=frozenset(members))
@@ -377,15 +377,62 @@ def demazure_ltri(x: AffineElt, y: AffineElt) -> AffineElt:
     return cur if tau.is_identity() else cur.mul(tau)
 
 
-# -- packed interval engine ----------------------------------------------
+# -- bitset interval engine ----------------------------------------------
+
+def _bit_positions(bits: int):
+    """Indices of the set bits of a nonnegative int, ascending."""
+    s = bin(bits)[:1:-1]
+    i = s.find("1")
+    while i >= 0:
+        yield i
+        i = s.find("1", i + 1)
+
+
+def _repeat(block: int, period: int, count: int) -> int:
+    """``count`` copies of ``block``, one every ``period`` bits."""
+    out, size = 0, 0
+    for bit in bin(count)[2:]:
+        out, size = out | out << (period * size), 2 * size
+        if bit == "1":
+            out, size = out << period | block, size + 1
+    return out
+
+
+class StateSet:
+    """A set of interval states t^mu z, as one big-int bitset per finite
+    index z: bit c of ``buckets[z]`` holds the state whose translation part
+    packs to the code c.  ``len`` is the exact state count; iterating yields
+    the packed states ``c * len(buckets) + z``."""
+
+    __slots__ = ("buckets",)
+
+    def __init__(self, buckets: list[int]):
+        self.buckets = buckets
+
+    def __len__(self) -> int:
+        return sum(b.bit_count() for b in self.buckets)
+
+    def __iter__(self):
+        nw = len(self.buckets)
+        for x, bits in enumerate(self.buckets):
+            for c in _bit_positions(bits):
+                yield c * nw + x
+
+    def __sub__(self, other: "StateSet") -> "StateSet":
+        return StateSet([a & ~b for a, b in zip(self.buckets, other.buckets)])
+
 
 class IntervalEngine:
-    """Subword dynamic programming over packed integer states.
+    """Subword dynamic programming over bitset state sets.
 
     A state is t^mu z with z indexed in a GroupTable and mu offset-shifted
-    into a fixed box; the whole state packs into one int, so interval sweeps
-    work on sets of ints.  Transitions by a right letter only touch the
-    finite index (j >= 1) or additionally shift mu by z(theta_check) (j = 0).
+    into a fixed box of ``width`` values per coordinate; mu packs into the
+    mixed-radix code sum (mu_k + bound) width^k, and a state set is a
+    ``StateSet`` of one bitset over codes per z.  A right letter j >= 1 ORs
+    bucket z into bucket z s_j; the letter 0 shifts bucket z by the code of
+    z(theta_check) and ORs it into bucket z s_theta.  Before a shift the
+    bucket is tested against the edge mask of its offset, so a state leaving
+    the box raises instead of carrying into the next coordinate.
     """
 
     def __init__(self, table: GroupTable, bound: int):
@@ -398,7 +445,24 @@ class IntervalEngine:
         self.theta_pair = coroot_pairing_coords(rs, rs.theta_index)
         self.rmult_stheta = table.rmult_root(rs.theta_index)
         self.delta = [e.act_pairing(self.theta_pair) for e in table.elements]
-        self._zero = self.pack(0, (0,) * rs.rank)
+        self.offset = [
+            sum(d * self.width ** k for k, d in enumerate(dv)) for dv in self.delta
+        ]
+        masks = {dv: self._edge_mask(dv) for dv in set(self.delta)}
+        self.edge = [masks[dv] for dv in self.delta]
+        self._origin = self.pack(0, (0,) * rs.rank) // self.nw
+
+    def _edge_mask(self, dv: Sequence[int]) -> int:
+        """Codes whose coordinate k plus dv[k] leaves [0, width) for some k."""
+        w, n = self.width, self.rs.rank
+        mask = 0
+        for k, d in enumerate(dv):
+            bad = min(abs(d), w)  # the top (d > 0) or bottom values of coordinate k
+            run = (1 << w ** k * bad) - 1
+            if d > 0:
+                run <<= w ** k * (w - bad)
+            mask |= _repeat(run, w ** (k + 1), w ** (n - k - 1))
+        return mask
 
     def pack(self, x_idx: int, mu: Sequence[int]) -> int:
         code = 0
@@ -409,31 +473,44 @@ class IntervalEngine:
             code = code * self.width + s
         return code * self.nw + x_idx
 
-    def unpack(self, state: int) -> tuple[int, tuple[int, ...]]:
-        x_idx = state % self.nw
-        code = state // self.nw
-        mu = []
-        for _ in range(self.rs.rank):
-            code, s = divmod(code, self.width)
-            mu.append(s - self.bound)
-        return x_idx, tuple(mu)
+    def twisted(self, states: StateSet, twist):
+        """Per nonempty bucket: the finite index and an iterator over the
+        translation parts, each state t^mu z right-multiplied by the
+        length-zero tau of ``twist = tau_twist(tau)``."""
+        zg, shift = twist
+        for x, bits in enumerate(states.buckets):
+            if bits:
+                yield zg[x], self._decode(bits, shift[x])
 
-    def apply(self, state: int, j: int) -> int:
+    def _decode(self, bits: int, shift: Sequence[int]):
+        """The translation parts mu + shift of the states in one bucket."""
+        w = self.width
+        lift = [d - self.bound for d in shift]
+        for code in _bit_positions(bits):
+            mu = []
+            for a in lift:
+                code, s = divmod(code, w)
+                mu.append(s + a)
+            yield tuple(mu)
+
+    def step(self, states: StateSet, j: int) -> StateSet:
+        buckets = states.buckets
         if j >= 1:
-            x_idx = state % self.nw
-            return state - x_idx + self.table.rmult[j - 1][x_idx]
-        x_idx, mu = self.unpack(state)
-        mu2 = tuple(a + b for a, b in zip(mu, self.delta[x_idx]))
-        return self.pack(self.rmult_stheta[x_idx], mu2)
+            r = self.table.rmult[j - 1]
+            return StateSet([b | buckets[r[x]] for x, b in enumerate(buckets)])
+        out = list(buckets)
+        r, edge, offset = self.rmult_stheta, self.edge, self.offset
+        for x, b in enumerate(buckets):
+            if not b:
+                continue
+            if b & edge[x]:
+                raise InvariantError("interval state out of the coweight box")
+            off = offset[x]
+            out[r[x]] |= b << off if off >= 0 else b >> -off
+        return StateSet(out)
 
-    def step(self, states: set[int], j: int) -> set[int]:
-        out = set(states)
-        for s in states:
-            out.add(self.apply(s, j))
-        return out
-
-    def interval_states(self, word: Sequence[int], state_cap: int | None = None) -> set[int]:
-        states = {self._zero}
+    def interval_states(self, word: Sequence[int], state_cap: int | None = None) -> StateSet:
+        states = StateSet([1 << self._origin] + [0] * (self.nw - 1))
         for j in word:
             states = self.step(states, j)
             if state_cap is not None and len(states) > state_cap:
@@ -445,9 +522,9 @@ class IntervalEngine:
     def tau_twist(self, tau: AffineElt):
         """Per finite index z, what turns the state t^mu z into t^mu z tau
         for a length-zero tau = t^nu g: the index of z g and the shift z(nu)
-        added to mu.  None when tau is trivial."""
+        added to mu."""
         if tau.is_identity():
-            return None
+            return range(self.nw), [(0,) * self.rs.rank] * self.nw
         table = self.table
         g_idx = table.idx(tau.fin)
         zg = [table.prod_idx(x, g_idx) for x in range(self.nw)]

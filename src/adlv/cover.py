@@ -11,7 +11,7 @@ resulting list against the exhaustive cocover enumeration from ``affine``.
 The classifier emits the separating affine reflection with every record: the
 predicted element w' always equals t^{m beta_check} s_beta w for a finite
 positive root beta (the image of alpha under u, made positive) and an
-integer m, and that shape is recomputed and asserted rather than trusted.
+integer m, and that shape is recomputed and checked rather than trusted.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .affine import (
     coroot_pairing_coords,
     embed,
 )
-from .errors import RefusalError
+from .errors import InvariantError, RefusalError
 from .rootsys import (
     TYPE_TABLE,
     Coweight,
@@ -94,8 +94,8 @@ class CoverResult:
 
 
 def _reflection_shape(rs: RootSystem, r: AffineElt) -> tuple[Root, int]:
-    """(beta, m) with r = t^{m beta_check} s_beta, beta positive; asserts r
-    has that shape."""
+    """(beta, m) with r = t^{m beta_check} s_beta, beta positive;
+    InvariantError unless r has that shape."""
     b = next(
         (
             a
@@ -104,13 +104,13 @@ def _reflection_shape(rs: RootSystem, r: AffineElt) -> tuple[Root, int]:
         ),
         None,
     )
-    assert b is not None, "finite part of a cocover step is not a reflection"
+    if b is None:
+        raise InvariantError("finite part of a cocover step is not a reflection")
     cb = coroot_pairing_coords(rs, b)
     k = next(i for i, c in enumerate(cb) if c)
     m, rem = divmod(r.lam[k], cb[k])
-    assert rem == 0 and tuple(m * c for c in cb) == tuple(r.lam), (
-        "translation part is not a multiple of the coroot"
-    )
+    if rem or tuple(m * c for c in cb) != tuple(r.lam):
+        raise InvariantError("translation part is not a multiple of the coroot")
     return rs.positive_roots[b], m
 
 
@@ -148,9 +148,8 @@ def predicted_cocovers(
         # a reflection step with a length drop of one is a Bruhat cocover
         r = w2.mul(w.inv())
         beta, m = _reflection_shape(rs, r)
-        assert affine_length(w2) == lw - 1, (
-            f"case {case} produced a non-cocover length"
-        )
+        if affine_length(w2) != lw - 1:
+            raise InvariantError(f"case {case} produced a non-cocover length")
         by_result[w2] = ([case], beta, m)
 
     for a, alpha in enumerate(rs.positive_roots):

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .affine import (
     AffineElt,
     IntervalEngine,
+    StateSet,
     demazure_ltri,
     embed,
     engine_for,
@@ -39,7 +40,6 @@ from .rootsys import (
     coweight,
     coweight_from_coroot,
     depth,
-    dominance_leq,
     dominant_rep,
 )
 from .weyl import GroupTable, WeylElt, enumerate_group, longest_element, word_str
@@ -66,9 +66,8 @@ class NewtonPoint:
     value: Coweight
 
     def __post_init__(self):
-        assert all(p >= 0 for p in self.value.pairing), (
-            "Newton point with a negative pairing coordinate"
-        )
+        if any(p < 0 for p in self.value.pairing):
+            raise InvariantError("Newton point with a negative pairing coordinate")
 
     @property
     def pairing(self) -> tuple[Num, ...]:
@@ -128,50 +127,51 @@ def _averaging_data(table: GroupTable) -> list[tuple[tuple[int, ...], int]]:
 
 
 def _nu_keys(
-    eng: IntervalEngine, states, tau: AffineElt
+    eng: IntervalEngine, states: StateSet, twist, memo: dict
 ) -> set[tuple[tuple[int, ...], int]]:
-    """Distinct Newton points over a packed state set, each state
-    right-multiplied by the length-zero tau, as normalized
-    (integer dominant vector, denominator) keys."""
+    """Distinct Newton points over a state set, each state right-multiplied
+    by the length-zero tau behind ``twist``, as normalized (integer dominant
+    vector, denominator) keys.  ``memo`` maps (raw vector, order) to its key
+    and may be shared across calls on the same engine."""
     rs = eng.rs
     n = rs.rank
     data = _averaging_data(eng.table)
-    twist = eng.tau_twist(tau)
     keys: set[tuple[tuple[int, ...], int]] = set()
-    for s in states:
-        x_idx, mu = eng.unpack(s)
-        if twist is not None:
-            zg, delta = twist
-            mu = tuple(a + b for a, b in zip(mu, delta[x_idx]))
-            x_idx = zg[x_idx]
+    for x_idx, mus in eng.twisted(states, twist):
         T, m = data[x_idx]
-        raw = tuple(
-            sum(mu[j] * T[j * n + k] for j in range(n)) for k in range(n)
-        )
-        dom, _ = _dominantize(rs, raw)
-        g = m
-        for c in dom:
-            g = gcd(g, c)
-        keys.add((tuple(c // g for c in dom), m // g))
+        cols = [T[k::n] for k in range(n)]
+        for mu in mus:
+            raw = (tuple(sum(a * t for a, t in zip(mu, col)) for col in cols), m)
+            key = memo.get(raw)
+            if key is None:
+                dom, _ = _dominantize(rs, raw[0])
+                g = m
+                for c in dom:
+                    g = gcd(g, c)
+                key = memo[raw] = (tuple(c // g for c in dom), m // g)
+            keys.add(key)
     return keys
 
 
 def _max_point(rs: RootSystem, keys) -> NewtonPoint:
     """Dominance maximum of a set of normalized keys; InvariantError unless
-    the set has a single top element."""
+    the set has a single top element.  The keys stay integers: the argmax
+    of the 2 rho height, then one cross-multiplied dominance test per key."""
     if not keys:
         raise InvariantError("empty Newton point set")
-    pts = [
-        coweight(rs, tuple(Fraction(c, m) for c in cs)) for cs, m in keys
-    ]
     two_rho = rs.two_rho
-    best = max(
-        pts,
-        key=lambda p: sum(r * c for r, c in zip(two_rho, p.pairing)),
+    top, tm = max(
+        keys,
+        key=lambda k: Fraction(sum(r * c for r, c in zip(two_rho, k[0])), k[1]),
     )
-    if not all(dominance_leq(p, best) for p in pts):
-        raise InvariantError("maximal Newton point is not unique")
-    return NewtonPoint(best)
+    # a positive multiple of C^-T with integer entries: scaled coroot coords
+    den = lcm(*(x.denominator for row in rs.inv_cartan_t for x in row))
+    inv = [[int(x * den) for x in row] for row in rs.inv_cartan_t]
+    for cs, m in keys:
+        diff = [a * m - c * tm for a, c in zip(top, cs)]
+        if any(sum(r * d for r, d in zip(row, diff)) < 0 for row in inv):
+            raise InvariantError("maximal Newton point is not unique")
+    return NewtonPoint(coweight(rs, tuple(Fraction(c, tm) for c in top)))
 
 
 def max_newton_brute(w: AffineElt, state_cap: int | None = 5_000_000) -> NewtonPoint:
@@ -180,7 +180,7 @@ def max_newton_brute(w: AffineElt, state_cap: int | None = 5_000_000) -> NewtonP
     word, tau = reduced_word_and_tau(w)
     eng = engine_for(table, len(word))
     states = eng.interval_states(word, state_cap)
-    return _max_point(w.rs, _nu_keys(eng, states, tau))
+    return _max_point(w.rs, _nu_keys(eng, states, eng.tau_twist(tau), {}))
 
 
 def max_translation_below(w: AffineElt, state_cap: int | None = 5_000_000) -> NewtonPoint:
@@ -191,16 +191,11 @@ def max_translation_below(w: AffineElt, state_cap: int | None = 5_000_000) -> Ne
     table = enumerate_group(rs)
     word, tau = reduced_word_and_tau(w)
     eng = engine_for(table, len(word))
-    twist = eng.tau_twist(tau)
+    states = eng.interval_states(word, state_cap)
     keys = set()
-    for s in eng.interval_states(word, state_cap):
-        x_idx, mu = eng.unpack(s)
-        if twist is not None:
-            mu = tuple(a + b for a, b in zip(mu, twist[1][x_idx]))
-            x_idx = twist[0][x_idx]
-        if x_idx == 0:  # the twisted state is a translation
-            dom, _ = _dominantize(rs, mu)
-            keys.add((dom, 1))
+    for x_idx, mus in eng.twisted(states, eng.tau_twist(tau)):
+        if x_idx == 0:  # the twisted states are translations
+            keys.update((_dominantize(rs, mu)[0], 1) for mu in mus)
     return _max_point(rs, keys)
 
 
@@ -306,7 +301,8 @@ def _chain_cover(table: GroupTable) -> list[tuple[int, ...]]:
         p = table.prod_idx(w0, x)
         tail = table.prod_idx(table.inv_idx(p), w0)
         word = table.words[p] + table.words[tail]
-        assert len(word) == table.lengths[w0], "chain word not reduced"
+        if len(word) != table.lengths[w0]:
+            raise InvariantError("chain word not reduced")
         pref = 0
         covered[w0] = True
         for j in word:
@@ -346,17 +342,25 @@ def sweep_records(
         # the tau twist per state.
         sigma = tau_letter_map(base_tau)
         eng = engine_for(table, len(base_word) + table.lengths[table.w0_idx])
+        twist = eng.tau_twist(base_tau)
+        memo: dict = {}
         base = eng.interval_states(base_word, state_cap)
+        base_keys = _nu_keys(eng, base, twist, memo)
         done = [False] * n_elts
         results: dict[int, dict] = {}
         for chain in chains:
-            states = set(base)
+            # the state set only grows along a chain, so each top adds the
+            # keys of the states that are new since the last evaluated one
+            states = seen = base
+            keys = set(base_keys)
             pref = 0
             for step_no in range(len(chain) + 1):
                 top = table.prod_idx(table.w0_idx, pref)
                 if not done[top]:
                     done[top] = True
-                    nu_b = _max_point(rs, _nu_keys(eng, states, base_tau))
+                    keys |= _nu_keys(eng, states - seen, twist, memo)
+                    seen = states
+                    nu_b = _max_point(rs, keys)
                     wt_cw = coweight_from_coroot(
                         rs, graph.wt1(table.elements[top])
                     )

@@ -151,7 +151,7 @@ def test_criterion_03_newton_formula_grid():
     """lambda - wt(x) equals the brute-force interval maximum for every
     finite part and every dominant integral lambda in the two-layer band
     above the depth bound, in the three rank-2 systems."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     total, bad = 0, []
     for ct in ("A", "B", "G"):
         rs = build_root_system(ct, 2)
@@ -167,12 +167,12 @@ def test_criterion_03_newton_formula_grid():
         assert len(recs) == len(grid) * n_w
         total += len(recs)
         bad += [r for r in recs if not r["match"]]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(
         3,
-        not bad,
+        not bad and elapsed < 10.0,
         f"{total} (lambda, x) comparisons across A2/B2/G2, "
-        f"{len(bad)} mismatches in {elapsed:.1f}s",
+        f"{len(bad)} mismatches in {elapsed:.1f}s (<10s)",
     )
 
 

@@ -4,7 +4,7 @@ Bruhat order, intervals, and Demazure products against brute force."""
 
 import pytest
 
-from adlv.errors import BudgetError
+from adlv.errors import BudgetError, InvariantError
 from adlv.rootsys import build_root_system, coweight, pairing
 from adlv.affine import (
     AffineElt,
@@ -16,6 +16,7 @@ from adlv.affine import (
     demazure_star,
     descent_left,
     embed,
+    engine_for,
     lower_interval,
     reduced_word,
     reduced_word_and_tau,
@@ -23,6 +24,7 @@ from adlv.affine import (
     tau_letter_map,
     translation,
 )
+from adlv.newton import theorem_grid
 from adlv.weyl import enumerate_group, identity_elt, longest_element
 
 
@@ -285,3 +287,71 @@ def test_descent_left_matches_length(a2):
         assert descent_left(w, j) == (
             affine_length(shorter) < affine_length(w)
         )
+
+
+def _set_step(eng, states, j):
+    """One letter of the subword DP on a plain set of packed states: the
+    oracle for the bitset ``IntervalEngine.step``."""
+    out = set(states)
+    for s in states:
+        x_idx, code = s % eng.nw, s // eng.nw
+        if j >= 1:
+            out.add(s - x_idx + eng.table.rmult[j - 1][x_idx])
+            continue
+        mu = []
+        for _ in range(eng.rs.rank):
+            code, c = divmod(code, eng.width)
+            mu.append(c - eng.bound)
+        mu = tuple(a + b for a, b in zip(mu, eng.delta[x_idx]))
+        out.add(eng.pack(eng.rmult_stheta[x_idx], mu))
+    return out
+
+
+# a word that is not reduced and shifts by theta_check at every other letter
+ZERO_HEAVY = (0, 1, 0, 2, 0) * 8
+
+
+@pytest.mark.parametrize("ct,n_grid", [("A", 4), ("B", 4), ("G", 1)])
+def test_interval_states_match_set_oracle(ct, n_grid):
+    """Bitset state sets equal the set-of-int DP on reduced words of
+    t^lam w0 at theorem-grid lambdas (one for G2, where the oracle takes
+    seconds per interval; the A2 and B2 grids include nontrivial tau) and on
+    a word heavy in the letter 0."""
+    rs = build_root_system(ct, 2)
+    table = enumerate_group(rs)
+    w0 = longest_element(rs)
+    cases, taus = [], []
+    for lam in theorem_grid(rs)[:n_grid]:
+        word, tau = reduced_word_and_tau(aff(rs, lam.pairing, w0))
+        cases.append((word, engine_for(table, len(word))))
+        taus.append(tau)
+    assert ct == "G" or not all(t.is_identity() for t in taus)
+    cases.append((ZERO_HEAVY, engine_for(table, 3 * len(ZERO_HEAVY))))
+    for word, eng in cases:
+        expect = {eng.pack(0, (0, 0))}
+        for j in word:
+            expect = _set_step(eng, expect, j)
+        got = eng.interval_states(word)
+        assert len(got) == len(expect)
+        assert set(got) == expect
+
+
+@pytest.mark.parametrize("ct", ["A", "B", "G"])
+def test_interval_states_refuse_leaving_the_box(ct):
+    """An engine sized for length 0 on a long 0-heavy word: the bitset step
+    raises at the same letter where the oracle first packs a state outside
+    the box, instead of carrying into the next coordinate."""
+    rs = build_root_system(ct, 2)
+    eng = engine_for(enumerate_group(rs), 0)
+    states = eng.interval_states(())
+    expect = set(states)
+    for j in ZERO_HEAVY:
+        try:
+            expect = _set_step(eng, expect, j)
+        except InvariantError:
+            with pytest.raises(InvariantError, match="coweight box"):
+                eng.step(states, j)
+            return
+        states = eng.step(states, j)
+        assert set(states) == expect
+    pytest.fail("the word never left the box")

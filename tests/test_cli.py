@@ -336,7 +336,8 @@ def _python_O(*args):
 
 
 def test_refusals_survive_python_O():
-    """The --cap refusal is not an assert, and the checks a suite relies on
+    """The --cap refusal and the integrality check on an affine element's
+    translation part are not asserts, and the checks a suite relies on
     still hold with asserts stripped."""
 
     def run(*args):
@@ -347,15 +348,34 @@ def test_refusals_survive_python_O():
     res = run("verify", "newton", "--type", "A", "--rank", "2")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["passed"] is True
+    res = _python_O("-c", _HALF_INTEGRAL_TRANSLATION)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "refused: translation part must be integral\n"
+
+
+_HALF_INTEGRAL_TRANSLATION = """
+from fractions import Fraction
+from adlv.affine import AffineElt
+from adlv.errors import RefusalError
+from adlv.rootsys import build_root_system
+from adlv.weyl import identity_elt
+
+a2 = build_root_system("A", 2)
+try:
+    AffineElt(a2, (Fraction(1, 2), 0), identity_elt(a2))
+except RefusalError as e:
+    print("refused:", e)
+"""
 
 
 _BROKEN_INVARIANTS = """
 import copy
-from adlv.affine import engine_for
+from adlv.affine import engine_for, translation
+from adlv.cover import _reflection_shape
 from adlv.errors import InvariantError
 from adlv.newton import _max_point
 from adlv.qbg import QBGraph
-from adlv.rootsys import build_root_system
+from adlv.rootsys import build_root_system, coweight
 from adlv.weyl import enumerate_group
 
 a2 = build_root_system("A", 2)
@@ -365,7 +385,9 @@ flat.lengths = [0] * 6
 for check in (
     lambda: QBGraph(flat),
     lambda: engine_for(table, 0).pack(0, (99, 0)),
+    lambda: engine_for(table, 0).interval_states((0, 1, 0, 2, 0) * 8),
     lambda: _max_point(a2, {((1, 0), 1), ((0, 1), 1)}),
+    lambda: _reflection_shape(a2, translation(coweight(a2, (1, 1)))),
 ):
     try:
         check()
@@ -375,15 +397,18 @@ for check in (
 
 
 def test_invariants_survive_python_O():
-    """A graph with no edges, a state outside the coweight box and two
-    incomparable Newton points are refused by explicit checks, not asserts,
-    so -O keeps them."""
+    """A graph with no edges, a state outside the coweight box (packed, or
+    reached by a letter-0 step of a too-small engine), two incomparable
+    Newton points and a cocover step that is no reflection are refused by
+    explicit checks, not asserts, so -O keeps them."""
     res = _python_O("-c", _BROKEN_INVARIANTS)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         "raised: graph not strongly connected",
         "raised: interval state out of the coweight box",
+        "raised: interval state out of the coweight box",
         "raised: maximal Newton point is not unique",
+        "raised: finite part of a cocover step is not a reflection",
     ]
 
 

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from adlv.errors import RefusalError
-from adlv.rootsys import build_root_system, coweight
+from adlv import newton
+from adlv.errors import InvariantError, RefusalError
+from adlv.rootsys import build_root_system, coweight, dominance_leq
 from adlv.affine import embed, translation
 from adlv.weyl import enumerate_group, simple_reflection
 from adlv.newton import (
+    NewtonPoint,
+    _max_point,
     max_newton_brute,
     max_newton_formula,
     max_translation_below,
@@ -147,3 +150,43 @@ def test_sweep_off_lattice_grid(a2):
     recs = sweep_records(a2, lams)
     assert len(recs) == 2 * 6
     assert all(r["match"] for r in recs)
+
+
+def _fraction_max_point(rs, keys):
+    """Dominance maximum over Fraction coweights via ``dominance_leq``: the
+    oracle for the integer ``_max_point``."""
+    if not keys:
+        raise InvariantError("empty Newton point set")
+    pts = [coweight(rs, tuple(Fraction(c, m) for c in cs)) for cs, m in keys]
+    best = max(
+        pts, key=lambda p: sum(r * c for r, c in zip(rs.two_rho, p.pairing))
+    )
+    if not all(dominance_leq(p, best) for p in pts):
+        raise InvariantError("maximal Newton point is not unique")
+    return NewtonPoint(best)
+
+
+@pytest.mark.parametrize("ct", ["A", "B", "C"])
+def test_max_point_matches_fraction_oracle(ct, monkeypatch):
+    """On the key set of every interval of the rank-2 theorem grids the
+    sweep evaluates, the integer maximum equals the Fraction one."""
+    rs = build_root_system(ct, 2)
+    calls = []
+
+    def checked(rs_, keys):
+        got = _max_point(rs_, keys)
+        assert got == _fraction_max_point(rs_, keys)
+        calls.append(len(keys))
+        return got
+
+    monkeypatch.setattr(newton, "_max_point", checked)
+    recs = sweep_records(rs, theorem_grid(rs))
+    assert len(calls) == len(recs) and min(calls) > 1
+    assert all(r["match"] for r in recs)
+
+
+def test_max_point_refuses_incomparable(a2):
+    keys = {((1, 0), 1), ((0, 1), 1)}
+    for top in (_max_point, _fraction_max_point):
+        with pytest.raises(InvariantError, match="not unique"):
+            top(a2, keys)
