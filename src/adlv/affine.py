@@ -16,8 +16,9 @@ dynamic program of ``IntervalEngine`` over a reduced word, cocovers
 by enumerating separating reflections, and the three Demazure products
 (max-fold, left min-fold, right min-fold) by folding reduced words.
 
-The engine keeps a state set as one big-int bitset over a box of translation
-parts per finite Weyl index, so a letter costs one OR or shift per index.
+The engine keeps a state set grouped by finite Weyl index: in rank <= 2 one
+big-int bitset over a box of translation parts per index, so a letter costs
+one OR or shift per index, and in higher rank a set of translation parts.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from ._matrix import transpose, mat_vec
@@ -398,42 +400,45 @@ def _repeat(block: int, period: int, count: int) -> int:
     return out
 
 
+# bitsets up to this rank: there an interval fills a fixed share of its box
+# (both grow as length**2); from rank 3 on the box, width**rank per finite
+# index, outgrows the interval, and sets of tuples are smaller and faster
+DENSE_MAX_RANK = 2
+
+
 class StateSet:
-    """A set of interval states t^mu z, as one big-int bitset per finite
-    index z: bit c of ``buckets[z]`` holds the state whose translation part
-    packs to the code c.  ``len`` is the exact state count; iterating yields
-    the packed states ``c * len(buckets) + z``."""
+    """A set of interval states t^mu z, grouped by finite index: ``buckets``
+    maps indices z to their translation parts, as one bitset over packed
+    codes (a dense engine) or a frozenset of mu tuples (a sparse one)."""
 
     __slots__ = ("buckets",)
 
-    def __init__(self, buckets: list[int]):
+    def __init__(self, buckets: dict):
         self.buckets = buckets
 
     def __len__(self) -> int:
-        return sum(b.bit_count() for b in self.buckets)
-
-    def __iter__(self):
-        nw = len(self.buckets)
-        for x, bits in enumerate(self.buckets):
-            for c in _bit_positions(bits):
-                yield c * nw + x
+        bs = self.buckets.values()
+        return sum(b.bit_count() if isinstance(b, int) else len(b) for b in bs)
 
     def __sub__(self, other: "StateSet") -> "StateSet":
-        return StateSet([a & ~b for a, b in zip(self.buckets, other.buckets)])
+        out = {}
+        for x, b in self.buckets.items():
+            c = other.buckets.get(x)
+            out[x] = b if c is None else b & ~c if isinstance(b, int) else b - c
+        return StateSet(out)
 
 
 class IntervalEngine:
-    """Subword dynamic programming over bitset state sets.
+    """Subword dynamic programming over state sets grouped by finite index.
 
-    A state is t^mu z with z indexed in a GroupTable and mu offset-shifted
-    into a fixed box of ``width`` values per coordinate; mu packs into the
-    mixed-radix code sum (mu_k + bound) width^k, and a state set is a
-    ``StateSet`` of one bitset over codes per z.  A right letter j >= 1 ORs
-    bucket z into bucket z s_j; the letter 0 shifts bucket z by the code of
-    z(theta_check) and ORs it into bucket z s_theta.  Before a shift the
-    bucket is tested against the edge mask of its offset, so a state leaving
-    the box raises instead of carrying into the next coordinate.
-    """
+    A state is t^mu z with z indexed in a GroupTable.  A right letter j >= 1
+    merges bucket z into bucket z s_j; the letter 0 translates bucket z by
+    z(theta_check) and merges it into bucket z s_theta.  Up to rank
+    DENSE_MAX_RANK a bucket is a bitset over the codes sum (mu_k + bound)
+    width^k of a box, and a translation is one shift, after a test against
+    the edge mask of its offset (a state leaving the box raises instead of
+    carrying into the next coordinate).  Above it a bucket is a frozenset of
+    mu tuples, with no box."""
 
     def __init__(self, table: GroupTable, bound: int):
         self.table = table
@@ -445,23 +450,21 @@ class IntervalEngine:
         self.theta_pair = coroot_pairing_coords(rs, rs.theta_index)
         self.rmult_stheta = table.rmult_root(rs.theta_index)
         self.delta = [e.act_pairing(self.theta_pair) for e in table.elements]
-        self.offset = [
-            sum(d * self.width ** k for k, d in enumerate(dv)) for dv in self.delta
-        ]
-        masks = {dv: self._edge_mask(dv) for dv in set(self.delta)}
-        self.edge = [masks[dv] for dv in self.delta]
-        self._origin = self.pack(0, (0,) * rs.rank) // self.nw
+        self.dense = rs.rank <= DENSE_MAX_RANK
+        if not self.dense:
+            self._origin = frozenset([(0,) * rs.rank])
+            return
+        w = self.width
+        self.offset = [sum(d * w ** k for k, d in enumerate(dv)) for dv in self.delta]
+        self.edge = {dv: ~self._inside(dv) for dv in set(self.delta)}
+        self._origin = 1 << self.pack(0, (0,) * rs.rank) // self.nw
 
-    def _edge_mask(self, dv: Sequence[int]) -> int:
-        """Codes whose coordinate k plus dv[k] leaves [0, width) for some k."""
-        w, n = self.width, self.rs.rank
-        mask = 0
-        for k, d in enumerate(dv):
-            bad = min(abs(d), w)  # the top (d > 0) or bottom values of coordinate k
-            run = (1 << w ** k * bad) - 1
-            if d > 0:
-                run <<= w ** k * (w - bad)
-            mask |= _repeat(run, w ** (k + 1), w ** (n - k - 1))
+    def _inside(self, dv: Sequence[int]) -> int:
+        """Codes whose every coordinate k plus dv[k] stays in [0, width)."""
+        w, mask = self.width, 1
+        for k, d in enumerate(dv):  # widen the mask from coordinates < k to <= k
+            lo, hi = max(0, -d), min(w, w - d)
+            mask = _repeat(mask, w ** k, max(hi - lo, 0)) << lo * w ** k
         return mask
 
     def pack(self, x_idx: int, mu: Sequence[int]) -> int:
@@ -473,19 +476,21 @@ class IntervalEngine:
             code = code * self.width + s
         return code * self.nw + x_idx
 
-    def twisted(self, states: StateSet, twist):
-        """Per nonempty bucket: the finite index and an iterator over the
+    def twisted(self, states: StateSet, twist=None):
+        """Per bucket: the finite index and an iterator over the
         translation parts, each state t^mu z right-multiplied by the
-        length-zero tau of ``twist = tau_twist(tau)``."""
-        zg, shift = twist
-        for x, bits in enumerate(states.buckets):
-            if bits:
-                yield zg[x], self._decode(bits, shift[x])
+        length-zero tau of ``twist = tau_twist(tau)`` (None: tau = 1)."""
+        zero = (0,) * self.rs.rank
+        for x, b in states.buckets.items():
+            z, d = (x, zero) if twist is None else (twist[0][x], twist[1][x])
+            if self.dense:
+                yield z, self._decode(b, d)
+            else:
+                yield z, b if twist is None else (tuple(map(add, mu, d)) for mu in b)
 
     def _decode(self, bits: int, shift: Sequence[int]):
-        """The translation parts mu + shift of the states in one bucket."""
-        w = self.width
-        lift = [d - self.bound for d in shift]
+        """The translation parts mu + shift of the states in one bitset."""
+        w, lift = self.width, [d - self.bound for d in shift]
         for code in _bit_positions(bits):
             mu = []
             for a in lift:
@@ -493,38 +498,38 @@ class IntervalEngine:
                 mu.append(s + a)
             yield tuple(mu)
 
+    def _translate(self, x: int, b):
+        """Bucket b of index x translated by delta[x]."""
+        if not self.dense:
+            d = self.delta[x]
+            return frozenset(tuple(map(add, mu, d)) for mu in b)
+        if b & self.edge[self.delta[x]]:
+            raise InvariantError("interval state out of the coweight box")
+        off = self.offset[x]
+        return b << off if off >= 0 else b >> -off
+
     def step(self, states: StateSet, j: int) -> StateSet:
-        buckets = states.buckets
-        if j >= 1:
-            r = self.table.rmult[j - 1]
-            return StateSet([b | buckets[r[x]] for x, b in enumerate(buckets)])
-        out = list(buckets)
-        r, edge, offset = self.rmult_stheta, self.edge, self.offset
-        for x, b in enumerate(buckets):
-            if not b:
-                continue
-            if b & edge[x]:
-                raise InvariantError("interval state out of the coweight box")
-            off = offset[x]
-            out[r[x]] |= b << off if off >= 0 else b >> -off
+        r = self.table.rmult[j - 1] if j else self.rmult_stheta
+        out = dict(states.buckets)
+        for x, b in states.buckets.items():
+            y, b = r[x], b if j else self._translate(x, b)
+            out[y] = out[y] | b if y in out else b
         return StateSet(out)
 
     def interval_states(self, word: Sequence[int], state_cap: int | None = None) -> StateSet:
-        states = StateSet([1 << self._origin] + [0] * (self.nw - 1))
+        states = StateSet({0: self._origin})
         for j in word:
             states = self.step(states, j)
             if state_cap is not None and len(states) > state_cap:
-                raise BudgetError(
-                    f"interval grew past {state_cap} states"
-                )
+                raise BudgetError(f"interval grew past {state_cap} states")
         return states
 
     def tau_twist(self, tau: AffineElt):
         """Per finite index z, what turns the state t^mu z into t^mu z tau
         for a length-zero tau = t^nu g: the index of z g and the shift z(nu)
-        added to mu."""
+        added to mu.  None when tau is trivial."""
         if tau.is_identity():
-            return range(self.nw), [(0,) * self.rs.rank] * self.nw
+            return None
         table = self.table
         g_idx = table.idx(tau.fin)
         zg = [table.prod_idx(x, g_idx) for x in range(self.nw)]

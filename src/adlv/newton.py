@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 
 from .affine import (
@@ -104,24 +104,15 @@ def newton_point(w: AffineElt) -> NewtonPoint:
 def _averaging_data(table: GroupTable) -> list[tuple[tuple[int, ...], int]]:
     """Per element z: (sum over i=1..ord(z) of the pairing-action matrix of
     z^i, row-major, and ord(z)).  Lets the Newton sum run in integers."""
-    rs = table.rs
-    n = rs.rank
     out = []
-    for z in table.elements:
-        acc = [0] * (n * n)
-        cur = z
-        m = 0
+    for z in range(len(table.elements)):
+        acc, cur, m = [0] * table.rs.rank ** 2, z, 0
         while True:
             m += 1
-            ri = cur.ri
-            for j in range(n):
-                row = ri[j]
-                base = j * n
-                for k in range(n):
-                    acc[base + k] += row[k]
-            if cur.is_identity():
+            acc = [a + c for a, c in zip(acc, chain(*table.elements[cur].ri))]
+            if cur == 0:  # the identity
                 break
-            cur = cur.mul(z)
+            cur = table.prod_idx(cur, z)
         out.append((tuple(acc), m))
     return out
 
@@ -145,12 +136,18 @@ def _nu_keys(
             key = memo.get(raw)
             if key is None:
                 dom, _ = _dominantize(rs, raw[0])
-                g = m
-                for c in dom:
-                    g = gcd(g, c)
+                g = gcd(m, *dom)
                 key = memo[raw] = (tuple(c // g for c in dom), m // g)
             keys.add(key)
     return keys
+
+
+@lru_cache(maxsize=None)
+def _scaled_inv_cartan_t(rs: RootSystem) -> list[list[int]]:
+    """A positive multiple of C^-T with integer entries: its rows give
+    scaled coroot coordinates, so dominance is a sign test per row."""
+    den = lcm(*(x.denominator for row in rs.inv_cartan_t for x in row))
+    return [[int(x * den) for x in row] for row in rs.inv_cartan_t]
 
 
 def _max_point(rs: RootSystem, keys) -> NewtonPoint:
@@ -164,9 +161,7 @@ def _max_point(rs: RootSystem, keys) -> NewtonPoint:
         keys,
         key=lambda k: Fraction(sum(r * c for r, c in zip(two_rho, k[0])), k[1]),
     )
-    # a positive multiple of C^-T with integer entries: scaled coroot coords
-    den = lcm(*(x.denominator for row in rs.inv_cartan_t for x in row))
-    inv = [[int(x * den) for x in row] for row in rs.inv_cartan_t]
+    inv = _scaled_inv_cartan_t(rs)
     for cs, m in keys:
         diff = [a * m - c * tm for a, c in zip(top, cs)]
         if any(sum(r * d for r, d in zip(row, diff)) < 0 for row in inv):

@@ -36,6 +36,11 @@ def test_adm_sizes_frozen():
     a2 = build_root_system("A", 2)
     assert len(adm_set(coweight(a2, (1, 1)))) == 25
     assert len(adm_set(coweight(a2, (2, 2)))) == 85
+    # rank 4: the intervals run on sets of tuples, not bitsets; the sizes
+    # are those of the set-of-int engine that preceded both
+    a4 = build_root_system("A", 4)
+    assert len(adm_set(coweight(a4, (1, 0, 0, 0)))) == 31
+    assert len(adm_set(coweight(a4, (1, 0, 0, 1)))) == 401
 
 
 def test_adm_refusals(a2):

@@ -4,6 +4,7 @@ Bruhat order, intervals, and Demazure products against brute force."""
 
 import pytest
 
+from adlv import affine
 from adlv.errors import BudgetError, InvariantError
 from adlv.rootsys import build_root_system, coweight, pairing
 from adlv.affine import (
@@ -290,21 +291,27 @@ def test_descent_left_matches_length(a2):
 
 
 def _set_step(eng, states, j):
-    """One letter of the subword DP on a plain set of packed states: the
-    oracle for the bitset ``IntervalEngine.step``."""
+    """One letter of the subword DP on a plain set of (finite index, mu)
+    pairs: the oracle for ``IntervalEngine.step`` in either representation."""
     out = set(states)
-    for s in states:
-        x_idx, code = s % eng.nw, s // eng.nw
+    for x, mu in states:
         if j >= 1:
-            out.add(s - x_idx + eng.table.rmult[j - 1][x_idx])
-            continue
-        mu = []
-        for _ in range(eng.rs.rank):
-            code, c = divmod(code, eng.width)
-            mu.append(c - eng.bound)
-        mu = tuple(a + b for a, b in zip(mu, eng.delta[x_idx]))
-        out.add(eng.pack(eng.rmult_stheta[x_idx], mu))
+            out.add((eng.table.rmult[j - 1][x], mu))
+        else:
+            mu2 = tuple(a + b for a, b in zip(mu, eng.delta[x]))
+            out.add((eng.rmult_stheta[x], mu2))
     return out
+
+
+def _pairs(eng, states):
+    return {(x, mu) for x, mus in eng.twisted(states) for mu in mus}
+
+
+@pytest.fixture(params=[True, False], ids=["dense", "sparse"])
+def dense(request, monkeypatch):
+    """Run a test with engines forced dense (bitsets) or sparse (tuples)."""
+    monkeypatch.setattr(affine, "DENSE_MAX_RANK", 2 if request.param else 0)
+    return request.param
 
 
 # a word that is not reduced and shifts by theta_check at every other letter
@@ -312,11 +319,12 @@ ZERO_HEAVY = (0, 1, 0, 2, 0) * 8
 
 
 @pytest.mark.parametrize("ct,n_grid", [("A", 4), ("B", 4), ("G", 1)])
-def test_interval_states_match_set_oracle(ct, n_grid):
-    """Bitset state sets equal the set-of-int DP on reduced words of
-    t^lam w0 at theorem-grid lambdas (one for G2, where the oracle takes
-    seconds per interval; the A2 and B2 grids include nontrivial tau) and on
-    a word heavy in the letter 0."""
+def test_interval_states_match_set_oracle(ct, n_grid, dense):
+    """Both state-set representations equal the set-of-pairs DP on reduced
+    words of t^lam w0 at theorem-grid lambdas (one for G2, where the oracle
+    takes seconds per interval; the A2 and B2 grids include nontrivial tau)
+    and on a word heavy in the letter 0; so does the difference of two
+    snapshots, as the Newton sweep takes it."""
     rs = build_root_system(ct, 2)
     table = enumerate_group(rs)
     w0 = longest_element(rs)
@@ -328,30 +336,52 @@ def test_interval_states_match_set_oracle(ct, n_grid):
     assert ct == "G" or not all(t.is_identity() for t in taus)
     cases.append((ZERO_HEAVY, engine_for(table, 3 * len(ZERO_HEAVY))))
     for word, eng in cases:
-        expect = {eng.pack(0, (0, 0))}
-        for j in word:
+        assert eng.dense is dense
+        half = eng.interval_states(word[: len(word) // 2])
+        expect = {(0, (0, 0))}
+        for j in word[: len(word) // 2]:
+            expect = _set_step(eng, expect, j)
+        assert _pairs(eng, half) == expect
+        expect_half = expect
+        for j in word[len(word) // 2:]:
             expect = _set_step(eng, expect, j)
         got = eng.interval_states(word)
         assert len(got) == len(expect)
-        assert set(got) == expect
+        assert _pairs(eng, got) == expect
+        assert _pairs(eng, got - half) == expect - expect_half
 
 
 @pytest.mark.parametrize("ct", ["A", "B", "G"])
-def test_interval_states_refuse_leaving_the_box(ct):
+def test_interval_states_refuse_leaving_the_box(ct, dense):
     """An engine sized for length 0 on a long 0-heavy word: the bitset step
-    raises at the same letter where the oracle first packs a state outside
-    the box, instead of carrying into the next coordinate."""
+    raises at the same letter where the oracle first reaches a state outside
+    the box, instead of carrying into the next coordinate.  The sparse
+    engine has no box and follows the oracle to the end."""
     rs = build_root_system(ct, 2)
     eng = engine_for(enumerate_group(rs), 0)
     states = eng.interval_states(())
-    expect = set(states)
+    expect = _pairs(eng, states)
     for j in ZERO_HEAVY:
-        try:
-            expect = _set_step(eng, expect, j)
-        except InvariantError:
+        expect = _set_step(eng, expect, j)
+        if dense and not all(abs(c) <= eng.bound for _, mu in expect for c in mu):
             with pytest.raises(InvariantError, match="coweight box"):
                 eng.step(states, j)
             return
         states = eng.step(states, j)
-        assert set(states) == expect
-    pytest.fail("the word never left the box")
+        assert _pairs(eng, states) == expect
+    assert not dense, "the word never left the box"
+
+
+def test_engine_keeps_bitsets_up_to_rank_2():
+    """Rank-2 engines keep bitsets; from rank 3 on they keep sets of tuples.
+    A D5 engine for length 1 has a box of 47**5 codes per finite index (about
+    2.3e8 bits), yet its interval below s1 costs only its two states."""
+    for ct, rank in (("A", 1), ("G", 2), ("A", 3), ("D", 5)):
+        eng = engine_for(enumerate_group(build_root_system(ct, rank)), 1)
+        assert eng.dense is (rank <= 2)
+    assert eng.width ** 5 > 2 * 10 ** 8
+    states = eng.interval_states((1,))
+    assert len(states) == 2
+    assert _pairs(eng, states) == {
+        (0, (0,) * 5), (eng.table.rmult[0][0], (0,) * 5)
+    }

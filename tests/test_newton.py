@@ -8,7 +8,7 @@ import pytest
 from adlv import newton
 from adlv.errors import InvariantError, RefusalError
 from adlv.rootsys import build_root_system, coweight, dominance_leq
-from adlv.affine import embed, translation
+from adlv.affine import embed, simple_affine, translation
 from adlv.weyl import enumerate_group, simple_reflection
 from adlv.newton import (
     NewtonPoint,
@@ -86,6 +86,16 @@ def test_extended_element_three_routes(a2):
     fr = max_newton_formula(w)
     assert fr.status == "ok"
     assert fr.value.pairing == (7, 9)
+
+
+def test_brute_routes_at_rank_5():
+    """On D5 the interval engine keeps sparse state sets: the maximum below
+    t^lam is lam (dominant) by both brute routes, and below s1 it is 0."""
+    d5 = build_root_system("D", 5)
+    lam = coweight(d5, (1, 0, 0, 0, 0))
+    assert max_newton_brute(translation(lam)).pairing == lam.pairing
+    assert max_translation_below(translation(lam)).pairing == lam.pairing
+    assert max_newton_brute(simple_affine(d5, 1)).pairing == (0,) * 5
 
 
 def test_formula_below_threshold(a2):
