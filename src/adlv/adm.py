@@ -24,7 +24,7 @@ from .affine import (
     lower_interval,
     translation,
 )
-from .errors import BudgetError, RefusalError
+from .errors import BudgetError, InvariantError, RefusalError
 from .qbg import build_qbg, reflection_length_w0
 from .rootsys import (
     TYPE_TABLE,
@@ -36,7 +36,14 @@ from .rootsys import (
     dominance_leq,
     pairing,
 )
-from .weyl import WeylElt, enumerate_group, identity_elt, simple_reflection
+from .weyl import (
+    WeylElt,
+    enumerate_group,
+    identity_elt,
+    longest_element,
+    reflection_length,
+    simple_reflection,
+)
 
 __all__ = [
     "AdmSet",
@@ -187,9 +194,10 @@ def eta(w: AffineElt) -> WeylElt:
         s = simple_reflection(rs, i)
         y = embed(s).mul(y)
         u = u.mul(s)
-    assert coweight(rs, y.lam).is_dominant(), (
-        "coset-minimal element does not have a dominant translation part"
-    )
+    if not coweight(rs, y.lam).is_dominant():
+        raise InvariantError(
+            "coset-minimal element does not have a dominant translation part"
+        )
     return y.fin.mul(u)
 
 
@@ -203,13 +211,23 @@ def virtual_dim(w: AffineElt, b: BInvariants) -> Fraction:
 
 
 def min_dgamma(rs: RootSystem) -> int:
-    """min over x of the graph distance from x to x w0."""
+    """min over x of the graph distance from x to x w0.
+
+    Every edge of the graph is a right multiplication by a reflection, so
+    d_Gamma(x, x w0) is at least the reflection length of w0, read here
+    from w0's fixed space; the scan stops at the first x reaching it."""
     g = build_qbg(rs)
     table = g.table
     w0 = table.w0_idx
-    return min(
-        g.d_gamma(x, table.prod_idx(x, w0)) for x in range(len(table))
-    )
+    bound = reflection_length(longest_element(rs))
+    best = None
+    for x in range(len(table)):
+        d = g.d_gamma(x, table.prod_idx(x, w0))
+        if best is None or d < best:
+            best = d
+            if best <= bound:
+                break
+    return best
 
 
 @dataclass

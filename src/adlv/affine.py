@@ -214,10 +214,12 @@ def reduced_word_and_tau(w: AffineElt) -> tuple[tuple[int, ...], AffineElt]:
     cur = w
     while len(out) < target:
         j = next((k for k in range(n + 1) if descent_left(cur, k)), None)
-        assert j is not None, "no descent on a length-positive element"
+        if j is None:
+            raise InvariantError("no descent on a length-positive element")
         out.append(j)
         cur = simple_affine(w.rs, j).mul(cur)
-    assert affine_length(cur) == 0, "peeling left descents left length behind"
+    if affine_length(cur) != 0:
+        raise InvariantError("peeling left descents left length behind")
     return tuple(out), cur
 
 
@@ -238,7 +240,8 @@ def tau_letter_map(tau: AffineElt) -> tuple[int, ...]:
     """The permutation sigma of the letters 0..n with
     tau s_j tau^{-1} = s_{sigma(j)}, for a length-zero tau."""
     rs = tau.rs
-    assert affine_length(tau) == 0
+    if affine_length(tau) != 0:
+        raise InvariantError("letter map of an element of positive length")
     ti = tau.inv()
     out = []
     for j in range(rs.rank + 1):
@@ -247,9 +250,11 @@ def tau_letter_map(tau: AffineElt) -> tuple[int, ...]:
             (i for i in range(rs.rank + 1) if c == simple_affine(rs, i)),
             None,
         )
-        assert k is not None, "conjugate of a generator is not a generator"
+        if k is None:
+            raise InvariantError("conjugate of a generator is not a generator")
         out.append(k)
-    assert sorted(out) == list(range(rs.rank + 1))
+    if sorted(out) != list(range(rs.rank + 1)):
+        raise InvariantError("letter map is not a permutation")
     return tuple(out)
 
 

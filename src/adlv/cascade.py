@@ -16,6 +16,7 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import InvariantError
 from .qbg import build_qbg
 from .rootsys import Coroot, Root, RootSystem, pair_root_coroot, root_leq
 from .weyl import GroupTable, WeylElt, enumerate_group, word_str
@@ -135,7 +136,8 @@ def _dp_table(table: GroupTable) -> tuple[int, ...]:
             u = mult[a][v]
             if dist[u] is None:
                 heapq.heappush(heap, (d + costs[a], u))
-    assert all(d is not None for d in dist)
+    if None in dist:
+        raise InvariantError("dp search left an element unreached")
     return tuple(dist)
 
 
@@ -170,7 +172,8 @@ def _ell_red_table(table: GroupTable) -> tuple[int, ...]:
                     dist[u] = dist[v] + 1
                     nxt.append(u)
         frontier = nxt
-    assert all(d is not None for d in dist)
+    if None in dist:
+        raise InvariantError("ell_red search left an element unreached")
     return tuple(dist)
 
 

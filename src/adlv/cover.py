@@ -16,7 +16,7 @@ integer m, and that shape is recomputed and checked rather than trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 from .affine import (
@@ -85,12 +85,15 @@ class CocoverRecord:
 class CoverResult:
     """Classifier output with its validity status ("ok" above the depth
     threshold, "below-threshold" otherwise; records filled below threshold
-    only on request)."""
+    only on request).  ``non_cocover`` holds the elements a case predicted
+    whose length is not ell(w) - 1; it can fill only below the threshold,
+    where the classification claims nothing."""
 
     status: str
     records: list[CocoverRecord]
     depth: object
     threshold: int
+    non_cocover: list[AffineElt] = field(default_factory=list)
 
 
 def _reflection_shape(rs: RootSystem, r: AffineElt) -> tuple[Root, int]:
@@ -140,6 +143,7 @@ def predicted_cocovers(
     quantum = set(quantum_roots(rs))
     lu, lv = u.length(), v.length()
     by_result: dict[AffineElt, tuple[list[int], Root, int]] = {}
+    non_cocover: list[AffineElt] = []
 
     def emit(case: int, root: Root, w2: AffineElt) -> None:
         if w2 in by_result:
@@ -149,7 +153,13 @@ def predicted_cocovers(
         r = w2.mul(w.inv())
         beta, m = _reflection_shape(rs, r)
         if affine_length(w2) != lw - 1:
-            raise InvariantError(f"case {case} produced a non-cocover length")
+            if ok:
+                raise InvariantError(
+                    f"case {case} produced a non-cocover length"
+                )
+            if w2 not in non_cocover:
+                non_cocover.append(w2)
+            return
         by_result[w2] = ([case], beta, m)
 
     for a, alpha in enumerate(rs.positive_roots):
@@ -167,9 +177,10 @@ def predicted_cocovers(
             )
             emit(1, alpha, w2)
         if lusa == lu + drop - 1:
-            assert alpha in quantum, (
-                "a full-drop ascent from u must use a quantum root"
-            )
+            if alpha not in quantum:
+                raise InvariantError(
+                    "a full-drop ascent from u must use a quantum root"
+                )
             w2 = (
                 embed(u.mul(sa))
                 .mul(AffineElt(rs, lam_minus, identity_elt(rs)))
@@ -184,9 +195,10 @@ def predicted_cocovers(
             )
             emit(3, alpha, w2)
         if lsav == lv - drop + 1:
-            assert alpha in quantum, (
-                "a full-drop descent from v must use a quantum root"
-            )
+            if alpha not in quantum:
+                raise InvariantError(
+                    "a full-drop descent from v must use a quantum root"
+                )
             w2 = (
                 embed(u)
                 .mul(AffineElt(rs, lam_minus, identity_elt(rs)))
@@ -199,7 +211,9 @@ def predicted_cocovers(
         for w2, (cases, beta, m) in by_result.items()
     ]
     records.sort(key=lambda r: (r.case_label, r.root, r.m))
-    return CoverResult("ok" if ok else "below-threshold", records, d, thr)
+    return CoverResult(
+        "ok" if ok else "below-threshold", records, d, thr, non_cocover
+    )
 
 
 def verify_cover_theorem(
@@ -209,7 +223,8 @@ def verify_cover_theorem(
 ) -> dict:
     """Compare the four-case prediction for w = u t^lam v against the
     exhaustive cocover enumeration.  Below the depth threshold the report is
-    flagged and carries the mismatch data without any claim."""
+    flagged and carries the mismatch data without any claim, including the
+    predicted elements that are not cocovers at all (``non_cocover``)."""
     rs = lam.rs
     res = predicted_cocovers(u, lam, v, force=True)
     lam_int = lam.int_pairing()
@@ -222,6 +237,7 @@ def verify_cover_theorem(
 
     missing = sorted(map(_key, enumerated - predicted))
     extra = sorted(map(_key, predicted - enumerated))
+    non_cocover = sorted(map(_key, res.non_cocover))
     return {
         "type": rs.cartan_type,
         "rank": rs.rank,
@@ -234,7 +250,8 @@ def verify_cover_theorem(
         "enumerated": len(enumerated),
         "missing": missing,
         "extra": extra,
-        "match": predicted == enumerated,
+        "non_cocover": non_cocover,
+        "match": predicted == enumerated and not non_cocover,
     }
 
 

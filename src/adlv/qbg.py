@@ -18,7 +18,6 @@ weight bound used elsewhere for Newton points.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import InvariantError
@@ -82,6 +81,15 @@ class QBGraph:
     agrees about the accumulated weight.  The adjacency lists are kept
     rather than re-deriving edges from ``rmult_root`` per search: a vertex
     has a handful of edges but |Phi+| candidate roots.
+
+    A search carries its accumulated weight as one packed int: field i,
+    ``width`` bits at offset ``i * width``, holds simple-coroot coordinate
+    i, and ``inc[a]`` is the packed positive coroot of root a.  With
+    ``width = (|W| * c).bit_length() + 1``, c the largest coroot
+    coefficient, no field can carry: coordinates are nonnegative and a
+    shortest path has fewer than |W| edges, so every coordinate is below
+    |W| * c.  Packing is then injective, and comparing two packed weights
+    is comparing the tuples.
     """
 
     def __init__(self, table: GroupTable):
@@ -90,6 +98,12 @@ class QBGraph:
         nv = len(table)
         nroots = len(rs.positive_roots)
         lengths = table.lengths
+        top = max(max(c) for c in rs.positive_coroots)
+        self.width = width = (nv * top).bit_length() + 1
+        self.inc = [
+            sum(c << (i * width) for i, c in enumerate(cr))
+            for cr in rs.positive_coroots
+        ]
         out: list[list[tuple[int, int, bool]]] = [[] for _ in range(nv)]
         rin: list[list[tuple[int, int, bool]]] = [[] for _ in range(nv)]
         rin_down: list[list[tuple[int, int, bool]]] = [[] for _ in range(nv)]
@@ -112,58 +126,68 @@ class QBGraph:
         self.out = out
         self.rin = rin
         self.rin_down = rin_down
-        self._fwd: dict[int, tuple[list[int], list[Coroot]]] = {}
-        self._rev_down: tuple[list[int], list[Coroot], list] | None = None
+        self._fwd: dict[int, tuple[list[int], list[int]]] = {}
+        self._rev_down: tuple[list[int], list[int], list[int]] | None = None
         # Strong connectivity: the identity reaches everything and is
         # reachable from everything.
         dist_from_e, _ = self._forward(0)
-        rd, rwts, _step = self._run_bfs(0, rin)
+        rd, rwts, _, _ = self._run_bfs(0, rin)
         if min(dist_from_e) < 0 or min(rd) < 0:
             raise InvariantError("graph not strongly connected")
-        self._rev: tuple[list[int], list[Coroot]] = (rd, rwts)
+        self._rev: tuple[list[int], list[Coroot]] = (
+            rd, [self._decode(p) for p in rwts]
+        )
 
     # -- searches ---------------------------------------------------------
 
+    def _decode(self, packed: int) -> Coroot:
+        width = self.width
+        mask = (1 << width) - 1
+        return tuple(
+            packed >> (i * width) & mask for i in range(self.rs.rank)
+        )
+
     def _run_bfs(self, src: int, adj):
-        """Layered BFS accumulating down-edge weights; first-found parents
-        make the extracted witnesses deterministic."""
-        rs = self.rs
-        coroots = rs.positive_coroots
+        """Layered BFS accumulating packed down-edge weights.  Returns the
+        distances, the packed weights, and each vertex's first-found parent
+        and edge root, which make the extracted witnesses deterministic."""
+        inc = self.inc
         n = len(self.out)
         dist = [-1] * n
-        wts: list = [None] * n
-        step: list = [None] * n
+        wts = [0] * n
+        parent = [-1] * n
+        label = [-1] * n
         dist[src] = 0
-        wts[src] = (0,) * rs.rank
-        q = deque([src])
-        while q:
-            v = q.popleft()
-            dv = dist[v]
+        queue = [src]
+        for v in queue:  # the loop also visits the vertices appended below
+            dnext = dist[v] + 1
             wv = wts[v]
             for u, a, down in adj[v]:
-                w = tuple(p + q2 for p, q2 in zip(wv, coroots[a])) if down else wv
-                if dist[u] < 0:
-                    dist[u] = dv + 1
+                w = wv + inc[a] if down else wv
+                du = dist[u]
+                if du < 0:
+                    dist[u] = dnext
                     wts[u] = w
-                    step[u] = (a, v)
-                    q.append(u)
-                elif dist[u] == dv + 1 and wts[u] != w:
+                    parent[u] = v
+                    label[u] = a
+                    queue.append(u)
+                elif du == dnext and wts[u] != w:
                     raise InvariantError(
                         "two shortest paths with different weights"
                     )
-        return dist, wts, step
+        return dist, wts, parent, label
 
     def _forward(self, src: int):
         got = self._fwd.get(src)
         if got is None:
-            dist, wts, _ = self._run_bfs(src, self.out)
+            dist, wts, _, _ = self._run_bfs(src, self.out)
             got = (dist, wts)
             self._fwd[src] = got
         return got
 
     def _reverse_down(self):
         if self._rev_down is None:
-            dist, wts, step = self._run_bfs(0, self.rin_down)
+            dist, _, parent, label = self._run_bfs(0, self.rin_down)
             if min(dist) < 0:
                 raise InvariantError("element with no downward decomposition")
             # Down-only distance to the identity agrees with the
@@ -172,7 +196,7 @@ class QBGraph:
                 raise InvariantError(
                     "a shortest path to the identity beats the down-only one"
                 )
-            self._rev_down = (dist, wts, step)
+            self._rev_down = (dist, parent, label)
         return self._rev_down
 
     # -- queries ----------------------------------------------------------
@@ -186,7 +210,7 @@ class QBGraph:
 
     def wt(self, x, y) -> Coroot:
         _, wts = self._forward(self._idx(x))
-        return wts[self._idx(y)]
+        return self._decode(wts[self._idx(y)])
 
     def wt1(self, x) -> Coroot:
         """wt(x, 1), the weight to the identity."""
@@ -198,12 +222,12 @@ class QBGraph:
 
     def rqrd(self, x) -> RQRD:
         """A minimal downward decomposition of x read off the search tree."""
-        _, _, step = self._reverse_down()
+        _, parent, label = self._reverse_down()
         v = self._idx(x)
         labels = []
         while v != 0:
-            a, v = step[v]
-            labels.append(a)
+            labels.append(label[v])
+            v = parent[v]
         roots = self.rs.positive_roots
         return RQRD(tuple(roots[a] for a in reversed(labels)))
 

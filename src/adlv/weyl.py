@@ -323,6 +323,17 @@ class GroupTable:
             a = rmult[i][a]
         return a
 
+    def ltri_idx(self, a: int, b: int) -> int:
+        """Index of the right min-fold x <| y = min{x v : v <= y}, for
+        x, y at indices a, b: fold a reduced word of y into x, keeping
+        each letter only when it lowers the length."""
+        rmult, lengths = self.rmult, self.lengths
+        for i in self.words[b]:
+            c = rmult[i][a]
+            if lengths[c] < lengths[a]:
+                a = c
+        return a
+
     def rmult_root(self, root_idx: int) -> list[int]:
         """Table of right multiplication by the reflection s_beta."""
         tab = self._refl_mult.get(root_idx)

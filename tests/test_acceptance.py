@@ -492,12 +492,12 @@ def test_criterion_08_dimension_ingredients():
             if res.status != "ok" or res.value != d_adm_brute(mu, b):
                 dadm_ok = False
     elapsed = time.time() - t0
-    ok = not dg_bad and dadm_ok
+    ok = not dg_bad and dadm_ok and elapsed < 5.0
     _report(
         8,
         ok,
         f"min-distance identity bad={dg_bad or 'none'} "
-        f"d_adm=brute:{dadm_ok} in {elapsed:.1f}s",
+        f"d_adm=brute:{dadm_ok} in {elapsed:.1f}s (<5s)",
     )
 
 

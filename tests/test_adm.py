@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from adlv.errors import BudgetError, RefusalError
+from adlv.qbg import build_qbg
 from adlv.rootsys import build_root_system, coweight
 from adlv.affine import AffineElt, embed, translation
 from adlv.weyl import enumerate_group, identity_elt, simple_reflection
@@ -151,6 +152,20 @@ def test_virtual_dim_example(a2):
 def test_min_dgamma_small(a2, g2):
     assert min_dgamma(a2) == 1
     assert min_dgamma(g2) == 2
+
+
+@pytest.mark.parametrize("ct,n", [("A", 3), ("B", 3), ("C", 3), ("F", 4)])
+def test_min_dgamma_matches_full_scan(ct, n):
+    """Stopping at the reflection-length bound loses nothing against the
+    minimum over the whole group."""
+    rs = build_root_system(ct, n)
+    g = build_qbg(rs)
+    table = g.table
+    full = min(
+        g.d_gamma(x, table.prod_idx(x, table.w0_idx))
+        for x in range(len(table))
+    )
+    assert min_dgamma(rs) == full
 
 
 def test_d_adm_matches_brute(a2):

@@ -370,24 +370,54 @@ except RefusalError as e:
 
 _BROKEN_INVARIANTS = """
 import copy
-from adlv.affine import engine_for, translation
+from unittest import mock
+from adlv import adm, affine, cascade, cover
+from adlv.affine import engine_for, simple_affine, translation
 from adlv.cover import _reflection_shape
 from adlv.errors import InvariantError
 from adlv.newton import _max_point
 from adlv.qbg import QBGraph
 from adlv.rootsys import build_root_system, coweight
-from adlv.weyl import enumerate_group
+from adlv.weyl import enumerate_group, identity_elt, simple_reflection
 
 a2 = build_root_system("A", 2)
 table = enumerate_group(a2)
 flat = copy.copy(table)
 flat.lengths = [0] * 6
+unlinked = copy.copy(table)
+unlinked.rmult_root = lambda a: list(range(6))
+skewed = QBGraph(table)
+skewed.inc[0] += 1
+t11 = translation(coweight(a2, (1, 1)))
+real_length = affine.affine_length
+
+
+def patched(owner, name, value, call):
+    def run():
+        with mock.patch.object(owner, name, value):
+            call()
+    return run
+
+
 for check in (
     lambda: QBGraph(flat),
+    lambda: [skewed.wt(x, 0) for x in range(6)],
     lambda: engine_for(table, 0).pack(0, (99, 0)),
     lambda: engine_for(table, 0).interval_states((0, 1, 0, 2, 0) * 8),
     lambda: _max_point(a2, {((1, 0), 1), ((0, 1), 1)}),
-    lambda: _reflection_shape(a2, translation(coweight(a2, (1, 1)))),
+    lambda: _reflection_shape(a2, t11),
+    patched(cover, "quantum_roots", lambda rs: [], lambda:
+            cover.predicted_cocovers(identity_elt(a2), coweight(a2, (3, 3)),
+                                     simple_reflection(a2, 0))),
+    patched(affine, "descent_left", lambda w, j: False, lambda:
+            affine.reduced_word_and_tau(t11)),
+    patched(affine, "affine_length", lambda w: real_length(w) // 2, lambda:
+            affine.reduced_word_and_tau(t11)),
+    lambda: affine.tau_letter_map(simple_affine(a2, 1)),
+    patched(adm, "descent_left", lambda w, j: False, lambda:
+            adm.eta(translation(coweight(a2, (-1, 2))))),
+    lambda: cascade._dp_table(unlinked),
+    lambda: cascade._ell_red_table(unlinked),
 ):
     try:
         check()
@@ -397,18 +427,31 @@ for check in (
 
 
 def test_invariants_survive_python_O():
-    """A graph with no edges, a state outside the coweight box (packed, or
-    reached by a letter-0 step of a too-small engine), two incomparable
-    Newton points and a cocover step that is no reflection are refused by
+    """A graph with no edges or with a wrong packed coroot, a state outside
+    the coweight box (packed, or reached by a letter-0 step of a too-small
+    engine), two incomparable Newton points, a cocover step that is no
+    reflection, a full drop through a root not listed as quantum, a word
+    search that runs out of descents or leaves length behind, a letter map
+    of a positive-length element, a coset walk ending off the dominant
+    chamber and a table search that misses elements are refused by
     explicit checks, not asserts, so -O keeps them."""
     res = _python_O("-c", _BROKEN_INVARIANTS)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         "raised: graph not strongly connected",
+        "raised: two shortest paths with different weights",
         "raised: interval state out of the coweight box",
         "raised: interval state out of the coweight box",
         "raised: maximal Newton point is not unique",
         "raised: finite part of a cocover step is not a reflection",
+        "raised: a full-drop ascent from u must use a quantum root",
+        "raised: no descent on a length-positive element",
+        "raised: peeling left descents left length behind",
+        "raised: letter map of an element of positive length",
+        "raised: coset-minimal element does not have a dominant "
+        "translation part",
+        "raised: dp search left an element unreached",
+        "raised: ell_red search left an element unreached",
     ]
 
 

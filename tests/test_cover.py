@@ -3,7 +3,8 @@ prediction against exhaustive enumeration."""
 
 import pytest
 
-from adlv.errors import RefusalError
+from adlv import cover
+from adlv.errors import InvariantError, RefusalError
 from adlv.rootsys import build_root_system, coweight
 from adlv.affine import (
     AffineElt,
@@ -13,7 +14,7 @@ from adlv.affine import (
     embed,
     translation,
 )
-from adlv.weyl import enumerate_group, identity_elt, reflection
+from adlv.weyl import enumerate_group, identity_elt, reflection, simple_reflection
 from adlv.cover import (
     cover_depth_threshold,
     cover_sweep,
@@ -132,3 +133,18 @@ def test_sample_triples_deterministic(a3):
         assert lam.is_dominant()
         rep = verify_cover_theorem(u, lam, v)
         assert rep["match"], rep
+
+
+def test_non_cocover_reported_below_threshold(a2, monkeypatch):
+    """At depth 1 cases 2 and 4 predict elements that are not cocovers;
+    the report lists them instead of raising.  Once the same input counts
+    as inside the regime, the check raises again."""
+    e, s1 = identity_elt(a2), simple_reflection(a2, 0)
+    lam = coweight(a2, (1, 1))
+    rep = verify_cover_theorem(e, lam, s1)
+    assert rep["below_threshold"] and not rep["match"]
+    assert rep["non_cocover"] == [[[-1, 2], "e"], [[1, 1], "e"]]
+    assert not rep["missing"] and not rep["extra"]
+    monkeypatch.setattr(cover, "cover_depth_threshold", lambda ct: 1)
+    with pytest.raises(InvariantError, match="non-cocover length"):
+        predicted_cocovers(e, lam, s1)

@@ -1,8 +1,14 @@
 """Quantum Bruhat graph: edges, weights, uniqueness, closed forms, and
 downward decompositions."""
 
+from collections import deque
+from itertools import product
+from random import Random
+
 import pytest
 
+from adlv.affine import demazure_ltri, embed
+from adlv.errors import InvariantError
 from adlv.rootsys import (
     build_root_system,
     coweight_from_coroot,
@@ -11,6 +17,7 @@ from adlv.rootsys import (
 )
 from adlv.weyl import enumerate_group, longest_element
 from adlv.qbg import (
+    QBGraph,
     build_qbg,
     compute_M,
     m_tilde,
@@ -21,6 +28,79 @@ from adlv.qbg import (
 )
 
 UNIQ = [("A", 2), ("B", 2), ("G", 2)]
+ORACLE_SCOPE = UNIQ + [("A", 3), ("B", 3), ("C", 3)]
+
+
+def _tuple_bfs(g, src, adj):
+    """Reference search: the layered BFS carrying each weight as a tuple of
+    simple-coroot coordinates, with the same agreement check."""
+    coroots = g.rs.positive_coroots
+    dist = [-1] * len(adj)
+    wts = [None] * len(adj)
+    dist[src] = 0
+    wts[src] = (0,) * g.rs.rank
+    q = deque([src])
+    while q:
+        v = q.popleft()
+        for u, a, down in adj[v]:
+            w = wts[v]
+            if down:
+                w = tuple(p + c for p, c in zip(w, coroots[a]))
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                wts[u] = w
+                q.append(u)
+            elif dist[u] == dist[v] + 1 and wts[u] != w:
+                raise InvariantError("two shortest paths with different weights")
+    return dist, wts
+
+
+@pytest.mark.parametrize("ct,n", ORACLE_SCOPE)
+def test_packed_weights_match_tuple_oracle(ct, n):
+    rs = build_root_system(ct, n)
+    g = build_qbg(rs)
+    nv = len(g.table)
+    for src in range(nv):
+        dist, wts = _tuple_bfs(g, src, g.out)
+        assert [g.d_gamma(src, y) for y in range(nv)] == dist
+        assert [g.wt(src, y) for y in range(nv)] == wts
+    dist, wts = _tuple_bfs(g, 0, g.rin)
+    assert g.all_wt1() == wts
+    assert [g.wt1(x) for x in range(nv)] == wts
+
+
+@pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2)])
+def test_corrupted_increment_is_refused(ct, n):
+    """One wrong packed coroot on a root with down edges makes two shortest
+    paths disagree, and the search says so."""
+    rs = build_root_system(ct, n)
+    g = QBGraph(enumerate_group(rs))
+    a = next(a for a, q in enumerate(rs.quantum_flags) if q)
+    g.inc[a] += 1
+    with pytest.raises(InvariantError, match="different weights"):
+        for x in range(len(g.table)):
+            g.wt(x, 0)
+
+
+@pytest.mark.parametrize(
+    "ct,n,count",
+    [(ct, n, None) for ct, n in ORACLE_SCOPE + [("A", 1), ("C", 2)]]
+    + [("F", 4, 500), ("D", 5, 500)],
+)
+def test_ltri_idx_matches_affine_fold(ct, n, count):
+    table = enumerate_group(build_root_system(ct, n))
+    nv = len(table)
+    rng = Random(0)
+    pairs = (
+        product(range(nv), repeat=2)
+        if count is None
+        else [(rng.randrange(nv), rng.randrange(nv)) for _ in range(count)]
+    )
+    for a, b in pairs:
+        folded = demazure_ltri(
+            embed(table.elements[a]), embed(table.elements[b])
+        )
+        assert table.ltri_idx(a, b) == table.idx(folded.fin)
 
 
 def test_edge_classification(b2):
