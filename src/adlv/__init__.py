@@ -6,7 +6,7 @@ The modules layer bottom-up:
 - rootsys: root systems, coweights, pairings, dominance, and the per-type
   table of constants (ranks, group orders, thresholds, bounds)
 - weyl: finite Weyl group elements and cached group tables
-- affine: extended affine Weyl group, Bruhat order, Demazure products
+- affine: extended affine Weyl group, Bruhat intervals, Demazure products
 - qbg: the quantum Bruhat graph, weights, and closed-form weight tables
 - newton: maximal Newton points, closed form vs interval brute force
 - cover: cocover classification of elements with dominant translation part

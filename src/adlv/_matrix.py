@@ -7,6 +7,7 @@ inverses and ranks go through Fraction so results are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -17,16 +18,14 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m = len(a), len(b[0])
-    k = len(b)
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum(row[t] * col[t] for t in range(k)) for col in bt) for row in a
+        tuple([sum(map(mul, row, col)) for col in bt]) for row in a
     )
 
 
 def mat_vec(a: Matrix, v: Sequence) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def transpose(a: Matrix) -> Matrix:

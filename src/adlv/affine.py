@@ -11,10 +11,17 @@ number).  Clearing denominators by h makes the count pure integer
 arithmetic: for each positive root alpha the contribution is
 |<alpha, lambda>| when x^-1 alpha > 0 and |<alpha, lambda> - 1| otherwise.
 
-Bruhat order is by the lifting recursion, lower intervals by the subword
-dynamic program of ``IntervalEngine`` over a reduced word, cocovers
-by enumerating separating reflections, and the three Demazure products
-(max-fold, left min-fold, right min-fold) by folding reduced words.
+Lengths, descents and cocovers read the signs and heights of x^-1 alpha
+from ``WeylElt.inv_images``, and products of finite parts go through
+``WeylElt.mul``: both are table lookups when the finite group has a cached
+``GroupTable`` (``enumerate_group`` builds one; nothing here does), and
+fall back to the integer matrices otherwise (E7, E8, or any group not yet
+enumerated).  Translation parts move by the matrices in either case.
+
+Lower intervals come from the subword dynamic program of
+``IntervalEngine`` over a reduced word, cocovers from enumerating
+separating reflections, and the three Demazure products (max-fold, left
+min-fold, right min-fold) from folding reduced words.
 
 The engine keeps a state set grouped by finite Weyl index: in rank <= 2 one
 big-int bitset over a box of translation parts per index, so a letter costs
@@ -24,14 +31,14 @@ one OR or shift per index, and in higher rank a set of translation parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from math import lcm
+from operator import add, mul
 from typing import Sequence
 
 from ._matrix import transpose, mat_vec
 from .errors import BudgetError, InvariantError, RefusalError
-from .rootsys import Coweight, RootSystem, _sign
+from .rootsys import Coweight, RootSystem
 from .weyl import (
     GroupTable,
     WeylElt,
@@ -55,7 +62,6 @@ __all__ = [
     "tau_letter_map",
     "coroot_pairing_coords",
     "engine_for",
-    "bruhat_leq_affine",
     "lower_interval",
     "cocovers",
     "cocovers_with_reflections",
@@ -85,12 +91,11 @@ class AffineElt:
         self._omega = None
 
     def mul(self, other: "AffineElt") -> "AffineElt":
-        assert self.rs is other.rs
+        if self.rs is not other.rs:
+            raise RefusalError("product of elements of different root systems")
         moved = self.fin.act_pairing(other.lam)
         return AffineElt(
-            self.rs,
-            tuple(a + b for a, b in zip(self.lam, moved)),
-            self.fin.mul(other.fin),
+            self.rs, tuple(map(add, self.lam, moved)), self.fin.mul(other.fin)
         )
 
     def inv(self) -> "AffineElt":
@@ -101,12 +106,13 @@ class AffineElt:
         return not any(self.lam) and self.fin.is_identity()
 
     @property
-    def omega(self) -> tuple:
+    def omega(self) -> tuple[int, ...]:
         """Class of the translation part in (coweight lattice)/(coroot
-        lattice): the fractional parts of the coroot coordinates."""
+        lattice): its coroot coordinates, scaled to integers, mod the
+        scale."""
         if self._omega is None:
-            cc = mat_vec(self.rs.inv_cartan_t, self.lam)
-            self._omega = tuple(Fraction(x) % 1 for x in cc)
+            den, inv = _scaled_inv_cartan_t(self.rs)
+            self._omega = tuple(_pair(row, self.lam) % den for row in inv)
         return self._omega
 
     def __eq__(self, other) -> bool:
@@ -159,46 +165,53 @@ def simple_affine(rs: RootSystem, j: int) -> AffineElt:
     return embed(simple_reflection(rs, j - 1))
 
 
+def _pair(root: Sequence[int], lam: Sequence[int]) -> int:
+    return sum(map(mul, root, lam))
+
+
+@lru_cache(maxsize=None)
+def _scaled_inv_cartan_t(rs: RootSystem) -> tuple[int, list[list[int]]]:
+    """(den, den * C^-T) for the least den giving integer entries: the
+    rows of the matrix give scaled coroot coordinates of a coweight."""
+    den = lcm(*(x.denominator for row in rs.inv_cartan_t for x in row))
+    return den, [[int(x * den) for x in row] for row in rs.inv_cartan_t]
+
+
+@lru_cache(maxsize=None)
+def _letter_roots(rs: RootSystem) -> tuple[int, ...]:
+    """Root index of each affine letter's root: theta, then alpha_1..n."""
+    simple = (rs.root_index[rs.simple_root(i)] for i in range(rs.rank))
+    return (rs.theta_index, *simple)
+
+
 def affine_length(w: AffineElt) -> int:
     """Number of affine root hyperplanes separating the base alcove from its
     image under w, via an exact count at the point rho_check / h."""
     if w._len is not None:
         return w._len
     lam = w.lam
-    fin = w.fin
     total = 0
-    for root in w.rs.positive_roots:
-        a = sum(c * p for c, p in zip(root, lam))
-        img = fin.act_root_inv(root)
-        pos = _sign(img) > 0
-        total += abs(a) if pos else abs(a - 1)
+    for root, c in zip(w.rs.positive_roots, w.fin.inv_images()):
+        a = _pair(root, lam)
+        total += abs(a) if c >= 0 else abs(a - 1)
     w._len = total
     return total
 
 
 def descent_right(w: AffineElt, j: int) -> bool:
-    """True iff ell(w s_j) < ell(w)."""
-    rs = w.rs
-    if j == 0:
-        gamma = w.fin.act_root(rs.theta)
-        c = sum(g * p for g, p in zip(gamma, w.lam))
-        return c < -1 or (c == -1 and _sign(gamma) > 0)
-    gamma = w.fin.act_root(rs.simple_root(j - 1))
-    c = sum(g * p for g, p in zip(gamma, w.lam))
-    return c > 0 or (c == 0 and _sign(gamma) < 0)
+    """True iff ell(w s_j) < ell(w), i.e. s_j is a left descent of w^-1."""
+    return descent_left(w.inv(), j)
 
 
 def descent_left(w: AffineElt, j: int) -> bool:
     """True iff ell(s_j w) < ell(w)."""
     rs = w.rs
+    neg = w.fin.inv_images()[_letter_roots(rs)[j]] < 0
     if j == 0:
-        c = sum(g * p for g, p in zip(rs.theta, w.lam))
-        return c > 1 or (c == 1 and _sign(w.fin.act_root_inv(rs.theta)) > 0)
-    i = j - 1
-    li = w.lam[i]
-    return li < 0 or (
-        li == 0 and _sign(w.fin.act_root_inv(rs.simple_root(i))) < 0
-    )
+        c = _pair(rs.theta, w.lam)
+        return c > 1 or (c == 1 and not neg)
+    li = w.lam[j - 1]
+    return li < 0 or (li == 0 and neg)
 
 
 def reduced_word_and_tau(w: AffineElt) -> tuple[tuple[int, ...], AffineElt]:
@@ -258,30 +271,6 @@ def tau_letter_map(tau: AffineElt) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=500_000)
-def _ableq(a: AffineElt, b: AffineElt) -> bool:
-    if a == b:
-        return True
-    if affine_length(a) >= affine_length(b):
-        return False
-    n = a.rs.rank
-    j = next(k for k in range(n + 1) if descent_left(b, k))
-    s = simple_affine(a.rs, j)
-    sb = s.mul(b)
-    if descent_left(a, j):
-        return _ableq(s.mul(a), sb)
-    return _ableq(a, sb)
-
-
-def bruhat_leq_affine(a: AffineElt, b: AffineElt) -> bool:
-    """Bruhat order on the extended affine Weyl group.  Elements in different
-    translation-lattice classes are incomparable."""
-    assert a.rs is b.rs
-    if a.omega != b.omega:
-        return False
-    return _ableq(a, b)
-
-
 def lower_interval(w: AffineElt, budget: int = DEFAULT_INTERVAL_BUDGET) -> BruhatInterval:
     """All u <= w, by the packed subword dynamic program along a reduced
     word.  The engine indexes the finite Weyl group, so a group above the
@@ -314,15 +303,15 @@ def cocovers_with_reflections(w: AffineElt) -> list[tuple[int, int, AffineElt]]:
     """
     rs = w.rs
     h = rs.coxeter_number
-    lam, x = w.lam, w.fin
+    lam = w.lam
     lw = affine_length(w)
     out = []
     nsep = 0
-    for a, root in enumerate(rs.positive_roots):
-        aval = sum(c * p for c, p in zip(root, lam))
-        img = x.act_root_inv(root)
-        ht2 = sum(img)
-        hi = h * aval + ht2          # h * <alpha, w(p)> with p = rho_check/h
+    for a, (root, img) in enumerate(zip(rs.positive_roots, w.fin.inv_images())):
+        # h * <alpha, w(p)> with p = rho_check/h, by the signed height of
+        # x^-1 alpha
+        ht = rs.heights[img] if img >= 0 else -rs.heights[~img]
+        hi = h * _pair(root, lam) + ht
         # integers m with m*h strictly between ht(alpha) in (0,h) and hi
         if hi > 0:
             ms = range(1, (hi - 1) // h + 1)

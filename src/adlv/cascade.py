@@ -113,7 +113,8 @@ def cascade_r(x: WeylElt) -> CascadeResult:
 def dp_root(rs: RootSystem, root_idx: int) -> int:
     """(ell(s_beta) + 1) / 2, an integer since reflection lengths are odd."""
     l = rs.reflection_lengths[root_idx]
-    assert l % 2 == 1, "reflection of even length"
+    if l % 2 != 1:
+        raise InvariantError("reflection of even length")
     return (l + 1) // 2
 
 

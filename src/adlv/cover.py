@@ -17,6 +17,7 @@ integer m, and that shape is recomputed and checked rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from random import Random
 
 from .affine import (
@@ -24,7 +25,6 @@ from .affine import (
     affine_length,
     cocovers,
     coroot_pairing_coords,
-    embed,
 )
 from .errors import InvariantError, RefusalError
 from .rootsys import (
@@ -96,17 +96,16 @@ class CoverResult:
     non_cocover: list[AffineElt] = field(default_factory=list)
 
 
+@lru_cache(maxsize=None)
+def _reflection_roots(rs: RootSystem) -> dict[WeylElt, int]:
+    """s_beta -> index of the positive root beta."""
+    return {reflection(rs, a): a for a in range(len(rs.positive_roots))}
+
+
 def _reflection_shape(rs: RootSystem, r: AffineElt) -> tuple[Root, int]:
     """(beta, m) with r = t^{m beta_check} s_beta, beta positive;
     InvariantError unless r has that shape."""
-    b = next(
-        (
-            a
-            for a in range(len(rs.positive_roots))
-            if reflection(rs, a) == r.fin
-        ),
-        None,
-    )
+    b = _reflection_roots(rs).get(r.fin)
     if b is None:
         raise InvariantError("finite part of a cocover step is not a reflection")
     cb = coroot_pairing_coords(rs, b)
@@ -115,6 +114,11 @@ def _reflection_shape(rs: RootSystem, r: AffineElt) -> tuple[Root, int]:
     if rem or tuple(m * c for c in cb) != tuple(r.lam):
         raise InvariantError("translation part is not a multiple of the coroot")
     return rs.positive_roots[b], m
+
+
+def _utv(u: WeylElt, lam: tuple[int, ...], v: WeylElt) -> AffineElt:
+    """u t^lam v = t^{u(lam)} uv, for lam in pairing coordinates."""
+    return AffineElt(u.rs, u.act_pairing(lam), u.mul(v))
 
 
 def predicted_cocovers(
@@ -138,7 +142,7 @@ def predicted_cocovers(
     if not ok and not force:
         return CoverResult("below-threshold", [], d, thr)
 
-    w = embed(u).mul(AffineElt(rs, lam_int, identity_elt(rs))).mul(embed(v))
+    w = _utv(u, lam_int, v)
     lw = affine_length(w)
     quantum = set(quantum_roots(rs))
     lu, lv = u.length(), v.length()
@@ -167,44 +171,24 @@ def predicted_cocovers(
         drop = pair_root_coroot(rs, rs.two_rho, rs.positive_coroots[a])
         acheck = coroot_pairing_coords(rs, a)
         lam_minus = tuple(p - c for p, c in zip(lam_int, acheck))
-        lusa = u.mul(sa).length()
-        lsav = sa.mul(v).length()
+        usa, sav = u.mul(sa), sa.mul(v)
+        lusa, lsav = usa.length(), sav.length()
         if lusa == lu - 1:
-            w2 = (
-                embed(u.mul(sa))
-                .mul(AffineElt(rs, lam_int, identity_elt(rs)))
-                .mul(embed(v))
-            )
-            emit(1, alpha, w2)
+            emit(1, alpha, _utv(usa, lam_int, v))
         if lusa == lu + drop - 1:
             if alpha not in quantum:
                 raise InvariantError(
                     "a full-drop ascent from u must use a quantum root"
                 )
-            w2 = (
-                embed(u.mul(sa))
-                .mul(AffineElt(rs, lam_minus, identity_elt(rs)))
-                .mul(embed(v))
-            )
-            emit(2, alpha, w2)
+            emit(2, alpha, _utv(usa, lam_minus, v))
         if lsav == lv + 1:
-            w2 = (
-                embed(u)
-                .mul(AffineElt(rs, lam_int, identity_elt(rs)))
-                .mul(embed(sa.mul(v)))
-            )
-            emit(3, alpha, w2)
+            emit(3, alpha, _utv(u, lam_int, sav))
         if lsav == lv - drop + 1:
             if alpha not in quantum:
                 raise InvariantError(
                     "a full-drop descent from v must use a quantum root"
                 )
-            w2 = (
-                embed(u)
-                .mul(AffineElt(rs, lam_minus, identity_elt(rs)))
-                .mul(embed(sa.mul(v)))
-            )
-            emit(4, alpha, w2)
+            emit(4, alpha, _utv(u, lam_minus, sav))
 
     records = [
         CocoverRecord(beta, m, min(cases), tuple(sorted(set(cases))), w2)
@@ -228,8 +212,7 @@ def verify_cover_theorem(
     rs = lam.rs
     res = predicted_cocovers(u, lam, v, force=True)
     lam_int = lam.int_pairing()
-    w = embed(u).mul(AffineElt(rs, lam_int, identity_elt(rs))).mul(embed(v))
-    enumerated = set(cocovers(w))
+    enumerated = set(cocovers(_utv(u, lam_int, v)))
     predicted = {r.result for r in res.records}
 
     def _key(e: AffineElt):

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from math import gcd, lcm
+from math import gcd
 
 from .affine import (
+    _scaled_inv_cartan_t,
     AffineElt,
     IntervalEngine,
     StateSet,
@@ -142,14 +143,6 @@ def _nu_keys(
     return keys
 
 
-@lru_cache(maxsize=None)
-def _scaled_inv_cartan_t(rs: RootSystem) -> list[list[int]]:
-    """A positive multiple of C^-T with integer entries: its rows give
-    scaled coroot coordinates, so dominance is a sign test per row."""
-    den = lcm(*(x.denominator for row in rs.inv_cartan_t for x in row))
-    return [[int(x * den) for x in row] for row in rs.inv_cartan_t]
-
-
 def _max_point(rs: RootSystem, keys) -> NewtonPoint:
     """Dominance maximum of a set of normalized keys; InvariantError unless
     the set has a single top element.  The keys stay integers: the argmax
@@ -161,7 +154,7 @@ def _max_point(rs: RootSystem, keys) -> NewtonPoint:
         keys,
         key=lambda k: Fraction(sum(r * c for r, c in zip(two_rho, k[0])), k[1]),
     )
-    inv = _scaled_inv_cartan_t(rs)
+    _, inv = _scaled_inv_cartan_t(rs)
     for cs, m in keys:
         diff = [a * m - c * tm for a, c in zip(top, cs)]
         if any(sum(r * d for r, d in zip(row, diff)) < 0 for row in inv):

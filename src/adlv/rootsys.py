@@ -31,7 +31,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence, Union
 
 from ._matrix import mat_inv, mat_vec, transpose
-from .errors import RefusalError
+from .errors import InvariantError, RefusalError
 
 __all__ = [
     "RootSystem",
@@ -478,7 +478,8 @@ def dominant_rep(lam: Coweight):
     for i in word:
         g = simple_reflection(rs, i).mul(g)
     out = Coweight(rs, coords)
-    assert g.act_pairing(lam.pairing) == out.pairing
+    if g.act_pairing(lam.pairing) != out.pairing:
+        raise InvariantError("g(lambda) is not the dominant representative")
     return out, g
 
 

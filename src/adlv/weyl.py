@@ -6,9 +6,12 @@ O(n^2) access to both "how does w move this root" and "which root maps onto
 this one", which the graph algorithms lean on heavily.  The coroot action is
 derived from the root action through the symmetrizer.
 
-Lengths come from counting inverted positive roots, Bruhat order from the
-standard lifting recursion, reflection length from the rank of (action - id)
-on the reflection representation.
+While W has a cached ``GroupTable`` (only ``enumerate_group`` builds one),
+an element carries its table index, and products, inverses and the root
+images under the inverse (hence lengths) are table lookups; the matrix
+products serve groups with no cached table.  Bruhat order is the table's
+bitmask closure, reflection length the rank of (action - id) on the
+reflection representation.
 
 >>> from adlv.rootsys import build_root_system
 >>> rs = build_root_system("A", 2)
@@ -20,10 +23,11 @@ on the reflection representation.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from ._matrix import identity, mat_mul, mat_rank, mat_sub, mat_vec
-from .errors import BudgetError, InvariantError
+from .errors import BudgetError, InvariantError, RefusalError
 from .rootsys import RootSystem, WEYL_ORDER, _sign
 
 __all__ = [
@@ -34,7 +38,6 @@ __all__ = [
     "reflection",
     "from_word",
     "longest_element",
-    "bruhat_leq",
     "reflection_length",
     "enumerate_group",
     "word_str",
@@ -44,7 +47,7 @@ __all__ = [
 class WeylElt:
     """A finite Weyl group element; build via the module constructors."""
 
-    __slots__ = ("rs", "r", "ri", "_len", "_hash")
+    __slots__ = ("rs", "r", "ri", "_len", "_hash", "_idx")
 
     def __init__(self, rs: RootSystem, r, ri):
         self.rs = rs
@@ -52,16 +55,25 @@ class WeylElt:
         self.ri = ri
         self._len = None
         self._hash = None
+        self._idx = None  # table index: the same in every table of rs
 
     # -- group operations -------------------------------------------------
 
     def mul(self, other: "WeylElt") -> "WeylElt":
-        assert self.rs is other.rs
+        rs = self.rs
+        if rs is not other.rs:
+            raise RefusalError("product of elements of different root systems")
+        tab = _TABLES.get(rs)
+        if tab is not None:
+            return tab.elements[tab.prod_idx(tab.idx(self), tab.idx(other))]
         return WeylElt(
-            self.rs, mat_mul(self.r, other.r), mat_mul(other.ri, self.ri)
+            rs, mat_mul(self.r, other.r), mat_mul(other.ri, self.ri)
         )
 
     def inv(self) -> "WeylElt":
+        tab = _TABLES.get(self.rs)
+        if tab is not None:
+            return tab.elements[tab.inv_idx(tab.idx(self))]
         return WeylElt(self.rs, self.ri, self.r)
 
     # -- actions ----------------------------------------------------------
@@ -69,8 +81,15 @@ class WeylElt:
     def act_root(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         return mat_vec(self.r, coeffs)
 
-    def act_root_inv(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        return mat_vec(self.ri, coeffs)
+    def inv_images(self) -> tuple[int, ...]:
+        """x^-1(beta) for each positive root beta, as a signed root index:
+        c for the c-th positive root, ~c for its negative.  Read from the
+        cached group table when there is one, else from the matrix."""
+        rs = self.rs
+        tab = _TABLES.get(rs)
+        if tab is not None:
+            return tab.inv_images()[tab.idx(self)]
+        return _signed_images(rs, self.ri)
 
     def act_coroot(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         # alpha_j_check = alpha_j / d_j, so the coroot action is D r D^-1;
@@ -84,24 +103,16 @@ class WeylElt:
     def act_pairing(self, p: Sequence) -> tuple:
         # <alpha_k, w lambda> = <w^-1 alpha_k, lambda>; column k of ri holds
         # the root coordinates of w^-1 alpha_k.
-        ri = self.ri
-        n = len(p)
-        return tuple(sum(ri[j][k] * p[j] for j in range(n)) for k in range(n))
+        return tuple([sum(map(mul, col, p)) for col in zip(*self.ri)])
 
     def act_pairing_inv(self, p: Sequence) -> tuple:
-        r = self.r
-        n = len(p)
-        return tuple(sum(r[j][k] * p[j] for j in range(n)) for k in range(n))
+        return tuple([sum(map(mul, col, p)) for col in zip(*self.r)])
 
     # -- length and descents ----------------------------------------------
 
     def length(self) -> int:
         if self._len is None:
-            cnt = 0
-            for root in self.rs.positive_roots:
-                if _sign(self.act_root(root)) < 0:
-                    cnt += 1
-            self._len = cnt
+            self._len = sum(c < 0 for c in self.inv_images())
         return self._len
 
     def is_identity(self) -> bool:
@@ -123,7 +134,8 @@ class WeylElt:
         while True:
             i = next((k for k in range(n) if w.descent_left(k)), None)
             if i is None:
-                assert w.is_identity()
+                if not w.is_identity():
+                    raise InvariantError("descents ran out off the identity")
                 return tuple(out)
             out.append(i)
             w = simple_reflection(self.rs, i).mul(w)
@@ -213,31 +225,10 @@ def longest_element(rs: RootSystem) -> WeylElt:
     while True:
         i = next((k for k in range(n) if not w.descent_right(k)), None)
         if i is None:
-            assert w.length() == len(rs.positive_roots)
+            if w.length() != len(rs.positive_roots):
+                raise InvariantError("ascents ran out below w0")
             return w
         w = w.mul(simple_reflection(rs, i))
-
-
-@lru_cache(maxsize=None)
-def _bruhat(x: WeylElt, y: WeylElt) -> bool:
-    if x.length() > y.length():
-        return False
-    if x.length() == y.length():
-        return x == y
-    # deterministic lifting: take the least left descent of y
-    rs = x.rs
-    i = next(k for k in range(rs.rank) if y.descent_left(k))
-    s = simple_reflection(rs, i)
-    sy = s.mul(y)
-    if x.descent_left(i):
-        return _bruhat(s.mul(x), sy)
-    return _bruhat(x, sy)
-
-
-def bruhat_leq(x: WeylElt, y: WeylElt) -> bool:
-    """Bruhat order on the finite Weyl group, by the lifting recursion."""
-    assert x.rs is y.rs
-    return _bruhat(x, y)
 
 
 def reflection_length(x: WeylElt) -> int:
@@ -257,7 +248,9 @@ class GroupTable:
     a right descent is a negative key entry.  ``rmult[i][a]`` is the index
     of ``elements[a] * s_i``; every other product (``prod_idx``,
     ``inv_idx``, ``rmult_root``) is a fold of ``rmult`` along ``words``.
-    Reflection-multiplication tables and the full Bruhat relation (as
+    ``reflections`` maps a positive root index to the index of its
+    reflection.  The root images under inverses (``inv_images``),
+    reflection-multiplication tables and the full Bruhat relation (as
     bitmasks) are built lazily.
     """
 
@@ -287,7 +280,7 @@ class GroupTable:
                         b = len(elements)
                         index[q] = b
                         y = elements[a].mul(gens[i])
-                        y._len = len(words[a]) + 1
+                        y._len, y._idx = len(words[a]) + 1, b
                         elements.append(y)
                         words.append(words[a] + (i,))
                         nxt.append((q, b))
@@ -296,12 +289,17 @@ class GroupTable:
             layer = nxt
         if len(elements) != order:
             raise InvariantError(f"BFS found {len(elements)} of {order}")
+        elements[0]._idx = 0
         self.elements = elements
         self.words = words
         self.index = index
         self.lengths = [len(w) for w in words]
         self.rmult = rmult
+        self.reflections = [
+            self.idx(reflection(rs, a)) for a in range(len(rs.positive_roots))
+        ]
         self._refl_mult: dict[int, list[int]] = {}
+        self._inv_images: list[tuple[int, ...]] | None = None
         self._leq_masks: list[int] | None = None
         self.w0_idx = order - 1
 
@@ -309,7 +307,10 @@ class GroupTable:
         return len(self.elements)
 
     def idx(self, x: WeylElt) -> int:
-        return self.index[tuple(map(sum, zip(*x.r)))]
+        a = x._idx
+        if a is None:
+            a = x._idx = self.index[tuple(map(sum, zip(*x.r)))]
+        return a
 
     def inv_idx(self, a: int) -> int:
         v = 0
@@ -339,11 +340,32 @@ class GroupTable:
         tab = self._refl_mult.get(root_idx)
         if tab is None:
             tab = list(range(len(self.elements)))
-            for i in self.words[self.idx(reflection(self.rs, root_idx))]:
+            for i in self.words[self.reflections[root_idx]]:
                 ri = self.rmult[i]
                 tab = [ri[v] for v in tab]
             self._refl_mult[root_idx] = tab
         return tab
+
+    def inv_images(self) -> list[tuple[int, ...]]:
+        """Per index, ``WeylElt.inv_images`` of its element: the signed
+        root indices of x^-1(beta) over the positive roots beta.  With
+        x = y s_i, x^-1(beta) = s_i(y^-1(beta)), so each row is the row of
+        the parent ``rmult[i][x]`` through the signed root permutation of
+        s_i; only the n simple reflections' matrices are read."""
+        if self._inv_images is None:
+            rs = self.rs
+            perms = []
+            for i in range(rs.rank):
+                # P[c] is s_i(beta_c); P[~c], read from the end, -s_i(beta_c)
+                pos = _signed_images(rs, simple_reflection(rs, i).r)
+                perms.append(pos + tuple(~p for p in reversed(pos)))
+            rows = [tuple(range(len(rs.positive_roots)))]
+            for a in range(1, len(self.elements)):
+                i = self.words[a][-1]
+                parent = rows[self.rmult[i][a]]
+                rows.append(tuple(map(perms[i].__getitem__, parent)))
+            self._inv_images = rows
+        return self._inv_images
 
     def bruhat_masks(self) -> list[int]:
         """For each index a, a bitmask of all indices b with b <= a in Bruhat
@@ -367,6 +389,16 @@ class GroupTable:
 
     def leq_idx(self, a: int, b: int) -> bool:
         return bool((self.bruhat_masks()[b] >> a) & 1)
+
+
+def _signed_images(rs: RootSystem, m) -> tuple[int, ...]:
+    """m(beta) over the positive roots beta, for a matrix m acting on root
+    coordinates: c for the c-th positive root, ~c for its negative."""
+    idx = rs.root_index  # positive roots only
+    return tuple(
+        idx[v] if v in idx else ~idx[tuple(-c for c in v)]
+        for v in (mat_vec(m, root) for root in rs.positive_roots)
+    )
 
 
 _TABLES: dict[RootSystem, GroupTable] = {}

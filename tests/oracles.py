@@ -1,0 +1,53 @@
+"""Brute-force oracles the tests compare the package against."""
+
+from functools import lru_cache
+
+from adlv.affine import AffineElt, affine_length, descent_left, simple_affine
+from adlv.weyl import WeylElt, simple_reflection
+
+
+@lru_cache(maxsize=None)
+def _bruhat(x: WeylElt, y: WeylElt) -> bool:
+    if x.length() > y.length():
+        return False
+    if x.length() == y.length():
+        return x == y
+    # deterministic lifting: take the least left descent of y
+    rs = x.rs
+    i = next(k for k in range(rs.rank) if y.descent_left(k))
+    s = simple_reflection(rs, i)
+    sy = s.mul(y)
+    if x.descent_left(i):
+        return _bruhat(s.mul(x), sy)
+    return _bruhat(x, sy)
+
+
+def bruhat_leq(x: WeylElt, y: WeylElt) -> bool:
+    """Bruhat order on the finite Weyl group, by the lifting recursion."""
+    assert x.rs is y.rs
+    return _bruhat(x, y)
+
+
+@lru_cache(maxsize=500_000)
+def _ableq(a: AffineElt, b: AffineElt) -> bool:
+    if a == b:
+        return True
+    if affine_length(a) >= affine_length(b):
+        return False
+    n = a.rs.rank
+    j = next(k for k in range(n + 1) if descent_left(b, k))
+    s = simple_affine(a.rs, j)
+    sb = s.mul(b)
+    if descent_left(a, j):
+        return _ableq(s.mul(a), sb)
+    return _ableq(a, sb)
+
+
+def bruhat_leq_affine(a: AffineElt, b: AffineElt) -> bool:
+    """Bruhat order on the extended affine Weyl group, by the lifting
+    recursion.  Elements in different translation-lattice classes are
+    incomparable."""
+    assert a.rs is b.rs
+    if a.omega != b.omega:
+        return False
+    return _ableq(a, b)

@@ -27,7 +27,6 @@ from adlv.adm import (
 from adlv.affine import (
     AffineElt,
     affine_length,
-    bruhat_leq_affine,
     demazure_ltri,
     demazure_rtri,
     demazure_star,
@@ -54,6 +53,8 @@ from adlv.weyl import (
     longest_element,
     reflection_length,
 )
+
+from oracles import bruhat_leq_affine
 
 GOLDEN = Path(__file__).resolve().parents[1] / "src" / "adlv" / "golden"
 
@@ -217,12 +218,12 @@ def test_criterion_04_cover_prediction():
         if len(seen) >= 200:
             break
     elapsed = time.time() - t0
-    ok = bad == 0 and len(seen) >= 200
+    ok = bad == 0 and len(seen) >= 200 and elapsed < 10.0
     _report(
         4,
         ok,
         f"{total} cover comparisons (A2/B2/G2 exhaustive, "
-        f"{len(seen)} sampled A3), {bad} mismatches in {elapsed:.1f}s",
+        f"{len(seen)} sampled A3), {bad} mismatches in {elapsed:.1f}s (<10s)",
     )
 
 

@@ -4,18 +4,21 @@ Bruhat order, intervals, and Demazure products against brute force."""
 
 import pytest
 
-from adlv import affine
+from itertools import product
+
+from adlv import affine, weyl
 from adlv.errors import BudgetError, InvariantError
 from adlv.rootsys import build_root_system, coweight, pairing
 from adlv.affine import (
     AffineElt,
     affine_length,
-    bruhat_leq_affine,
     cocovers,
+    cocovers_with_reflections,
     demazure_ltri,
     demazure_rtri,
     demazure_star,
     descent_left,
+    descent_right,
     embed,
     engine_for,
     lower_interval,
@@ -27,6 +30,8 @@ from adlv.affine import (
 )
 from adlv.newton import theorem_grid
 from adlv.weyl import enumerate_group, identity_elt, longest_element
+
+from oracles import bruhat_leq_affine
 
 
 def aff(rs, lam, fin=None):
@@ -288,6 +293,55 @@ def test_descent_left_matches_length(a2):
         assert descent_left(w, j) == (
             affine_length(shorter) < affine_length(w)
         )
+
+
+@pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)])
+def test_index_path_matches_matrices(ct, n, monkeypatch):
+    """Lengths, descents on both sides and cocovers of t^lam x, for every
+    finite x and every lam in {-1, 0, 1}^n (in {-2, ..., 2}^2 at rank 2),
+    read root signs and heights from the group table when it is cached and
+    from the matrices when it is not: both give the same values, and the
+    descents agree with the lengths."""
+    rs = build_root_system(ct, n)
+    elts = enumerate_group(rs).elements
+    box = list(product(range(-2, 3) if n == 2 else range(-1, 2), repeat=n))
+    letters = range(n + 1)
+
+    def run():
+        out = []
+        for lam in box:
+            for x in elts:
+                w = aff(rs, lam, x)
+                out.append((
+                    affine_length(w),
+                    [descent_left(w, j) for j in letters],
+                    [descent_right(w, j) for j in letters],
+                    cocovers_with_reflections(w),
+                ))
+        return out
+
+    got = run()
+    with monkeypatch.context() as m:
+        m.setattr(weyl, "_TABLES", {})
+        assert run() == got
+    for (lw, left, right, _), (lam, x) in zip(got, product(box, elts)):
+        w = aff(rs, lam, x)
+        for j in letters:
+            s = simple_affine(rs, j)
+            assert left[j] == (affine_length(s.mul(w)) < lw)
+            assert right[j] == (affine_length(w.mul(s)) < lw)
+
+
+def test_no_table_built_implicitly(monkeypatch):
+    """Affine lengths, descents and cocovers in E6 with no cached table
+    run on the matrices and leave the cache empty."""
+    monkeypatch.setattr(weyl, "_TABLES", {})
+    e6 = build_root_system("E", 6)
+    w = simple_affine(e6, 0).mul(simple_affine(e6, 2))
+    assert affine_length(w) == 2
+    assert descent_left(w, 0) and descent_right(w, 2)
+    assert len(cocovers(w)) == 2
+    assert weyl._TABLES == {}
 
 
 def _set_step(eng, states, j):

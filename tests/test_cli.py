@@ -336,9 +336,10 @@ def _python_O(*args):
 
 
 def test_refusals_survive_python_O():
-    """The --cap refusal and the integrality check on an affine element's
-    translation part are not asserts, and the checks a suite relies on
-    still hold with asserts stripped."""
+    """The --cap refusal, the integrality check on an affine element's
+    translation part and the root-system check on finite and affine
+    products are not asserts, and the checks a suite relies on still hold
+    with asserts stripped."""
 
     def run(*args):
         return _python_O("-m", "adlv.cli", *args)
@@ -348,30 +349,40 @@ def test_refusals_survive_python_O():
     res = run("verify", "newton", "--type", "A", "--rank", "2")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["passed"] is True
-    res = _python_O("-c", _HALF_INTEGRAL_TRANSLATION)
+    res = _python_O("-c", _REFUSED_INPUTS)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "refused: translation part must be integral\n"
+    assert res.stdout.splitlines() == [
+        "refused: translation part must be integral",
+        "refused: product of elements of different root systems",
+        "refused: product of elements of different root systems",
+    ]
 
 
-_HALF_INTEGRAL_TRANSLATION = """
+_REFUSED_INPUTS = """
 from fractions import Fraction
-from adlv.affine import AffineElt
+from adlv.affine import AffineElt, embed
 from adlv.errors import RefusalError
 from adlv.rootsys import build_root_system
 from adlv.weyl import identity_elt
 
-a2 = build_root_system("A", 2)
-try:
-    AffineElt(a2, (Fraction(1, 2), 0), identity_elt(a2))
-except RefusalError as e:
-    print("refused:", e)
+a2, b2 = build_root_system("A", 2), build_root_system("B", 2)
+for check in (
+    lambda: AffineElt(a2, (Fraction(1, 2), 0), identity_elt(a2)),
+    lambda: identity_elt(a2).mul(identity_elt(b2)),
+    lambda: embed(identity_elt(a2)).mul(embed(identity_elt(b2))),
+):
+    try:
+        check()
+    except RefusalError as e:
+        print("refused:", e)
 """
 
 
 _BROKEN_INVARIANTS = """
 import copy
+import dataclasses
 from unittest import mock
-from adlv import adm, affine, cascade, cover
+from adlv import adm, affine, cascade, cover, rootsys, weyl
 from adlv.affine import engine_for, simple_affine, translation
 from adlv.cover import _reflection_shape
 from adlv.errors import InvariantError
@@ -418,6 +429,14 @@ for check in (
             adm.eta(translation(coweight(a2, (-1, 2))))),
     lambda: cascade._dp_table(unlinked),
     lambda: cascade._ell_red_table(unlinked),
+    patched(weyl.WeylElt, "descent_left", lambda w, i: False, lambda:
+            simple_reflection(a2, 0).to_word()),
+    patched(weyl.WeylElt, "descent_right", lambda w, i: True, lambda:
+            weyl.longest_element.__wrapped__(a2)),
+    patched(rootsys, "_dominantize", lambda rs, p: ((0, 0), []), lambda:
+            rootsys.dominant_rep(coweight(a2, (1, -1)))),
+    lambda: cascade.dp_root(
+        dataclasses.replace(a2, reflection_lengths=(2, 2, 2)), 0),
 ):
     try:
         check()
@@ -433,8 +452,10 @@ def test_invariants_survive_python_O():
     reflection, a full drop through a root not listed as quantum, a word
     search that runs out of descents or leaves length behind, a letter map
     of a positive-length element, a coset walk ending off the dominant
-    chamber and a table search that misses elements are refused by
-    explicit checks, not asserts, so -O keeps them."""
+    chamber, a table search that misses elements, finite descent and
+    ascent searches that stop early, a dominating element that misses the
+    dominant representative and a reflection of even length are refused
+    by explicit checks, not asserts, so -O keeps them."""
     res = _python_O("-c", _BROKEN_INVARIANTS)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
@@ -452,6 +473,10 @@ def test_invariants_survive_python_O():
         "translation part",
         "raised: dp search left an element unreached",
         "raised: ell_red search left an element unreached",
+        "raised: descents ran out off the identity",
+        "raised: ascents ran out below w0",
+        "raised: g(lambda) is not the dominant representative",
+        "raised: reflection of even length",
     ]
 
 

@@ -9,7 +9,6 @@ from adlv.rootsys import build_root_system, coweight
 from adlv.affine import (
     AffineElt,
     affine_length,
-    bruhat_leq_affine,
     cocovers,
     embed,
     translation,
@@ -22,6 +21,8 @@ from adlv.cover import (
     sample_triples,
     verify_cover_theorem,
 )
+
+from oracles import bruhat_leq_affine
 
 
 def test_thresholds():
@@ -115,12 +116,25 @@ def test_verify_against_enumeration_direct(b2):
     assert {r.result for r in res.records} == set(cocovers(w))
 
 
-def test_cover_sweep_with_u(a2):
-    table = enumerate_group(a2)
-    lams = [coweight(a2, (4, 4))]
-    reports = cover_sweep(a2, lams, us=list(table.elements))
-    assert len(reports) == 6 * 6
-    assert all(r["match"] for r in reports)
+def test_cover_sweep_with_u():
+    """Over all (u, v) in A2, B2 and G2 at lam = (c, c), and in A2 also at
+    (4, 4): every prediction matches the enumeration inside the regime, and
+    the u-side cases 1 and 2 both occur."""
+    for ct, extra in (("A", [(4, 4)]), ("B", []), ("G", [])):
+        rs = build_root_system(ct, 2)
+        elts = list(enumerate_group(rs).elements)
+        c = cover_depth_threshold(ct)
+        lams = [coweight(rs, p) for p in [(c, c)] + extra]
+        reports = cover_sweep(rs, lams, us=elts, vs=elts)
+        assert len(reports) == len(lams) * len(elts) ** 2
+        assert all(r["match"] and r["status"] == "ok" for r in reports)
+        labels = {
+            rec.case_label
+            for u in elts
+            for v in elts
+            for rec in predicted_cocovers(u, lams[0], v).records
+        }
+        assert {1, 2} <= labels, ct
 
 
 def test_sample_triples_deterministic(a3):

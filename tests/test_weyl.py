@@ -6,9 +6,9 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adlv import weyl
 from adlv.rootsys import WEYL_ORDER, build_root_system
 from adlv.weyl import (
-    bruhat_leq,
     enumerate_group,
     from_word,
     longest_element,
@@ -17,6 +17,8 @@ from adlv.weyl import (
     simple_reflection,
     word_str,
 )
+
+from oracles import bruhat_leq
 
 SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("D", 4)]
 
@@ -177,3 +179,34 @@ def test_inverse_and_length_properties(tn, word):
     lam = (1, 2)
     assert x.act_pairing(x.act_pairing_inv(lam)) == lam
     assert x.act_pairing_inv(lam) == x.inv().act_pairing(lam)
+
+
+INDEX_PATH = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)]
+
+
+@pytest.mark.parametrize("ct,n", INDEX_PATH)
+def test_index_path_matches_matrices(ct, n, monkeypatch):
+    """With the group table cached, products, inverses and root images
+    under inverses are table lookups; with the table taken out of the cache
+    the same calls multiply matrices.  Both give the same elements, and
+    the table path hands out the shared table elements with their
+    lengths."""
+    rs = build_root_system(ct, n)
+    table = enumerate_group(rs)
+    elts = table.elements
+
+    def run():
+        prods = [x.mul(y) for x in elts for y in elts]
+        return prods, [x.inv() for x in elts], [x.inv_images() for x in elts]
+
+    prods, invs, images = run()
+    with monkeypatch.context() as m:
+        m.setattr(weyl, "_TABLES", {})
+        assert run() == (prods, invs, images)
+    for k, p in enumerate(prods):
+        assert p is elts[table.prod_idx(k // len(elts), k % len(elts))]
+        assert p.length() == sum(c < 0 for c in p.inv_images())
+    assert [x.inv() for x in invs] == elts
+    for a, t in enumerate(table.reflections):
+        assert elts[t] == reflection(rs, a)
+        assert elts[t].inv_images()[a] == ~a
