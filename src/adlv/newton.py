@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from math import gcd
+from math import gcd, lcm
+from operator import add, mul
 
 from .affine import (
+    _bit_positions,
     _scaled_inv_cartan_t,
     AffineElt,
     IntervalEngine,
@@ -81,20 +83,15 @@ class NewtonPoint:
 def newton_point(w: AffineElt) -> NewtonPoint:
     """Dominant representative of (1/m) sum of z^i(mu) over i = 1..m, for
     w = t^mu z with z of order m."""
-    rs = w.rs
-    z = w.fin
-    total = [0] * rs.rank
-    cur = z
-    m = 0
+    rs, z = w.rs, w.fin
+    total, cur, m = (0,) * rs.rank, z, 0
     while True:
         m += 1
-        v = cur.act_pairing(w.lam)
-        for k in range(rs.rank):
-            total[k] += v[k]
+        total = tuple(map(add, total, cur.act_pairing(w.lam)))
         if cur.is_identity():
             break
         cur = cur.mul(z)
-    dom, _ = _dominantize(rs, tuple(total))
+    dom, _ = _dominantize(rs, total)
     return NewtonPoint(coweight(rs, tuple(Fraction(c, m) for c in dom)))
 
 
@@ -123,37 +120,60 @@ def _nu_keys(
 ) -> set[tuple[tuple[int, ...], int]]:
     """Distinct Newton points over a state set, each state right-multiplied
     by the length-zero tau behind ``twist``, as normalized (integer dominant
-    vector, denominator) keys.  ``memo`` maps (raw vector, order) to its key
-    and may be shared across calls on the same engine."""
-    rs = eng.rs
-    n = rs.rank
+    vector, denominator) keys.  ``memo`` maps S to packed ints to keys and
+    may be shared across calls on the same engine.
+
+    A state t^mu z, twisted to t^(mu + d) z', has raw vector (mu + d) T and
+    order m, (T, m) the averaging data of z'.  A bucket with T = 0 fixes no
+    nonzero coweight and gives the key 0 unread.  Otherwise (raw, m) packs
+    into sum (raw_k + 2^(S-1)) 2^(S k) + m 2^(S n), Z-linear in mu: P + sum
+    mu_i A_i with A_i row i of T packed, or P + c A_0 + (c // width) (A_1 -
+    width A_0) from a dense code c (rank <= 2).  No field carries: |mu_i| <=
+    bound (the box, or checked per sparse bucket) and |d_i| <= shift give
+    |raw_k| <= n (bound + shift) max|T| < 2^(S-1)."""
+    rs, n, bound = eng.rs, eng.rs.rank, eng.bound
     data = _averaging_data(eng.table)
+    shift = max(map(abs, chain(*twist[1]))) if twist else 0
+    tmax = max(max(map(abs, T)) for T, _ in data)
+    S = (n * (bound + shift) * tmax).bit_length() + 1
+    memo, half, mask = memo.setdefault(S, {}), 1 << S - 1, (1 << S) - 1
     keys: set[tuple[tuple[int, ...], int]] = set()
-    for x_idx, mus in eng.twisted(states, twist):
-        T, m = data[x_idx]
-        cols = [T[k::n] for k in range(n)]
-        for mu in mus:
-            raw = (tuple(sum(a * t for a, t in zip(mu, col)) for col in cols), m)
-            key = memo.get(raw)
-            if key is None:
-                dom, _ = _dominantize(rs, raw[0])
-                g = gcd(m, *dom)
-                key = memo[raw] = (tuple(c // g for c in dom), m // g)
-            keys.add(key)
+    for x, b in states.buckets.items():
+        if not b:
+            continue
+        z, d = (x, (0,) * n) if twist is None else (twist[0][x], twist[1][x])
+        T, m = data[z]
+        if not any(T):
+            keys.add(((0,) * n, 1))
+            continue
+        A = [sum(t << S * k for k, t in enumerate(T[i * n:i * n + n])) for i in range(n)]
+        P = sum(half << S * k for k in range(n)) + (m << S * n)
+        if eng.dense:
+            P += sum(map(mul, (c - bound for c in d), A))
+            A0, B = A[0], (A[1] if n > 1 else 0) - eng.width * A[0]
+            raws = {P + c * A0 + c // eng.width * B for c in _bit_positions(b)}
+        else:
+            if min(map(min, b)) < -bound or max(map(max, b)) > bound:
+                raise InvariantError("interval state out of the coweight box")
+            P += sum(map(mul, d, A))
+            raws = {P + sum(map(mul, mu, A)) for mu in b}
+        for r in raws.difference(memo):
+            dom, _ = _dominantize(rs, [(r >> S * k & mask) - half for k in range(n)])
+            g = gcd(m, *dom)
+            memo[r] = (tuple(c // g for c in dom), m // g)
+        keys.update(map(memo.__getitem__, raws))
     return keys
 
 
 def _max_point(rs: RootSystem, keys) -> NewtonPoint:
     """Dominance maximum of a set of normalized keys; InvariantError unless
     the set has a single top element.  The keys stay integers: the argmax
-    of the 2 rho height, then one cross-multiplied dominance test per key."""
+    of the 2 rho height scaled by the lcm of the denominators, then one
+    cross-multiplied dominance test per key."""
     if not keys:
         raise InvariantError("empty Newton point set")
-    two_rho = rs.two_rho
-    top, tm = max(
-        keys,
-        key=lambda k: Fraction(sum(r * c for r, c in zip(two_rho, k[0])), k[1]),
-    )
+    two_rho, den = rs.two_rho, lcm(*(m for _, m in keys))
+    top, tm = max(keys, key=lambda k: sum(map(mul, two_rho, k[0])) * (den // k[1]))
     _, inv = _scaled_inv_cartan_t(rs)
     for cs, m in keys:
         diff = [a * m - c * tm for a, c in zip(top, cs)]
@@ -164,9 +184,8 @@ def _max_point(rs: RootSystem, keys) -> NewtonPoint:
 
 def max_newton_brute(w: AffineElt, state_cap: int | None = 5_000_000) -> NewtonPoint:
     """max{nu(u) : u <= w} by scanning the whole lower interval."""
-    table = enumerate_group(w.rs)
     word, tau = reduced_word_and_tau(w)
-    eng = engine_for(table, len(word))
+    eng = engine_for(enumerate_group(w.rs), len(word))
     states = eng.interval_states(word, state_cap)
     return _max_point(w.rs, _nu_keys(eng, states, eng.tau_twist(tau), {}))
 
@@ -175,16 +194,14 @@ def max_translation_below(w: AffineElt, state_cap: int | None = 5_000_000) -> Ne
     """max{gamma_plus : t^gamma <= w}; the dominance top over dominant
     representatives of translations in the interval (unique in the deep
     regimes where it is used)."""
-    rs = w.rs
-    table = enumerate_group(rs)
     word, tau = reduced_word_and_tau(w)
-    eng = engine_for(table, len(word))
-    states = eng.interval_states(word, state_cap)
-    keys = set()
-    for x_idx, mus in eng.twisted(states, eng.tau_twist(tau)):
-        if x_idx == 0:  # the twisted states are translations
-            keys.update((_dominantize(rs, mu)[0], 1) for mu in mus)
-    return _max_point(rs, keys)
+    eng = engine_for(enumerate_group(w.rs), len(word))
+    states = eng.interval_states(word, state_cap).buckets
+    twist = eng.tau_twist(tau)
+    # the bucket twisted onto index 0 holds the translations: T = I, m = 1
+    x = 0 if twist is None else twist[0].index(0)
+    only = StateSet({x: states[x]} if x in states else {})
+    return _max_point(w.rs, _nu_keys(eng, only, twist, {}))
 
 
 # -- thresholds -----------------------------------------------------------
@@ -229,10 +246,6 @@ class FormulaResult:
     threshold: int
 
 
-def _wt_coweight(rs: RootSystem, x: WeylElt, cap: int) -> Coweight:
-    return coweight_from_coroot(rs, build_qbg(rs, cap).wt1(x))
-
-
 def max_newton_formula(
     w: AffineElt, force: bool = False, cap: int = DEFAULT_QBG_CAP
 ) -> FormulaResult:
@@ -258,7 +271,7 @@ def max_newton_formula(
             )
         # w = u t^lam v with u = g^{-1}, v = g z.
         x = demazure_ltri(embed(g.mul(w.fin)), embed(g.inv())).fin
-    value = lam_plus - _wt_coweight(rs, x, cap)
+    value = lam_plus - coweight_from_coroot(rs, build_qbg(rs, cap).wt1(x))
     return FormulaResult("ok" if ok else "below-threshold", value, d, thr)
 
 

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from ._matrix import mat_inv, mat_vec, transpose
@@ -348,6 +349,12 @@ def _norm_num(x: Num) -> Num:
     return x
 
 
+def _same_rs(a: "Coweight", b: "Coweight") -> RootSystem:
+    if a.rs is not b.rs:
+        raise RefusalError("coweights of different root systems")
+    return a.rs
+
+
 @dataclass(frozen=True)
 class Coweight:
     """A rational coweight in pairing coordinates ``<alpha_i, lambda>``.
@@ -362,8 +369,9 @@ class Coweight:
     lattice: str = field(init=False, compare=False)
 
     def __post_init__(self):
-        coords = tuple(_norm_num(Fraction(x) if not isinstance(x, (int, Fraction)) else x)
-                       for x in self.pairing)
+        if not all(type(x) is int or isinstance(x, Fraction) for x in self.pairing):
+            raise RefusalError("coweight coordinates must be int or Fraction")
+        coords = tuple(map(_norm_num, self.pairing))
         object.__setattr__(self, "pairing", coords)
         cc = self.coroot_coords()
         if all(isinstance(x, int) or x.denominator == 1 for x in cc):
@@ -379,12 +387,10 @@ class Coweight:
         return tuple(_norm_num(x) for x in mat_vec(self.rs.inv_cartan_t, self.pairing))
 
     def __add__(self, other: "Coweight") -> "Coweight":
-        assert self.rs is other.rs
-        return Coweight(self.rs, tuple(a + b for a, b in zip(self.pairing, other.pairing)))
+        return Coweight(_same_rs(self, other), tuple(map(add, self.pairing, other.pairing)))
 
     def __sub__(self, other: "Coweight") -> "Coweight":
-        assert self.rs is other.rs
-        return Coweight(self.rs, tuple(a - b for a, b in zip(self.pairing, other.pairing)))
+        return Coweight(_same_rs(self, other), tuple(map(sub, self.pairing, other.pairing)))
 
     def __neg__(self) -> "Coweight":
         return Coweight(self.rs, tuple(-a for a in self.pairing))
@@ -441,9 +447,8 @@ def depth(lam: Coweight) -> Num:
 
 def dominance_leq(a: Coweight, b: Coweight) -> bool:
     """True iff b - a is a nonnegative rational combination of simple coroots."""
-    assert a.rs is b.rs
-    diff = tuple(x - y for x, y in zip(b.pairing, a.pairing))
-    coords = mat_vec(a.rs.inv_cartan_t, diff)
+    diff = tuple(map(sub, b.pairing, a.pairing))
+    coords = mat_vec(_same_rs(a, b).inv_cartan_t, diff)
     return all(x >= 0 for x in coords)
 
 

@@ -6,7 +6,16 @@ fixtures hand out the cached objects rather than managing lifecycles.
 
 import pytest
 
+from adlv import affine
 from adlv.rootsys import build_root_system
+
+
+@pytest.fixture(params=[True, False], ids=["dense", "sparse"])
+def dense(request, monkeypatch):
+    """Run a test with engines forced dense (bitsets) or sparse (tuples)."""
+    monkeypatch.setattr(affine, "DENSE_MAX_RANK", 2 if request.param else 0)
+    return request.param
+
 
 @pytest.fixture(scope="session")
 def a2():

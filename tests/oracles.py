@@ -1,8 +1,11 @@
 """Brute-force oracles the tests compare the package against."""
 
 from functools import lru_cache
+from math import gcd
 
 from adlv.affine import AffineElt, affine_length, descent_left, simple_affine
+from adlv.newton import _averaging_data
+from adlv.rootsys import _dominantize
 from adlv.weyl import WeylElt, simple_reflection
 
 
@@ -51,3 +54,21 @@ def bruhat_leq_affine(a: AffineElt, b: AffineElt) -> bool:
     if a.omega != b.omega:
         return False
     return _ableq(a, b)
+
+
+def nu_keys(eng, states, twist) -> set:
+    """Normalized Newton keys over a state set, one decoded mu tuple and
+    one matrix-vector product per state: the oracle for the packed
+    ``newton._nu_keys``."""
+    rs, n = eng.rs, eng.rs.rank
+    data = _averaging_data(eng.table)
+    keys = set()
+    for x_idx, mus in eng.twisted(states, twist):
+        T, m = data[x_idx]
+        cols = [T[k::n] for k in range(n)]
+        for mu in mus:
+            raw = tuple(sum(a * t for a, t in zip(mu, col)) for col in cols)
+            dom, _ = _dominantize(rs, raw)
+            g = gcd(m, *dom)
+            keys.add((tuple(c // g for c in dom), m // g))
+    return keys

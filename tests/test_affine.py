@@ -6,7 +6,7 @@ import pytest
 
 from itertools import product
 
-from adlv import affine, weyl
+from adlv import weyl
 from adlv.errors import BudgetError, InvariantError
 from adlv.rootsys import build_root_system, coweight, pairing
 from adlv.affine import (
@@ -359,13 +359,6 @@ def _set_step(eng, states, j):
 
 def _pairs(eng, states):
     return {(x, mu) for x, mus in eng.twisted(states) for mu in mus}
-
-
-@pytest.fixture(params=[True, False], ids=["dense", "sparse"])
-def dense(request, monkeypatch):
-    """Run a test with engines forced dense (bitsets) or sparse (tuples)."""
-    monkeypatch.setattr(affine, "DENSE_MAX_RANK", 2 if request.param else 0)
-    return request.param
 
 
 # a word that is not reduced and shifts by theta_check at every other letter

@@ -338,8 +338,9 @@ def _python_O(*args):
 def test_refusals_survive_python_O():
     """The --cap refusal, the integrality check on an affine element's
     translation part and the root-system check on finite and affine
-    products are not asserts, and the checks a suite relies on still hold
-    with asserts stripped."""
+    products and on coweight sums, differences and dominance are not
+    asserts, and the checks a suite relies on still hold with asserts
+    stripped."""
 
     def run(*args):
         return _python_O("-m", "adlv.cli", *args)
@@ -355,6 +356,9 @@ def test_refusals_survive_python_O():
         "refused: translation part must be integral",
         "refused: product of elements of different root systems",
         "refused: product of elements of different root systems",
+        "refused: coweights of different root systems",
+        "refused: coweights of different root systems",
+        "refused: coweights of different root systems",
     ]
 
 
@@ -362,14 +366,18 @@ _REFUSED_INPUTS = """
 from fractions import Fraction
 from adlv.affine import AffineElt, embed
 from adlv.errors import RefusalError
-from adlv.rootsys import build_root_system
+from adlv.rootsys import build_root_system, coweight, dominance_leq
 from adlv.weyl import identity_elt
 
 a2, b2 = build_root_system("A", 2), build_root_system("B", 2)
+g2 = build_root_system("G", 2)
 for check in (
     lambda: AffineElt(a2, (Fraction(1, 2), 0), identity_elt(a2)),
     lambda: identity_elt(a2).mul(identity_elt(b2)),
     lambda: embed(identity_elt(a2)).mul(embed(identity_elt(b2))),
+    lambda: coweight(a2, (1, 2)) + coweight(b2, (3, 4)),
+    lambda: coweight(a2, (1, 2)) - coweight(b2, (3, 4)),
+    lambda: dominance_leq(coweight(a2, (0, 0)), coweight(g2, (1, 1))),
 ):
     try:
         check()
@@ -383,16 +391,18 @@ import copy
 import dataclasses
 from unittest import mock
 from adlv import adm, affine, cascade, cover, rootsys, weyl
-from adlv.affine import engine_for, simple_affine, translation
+from adlv.affine import StateSet, engine_for, simple_affine, translation
 from adlv.cover import _reflection_shape
 from adlv.errors import InvariantError
-from adlv.newton import _max_point
+from adlv.newton import _max_point, _nu_keys
 from adlv.qbg import QBGraph
 from adlv.rootsys import build_root_system, coweight
 from adlv.weyl import enumerate_group, identity_elt, simple_reflection
 
 a2 = build_root_system("A", 2)
 table = enumerate_group(a2)
+sparse = engine_for(enumerate_group(build_root_system("A", 3)), 0)
+far = StateSet({0: frozenset({(0, 0, 0), (sparse.bound + 1, 0, 0)})})
 flat = copy.copy(table)
 flat.lengths = [0] * 6
 unlinked = copy.copy(table)
@@ -415,6 +425,7 @@ for check in (
     lambda: [skewed.wt(x, 0) for x in range(6)],
     lambda: engine_for(table, 0).pack(0, (99, 0)),
     lambda: engine_for(table, 0).interval_states((0, 1, 0, 2, 0) * 8),
+    lambda: _nu_keys(sparse, far, None, {}),
     lambda: _max_point(a2, {((1, 0), 1), ((0, 1), 1)}),
     lambda: _reflection_shape(a2, t11),
     patched(cover, "quantum_roots", lambda rs: [], lambda:
@@ -447,8 +458,8 @@ for check in (
 
 def test_invariants_survive_python_O():
     """A graph with no edges or with a wrong packed coroot, a state outside
-    the coweight box (packed, or reached by a letter-0 step of a too-small
-    engine), two incomparable Newton points, a cocover step that is no
+    the coweight box (packed, reached by a letter-0 step of a too-small
+    engine, or in a sparse bucket whose Newton keys are taken), two incomparable Newton points, a cocover step that is no
     reflection, a full drop through a root not listed as quantum, a word
     search that runs out of descents or leaves length behind, a letter map
     of a positive-length element, a coset walk ending off the dominant
@@ -461,6 +472,7 @@ def test_invariants_survive_python_O():
     assert res.stdout.splitlines() == [
         "raised: graph not strongly connected",
         "raised: two shortest paths with different weights",
+        "raised: interval state out of the coweight box",
         "raised: interval state out of the coweight box",
         "raised: interval state out of the coweight box",
         "raised: maximal Newton point is not unique",

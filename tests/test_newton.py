@@ -2,13 +2,14 @@
 form, and the sweep harness."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
-from adlv import newton
+from adlv import affine, newton
 from adlv.errors import InvariantError, RefusalError
-from adlv.rootsys import build_root_system, coweight, dominance_leq
-from adlv.affine import embed, simple_affine, translation
+from adlv.rootsys import build_root_system, coweight, dominance_leq, dominant_rep
+from adlv.affine import embed, lower_interval, simple_affine, translation
 from adlv.weyl import enumerate_group, simple_reflection
 from adlv.newton import (
     NewtonPoint,
@@ -22,6 +23,8 @@ from adlv.newton import (
     theorem_grid,
     xi_bound,
 )
+
+from oracles import nu_keys
 
 BOUND_TABLE = [
     # type, rank, S, Xi
@@ -200,3 +203,68 @@ def test_max_point_refuses_incomparable(a2):
     for top in (_max_point, _fraction_max_point):
         with pytest.raises(InvariantError, match="not unique"):
             top(a2, keys)
+
+
+
+def _check_keys_against_oracle(monkeypatch, rank):
+    """Patch ``_nu_keys`` so every call also runs the tuple oracle; returns
+    counts of the kinds of call and bucket the patched calls saw."""
+    real = newton._nu_keys
+    seen = dict.fromkeys(["trivial tau", "twisted", "empty", "zero T"], 0)
+
+    def checked(eng, states, twist, memo):
+        assert eng.dense is (rank <= affine.DENSE_MAX_RANK)
+        got = real(eng, states, twist, memo)
+        assert got == nu_keys(eng, states, twist)
+        data = newton._averaging_data(eng.table)
+        seen["trivial tau" if twist is None else "twisted"] += 1
+        for x, b in states.buckets.items():
+            z = x if twist is None else twist[0][x]
+            if not b:
+                seen["empty"] += 1
+            elif not any(data[z][0]):
+                seen["zero T"] += 1
+        return got
+
+    monkeypatch.setattr(newton, "_nu_keys", checked)
+    return seen
+
+
+@pytest.mark.parametrize("ct,n", [("A", 1), ("A", 2), ("B", 2)])
+def test_packed_keys_match_tuple_oracle(ct, n, dense, monkeypatch):
+    """On both engines, every key set of the rank <= 2 theorem-grid sweep
+    equals the tuple oracle's: full intervals and the partial sets
+    ``states - seen`` with a shared memo, under trivial and nontrivial tau
+    twists, with empty buckets and buckets whose averaging matrix is 0."""
+    rs = build_root_system(ct, n)
+    seen = _check_keys_against_oracle(monkeypatch, n)
+    assert all(r["match"] for r in sweep_records(rs, theorem_grid(rs)))
+    assert all(seen.values()), seen
+
+
+def test_packed_keys_match_tuple_oracle_a3(a3, monkeypatch):
+    """The sparse kernel on A3 at small lambdas, one of them twisted."""
+    seen = _check_keys_against_oracle(monkeypatch, 3)
+    lams = [coweight(a3, (1, 1, 1)), coweight(a3, (1, 2, 1))]
+    assert len(sweep_records(a3, lams)) == 2 * 24
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("ct", ["A", "B"])
+def test_max_translation_below_matches_interval_oracle(ct, dense):
+    """The translation maximum equals the dominance top of the dominant
+    representatives of the translations among ``lower_interval``'s
+    members, for every x and lambdas inside and outside the coroot
+    lattice."""
+    rs = build_root_system(ct, 2)
+    for lam in [(2, 2), (2, 3), (3, 2)]:
+        for x in enumerate_group(rs).elements:
+            w = translation(coweight(rs, lam)).mul(embed(x))
+            pts = {
+                dominant_rep(coweight(rs, u.lam))[0]
+                for u in lower_interval(w).members
+                if u.fin.is_identity()
+            }
+            best = max(pts, key=lambda p: sum(map(mul, rs.two_rho, p.pairing)))
+            assert all(dominance_leq(p, best) for p in pts)
+            assert max_translation_below(w).pairing == best.pairing

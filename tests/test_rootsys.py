@@ -144,6 +144,14 @@ def test_non_integral_coweight_refused(a2, call):
         call(identity_elt(a2), lam)
 
 
+@pytest.mark.parametrize("bad", [0.1, "3", True], ids=["float", "str", "bool"])
+def test_coweight_refuses_non_exact_coordinates(a2, bad):
+    """Coordinates are int or Fraction; nothing is coerced."""
+    with pytest.raises(RefusalError, match="int or Fraction"):
+        coweight(a2, (bad, 1))
+    assert coweight(a2, (Fraction(4, 2), 1)).pairing == (2, 1)
+
+
 def test_depth_and_dominance(a2):
     lam = coweight(a2, (3, 1))
     assert depth(lam) == 1
