@@ -19,9 +19,10 @@ fall back to the integer matrices otherwise (E7, E8, or any group not yet
 enumerated).  Translation parts move by the matrices in either case.
 
 Lower intervals come from the subword dynamic program of
-``IntervalEngine`` over a reduced word, cocovers from enumerating
-separating reflections, and the three Demazure products (max-fold, left
-min-fold, right min-fold) from folding reduced words.
+``IntervalEngine`` from tau along the reduced word of w = tau s_{j_1} ...
+s_{j_l} (``tau_word``; left multiplication by a length-zero tau preserves
+the Bruhat order), cocovers from enumerating separating reflections, and
+the three Demazure products from folding reduced words.
 
 The engine keeps a state set grouped by finite Weyl index: in rank <= 2 one
 big-int bitset over a box of translation parts per index, so a letter costs
@@ -59,7 +60,7 @@ __all__ = [
     "descent_right",
     "reduced_word",
     "reduced_word_and_tau",
-    "tau_letter_map",
+    "tau_word",
     "coroot_pairing_coords",
     "engine_for",
     "lower_interval",
@@ -81,10 +82,15 @@ class AffineElt:
     __slots__ = ("rs", "lam", "fin", "_len", "_hash", "_omega")
 
     def __init__(self, rs: RootSystem, lam: Sequence[int], fin: WeylElt):
-        if not all(isinstance(c, int) for c in lam):
+        lam = tuple(lam)
+        if len(lam) != rs.rank:
+            raise RefusalError(f"{len(lam)} translation coordinates in rank {rs.rank}")
+        if fin.rs is not rs:
+            raise RefusalError("finite part of a different root system")
+        if not {int}.issuperset(map(type, lam)):
             raise RefusalError("translation part must be integral")
         self.rs = rs
-        self.lam = tuple(lam)
+        self.lam = lam
         self.fin = fin
         self._len = None
         self._hash = None
@@ -249,32 +255,23 @@ def reduced_word(w: AffineElt) -> tuple[int, ...]:
     return word
 
 
-def tau_letter_map(tau: AffineElt) -> tuple[int, ...]:
-    """The permutation sigma of the letters 0..n with
-    tau s_j tau^{-1} = s_{sigma(j)}, for a length-zero tau."""
-    rs = tau.rs
-    if affine_length(tau) != 0:
-        raise InvariantError("letter map of an element of positive length")
-    ti = tau.inv()
-    out = []
-    for j in range(rs.rank + 1):
-        c = tau.mul(simple_affine(rs, j)).mul(ti)
-        k = next(
-            (i for i in range(rs.rank + 1) if c == simple_affine(rs, i)),
-            None,
-        )
-        if k is None:
-            raise InvariantError("conjugate of a generator is not a generator")
-        out.append(k)
-    if sorted(out) != list(range(rs.rank + 1)):
-        raise InvariantError("letter map is not a permutation")
-    return tuple(out)
+def tau_word(w: AffineElt) -> tuple[AffineElt, tuple[int, ...]]:
+    """(tau, word) with w = tau s_{j_1} ... s_{j_l}, tau of length zero and
+    l = ell(w), from the greedy word of w^-1.
+
+    >>> from adlv.rootsys import build_root_system, coweight
+    >>> tau, word = tau_word(translation(coweight(build_root_system("A", 2), (1, 0))))
+    >>> word, affine_length(tau), tau.lam, tau.fin.to_word()
+    ((2, 1), 0, (1, 0), (0, 1))
+    """
+    word, tau = reduced_word_and_tau(w.inv())
+    return tau.inv(), word[::-1]
 
 
 def lower_interval(w: AffineElt, budget: int = DEFAULT_INTERVAL_BUDGET) -> BruhatInterval:
-    """All u <= w, by the packed subword dynamic program along a reduced
-    word.  The engine indexes the finite Weyl group, so a group above the
-    ``enumerate_group`` cap (E7, E8) raises BudgetError."""
+    """All u <= w, by the packed subword dynamic program from tau along the
+    word of ``tau_word(w)``.  The engine indexes the finite Weyl group, so a
+    group above the ``enumerate_group`` cap (E7, E8) raises BudgetError."""
     lw = affine_length(w)
     if lw > budget:
         raise BudgetError(
@@ -282,11 +279,11 @@ def lower_interval(w: AffineElt, budget: int = DEFAULT_INTERVAL_BUDGET) -> Bruha
             f"of {budget}; raise the budget explicitly to proceed"
         )
     rs = w.rs
-    word, tau = reduced_word_and_tau(w)
+    tau, word = tau_word(w)
     eng = engine_for(enumerate_group(rs), lw)
     elements = eng.table.elements
     members = set()
-    for x_idx, mus in eng.twisted(eng.interval_states(word), eng.tau_twist(tau)):
+    for x_idx, mus in eng.decoded(eng.interval_states(word, start=tau)):
         members.update(AffineElt(rs, mu, elements[x_idx]) for mu in mus)
     if w not in members:
         raise InvariantError("lower interval misses its top element")
@@ -439,19 +436,16 @@ class IntervalEngine:
         self.rs = table.rs
         self.bound = bound
         self.width = 2 * bound + 1
-        self.nw = len(table.elements)
         rs = self.rs
         self.theta_pair = coroot_pairing_coords(rs, rs.theta_index)
         self.rmult_stheta = table.rmult_root(rs.theta_index)
         self.delta = [e.act_pairing(self.theta_pair) for e in table.elements]
         self.dense = rs.rank <= DENSE_MAX_RANK
         if not self.dense:
-            self._origin = frozenset([(0,) * rs.rank])
             return
         w = self.width
         self.offset = [sum(d * w ** k for k, d in enumerate(dv)) for dv in self.delta]
         self.edge = {dv: ~self._inside(dv) for dv in set(self.delta)}
-        self._origin = 1 << self.pack(0, (0,) * rs.rank) // self.nw
 
     def _inside(self, dv: Sequence[int]) -> int:
         """Codes whose every coordinate k plus dv[k] stays in [0, width)."""
@@ -461,36 +455,26 @@ class IntervalEngine:
             mask = _repeat(mask, w ** k, max(hi - lo, 0)) << lo * w ** k
         return mask
 
-    def pack(self, x_idx: int, mu: Sequence[int]) -> int:
+    def pack(self, mu: Sequence[int]) -> int:
         code = 0
         for c in reversed(mu):
             s = c + self.bound
             if not 0 <= s < self.width:
                 raise InvariantError("interval state out of the coweight box")
             code = code * self.width + s
-        return code * self.nw + x_idx
+        return code
 
-    def twisted(self, states: StateSet, twist=None):
-        """Per bucket: the finite index and an iterator over the
-        translation parts, each state t^mu z right-multiplied by the
-        length-zero tau of ``twist = tau_twist(tau)`` (None: tau = 1)."""
-        zero = (0,) * self.rs.rank
+    def decoded(self, states: StateSet):
+        """Per bucket: its finite index and an iterator over its translation parts."""
         for x, b in states.buckets.items():
-            z, d = (x, zero) if twist is None else (twist[0][x], twist[1][x])
-            if self.dense:
-                yield z, self._decode(b, d)
-            else:
-                yield z, b if twist is None else (tuple(map(add, mu, d)) for mu in b)
+            yield x, self._decode(b) if self.dense else b
 
-    def _decode(self, bits: int, shift: Sequence[int]):
-        """The translation parts mu + shift of the states in one bitset."""
-        w, lift = self.width, [d - self.bound for d in shift]
+    def _decode(self, bits: int):
+        """The translation parts of the states in one bitset."""
+        w, bound = self.width, self.bound
+        places = [w ** k for k in range(self.rs.rank)]
         for code in _bit_positions(bits):
-            mu = []
-            for a in lift:
-                code, s = divmod(code, w)
-                mu.append(s + a)
-            yield tuple(mu)
+            yield tuple([code // p % w - bound for p in places])
 
     def _translate(self, x: int, b):
         """Bucket b of index x translated by delta[x]."""
@@ -510,25 +494,17 @@ class IntervalEngine:
             out[y] = out[y] | b if y in out else b
         return StateSet(out)
 
-    def interval_states(self, word: Sequence[int], state_cap: int | None = None) -> StateSet:
-        states = StateSet({0: self._origin})
+    def interval_states(self, word: Sequence[int], state_cap: int | None = None,
+                        start: AffineElt | None = None) -> StateSet:
+        """start times each subword of word; start defaults to the identity."""
+        start = start or embed(identity_elt(self.rs))
+        seed = 1 << self.pack(start.lam) if self.dense else frozenset([start.lam])
+        states = StateSet({self.table.idx(start.fin): seed})
         for j in word:
             states = self.step(states, j)
             if state_cap is not None and len(states) > state_cap:
                 raise BudgetError(f"interval grew past {state_cap} states")
         return states
-
-    def tau_twist(self, tau: AffineElt):
-        """Per finite index z, what turns the state t^mu z into t^mu z tau
-        for a length-zero tau = t^nu g: the index of z g and the shift z(nu)
-        added to mu.  None when tau is trivial."""
-        if tau.is_identity():
-            return None
-        table = self.table
-        g_idx = table.idx(tau.fin)
-        zg = [table.prod_idx(x, g_idx) for x in range(self.nw)]
-        delta = [z.act_pairing(tau.lam) for z in table.elements]
-        return zg, delta
 
 
 def engine_for(table: GroupTable, max_length: int) -> IntervalEngine:

@@ -28,8 +28,7 @@ from .affine import (
     demazure_ltri,
     embed,
     engine_for,
-    reduced_word_and_tau,
-    tau_letter_map,
+    tau_word,
 )
 from .errors import InvariantError, RefusalError
 from .qbg import DEFAULT_QBG_CAP, build_qbg, m_tilde
@@ -115,47 +114,41 @@ def _averaging_data(table: GroupTable) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _nu_keys(
-    eng: IntervalEngine, states: StateSet, twist, memo: dict
-) -> set[tuple[tuple[int, ...], int]]:
-    """Distinct Newton points over a state set, each state right-multiplied
-    by the length-zero tau behind ``twist``, as normalized (integer dominant
-    vector, denominator) keys.  ``memo`` maps S to packed ints to keys and
-    may be shared across calls on the same engine.
+def _nu_keys(eng: IntervalEngine, states: StateSet,
+             memo: dict) -> set[tuple[tuple[int, ...], int]]:
+    """Distinct Newton points over a state set, as normalized (integer
+    dominant vector, denominator) keys.  ``memo`` maps S to packed ints to
+    keys and may be shared across calls on the same engine.
 
-    A state t^mu z, twisted to t^(mu + d) z', has raw vector (mu + d) T and
-    order m, (T, m) the averaging data of z'.  A bucket with T = 0 fixes no
-    nonzero coweight and gives the key 0 unread.  Otherwise (raw, m) packs
-    into sum (raw_k + 2^(S-1)) 2^(S k) + m 2^(S n), Z-linear in mu: P + sum
-    mu_i A_i with A_i row i of T packed, or P + c A_0 + (c // width) (A_1 -
-    width A_0) from a dense code c (rank <= 2).  No field carries: |mu_i| <=
-    bound (the box, or checked per sparse bucket) and |d_i| <= shift give
-    |raw_k| <= n (bound + shift) max|T| < 2^(S-1)."""
+    A state t^mu z has raw vector mu T and order m, (T, m) the averaging
+    data of z.  A bucket with T = 0 fixes no nonzero coweight and gives the
+    key 0 unread.  Otherwise (raw, m) packs into sum (raw_k + 2^(S-1))
+    2^(S k) + m 2^(S n), Z-linear in mu: P + sum mu_i A_i with A_i row i of
+    T packed, or P - bound sum A_i + c A_0 + (c // width) (A_1 - width A_0)
+    from a dense code c (rank <= 2).  No field carries: |mu_i| <= bound
+    (the box, or checked per sparse bucket), so |raw_k| < 2^(S-1)."""
     rs, n, bound = eng.rs, eng.rs.rank, eng.bound
     data = _averaging_data(eng.table)
-    shift = max(map(abs, chain(*twist[1]))) if twist else 0
     tmax = max(max(map(abs, T)) for T, _ in data)
-    S = (n * (bound + shift) * tmax).bit_length() + 1
+    S = (n * bound * tmax).bit_length() + 1
     memo, half, mask = memo.setdefault(S, {}), 1 << S - 1, (1 << S) - 1
     keys: set[tuple[tuple[int, ...], int]] = set()
     for x, b in states.buckets.items():
         if not b:
             continue
-        z, d = (x, (0,) * n) if twist is None else (twist[0][x], twist[1][x])
-        T, m = data[z]
+        T, m = data[x]
         if not any(T):
             keys.add(((0,) * n, 1))
             continue
         A = [sum(t << S * k for k, t in enumerate(T[i * n:i * n + n])) for i in range(n)]
         P = sum(half << S * k for k in range(n)) + (m << S * n)
         if eng.dense:
-            P += sum(map(mul, (c - bound for c in d), A))
+            P -= bound * sum(A)
             A0, B = A[0], (A[1] if n > 1 else 0) - eng.width * A[0]
             raws = {P + c * A0 + c // eng.width * B for c in _bit_positions(b)}
         else:
             if min(map(min, b)) < -bound or max(map(max, b)) > bound:
                 raise InvariantError("interval state out of the coweight box")
-            P += sum(map(mul, d, A))
             raws = {P + sum(map(mul, mu, A)) for mu in b}
         for r in raws.difference(memo):
             dom, _ = _dominantize(rs, [(r >> S * k & mask) - half for k in range(n)])
@@ -184,24 +177,22 @@ def _max_point(rs: RootSystem, keys) -> NewtonPoint:
 
 def max_newton_brute(w: AffineElt, state_cap: int | None = 5_000_000) -> NewtonPoint:
     """max{nu(u) : u <= w} by scanning the whole lower interval."""
-    word, tau = reduced_word_and_tau(w)
+    tau, word = tau_word(w)
     eng = engine_for(enumerate_group(w.rs), len(word))
-    states = eng.interval_states(word, state_cap)
-    return _max_point(w.rs, _nu_keys(eng, states, eng.tau_twist(tau), {}))
+    states = eng.interval_states(word, state_cap, tau)
+    return _max_point(w.rs, _nu_keys(eng, states, {}))
 
 
 def max_translation_below(w: AffineElt, state_cap: int | None = 5_000_000) -> NewtonPoint:
     """max{gamma_plus : t^gamma <= w}; the dominance top over dominant
     representatives of translations in the interval (unique in the deep
     regimes where it is used)."""
-    word, tau = reduced_word_and_tau(w)
+    tau, word = tau_word(w)
     eng = engine_for(enumerate_group(w.rs), len(word))
-    states = eng.interval_states(word, state_cap).buckets
-    twist = eng.tau_twist(tau)
-    # the bucket twisted onto index 0 holds the translations: T = I, m = 1
-    x = 0 if twist is None else twist[0].index(0)
-    only = StateSet({x: states[x]} if x in states else {})
-    return _max_point(w.rs, _nu_keys(eng, only, twist, {}))
+    states = eng.interval_states(word, state_cap, tau).buckets
+    # the bucket of the identity holds the translations: T = I, m = 1
+    only = StateSet({0: states[0]} if 0 in states else {})
+    return _max_point(w.rs, _nu_keys(eng, only, {}))
 
 
 # -- thresholds -----------------------------------------------------------
@@ -321,10 +312,10 @@ def sweep_records(
     """Compare the closed form against the brute-force maximum for every
     x in W and each given dominant regular lam.
 
-    Walks one interval per (lam, chain): a reduced word of t^lam w0 extended
-    letter by letter along a reduced word of w0 stays reduced, so snapshots
-    of the subword DP along the way are exactly the intervals below t^lam x
-    for x on a chain from w0 down to the identity."""
+    Walks one interval per (lam, chain): for t^lam w0 = tau w2 (``tau_word``)
+    the word w2 extended letter by letter along a reduced word of w0 stays
+    reduced, so snapshots of the subword DP from tau are exactly the
+    intervals below t^lam x for x on a chain from w0 down to the identity."""
     table = enumerate_group(rs)
     graph = build_qbg(rs)
     w0_elt = longest_element(rs)
@@ -335,18 +326,11 @@ def sweep_records(
         if not (lam.is_dominant() and lam.is_regular()):
             raise RefusalError("sweep needs dominant regular lambda")
         lam_int = lam.int_pairing()
-        base_word, base_tau = reduced_word_and_tau(
-            AffineElt(rs, lam_int, w0_elt)
-        )
-        # t^lam w0 p = w2 (tau p tau^-1) tau: extending w2 by the
-        # conjugated letters keeps the word reduced, and evaluation adds
-        # the tau twist per state.
-        sigma = tau_letter_map(base_tau)
+        base_tau, base_word = tau_word(AffineElt(rs, lam_int, w0_elt))
         eng = engine_for(table, len(base_word) + table.lengths[table.w0_idx])
-        twist = eng.tau_twist(base_tau)
         memo: dict = {}
-        base = eng.interval_states(base_word, state_cap)
-        base_keys = _nu_keys(eng, base, twist, memo)
+        base = eng.interval_states(base_word, state_cap, base_tau)
+        base_keys = _nu_keys(eng, base, memo)
         done = [False] * n_elts
         results: dict[int, dict] = {}
         for chain in chains:
@@ -359,7 +343,7 @@ def sweep_records(
                 top = table.prod_idx(table.w0_idx, pref)
                 if not done[top]:
                     done[top] = True
-                    keys |= _nu_keys(eng, states - seen, twist, memo)
+                    keys |= _nu_keys(eng, states - seen, memo)
                     seen = states
                     nu_b = _max_point(rs, keys)
                     wt_cw = coweight_from_coroot(
@@ -377,7 +361,7 @@ def sweep_records(
                     }
                 if step_no < len(chain):
                     j = chain[step_no]
-                    states = eng.step(states, sigma[j + 1])
+                    states = eng.step(states, j + 1)
                     pref = table.rmult[j][pref]
         records.extend(results[i] for i in sorted(results))
     return records

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvariantError
+from .errors import InvariantError, RefusalError
 from .rootsys import (
     Coroot,
     Root,
@@ -202,7 +202,11 @@ class QBGraph:
     # -- queries ----------------------------------------------------------
 
     def _idx(self, x) -> int:
-        return x if isinstance(x, int) else self.table.idx(x)
+        if not isinstance(x, int):
+            return self.table.idx(x)
+        if not 0 <= x < len(self.table):
+            raise RefusalError(f"index {x} outside the group of order {len(self.table)}")
+        return x
 
     def d_gamma(self, x, y) -> int:
         dist, _ = self._forward(self._idx(x))

@@ -369,6 +369,10 @@ class Coweight:
     lattice: str = field(init=False, compare=False)
 
     def __post_init__(self):
+        if len(self.pairing) != self.rs.rank:
+            raise RefusalError(
+                f"{len(self.pairing)} coweight coordinates in rank {self.rs.rank}"
+            )
         if not all(type(x) is int or isinstance(x, Fraction) for x in self.pairing):
             raise RefusalError("coweight coordinates must be int or Fraction")
         coords = tuple(map(_norm_num, self.pairing))

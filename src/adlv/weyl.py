@@ -307,6 +307,8 @@ class GroupTable:
         return len(self.elements)
 
     def idx(self, x: WeylElt) -> int:
+        if x.rs is not self.rs:
+            raise RefusalError("element and table of different root systems")
         a = x._idx
         if a is None:
             a = x._idx = self.index[tuple(map(sum, zip(*x.r)))]

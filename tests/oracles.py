@@ -56,14 +56,14 @@ def bruhat_leq_affine(a: AffineElt, b: AffineElt) -> bool:
     return _ableq(a, b)
 
 
-def nu_keys(eng, states, twist) -> set:
+def nu_keys(eng, states) -> set:
     """Normalized Newton keys over a state set, one decoded mu tuple and
     one matrix-vector product per state: the oracle for the packed
     ``newton._nu_keys``."""
     rs, n = eng.rs, eng.rs.rank
     data = _averaging_data(eng.table)
     keys = set()
-    for x_idx, mus in eng.twisted(states, twist):
+    for x_idx, mus in eng.decoded(states):
         T, m = data[x_idx]
         cols = [T[k::n] for k in range(n)]
         for mu in mus:

@@ -25,7 +25,7 @@ from adlv.affine import (
     reduced_word,
     reduced_word_and_tau,
     simple_affine,
-    tau_letter_map,
+    tau_word,
     translation,
 )
 from adlv.newton import theorem_grid
@@ -105,16 +105,6 @@ def test_residual_tau_classes(a2):
     assert tau2 == tau
 
 
-def test_tau_letter_map(a2):
-    _, tau = reduced_word_and_tau(aff(a2, (1, 0)))
-    sigma = tau_letter_map(tau)
-    assert sorted(sigma) == [0, 1, 2]
-    assert sigma == (1, 2, 0)
-    for j in range(3):
-        lhs = tau.mul(simple_affine(a2, j)).mul(tau.inv())
-        assert lhs == simple_affine(a2, sigma[j])
-
-
 def test_omega_classes_incomparable(a2):
     x = aff(a2, (1, 0))
     y = aff(a2, (1, 1))
@@ -187,16 +177,49 @@ def _literal_interval(w):
     return frozenset(members)
 
 
-@pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2), ("G", 2)])
-def test_lower_interval_matches_literal(ct, n):
-    """The packed engine against the literal DP on the affine ball, on
-    translations outside the coroot lattice (A2, B2) with and without w0,
-    and on a non-dominant translation times w0."""
-    rs = build_root_system(ct, n)
+def _extras(rs):
+    """Translations outside the coroot lattice (A2, B2) with and without
+    w0, and a non-dominant translation times w0."""
     w0 = longest_element(rs)
-    extra = [aff(rs, (1, 0)), aff(rs, (1, 0), w0), aff(rs, (-1, 2), w0)]
-    for w in _affine_ball(rs, 5) + extra:
+    return [aff(rs, (1, 0)), aff(rs, (1, 0), w0), aff(rs, (-1, 2), w0)]
+
+
+@pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2), ("G", 2)])
+def test_lower_interval_matches_literal(ct, n, dense):
+    """Both engines against the literal DP on the affine ball and the
+    extras."""
+    rs = build_root_system(ct, n)
+    for w in _affine_ball(rs, 5) + _extras(rs):
         assert lower_interval(w).members == _literal_interval(w), w
+
+
+def _check_tau_word(w):
+    tau, word = tau_word(w)
+    prod = tau
+    for j in word:
+        prod = prod.mul(simple_affine(w.rs, j))
+    assert prod == w
+    assert len(word) == affine_length(w)
+    assert affine_length(tau) == 0
+
+
+@pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2), ("G", 2)])
+def test_tau_word(ct, n):
+    """w = tau times a reduced word, tau of length zero, on the affine ball
+    and the extras."""
+    rs = build_root_system(ct, n)
+    for w in _affine_ball(rs, 5) + _extras(rs):
+        _check_tau_word(w)
+
+
+def test_tau_word_a3(a3):
+    """A3 t^lam w0 for lam = (1,0,1), in the coroot lattice, and (1,0,0),
+    outside it."""
+    w0 = longest_element(a3)
+    for lam, trivial in [((1, 0, 1), True), ((1, 0, 0), False)]:
+        w = aff(a3, lam, w0)
+        assert tau_word(w)[0].is_identity() is trivial
+        _check_tau_word(w)
 
 
 def _products(xs, ys):
@@ -358,7 +381,7 @@ def _set_step(eng, states, j):
 
 
 def _pairs(eng, states):
-    return {(x, mu) for x, mus in eng.twisted(states) for mu in mus}
+    return {(x, mu) for x, mus in eng.decoded(states) for mu in mus}
 
 
 # a word that is not reduced and shifts by theta_check at every other letter
@@ -367,32 +390,32 @@ ZERO_HEAVY = (0, 1, 0, 2, 0) * 8
 
 @pytest.mark.parametrize("ct,n_grid", [("A", 4), ("B", 4), ("G", 1)])
 def test_interval_states_match_set_oracle(ct, n_grid, dense):
-    """Both state-set representations equal the set-of-pairs DP on reduced
-    words of t^lam w0 at theorem-grid lambdas (one for G2, where the oracle
-    takes seconds per interval; the A2 and B2 grids include nontrivial tau)
-    and on a word heavy in the letter 0; so does the difference of two
-    snapshots, as the Newton sweep takes it."""
+    """Both state-set representations equal the set-of-pairs DP on the
+    words of ``tau_word(t^lam w0)`` from tau at theorem-grid lambdas (one
+    for G2, where the oracle takes seconds per interval; the A2 and B2
+    grids include nontrivial tau) and on a word heavy in the letter 0 from
+    the identity; so does the difference of two snapshots, as the Newton
+    sweep takes it."""
     rs = build_root_system(ct, 2)
     table = enumerate_group(rs)
     w0 = longest_element(rs)
-    cases, taus = [], []
+    cases = []
     for lam in theorem_grid(rs)[:n_grid]:
-        word, tau = reduced_word_and_tau(aff(rs, lam.pairing, w0))
-        cases.append((word, engine_for(table, len(word))))
-        taus.append(tau)
-    assert ct == "G" or not all(t.is_identity() for t in taus)
-    cases.append((ZERO_HEAVY, engine_for(table, 3 * len(ZERO_HEAVY))))
-    for word, eng in cases:
+        tau, word = tau_word(aff(rs, lam.pairing, w0))
+        cases.append((word, engine_for(table, len(word)), tau))
+    assert ct == "G" or not all(t.is_identity() for _, _, t in cases)
+    cases.append((ZERO_HEAVY, engine_for(table, 3 * len(ZERO_HEAVY)), None))
+    for word, eng, tau in cases:
         assert eng.dense is dense
-        half = eng.interval_states(word[: len(word) // 2])
-        expect = {(0, (0, 0))}
+        half = eng.interval_states(word[: len(word) // 2], start=tau)
+        expect = {(0, (0, 0))} if tau is None else {(table.idx(tau.fin), tau.lam)}
         for j in word[: len(word) // 2]:
             expect = _set_step(eng, expect, j)
         assert _pairs(eng, half) == expect
         expect_half = expect
         for j in word[len(word) // 2:]:
             expect = _set_step(eng, expect, j)
-        got = eng.interval_states(word)
+        got = eng.interval_states(word, start=tau)
         assert len(got) == len(expect)
         assert _pairs(eng, got) == expect
         assert _pairs(eng, got - half) == expect - expect_half

@@ -336,11 +336,12 @@ def _python_O(*args):
 
 
 def test_refusals_survive_python_O():
-    """The --cap refusal, the integrality check on an affine element's
-    translation part and the root-system check on finite and affine
-    products and on coweight sums, differences and dominance are not
-    asserts, and the checks a suite relies on still hold with asserts
-    stripped."""
+    """The --cap refusal, the integrality, coordinate-count and
+    root-system checks on an affine element's parts, the coordinate count
+    of a coweight, the root-system check on finite and affine products, on
+    coweight sums, differences and dominance and on a group-table lookup,
+    and the range check on a graph query's index are not asserts, and the
+    checks a suite relies on still hold with asserts stripped."""
 
     def run(*args):
         return _python_O("-m", "adlv.cli", *args)
@@ -354,11 +355,20 @@ def test_refusals_survive_python_O():
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         "refused: translation part must be integral",
+        "refused: translation part must be integral",
+        "refused: 3 translation coordinates in rank 2",
+        "refused: 1 translation coordinates in rank 2",
+        "refused: finite part of a different root system",
+        "refused: 3 coweight coordinates in rank 2",
         "refused: product of elements of different root systems",
         "refused: product of elements of different root systems",
         "refused: coweights of different root systems",
         "refused: coweights of different root systems",
         "refused: coweights of different root systems",
+        "refused: element and table of different root systems",
+        "refused: index -1 outside the group of order 6",
+        "refused: index 6 outside the group of order 6",
+        "B2 index of s2s1s2 intact: True",
     ]
 
 
@@ -366,23 +376,37 @@ _REFUSED_INPUTS = """
 from fractions import Fraction
 from adlv.affine import AffineElt, embed
 from adlv.errors import RefusalError
+from adlv.qbg import build_qbg
 from adlv.rootsys import build_root_system, coweight, dominance_leq
-from adlv.weyl import identity_elt
+from adlv.weyl import enumerate_group, from_word, identity_elt
 
 a2, b2 = build_root_system("A", 2), build_root_system("B", 2)
 g2 = build_root_system("G", 2)
+e = identity_elt(a2)
+s2s1s2 = from_word(b2, (1, 0, 1))
 for check in (
-    lambda: AffineElt(a2, (Fraction(1, 2), 0), identity_elt(a2)),
+    lambda: AffineElt(a2, (Fraction(1, 2), 0), e),
+    lambda: AffineElt(a2, (True, 0), e),
+    lambda: AffineElt(a2, (1, 2, 3), e),
+    lambda: AffineElt(a2, (1,), e),
+    lambda: AffineElt(a2, (0, 0), identity_elt(b2)),
+    lambda: coweight(a2, (1, 2, 3)),
     lambda: identity_elt(a2).mul(identity_elt(b2)),
     lambda: embed(identity_elt(a2)).mul(embed(identity_elt(b2))),
     lambda: coweight(a2, (1, 2)) + coweight(b2, (3, 4)),
     lambda: coweight(a2, (1, 2)) - coweight(b2, (3, 4)),
     lambda: dominance_leq(coweight(a2, (0, 0)), coweight(g2, (1, 1))),
+    lambda: build_qbg(a2).wt1(s2s1s2),
+    lambda: build_qbg(a2).wt1(-1),
+    lambda: build_qbg(a2).wt1(6),
 ):
     try:
         check()
-    except RefusalError as e:
-        print("refused:", e)
+    except RefusalError as err:
+        print("refused:", err)
+table = enumerate_group(b2)
+print("B2 index of s2s1s2 intact:",
+      table.elements[table.idx(s2s1s2)].to_word() == (1, 0, 1))
 """
 
 
@@ -391,7 +415,7 @@ import copy
 import dataclasses
 from unittest import mock
 from adlv import adm, affine, cascade, cover, rootsys, weyl
-from adlv.affine import StateSet, engine_for, simple_affine, translation
+from adlv.affine import StateSet, engine_for, translation
 from adlv.cover import _reflection_shape
 from adlv.errors import InvariantError
 from adlv.newton import _max_point, _nu_keys
@@ -423,9 +447,9 @@ def patched(owner, name, value, call):
 for check in (
     lambda: QBGraph(flat),
     lambda: [skewed.wt(x, 0) for x in range(6)],
-    lambda: engine_for(table, 0).pack(0, (99, 0)),
+    lambda: engine_for(table, 0).pack((99, 0)),
     lambda: engine_for(table, 0).interval_states((0, 1, 0, 2, 0) * 8),
-    lambda: _nu_keys(sparse, far, None, {}),
+    lambda: _nu_keys(sparse, far, {}),
     lambda: _max_point(a2, {((1, 0), 1), ((0, 1), 1)}),
     lambda: _reflection_shape(a2, t11),
     patched(cover, "quantum_roots", lambda rs: [], lambda:
@@ -435,7 +459,6 @@ for check in (
             affine.reduced_word_and_tau(t11)),
     patched(affine, "affine_length", lambda w: real_length(w) // 2, lambda:
             affine.reduced_word_and_tau(t11)),
-    lambda: affine.tau_letter_map(simple_affine(a2, 1)),
     patched(adm, "descent_left", lambda w, j: False, lambda:
             adm.eta(translation(coweight(a2, (-1, 2))))),
     lambda: cascade._dp_table(unlinked),
@@ -459,11 +482,11 @@ for check in (
 def test_invariants_survive_python_O():
     """A graph with no edges or with a wrong packed coroot, a state outside
     the coweight box (packed, reached by a letter-0 step of a too-small
-    engine, or in a sparse bucket whose Newton keys are taken), two incomparable Newton points, a cocover step that is no
-    reflection, a full drop through a root not listed as quantum, a word
-    search that runs out of descents or leaves length behind, a letter map
-    of a positive-length element, a coset walk ending off the dominant
-    chamber, a table search that misses elements, finite descent and
+    engine, or in a sparse bucket whose Newton keys are taken), two
+    incomparable Newton points, a cocover step that is no reflection, a
+    full drop through a root not listed as quantum, a word search that runs
+    out of descents or leaves length behind, a coset walk ending off the
+    dominant chamber, a table search that misses elements, finite descent and
     ascent searches that stop early, a dominating element that misses the
     dominant representative and a reflection of even length are refused
     by explicit checks, not asserts, so -O keeps them."""
@@ -480,7 +503,6 @@ def test_invariants_survive_python_O():
         "raised: a full-drop ascent from u must use a quantum root",
         "raised: no descent on a length-positive element",
         "raised: peeling left descents left length behind",
-        "raised: letter map of an element of positive length",
         "raised: coset-minimal element does not have a dominant "
         "translation part",
         "raised: dp search left an element unreached",

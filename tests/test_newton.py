@@ -157,8 +157,9 @@ def test_sweep_records_refuses_lambda(a2, coords):
 
 
 def test_sweep_off_lattice_grid(a2):
-    """Sweep lambdas outside the coroot lattice exercise the length-zero
-    twist; still zero mismatches."""
+    """A sweep lambda outside the coroot lattice, (8, 9), starts from a
+    nontrivial length-zero tau, and (9, 9) from tau = 1; still zero
+    mismatches."""
     lams = [coweight(a2, (8, 9)), coweight(a2, (9, 9))]
     recs = sweep_records(a2, lams)
     assert len(recs) == 2 * 6
@@ -207,47 +208,57 @@ def test_max_point_refuses_incomparable(a2):
 
 
 def _check_keys_against_oracle(monkeypatch, rank):
-    """Patch ``_nu_keys`` so every call also runs the tuple oracle; returns
-    counts of the kinds of call and bucket the patched calls saw."""
-    real = newton._nu_keys
-    seen = dict.fromkeys(["trivial tau", "twisted", "empty", "zero T"], 0)
+    """Patch ``_nu_keys`` so every call also runs the tuple oracle, and
+    ``tau_word`` to record whether each sweep starts from tau = 1; returns
+    counts of the kinds of bucket the patched calls saw and the set of
+    recorded tau kinds."""
+    real, real_tau_word = newton._nu_keys, newton.tau_word
+    seen = dict.fromkeys(["empty", "zero T"], 0)
+    trivial_tau = set()
 
-    def checked(eng, states, twist, memo):
+    def checked(eng, states, memo):
         assert eng.dense is (rank <= affine.DENSE_MAX_RANK)
-        got = real(eng, states, twist, memo)
-        assert got == nu_keys(eng, states, twist)
+        got = real(eng, states, memo)
+        assert got == nu_keys(eng, states)
         data = newton._averaging_data(eng.table)
-        seen["trivial tau" if twist is None else "twisted"] += 1
         for x, b in states.buckets.items():
-            z = x if twist is None else twist[0][x]
             if not b:
                 seen["empty"] += 1
-            elif not any(data[z][0]):
+            elif not any(data[x][0]):
                 seen["zero T"] += 1
         return got
 
+    def recorded(w):
+        tau, word = real_tau_word(w)
+        trivial_tau.add(tau.is_identity())
+        return tau, word
+
     monkeypatch.setattr(newton, "_nu_keys", checked)
-    return seen
+    monkeypatch.setattr(newton, "tau_word", recorded)
+    return seen, trivial_tau
 
 
 @pytest.mark.parametrize("ct,n", [("A", 1), ("A", 2), ("B", 2)])
 def test_packed_keys_match_tuple_oracle(ct, n, dense, monkeypatch):
     """On both engines, every key set of the rank <= 2 theorem-grid sweep
     equals the tuple oracle's: full intervals and the partial sets
-    ``states - seen`` with a shared memo, under trivial and nontrivial tau
-    twists, with empty buckets and buckets whose averaging matrix is 0."""
+    ``states - seen`` with a shared memo, from trivial and nontrivial tau,
+    with empty buckets and buckets whose averaging matrix is 0."""
     rs = build_root_system(ct, n)
-    seen = _check_keys_against_oracle(monkeypatch, n)
+    seen, trivial_tau = _check_keys_against_oracle(monkeypatch, n)
     assert all(r["match"] for r in sweep_records(rs, theorem_grid(rs)))
     assert all(seen.values()), seen
+    assert trivial_tau == {True, False}
 
 
 def test_packed_keys_match_tuple_oracle_a3(a3, monkeypatch):
-    """The sparse kernel on A3 at small lambdas, one of them twisted."""
-    seen = _check_keys_against_oracle(monkeypatch, 3)
+    """The sparse kernel on A3 at small lambdas, one of them outside the
+    coroot lattice."""
+    seen, trivial_tau = _check_keys_against_oracle(monkeypatch, 3)
     lams = [coweight(a3, (1, 1, 1)), coweight(a3, (1, 2, 1))]
     assert len(sweep_records(a3, lams)) == 2 * 24
     assert all(seen.values()), seen
+    assert trivial_tau == {True, False}
 
 
 @pytest.mark.parametrize("ct", ["A", "B"])
