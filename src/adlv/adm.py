@@ -40,8 +40,6 @@ from .weyl import (
     WeylElt,
     enumerate_group,
     identity_elt,
-    longest_element,
-    reflection_length,
     simple_reflection,
 )
 
@@ -211,23 +209,10 @@ def virtual_dim(w: AffineElt, b: BInvariants) -> Fraction:
 
 
 def min_dgamma(rs: RootSystem) -> int:
-    """min over x of the graph distance from x to x w0.
-
-    Every edge of the graph is a right multiplication by a reflection, so
-    d_Gamma(x, x w0) is at least the reflection length of w0, read here
-    from w0's fixed space; the scan stops at the first x reaching it."""
+    """min over x of the graph distance from x to x w0."""
     g = build_qbg(rs)
-    table = g.table
-    w0 = table.w0_idx
-    bound = reflection_length(longest_element(rs))
-    best = None
-    for x in range(len(table)):
-        d = g.d_gamma(x, table.prod_idx(x, w0))
-        if best is None or d < best:
-            best = d
-            if best <= bound:
-                break
-    return best
+    t = g.table
+    return min(g.d_gamma(x, t.prod_idx(x, t.w0_idx)) for x in range(len(t)))
 
 
 @dataclass

@@ -41,7 +41,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -405,17 +405,15 @@ def _suite_qbg(config: RunConfig, rs) -> tuple[int, list, dict]:
         else [(rng.randrange(nelts), rng.randrange(nelts))
               for _ in range(500)]
     )
+    searches = {i: g.search(i) for i in {i for i, _ in pairs}}
     for i, j in pairs:
         cases += 1
-        # wt(x, y) agrees with wt(x^{-1} <| y) from the identity
-        if g.wt(i, j) != g.wt1(table.ltri_idx(table.inv_idx(i), j)):
-            failures.append(
-                {
-                    "x": word_str(table.words[i]),
-                    "y": word_str(table.words[j]),
-                    "check": "wt-vs-fold",
-                }
-            )
+        dist, wts = searches[i]
+        # the served wt(x, y) and d_Gamma(x, y) agree with the search from x
+        if g.wt(i, j) != g.decode(wts[j]) or g.d_gamma(i, j) != dist[j]:
+            failures.append({"x": word_str(table.words[i]),
+                             "y": word_str(table.words[j]),
+                             "check": "served-vs-search"})
     return cases, failures, {}
 
 
@@ -541,8 +539,13 @@ def _write_out(text: str, out_path: str | None) -> None:
         print(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 2 through ``main``
+        raise QueryError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="adlv",
         description="Exact affine Weyl group combinatorics toolkit.",
     )
@@ -554,38 +557,32 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=int, default=None)
         p.add_argument("--cap", dest="group_cap", type=int, default=10**6,
                        help="largest Weyl group order to enumerate")
-        p.add_argument("--budget", dest="interval_budget", type=int,
-                       default=30, help="largest element length to sweep")
-        p.add_argument("--seed", dest="sweep_seed", type=int, default=0)
-        p.add_argument("--format", dest="output_format", default="json",
-                       choices=("json", "csv", "markdown"))
         p.add_argument("--out", dest="out_path", default=None)
 
     pt = sub.add_parser("tables", help="emit the bound/weight tables")
     common(pt)
+    pt.add_argument("--format", dest="output_format", default="json",
+                    choices=("json", "csv", "markdown"))
     pt.add_argument("--check", dest="with_brute", action="store_true",
                     help="add brute-force companion columns on small groups")
     pq = sub.add_parser("query", help="evaluate one expression")
-    common(pq)
-    pq.add_argument("expression")
     pv = sub.add_parser("verify", help="run a verification suite")
-    common(pv)
+    for p in (pq, pv):
+        common(p)
+        p.add_argument("--budget", dest="interval_budget", type=int,
+                       default=30, help="largest element length to sweep")
+    pq.add_argument("expression")
+    pv.add_argument("--seed", dest="sweep_seed", type=int, default=0)
     pv.add_argument("suite")
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            cartan_type=args.cartan_type,
-            rank=args.rank,
-            group_cap=args.group_cap,
-            interval_budget=args.interval_budget,
-            sweep_seed=args.sweep_seed,
-            output_format=args.output_format,
-            with_brute=getattr(args, "with_brute", False),
-        )
+        args = _build_parser().parse_args(argv)
+        # each subcommand defines only the flags it reads
+        names = {f.name for f in fields(RunConfig)}
+        config = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
         if args.command == "tables":
             return cmd_tables(config, args.out_path)
         if args.command == "query":

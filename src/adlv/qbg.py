@@ -9,11 +9,12 @@ builder checks this instead of assuming it.
 
 All shortest directed paths between two fixed vertices carry the same
 accumulated weight.  Rather than trusting that, the breadth-first searches
-here check weight agreement layer by layer (raising InvariantError), which
-amounts to a complete check over the whole graph.  The common weight
-wt(x, y), the distance d_Gamma(x, y), and the downward-only decompositions
-extracted from the search drive the closed-form weight tables and the
-weight bound used elsewhere for Newton points.
+here check weight agreement layer by layer (raising InvariantError).  The
+weight wt(x, y) and the distance d_Gamma(x, y) are served from the one
+search to the identity through the group table; ``adlv verify qbg`` checks
+them against the forward search from x.  They and the downward-only
+decompositions drive the closed-form weight tables, the Newton-point
+weight bound and the dimension formulas.
 """
 
 from __future__ import annotations
@@ -126,21 +127,21 @@ class QBGraph:
         self.out = out
         self.rin = rin
         self.rin_down = rin_down
-        self._fwd: dict[int, tuple[list[int], list[int]]] = {}
         self._rev_down: tuple[list[int], list[int], list[int]] | None = None
         # Strong connectivity: the identity reaches everything and is
         # reachable from everything.
-        dist_from_e, _ = self._forward(0)
+        dist_from_e, _ = self.search(0)
         rd, rwts, _, _ = self._run_bfs(0, rin)
         if min(dist_from_e) < 0 or min(rd) < 0:
             raise InvariantError("graph not strongly connected")
         self._rev: tuple[list[int], list[Coroot]] = (
-            rd, [self._decode(p) for p in rwts]
+            rd, [self.decode(p) for p in rwts]
         )
 
     # -- searches ---------------------------------------------------------
 
-    def _decode(self, packed: int) -> Coroot:
+    def decode(self, packed: int) -> Coroot:
+        """The simple-coroot coordinates of a packed weight."""
         width = self.width
         mask = (1 << width) - 1
         return tuple(
@@ -177,13 +178,10 @@ class QBGraph:
                     )
         return dist, wts, parent, label
 
-    def _forward(self, src: int):
-        got = self._fwd.get(src)
-        if got is None:
-            dist, wts, _, _ = self._run_bfs(src, self.out)
-            got = (dist, wts)
-            self._fwd[src] = got
-        return got
+    def search(self, src) -> tuple[list[int], list[int]]:
+        """Uncached forward search, the oracle for ``wt`` and ``d_gamma``:
+        d_Gamma(src, y) and the packed wt(src, y) for every index y."""
+        return self._run_bfs(self._idx(src), self.out)[:2]
 
     def _reverse_down(self):
         if self._rev_down is None:
@@ -202,19 +200,38 @@ class QBGraph:
     # -- queries ----------------------------------------------------------
 
     def _idx(self, x) -> int:
-        if not isinstance(x, int):
+        if isinstance(x, WeylElt):
             return self.table.idx(x)
-        if not 0 <= x < len(self.table):
-            raise RefusalError(f"index {x} outside the group of order {len(self.table)}")
+        if type(x) is not int or not 0 <= x < len(self.table):
+            raise RefusalError(f"index {x!r} outside the group of order {len(self.table)}")
         return x
 
-    def d_gamma(self, x, y) -> int:
-        dist, _ = self._forward(self._idx(x))
-        return dist[self._idx(y)]
-
     def wt(self, x, y) -> Coroot:
-        _, wts = self._forward(self._idx(x))
-        return self._decode(wts[self._idx(y)])
+        """wt(x, y) = wt(x^-1 <| y, 1) (Postnikov, Proc. AMS 133 (2005)).
+
+        >>> from adlv.rootsys import build_root_system
+        >>> g = build_qbg(build_root_system("A", 2))  # index 5 is w0
+        >>> g.wt(0, 5), g.wt(5, 0), g.wt(5, 5)
+        ((0, 0), (1, 1), (0, 0))
+        """
+        t = self.table
+        return self._rev[1][t.ltri_idx(t.inv_idx(self._idx(x)), self._idx(y))]
+
+    def d_gamma(self, x, y) -> int:
+        """d_Gamma(x, y) = ell(y) - ell(x) + <2 rho, wt(x, y)>: along a path
+        an up edge adds 1 to the length, and a down edge through beta adds
+        beta_check to the weight and 1 - <2 rho, beta_check> to the length,
+        so k edges of weight v end at length ell(x) + k - <2 rho, v>; take a
+        shortest path, of weight wt(x, y).  Here <2 rho, alpha_i_check> = 2.
+
+        >>> from adlv.rootsys import build_root_system
+        >>> g = build_qbg(build_root_system("A", 2))  # index 5 is w0
+        >>> g.d_gamma(0, 5), g.d_gamma(5, 0), g.d_gamma(1, 1)
+        (3, 1, 0)
+        """
+        x, y = self._idx(x), self._idx(y)
+        ell = self.table.lengths
+        return ell[y] - ell[x] + 2 * sum(self.wt(x, y))
 
     def wt1(self, x) -> Coroot:
         """wt(x, 1), the weight to the identity."""
@@ -247,11 +264,10 @@ _GRAPHS: dict[RootSystem, QBGraph] = {}
 
 def build_qbg(rs: RootSystem, cap: int = DEFAULT_QBG_CAP) -> QBGraph:
     """Build (and cache) the graph; BudgetError when |W| exceeds ``cap``."""
-    g = _GRAPHS.get(rs)
-    if g is None:
-        g = QBGraph(enumerate_group(rs, cap))
-        _GRAPHS[rs] = g
-    return g
+    table = enumerate_group(rs, cap)
+    if rs not in _GRAPHS:
+        _GRAPHS[rs] = QBGraph(table)
+    return _GRAPHS[rs]
 
 
 @dataclass

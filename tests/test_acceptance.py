@@ -283,7 +283,8 @@ def test_criterion_05_qbg_identities():
             for i in _bits(masks[j]):
                 if any(a > b for a, b in zip(wts[i], wts[j])):
                     mono_ok = False
-    # (c) wt(x,y) = wt(x^{-1} <| y) at rank <= 3
+    # (c) wt(x,y) = wt(x^{-1} <| y) at rank <= 3, wt(x, y) read off the
+    # forward search from x
     fold_ok = True
     for ct, n in RANK_LE_3:
         rs = build_root_system(ct, n)
@@ -292,9 +293,10 @@ def test_criterion_05_qbg_identities():
         embeds = [embed(x) for x in table.elements]
         inv_embeds = [embed(x.inv()) for x in table.elements]
         for i in range(len(table)):
+            _, wts = g.search(i)
             for j in range(len(table)):
                 folded = demazure_ltri(inv_embeds[i], embeds[j]).fin
-                if g.wt(i, j) != g.wt1(folded):
+                if g.decode(wts[j]) != g.wt1(folded):
                     fold_ok = False
     elapsed = time.time() - t0
     ok = uniq_ok and mono_ok and fold_ok and rho_ok

@@ -230,6 +230,13 @@ def test_query_finite_only_ops_refuse_translations(capsys):
         (["query", "--type", "A", "--rank", "2", "admsize [-1,2]"], "dominant"),
         (["tables", "--cap", "0"], "--cap"),
         (["tables", "--budget", "0"], "--budget"),
+        (["query", "--type", "A", "--rank", "2", "--budget", "0", "len s1"],
+         "--budget must be positive"),
+        # each subcommand refuses the flags it does not read
+        (["query", "--type", "A", "--rank", "2", "--format", "csv",
+          "--seed", "5", "len s1"], "unrecognized arguments: --format"),
+        (["tables", "--budget", "7", "--seed", "3"],
+         "unrecognized arguments: --budget 7 --seed 3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, fragment):
@@ -340,8 +347,9 @@ def test_refusals_survive_python_O():
     root-system checks on an affine element's parts, the coordinate count
     of a coweight, the root-system check on finite and affine products, on
     coweight sums, differences and dominance and on a group-table lookup,
-    and the range check on a graph query's index are not asserts, and the
-    checks a suite relies on still hold with asserts stripped."""
+    and the range and bool checks on a graph query's index are not
+    asserts, and the checks a suite relies on still hold with asserts
+    stripped."""
 
     def run(*args):
         return _python_O("-m", "adlv.cli", *args)
@@ -368,6 +376,8 @@ def test_refusals_survive_python_O():
         "refused: element and table of different root systems",
         "refused: index -1 outside the group of order 6",
         "refused: index 6 outside the group of order 6",
+        "refused: index True outside the group of order 6",
+        "refused: index False outside the group of order 6",
         "B2 index of s2s1s2 intact: True",
     ]
 
@@ -399,6 +409,8 @@ for check in (
     lambda: build_qbg(a2).wt1(s2s1s2),
     lambda: build_qbg(a2).wt1(-1),
     lambda: build_qbg(a2).wt1(6),
+    lambda: build_qbg(a2).wt1(True),
+    lambda: build_qbg(a2).d_gamma(False, 1),
 ):
     try:
         check()
@@ -446,7 +458,7 @@ def patched(owner, name, value, call):
 
 for check in (
     lambda: QBGraph(flat),
-    lambda: [skewed.wt(x, 0) for x in range(6)],
+    lambda: [skewed.search(x) for x in range(6)],
     lambda: engine_for(table, 0).pack((99, 0)),
     lambda: engine_for(table, 0).interval_states((0, 1, 0, 2, 0) * 8),
     lambda: _nu_keys(sparse, far, {}),

@@ -7,10 +7,12 @@ from random import Random
 
 import pytest
 
-from adlv.affine import demazure_ltri, embed
-from adlv.errors import InvariantError
+from adlv.affine import demazure_ltri, embed, translation
+from adlv.errors import BudgetError, InvariantError
+from adlv.newton import max_newton_formula
 from adlv.rootsys import (
     build_root_system,
+    coweight,
     coweight_from_coroot,
     dominance_leq,
     pair_root_coroot,
@@ -62,11 +64,59 @@ def test_packed_weights_match_tuple_oracle(ct, n):
     nv = len(g.table)
     for src in range(nv):
         dist, wts = _tuple_bfs(g, src, g.out)
-        assert [g.d_gamma(src, y) for y in range(nv)] == dist
-        assert [g.wt(src, y) for y in range(nv)] == wts
+        got_dist, got_wts = g.search(src)
+        assert got_dist == dist
+        assert [g.decode(p) for p in got_wts] == wts
     dist, wts = _tuple_bfs(g, 0, g.rin)
     assert g.all_wt1() == wts
     assert [g.wt1(x) for x in range(nv)] == wts
+
+
+SERVED_SCOPE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4)]
+
+
+@pytest.mark.parametrize("ct,n", SERVED_SCOPE)
+def test_served_queries_match_search(ct, n):
+    """wt(x, y), served through the min-fold, and d_gamma(x, y), served by
+    the length identity, equal the forward search from x for every y:
+    from every x up to order 384, from a seeded sample of 24 in F4."""
+    g = build_qbg(build_root_system(ct, n))
+    nv = len(g.table)
+    sources = range(nv) if nv <= 384 else Random(0).sample(range(nv), 24)
+    for x in sources:
+        dist, wts = g.search(x)
+        assert [g.wt(x, y) for y in range(nv)] == list(map(g.decode, wts))
+        assert [g.d_gamma(x, y) for y in range(nv)] == dist
+
+
+def test_queries_keep_no_state():
+    """Pairwise queries over all of D5 leave the graph and its table with
+    the same attributes, each of the same size."""
+    g = build_qbg(build_root_system("D", 5))
+
+    def sizes():
+        return {
+            (type(owner).__name__, k): len(v) if hasattr(v, "__len__") else v
+            for owner in (g, g.table)
+            for k, v in vars(owner).items()
+        }
+
+    before = sizes()
+    for x in range(len(g.table)):
+        g.wt(x, 0)
+        g.d_gamma(x, 0)
+    assert sizes() == before
+
+
+def test_build_qbg_checks_cap_when_cached(b3):
+    """A cached graph is no way round the cap."""
+    build_qbg(b3)
+    with pytest.raises(BudgetError, match="cap of 10"):
+        build_qbg(b3, cap=10)
+    w = translation(coweight(b3, (5, 5, 5))).mul(embed(longest_element(b3)))
+    with pytest.raises(BudgetError):
+        max_newton_formula(w, force=True, cap=10)
 
 
 @pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2)])
@@ -79,7 +129,7 @@ def test_corrupted_increment_is_refused(ct, n):
     g.inc[a] += 1
     with pytest.raises(InvariantError, match="different weights"):
         for x in range(len(g.table)):
-            g.wt(x, 0)
+            g.search(x)
 
 
 @pytest.mark.parametrize(
