@@ -26,8 +26,9 @@ Every suite but tables, and every query operator but len and eta,
 enumerates the finite Weyl group, so it first checks the group order
 against --cap.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse error or
-refused input (including --cap/--budget below 1), 3 budget exceeded,
+Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
+refused input (including --cap/--budget below 1) or an --out path that
+cannot be written (``error: cannot write ...``), 3 budget exceeded,
 4 internal invariant violated (a bug, not bad input).
 Reports are deterministic for a fixed config and seed, except for the
 wall_time field in verify reports.
@@ -207,12 +208,6 @@ def render_tables(rows: list[dict], fmt: str) -> str:
     raise QueryError(f"unknown format {fmt!r}")
 
 
-def cmd_tables(config: RunConfig, out_path: str | None) -> int:
-    text = render_tables(table_rows(config), config.output_format)
-    _write_out(text, out_path)
-    return 0
-
-
 # -- query -----------------------------------------------------------------
 
 
@@ -362,12 +357,6 @@ def run_query(config: RunConfig, expression: str) -> dict:
     raise QueryError(f"unknown operator {op!r}")
 
 
-def cmd_query(config: RunConfig, expression: str, out_path: str | None) -> int:
-    rep = run_query(config, expression)
-    _write_out(json.dumps(rep, indent=2, sort_keys=True), out_path)
-    return 0
-
-
 # -- verify ----------------------------------------------------------------
 
 
@@ -389,10 +378,9 @@ def _suite_tables(config: RunConfig, _rs: None) -> tuple[int, list, dict]:
 def _suite_qbg(config: RunConfig, rs) -> tuple[int, list, dict]:
     g = build_qbg(rs)  # construction itself checks weight consistency
     table = enumerate_group(rs)
-    cases, failures = 0, []
+    failures = []
     downs = g.all_ell_down()
     for i, wt in enumerate(g.all_wt1()):
-        cases += 1
         # 2 <rho, wt(x)> = ell(x) + ell_down(x)
         if 2 * sum(wt) != table.lengths[i] + downs[i]:
             failures.append({"x": word_str(table.words[i]),
@@ -405,16 +393,23 @@ def _suite_qbg(config: RunConfig, rs) -> tuple[int, list, dict]:
         else [(rng.randrange(nelts), rng.randrange(nelts))
               for _ in range(500)]
     )
-    searches = {i: g.search(i) for i in {i for i, _ in pairs}}
-    for i, j in pairs:
-        cases += 1
-        dist, wts = searches[i]
-        # the served wt(x, y) and d_Gamma(x, y) agree with the search from x
-        if g.wt(i, j) != g.decode(wts[j]) or g.d_gamma(i, j) != dist[j]:
-            failures.append({"x": word_str(table.words[i]),
-                             "y": word_str(table.words[j]),
-                             "check": "served-vs-search"})
-    return cases, failures, {}
+    # served wt(x, y) and d_Gamma(x, y) against the search from x, one
+    # search alive at a time (dropped before the next); failures in pair order
+    by_src: dict[int, list[int]] = {}
+    for k, (i, _) in enumerate(pairs):
+        by_src.setdefault(i, []).append(k)
+    bad = []
+    for i, ks in by_src.items():
+        dist, wts = g.search(i)
+        for k in ks:
+            j = pairs[k][1]
+            if g.wt(i, j) != g.decode(wts[j]) or g.d_gamma(i, j) != dist[j]:
+                bad.append(k)
+        del dist, wts
+    failures += [{"x": word_str(table.words[pairs[k][0]]),
+                  "y": word_str(table.words[pairs[k][1]]),
+                  "check": "served-vs-search"} for k in sorted(bad)]
+    return nelts + len(pairs), failures, {}
 
 
 def _suite_newton(config: RunConfig, rs) -> tuple[int, list, dict]:
@@ -522,19 +517,16 @@ def run_suite(config: RunConfig, suite: str) -> dict:
     return report
 
 
-def cmd_verify(config: RunConfig, suite: str, out_path: str | None) -> int:
-    report = run_suite(config, suite)
-    _write_out(json.dumps(report, indent=2, sort_keys=True), out_path)
-    return 0 if report["passed"] else 1
-
-
 # -- plumbing --------------------------------------------------------------
 
 
 def _write_out(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise QueryError(f"cannot write {out_path}: {e.strerror}") from e
     else:
         print(text)
 
@@ -583,13 +575,18 @@ def main(argv=None) -> int:
         # each subcommand defines only the flags it reads
         names = {f.name for f in fields(RunConfig)}
         config = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
+        code = 0
         if args.command == "tables":
-            return cmd_tables(config, args.out_path)
-        if args.command == "query":
-            return cmd_query(config, args.expression, args.out_path)
-        if args.command == "verify":
-            return cmd_verify(config, args.suite, args.out_path)
-        raise QueryError(f"unknown command {args.command!r}")
+            text = render_tables(table_rows(config), config.output_format)
+        elif args.command == "query":
+            text = json.dumps(run_query(config, args.expression), indent=2,
+                              sort_keys=True)
+        else:  # verify; argparse admits no other command
+            report = run_suite(config, args.suite)
+            text = json.dumps(report, indent=2, sort_keys=True)
+            code = 0 if report["passed"] else 1
+        _write_out(text, args.out_path)
+        return code
     except ValueError as e:  # QueryError, RefusalError, bad type or rank
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -76,12 +76,13 @@ class RQRD:
 class QBGraph:
     """The graph, with weighted breadth-first search utilities.
 
-    ``out[x]`` lists the edges ``(target, root_index, is_down)`` leaving x in
-    root-index order; ``rin[y]`` lists them by target.  Searches are layered
-    and check that every predecessor of a vertex on the shortest-path level
-    agrees about the accumulated weight.  The adjacency lists are kept
-    rather than re-deriving edges from ``rmult_root`` per search: a vertex
-    has a handful of edges but |Phi+| candidate roots.
+    ``up[x]`` lists the targets of the weight-zero edges leaving x and
+    ``down[x]`` the ``(target, root_index)`` pairs of its down edges, in
+    root-index order; ``up_in``/``down_in`` list them by target.  Layered
+    searches check every shortest-path edge for weight agreement and keep
+    only each vertex's first-found parent (x s_beta = y fixes the root).
+    The lists are kept rather than re-derived from ``rmult_root`` per
+    search: a vertex has a handful of edges but |Phi+| candidate roots.
 
     A search carries its accumulated weight as one packed int: field i,
     ``width`` bits at offset ``i * width``, holds simple-coroot coordinate
@@ -97,7 +98,6 @@ class QBGraph:
         self.table = table
         self.rs = rs = table.rs
         nv = len(table)
-        nroots = len(rs.positive_roots)
         lengths = table.lengths
         top = max(max(c) for c in rs.positive_coroots)
         self.width = width = (nv * top).bit_length() + 1
@@ -105,33 +105,28 @@ class QBGraph:
             sum(c << (i * width) for i, c in enumerate(cr))
             for cr in rs.positive_coroots
         ]
-        out: list[list[tuple[int, int, bool]]] = [[] for _ in range(nv)]
-        rin: list[list[tuple[int, int, bool]]] = [[] for _ in range(nv)]
-        rin_down: list[list[tuple[int, int, bool]]] = [[] for _ in range(nv)]
-        for a in range(nroots):
-            drop = pair_root_coroot(rs, rs.two_rho, rs.positive_coroots[a]) - 1
+        up, up_in, down, down_in = ([[] for _ in range(nv)] for _ in range(4))
+        for a, cr in enumerate(rs.positive_coroots):
+            drop = pair_root_coroot(rs, rs.two_rho, cr) - 1
             quantum = rs.quantum_flags[a]
             tab = table.rmult_root(a)
             for x in range(nv):
                 y = tab[x]
                 d = lengths[y] - lengths[x]
                 if d == 1:
-                    out[x].append((y, a, False))
-                    rin[y].append((x, a, False))
+                    up[x].append(y)
+                    up_in[y].append(x)
                 elif d == -drop:
                     if not quantum:
                         raise InvariantError("down edge through a non-quantum root")
-                    out[x].append((y, a, True))
-                    rin[y].append((x, a, True))
-                    rin_down[y].append((x, a, True))
-        self.out = out
-        self.rin = rin
-        self.rin_down = rin_down
-        self._rev_down: tuple[list[int], list[int], list[int]] | None = None
+                    down[x].append((y, a))
+                    down_in[y].append((x, a))
+        self.up, self.down, self.up_in, self.down_in = up, down, up_in, down_in
+        self._rev_down: tuple[list[int], list[int]] | None = None
         # Strong connectivity: the identity reaches everything and is
         # reachable from everything.
         dist_from_e, _ = self.search(0)
-        rd, rwts, _, _ = self._run_bfs(0, rin)
+        rd, rwts, _ = self._run_bfs(0, up_in, down_in)
         if min(dist_from_e) < 0 or min(rd) < 0:
             raise InvariantError("graph not strongly connected")
         self._rev: tuple[list[int], list[Coroot]] = (
@@ -148,44 +143,49 @@ class QBGraph:
             packed >> (i * width) & mask for i in range(self.rs.rank)
         )
 
-    def _run_bfs(self, src: int, adj):
+    def _run_bfs(self, src: int, up, down):
         """Layered BFS accumulating packed down-edge weights.  Returns the
-        distances, the packed weights, and each vertex's first-found parent
-        and edge root, which make the extracted witnesses deterministic."""
+        distances, the packed weights, and each vertex's first-found
+        parent, which makes the extracted witnesses deterministic."""
         inc = self.inc
-        n = len(self.out)
+        n = len(up)
         dist = [-1] * n
         wts = [0] * n
         parent = [-1] * n
-        label = [-1] * n
         dist[src] = 0
         queue = [src]
         for v in queue:  # the loop also visits the vertices appended below
             dnext = dist[v] + 1
             wv = wts[v]
-            for u, a, down in adj[v]:
-                w = wv + inc[a] if down else wv
+            for u in up[v]:
+                du = dist[u]
+                if du < 0:
+                    dist[u] = dnext
+                    wts[u] = wv
+                    parent[u] = v
+                    queue.append(u)
+                elif du == dnext and wts[u] != wv:
+                    raise InvariantError("two shortest paths with different weights")
+            for u, a in down[v]:
+                w = wv + inc[a]
                 du = dist[u]
                 if du < 0:
                     dist[u] = dnext
                     wts[u] = w
                     parent[u] = v
-                    label[u] = a
                     queue.append(u)
                 elif du == dnext and wts[u] != w:
-                    raise InvariantError(
-                        "two shortest paths with different weights"
-                    )
-        return dist, wts, parent, label
+                    raise InvariantError("two shortest paths with different weights")
+        return dist, wts, parent
 
     def search(self, src) -> tuple[list[int], list[int]]:
         """Uncached forward search, the oracle for ``wt`` and ``d_gamma``:
         d_Gamma(src, y) and the packed wt(src, y) for every index y."""
-        return self._run_bfs(self._idx(src), self.out)[:2]
+        return self._run_bfs(self._idx(src), self.up, self.down)[:2]
 
     def _reverse_down(self):
         if self._rev_down is None:
-            dist, _, parent, label = self._run_bfs(0, self.rin_down)
+            dist, _, parent = self._run_bfs(0, [()] * len(self.up), self.down_in)
             if min(dist) < 0:
                 raise InvariantError("element with no downward decomposition")
             # Down-only distance to the identity agrees with the
@@ -194,7 +194,7 @@ class QBGraph:
                 raise InvariantError(
                     "a shortest path to the identity beats the down-only one"
                 )
-            self._rev_down = (dist, parent, label)
+            self._rev_down = (dist, parent)
         return self._rev_down
 
     # -- queries ----------------------------------------------------------
@@ -242,13 +242,16 @@ class QBGraph:
         return self._reverse_down()[0][self._idx(x)]
 
     def rqrd(self, x) -> RQRD:
-        """A minimal downward decomposition of x read off the search tree."""
-        _, parent, label = self._reverse_down()
+        """A minimal downward decomposition of x read off the search tree:
+        each tree edge v -> parent[v] is v s_beta = parent[v]."""
+        _, parent = self._reverse_down()
+        t = self.table
         v = self._idx(x)
         labels = []
         while v != 0:
-            labels.append(label[v])
-            v = parent[v]
+            p = parent[v]
+            labels.append(t.reflections.index(t.prod_idx(t.inv_idx(v), p)))
+            v = p
         roots = self.rs.positive_roots
         return RQRD(tuple(roots[a] for a in reversed(labels)))
 

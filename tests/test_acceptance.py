@@ -237,6 +237,7 @@ def test_criterion_05_qbg_identities():
         rs = build_root_system(ct, 2)
         g = build_qbg(rs)
         n = len(g.table)
+        zero = (0,) * rs.rank
         for src in range(n):
             dist = {src: 0}
             wsets = {src: {(0,) * rs.rank}}
@@ -244,7 +245,7 @@ def test_criterion_05_qbg_identities():
             while frontier:
                 nxt = []
                 for v in frontier:
-                    for u, a, is_down in g.out[v]:
+                    for u in g.up[v] + [u for u, _ in g.down[v]]:
                         if u not in dist:
                             dist[u] = dist[v] + 1
                             nxt.append(u)
@@ -254,13 +255,10 @@ def test_criterion_05_qbg_identities():
                 if v == src:
                     continue
                 acc = set()
-                for u, a, is_down in g.rin[v]:
+                for u, gamma in [(u, zero) for u in g.up_in[v]] + [
+                    (u, rs.positive_coroots[a]) for u, a in g.down_in[v]
+                ]:
                     if u in dist and dist[u] + 1 == dist[v]:
-                        gamma = (
-                            rs.positive_coroots[a]
-                            if is_down
-                            else (0,) * rs.rank
-                        )
                         acc |= {
                             tuple(w + c for w, c in zip(ws, gamma))
                             for ws in wsets[u]

@@ -6,7 +6,9 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -22,7 +24,9 @@ from adlv.cli import (
     table_rows,
 )
 from adlv.errors import InvariantError
+from adlv.qbg import QBGraph, build_qbg
 from adlv.rootsys import build_root_system
+from adlv.weyl import word_str
 
 GOLDEN = Path(__file__).resolve().parents[1] / "src" / "adlv" / "golden"
 
@@ -279,6 +283,20 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert rep["failures"] == [{"check": "forced"}]
 
 
+@pytest.mark.parametrize("command", ["verify", "tables"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    """An --out path that cannot be opened is refused input (exit 2), not a
+    verification failure (exit 1) or a traceback."""
+    target = tmp_path / "missing" / "r.json"
+    argv = [command, "--type", "A", "--rank", "2", "--out", str(target)]
+    if command == "verify":
+        argv.append("qbg")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}")
+    assert not target.parent.exists()
+
+
 def test_invariant_violation_exits_4(capsys, monkeypatch):
     def broken(config, rs):
         raise InvariantError("forced")
@@ -319,6 +337,55 @@ def test_tables_suite_small_scope():
     rep = run_suite(RunConfig(cartan_type="G", rank=2), "tables")
     assert rep["passed"] is True
     assert rep["cases"] == 1
+
+
+def test_qbg_suite_holds_one_search_at_a_time():
+    """With the D5 graph built, the seeded qbg suite (441 distinct sources)
+    allocates under 2 MB at its peak: one forward search is about 0.1 MB,
+    and keeping every search alive until the end took about 20 MB."""
+    build_qbg(build_root_system("D", 5)).all_ell_down()
+    tracemalloc.start()
+    try:
+        rep = run_suite(RunConfig("D", 5), "qbg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["passed"] and rep["cases"] == 2420
+    assert peak < 2 * 2**20, peak
+
+
+def test_qbg_suite_reports_failures_in_pair_order(monkeypatch):
+    """Searches run grouped by source, but a served value that disagrees is
+    reported in the order of the seeded pairs, with the same fields."""
+    g = build_qbg(build_root_system("D", 5))
+    nv = len(g.table)
+    rng = Random(0)
+    pairs = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(500)]
+    # positions k1 < k2 < k3 with sources i, i2 < i, i: taking the sources
+    # in first-seen or in sorted order would report them out of pair order
+    first = {}
+    for k3, (i, _) in enumerate(pairs):
+        k1 = first.setdefault(i, k3)
+        k2 = next((k for k in range(k1 + 1, k3) if pairs[k][0] < i), None)
+        if k2 is not None:
+            break
+    chosen = [k1, k2, k3]
+    wrong = {pairs[k] for k in chosen}
+    real = QBGraph.wt
+    monkeypatch.setattr(
+        QBGraph, "wt",
+        lambda self, x, y: (-1,) * 5 if (x, y) in wrong else real(self, x, y),
+    )
+    rep = run_suite(RunConfig("D", 5), "qbg")
+    words = g.table.words
+    assert rep["failures"] == [
+        {"x": word_str(words[i]), "y": word_str(words[j]),
+         "check": "served-vs-search"}
+        for i, j in pairs if (i, j) in wrong
+    ]
+    assert len(rep["failures"]) >= 3
+    assert pairs[k1][0] == pairs[k3][0] > pairs[k2][0]
+    assert rep["cases"] == 2420
 
 
 def test_verify_reports_deterministic():

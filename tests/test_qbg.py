@@ -1,6 +1,7 @@
 """Quantum Bruhat graph: edges, weights, uniqueness, closed forms, and
 downward decompositions."""
 
+import hashlib
 from collections import deque
 from itertools import product
 from random import Random
@@ -33,20 +34,25 @@ UNIQ = [("A", 2), ("B", 2), ("G", 2)]
 ORACLE_SCOPE = UNIQ + [("A", 3), ("B", 3), ("C", 3)]
 
 
-def _tuple_bfs(g, src, adj):
+def _edges(up, down, x):
+    """The edges at x as (other end, root index or None for an up edge)."""
+    return [(u, None) for u in up[x]] + list(down[x])
+
+
+def _tuple_bfs(g, src, up, down):
     """Reference search: the layered BFS carrying each weight as a tuple of
     simple-coroot coordinates, with the same agreement check."""
     coroots = g.rs.positive_coroots
-    dist = [-1] * len(adj)
-    wts = [None] * len(adj)
+    dist = [-1] * len(up)
+    wts = [None] * len(up)
     dist[src] = 0
     wts[src] = (0,) * g.rs.rank
     q = deque([src])
     while q:
         v = q.popleft()
-        for u, a, down in adj[v]:
+        for u, a in _edges(up, down, v):
             w = wts[v]
-            if down:
+            if a is not None:
                 w = tuple(p + c for p, c in zip(w, coroots[a]))
             if dist[u] < 0:
                 dist[u] = dist[v] + 1
@@ -63,11 +69,11 @@ def test_packed_weights_match_tuple_oracle(ct, n):
     g = build_qbg(rs)
     nv = len(g.table)
     for src in range(nv):
-        dist, wts = _tuple_bfs(g, src, g.out)
+        dist, wts = _tuple_bfs(g, src, g.up, g.down)
         got_dist, got_wts = g.search(src)
         assert got_dist == dist
         assert [g.decode(p) for p in got_wts] == wts
-    dist, wts = _tuple_bfs(g, 0, g.rin)
+    dist, wts = _tuple_bfs(g, 0, g.up_in, g.down_in)
     assert g.all_wt1() == wts
     assert [g.wt1(x) for x in range(nv)] == wts
 
@@ -132,6 +138,17 @@ def test_corrupted_increment_is_refused(ct, n):
             g.search(x)
 
 
+def test_down_only_search_checks_weights():
+    """The down-only search to the identity runs with no up edges, so its
+    down-edge loop alone must refuse a wrong packed coroot: in A3, two
+    shortest downward paths use the reflection in root 0 a different
+    number of times."""
+    g = QBGraph(enumerate_group(build_root_system("A", 3)))
+    g.inc[0] += 1
+    with pytest.raises(InvariantError, match="different weights"):
+        g.all_ell_down()
+
+
 @pytest.mark.parametrize(
     "ct,n,count",
     [(ct, n, None) for ct, n in ORACLE_SCOPE + [("A", 1), ("C", 2)]]
@@ -154,18 +171,37 @@ def test_ltri_idx_matches_affine_fold(ct, n, count):
 
 
 def test_edge_classification(b2):
+    """Up edges raise the length by one, down edges through quantum roots
+    drop it by <2 rho, beta_check> - 1, and up and down together hold each
+    edge derived from ``rmult_root`` once, in both directions."""
     g = build_qbg(b2)
     table = g.table
-    for x in range(len(table)):
-        for y, a, is_down in g.out[x]:
-            d = table.lengths[y] - table.lengths[x]
-            drop = pair_root_coroot(
-                b2, b2.two_rho, b2.positive_coroots[a]
-            ) - 1
-            if is_down:
-                assert d == -drop and b2.quantum_flags[a]
-            else:
-                assert d == 1
+    nv = len(table)
+    expected = set()
+    for a, cr in enumerate(b2.positive_coroots):
+        drop = pair_root_coroot(b2, b2.two_rho, cr) - 1
+        tab = table.rmult_root(a)
+        for x in range(nv):
+            d = table.lengths[tab[x]] - table.lengths[x]
+            if d == 1:
+                expected.add((x, tab[x], None))
+            elif d == -drop:
+                expected.add((x, tab[x], a))
+    for x in range(nv):
+        for y in g.up[x]:
+            assert table.lengths[y] - table.lengths[x] == 1
+        for y, a in g.down[x]:
+            drop = pair_root_coroot(b2, b2.two_rho, b2.positive_coroots[a]) - 1
+            assert table.lengths[y] - table.lengths[x] == -drop
+            assert b2.quantum_flags[a]
+    for up, down, fwd in ((g.up, g.down, True), (g.up_in, g.down_in, False)):
+        edges = [
+            (x, u, a) if fwd else (u, x, a)
+            for x in range(nv)
+            for u, a in _edges(up, down, x)
+        ]
+        assert len(edges) == len(set(edges))
+        assert set(edges) == expected
 
 
 @pytest.mark.parametrize("ct,n", UNIQ)
@@ -185,7 +221,7 @@ def test_shortest_path_weight_uniqueness(ct, n):
         while frontier:
             nxt = []
             for x in frontier:
-                for y, a, is_down in g.out[x]:
+                for y, a in _edges(g.up, g.down, x):
                     if dist[y] is None:
                         dist[y] = dist[x] + 1
                         nxt.append(y)
@@ -195,10 +231,10 @@ def test_shortest_path_weight_uniqueness(ct, n):
         wsets[src] = {(0,) * rs.rank}
         order = sorted(range(nv), key=lambda v: dist[v])
         for x in order:
-            for y, a, is_down in g.out[x]:
+            for y, a in _edges(g.up, g.down, x):
                 if dist[y] != dist[x] + 1:
                     continue
-                gamma = rs.positive_coroots[a] if is_down else (0,) * rs.rank
+                gamma = rs.positive_coroots[a] if a is not None else (0,) * rs.rank
                 for w in wsets[x]:
                     wsets[y].add(
                         tuple(c + d for c, d in zip(w, gamma))
@@ -276,6 +312,33 @@ def test_rqrd_of_w0(c3, g2):
         assert len(dec) == g.ell_down(w0)
 
 
+# sha256 of repr([rqrd(x).factors for every x]) and of repr(all_ell_down()),
+# recorded when each search tree edge still stored its root
+WITNESS_DIGESTS = {
+    ("C", 3): ("604d3bce97dd7e67f3ee3a40bb5a7484fd7974dce7378ef63598677bf42c8a74",
+               "b3e48cddce74457307811fd081b758f2d72554949e018eff0ba12fe15d2d15ce"),
+    ("G", 2): ("2fd9de4decb7e9040980fce70dddc1059298d997c4e052afa3829c81cf081a3d",
+               "e2c7e15958318d32ad9d935fa3e85fcb73891c1735f16adcd4ae77e2e3d0b5f9"),
+    ("D", 4): ("a452dda64db2d901648852855832f29b33fbd1b97499100599336aa5e8e29721",
+               "be4bafa84a8b54cc59dd43908fce982c2ffe206326fc9300b0d709f3bde40e5b"),
+    ("F", 4): ("72842c6962704a8aa61af12ed2ef80999606cc0cde420da8800308ae8965e923",
+               "d3973b8d3b6a0f77167ce591c04b60dd082733654345c99673936af1f17addf8"),
+}
+
+
+@pytest.mark.parametrize("ct,n", sorted(WITNESS_DIGESTS))
+def test_rqrd_witnesses_frozen(ct, n):
+    """Deriving each tree edge's root from (vertex, parent) gives the same
+    decomposition of every x as storing it did."""
+    g = build_qbg(build_root_system(ct, n))
+    factors = [g.rqrd(x).factors for x in range(len(g.table))]
+    got = tuple(
+        hashlib.sha256(repr(v).encode()).hexdigest()
+        for v in (factors, g.all_ell_down())
+    )
+    assert got == WITNESS_DIGESTS[ct, n]
+
+
 def test_w0_exhibits_high_rank():
     """The written-out decompositions for the two largest exceptional
     groups are valid with factor count equal to the rank; minimality is
@@ -305,8 +368,8 @@ def test_wt_additive_along_up_edges(a2):
     away from the identity only through down contributions."""
     g = build_qbg(a2)
     for x in range(len(g.table)):
-        for y, a, is_down in g.out[x]:
-            gamma = a2.positive_coroots[a] if is_down else (0,) * 2
+        for y, a in _edges(g.up, g.down, x):
+            gamma = a2.positive_coroots[a] if a is not None else (0,) * 2
             lhs = coweight_from_coroot(a2, g.wt(x, 0))
             # triangle bound through the edge
             step = coweight_from_coroot(
