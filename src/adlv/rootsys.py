@@ -464,14 +464,16 @@ def _dominantize(rs: RootSystem, p: Sequence[Num]) -> tuple[tuple[Num, ...], lis
     n = rs.rank
     cur = list(p)
     word: list[int] = []
-    while True:
-        i = next((k for k in range(n) if cur[k] < 0), None)
-        if i is None:
-            return tuple(_norm_num(x) for x in cur), word
+    i = 0
+    while i < n:  # reflect in the first negative coordinate, then rescan
         pi = cur[i]
-        for k in range(n):
-            cur[k] = cur[k] - C[i][k] * pi
-        word.append(i)
+        if pi < 0:
+            cur = [c - d * pi for c, d in zip(cur, C[i])]
+            word.append(i)
+            i = 0
+        else:
+            i += 1
+    return tuple(map(_norm_num, cur)), word
 
 
 def dominant_rep(lam: Coweight):

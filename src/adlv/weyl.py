@@ -3,14 +3,16 @@
 An element carries two integer matrices: its action on root coordinates and
 the inverse action.  Carrying the inverse makes inversion free and gives
 O(n^2) access to both "how does w move this root" and "which root maps onto
-this one", which the graph algorithms lean on heavily.  The coroot action is
-derived from the root action through the symmetrizer.
+this one".  The coroot action is derived from the root action through the
+symmetrizer.
 
 While W has a cached ``GroupTable`` (only ``enumerate_group`` builds one),
 an element carries its table index, and products, inverses and the root
 images under the inverse (hence lengths) are table lookups; the matrix
-products serve groups with no cached table.  Bruhat order is the table's
-bitmask closure, reflection length the rank of (action - id) on the
+products serve groups with no cached table.  A table element's matrices are
+built on first access, from its word-prefix parent, so building a table (and
+the quantum Bruhat graph on it) multiplies no matrices.  Bruhat order is the
+table's bitmask closure, reflection length the rank of (action - id) on the
 reflection representation.
 
 >>> from adlv.rootsys import build_root_system
@@ -249,9 +251,10 @@ class GroupTable:
     of ``elements[a] * s_i``; every other product (``prod_idx``,
     ``inv_idx``, ``rmult_root``) is a fold of ``rmult`` along ``words``.
     ``reflections`` maps a positive root index to the index of its
-    reflection.  The root images under inverses (``inv_images``),
-    reflection-multiplication tables and the full Bruhat relation (as
-    bitmasks) are built lazily.
+    reflection.  The build records only this index data: ``elements[a]``
+    is built on first access (see ``_Elements``), and so are the root
+    images under inverses (``inv_images``), reflection-multiplication
+    tables and the full Bruhat relation (as bitmasks).
     """
 
     def __init__(self, rs: RootSystem):
@@ -259,8 +262,6 @@ class GroupTable:
         self.rs = rs
         n = rs.rank
         C = rs.cartan
-        gens = [simple_reflection(rs, i) for i in range(n)]
-        elements: list[WeylElt] = [identity_elt(rs)]
         words: list[tuple[int, ...]] = [()]
         # key of x: <alpha_j, x^-1 rho_check> = ht(x alpha_j) for each j
         index: dict = {(1,) * n: 0}
@@ -277,20 +278,15 @@ class GroupTable:
                     q = tuple(p[j] - Ci[j] * pi for j in range(n))
                     b = index.get(q)
                     if b is None:
-                        b = len(elements)
-                        index[q] = b
-                        y = elements[a].mul(gens[i])
-                        y._len, y._idx = len(words[a]) + 1, b
-                        elements.append(y)
+                        b = index[q] = len(words)
                         words.append(words[a] + (i,))
                         nxt.append((q, b))
                     rmult[i][a] = b
                     rmult[i][b] = a
             layer = nxt
-        if len(elements) != order:
-            raise InvariantError(f"BFS found {len(elements)} of {order}")
-        elements[0]._idx = 0
-        self.elements = elements
+        if len(words) != order:
+            raise InvariantError(f"BFS found {len(words)} of {order}")
+        self.elements = _Elements(rs, words, rmult, index)
         self.words = words
         self.index = index
         self.lengths = [len(w) for w in words]
@@ -391,6 +387,50 @@ class GroupTable:
 
     def leq_idx(self, a: int, b: int) -> bool:
         return bool((self.bruhat_masks()[b] >> a) & 1)
+
+
+class _Elements(Sequence):
+    """A table's elements in index order, each built on first access: walk
+    up the word-prefix parents not yet built, then multiply back down by
+    simple reflections, checking that the rho_check key of each new matrix
+    is its own index."""
+
+    def __init__(self, rs: RootSystem, words, rmult, index):
+        self._rs, self._words, self._rmult, self._index = rs, words, rmult, index
+        e = identity_elt(rs)
+        e._idx, e._len = 0, 0
+        self._slots: list[WeylElt | None] = [e] + [None] * (len(words) - 1)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def __getitem__(self, a):
+        if isinstance(a, slice):
+            return [self[b] for b in range(len(self))[a]]
+        x = self._slots[a]
+        if x is not None:
+            return x
+        slots, path, a = self._slots, [], range(len(self))[a]
+        for i in reversed(self._words[a]):
+            if slots[a] is not None:
+                break
+            path.append((a, i))
+            a = self._rmult[i][a]
+        else:  # the walk used the whole word: its base is the identity
+            a = 0
+        x = slots[a]
+        for b, i in reversed(path):
+            # mat_mul, not WeylElt.mul, which would come back here
+            g = simple_reflection(self._rs, i)
+            r = mat_mul(x.r, g.r)
+            if self._index.get(tuple(map(sum, zip(*r)))) != b:
+                raise InvariantError("table element's matrix keys to another index")
+            x = slots[b] = WeylElt(self._rs, r, mat_mul(g.ri, x.ri))
+            x._idx, x._len = b, len(self._words[b])
+        return x
 
 
 def _signed_images(rs: RootSystem, m) -> tuple[int, ...]:

@@ -512,6 +512,8 @@ unlinked = copy.copy(table)
 unlinked.rmult_root = lambda a: list(range(6))
 skewed = QBGraph(table)
 skewed.inc[0] += 1
+corrupt = weyl.GroupTable(a2)
+corrupt.rmult[1][3] = 2  # claims s1 s2 * s2 = s2
 t11 = translation(coweight(a2, (1, 1)))
 real_length = affine.affine_length
 
@@ -550,6 +552,7 @@ for check in (
             rootsys.dominant_rep(coweight(a2, (1, -1)))),
     lambda: cascade.dp_root(
         dataclasses.replace(a2, reflection_lengths=(2, 2, 2)), 0),
+    lambda: corrupt.elements[3],
 ):
     try:
         check()
@@ -567,8 +570,9 @@ def test_invariants_survive_python_O():
     out of descents or leaves length behind, a coset walk ending off the
     dominant chamber, a table search that misses elements, finite descent and
     ascent searches that stop early, a dominating element that misses the
-    dominant representative and a reflection of even length are refused
-    by explicit checks, not asserts, so -O keeps them."""
+    dominant representative, a reflection of even length and a table
+    element built through a corrupted multiplication entry are refused by
+    explicit checks, not asserts, so -O keeps them."""
     res = _python_O("-c", _BROKEN_INVARIANTS)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
@@ -590,6 +594,7 @@ def test_invariants_survive_python_O():
         "raised: ascents ran out below w0",
         "raised: g(lambda) is not the dominant representative",
         "raised: reflection of even length",
+        "raised: table element's matrix keys to another index",
     ]
 
 

@@ -1,12 +1,13 @@
 """Finite Weyl group elements, group tables, Bruhat order, reflection
 length."""
 
+import random
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adlv import weyl
+from adlv import qbg, weyl
 from adlv.rootsys import WEYL_ORDER, build_root_system
 from adlv.weyl import (
     enumerate_group,
@@ -210,3 +211,42 @@ def test_index_path_matches_matrices(ct, n, monkeypatch):
     for a, t in enumerate(table.reflections):
         assert elts[t] == reflection(rs, a)
         assert elts[t].inv_images()[a] == ~a
+
+
+def test_table_and_qbg_build_multiply_no_matrices(monkeypatch):
+    """Building the F4 and D5 tables and their quantum Bruhat graphs reads
+    index data only: no element matrix is built."""
+    calls = []
+    real = weyl.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(weyl, "mat_mul", counted)
+    monkeypatch.setattr(weyl, "_TABLES", {})
+    monkeypatch.setattr(qbg, "_GRAPHS", {})
+    for ct, n in (("F", 4), ("D", 5)):
+        rs = build_root_system(ct, n)
+        enumerate_group(rs)
+        qbg.build_qbg(rs)
+    assert not calls
+
+
+@pytest.mark.parametrize("ct,n", [("B", 3), ("G", 2), ("D", 4), ("F", 4)])
+def test_lazy_elements_match_eager_in_any_order(ct, n, monkeypatch):
+    """Table elements built in a shuffled order equal the matrix products
+    of their words, carry their index and length, and are built once; the
+    whole sequence equals a fresh table's, read in index order."""
+    rs = build_root_system(ct, n)
+    monkeypatch.setattr(weyl, "_TABLES", {})  # from_word multiplies matrices
+    table = weyl.GroupTable(rs)
+    order = list(range(len(table)))
+    random.Random(5).shuffle(order)
+    for a in order:
+        x = table.elements[a]
+        assert x == from_word(rs, table.words[a])
+        assert (x._idx, x._len) == (a, table.lengths[a])
+        assert table.elements[a] is x
+    fresh = list(weyl.GroupTable(rs).elements)
+    assert list(table.elements) == fresh and table.elements == fresh
