@@ -20,8 +20,8 @@ from .affine import (
     AffineElt,
     affine_length,
     descent_left,
-    embed,
     lower_interval,
+    simple_affine,
     translation,
 )
 from .errors import BudgetError, InvariantError, RefusalError
@@ -40,7 +40,6 @@ from .weyl import (
     WeylElt,
     enumerate_group,
     identity_elt,
-    simple_reflection,
 )
 
 __all__ = [
@@ -111,13 +110,25 @@ def adm_set(mu: Coweight, budget: int = DEFAULT_ADM_BUDGET) -> AdmSet:
             f"translation length {lt} exceeds the admissible-set budget "
             f"{budget}"
         )
-    table = enumerate_group(rs)
-    orbit = {x.act_pairing(mu_int) for x in table.elements}
+    enumerate_group(rs)  # the cap refusal, before the orbit is walked
     members: set[AffineElt] = set()
-    for pt in orbit:
+    for pt in _orbit(rs, mu_int):
         top = AffineElt(rs, pt, identity_elt(rs))
         members |= lower_interval(top, budget=budget).members
     return AdmSet(mu, frozenset(members))
+
+
+def _orbit(rs: RootSystem, p: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The Weyl orbit of a coweight in pairing coordinates, closed under the
+    simple reflections: s_i moves coordinate k by -C[i][k] p_i."""
+    seen, todo = {p}, [p]
+    for q in todo:  # todo grows while it is read
+        for qi, row in zip(q, rs.cartan):
+            r = tuple([a - c * qi for a, c in zip(q, row)])
+            if r not in seen:
+                seen.add(r)
+                todo.append(r)
+    return seen
 
 
 def product_set(a: AdmSet, b: AdmSet) -> frozenset[AffineElt]:
@@ -189,9 +200,9 @@ def eta(w: AffineElt) -> WeylElt:
         )
         if i is None:
             break
-        s = simple_reflection(rs, i)
-        y = embed(s).mul(y)
-        u = u.mul(s)
+        s = simple_affine(rs, i + 1)
+        y = s.mul(y)
+        u = u.mul(s.fin)
     if not coweight(rs, y.lam).is_dominant():
         raise InvariantError(
             "coset-minimal element does not have a dominant translation part"

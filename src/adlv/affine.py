@@ -12,11 +12,16 @@ arithmetic: for each positive root alpha the contribution is
 |<alpha, lambda>| when x^-1 alpha > 0 and |<alpha, lambda> - 1| otherwise.
 
 Lengths, descents and cocovers read the signs and heights of x^-1 alpha
-from ``WeylElt.inv_images``, and products of finite parts go through
+from ``WeylElt.inv_images`` (lengths through its 0/1 form
+``WeylElt.neg_mask``), and products of finite parts go through
 ``WeylElt.mul``: both are table lookups when the finite group has a cached
 ``GroupTable`` (``enumerate_group`` builds one; nothing here does), and
 fall back to the integer matrices otherwise (E7, E8, or any group not yet
-enumerated).  Translation parts move by the matrices in either case.
+enumerated).  Translation parts move by ``WeylElt.act_pairing``, on the
+columns of x^-1 cached on the finite part, so with a table they are
+transposed once per index.  Products, inverses, cocover candidates and
+interval members are built by ``_affine``, which skips the refusals of the
+public constructor: their parts come from elements that passed them.
 
 Lower intervals come from the subword dynamic program of
 ``IntervalEngine`` from tau along the reduced word of w = tau s_{j_1} ...
@@ -34,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Sequence
 
 from ._matrix import transpose, mat_vec
@@ -99,14 +104,13 @@ class AffineElt:
     def mul(self, other: "AffineElt") -> "AffineElt":
         if self.rs is not other.rs:
             raise RefusalError("product of elements of different root systems")
-        moved = self.fin.act_pairing(other.lam)
-        return AffineElt(
-            self.rs, tuple(map(add, self.lam, moved)), self.fin.mul(other.fin)
-        )
+        x = self.fin
+        moved = x.act_pairing(other.lam)
+        return _affine(self.rs, tuple(map(add, self.lam, moved)), x.mul(other.fin))
 
     def inv(self) -> "AffineElt":
-        lam = self.fin.act_pairing_inv(self.lam)
-        return AffineElt(self.rs, tuple(-a for a in lam), self.fin.inv())
+        xi = self.fin.inv()
+        return _affine(self.rs, tuple([-a for a in xi.act_pairing(self.lam)]), xi)
 
     def is_identity(self) -> bool:
         return not any(self.lam) and self.fin.is_identity()
@@ -118,7 +122,7 @@ class AffineElt:
         scale."""
         if self._omega is None:
             den, inv = _scaled_inv_cartan_t(self.rs)
-            self._omega = tuple(_pair(row, self.lam) % den for row in inv)
+            self._omega = tuple(sum(map(mul, row, self.lam)) % den for row in inv)
         return self._omega
 
     def __eq__(self, other) -> bool:
@@ -129,12 +133,23 @@ class AffineElt:
         )
 
     def __hash__(self) -> int:
+        # the finite part's hash is its cached hash of r, so this is
+        # hash((lam, fin.r)) without hashing r again
         if self._hash is None:
-            self._hash = hash((self.lam, self.fin.r))
+            self._hash = hash((self.lam, self.fin))
         return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AffineElt(t^{list(self.lam)} {self.fin!r})"
+
+
+def _affine(rs: RootSystem, lam: tuple[int, ...], fin: WeylElt) -> AffineElt:
+    """AffineElt without the refusals, for parts computed from checked ones:
+    lam an int tuple of length rank, fin an element of rs."""
+    w = object.__new__(AffineElt)
+    w.rs, w.lam, w.fin = rs, lam, fin
+    w._len = w._hash = w._omega = None
+    return w
 
 
 @dataclass(frozen=True)
@@ -171,10 +186,6 @@ def simple_affine(rs: RootSystem, j: int) -> AffineElt:
     return embed(simple_reflection(rs, j - 1))
 
 
-def _pair(root: Sequence[int], lam: Sequence[int]) -> int:
-    return sum(map(mul, root, lam))
-
-
 @lru_cache(maxsize=None)
 def _scaled_inv_cartan_t(rs: RootSystem) -> tuple[int, list[list[int]]]:
     """(den, den * C^-T) for the least den giving integer entries: the
@@ -190,18 +201,29 @@ def _letter_roots(rs: RootSystem) -> tuple[int, ...]:
     return (rs.theta_index, *simple)
 
 
+@lru_cache(maxsize=None)
+def _root_columns(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Column k: the k-th root coordinate of every positive root."""
+    return tuple(zip(*rs.positive_roots))
+
+
+def _pairings(rs: RootSystem, lam: tuple[int, ...]):
+    """<beta, lam> over the positive roots beta, as an iterator: one
+    C-level scaled column per coordinate of lam."""
+    cols = _root_columns(rs)
+    acc = map(lam[0].__mul__, cols[0])
+    for k in range(1, rs.rank):
+        acc = map(add, acc, map(lam[k].__mul__, cols[k]))
+    return acc
+
+
 def affine_length(w: AffineElt) -> int:
     """Number of affine root hyperplanes separating the base alcove from its
-    image under w, via an exact count at the point rho_check / h."""
-    if w._len is not None:
-        return w._len
-    lam = w.lam
-    total = 0
-    for root, c in zip(w.rs.positive_roots, w.fin.inv_images()):
-        a = _pair(root, lam)
-        total += abs(a) if c >= 0 else abs(a - 1)
-    w._len = total
-    return total
+    image under w, via an exact count at the point rho_check / h: the sum
+    of |<beta, lam> - [x^-1 beta < 0]| over the positive roots beta."""
+    if w._len is None:
+        w._len = sum(map(abs, map(sub, _pairings(w.rs, w.lam), w.fin.neg_mask())))
+    return w._len
 
 
 def descent_right(w: AffineElt, j: int) -> bool:
@@ -214,7 +236,7 @@ def descent_left(w: AffineElt, j: int) -> bool:
     rs = w.rs
     neg = w.fin.inv_images()[_letter_roots(rs)[j]] < 0
     if j == 0:
-        c = _pair(rs.theta, w.lam)
+        c = sum(map(mul, rs.theta, w.lam))
         return c > 1 or (c == 1 and not neg)
     li = w.lam[j - 1]
     return li < 0 or (li == 0 and neg)
@@ -284,7 +306,8 @@ def lower_interval(w: AffineElt, budget: int = DEFAULT_INTERVAL_BUDGET) -> Bruha
     elements = eng.table.elements
     members = set()
     for x_idx, mus in eng.decoded(eng.interval_states(word, start=tau)):
-        members.update(AffineElt(rs, mu, elements[x_idx]) for mu in mus)
+        x = elements[x_idx]
+        members.update(_affine(rs, mu, x) for mu in mus)
     if w not in members:
         raise InvariantError("lower interval misses its top element")
     return BruhatInterval(top=w, members=frozenset(members))
@@ -297,31 +320,31 @@ def cocovers_with_reflections(w: AffineElt) -> list[tuple[int, int, AffineElt]]:
     Candidate reflections are exactly those whose hyperplane separates the
     base alcove from w's alcove; their number must equal ell(w), which is
     checked.  Cocovers are the candidates that drop the length by exactly 1.
+    With w = t^lam x, a candidate is r w = t^{lam + (m - <alpha, lam>)
+    alpha_check} s_alpha x, so each root costs one finite product.
     """
     rs = w.rs
-    h = rs.coxeter_number
-    lam = w.lam
+    h, heights = rs.coxeter_number, rs.heights
+    lam, x = w.lam, w.fin
     lw = affine_length(w)
     out = []
     nsep = 0
-    for a, (root, img) in enumerate(zip(rs.positive_roots, w.fin.inv_images())):
-        # h * <alpha, w(p)> with p = rho_check/h, by the signed height of
+    for a, (p, img) in enumerate(zip(_pairings(rs, lam), x.inv_images())):
+        # h * <alpha, w(q)> with q = rho_check/h, by the signed height of
         # x^-1 alpha
-        ht = rs.heights[img] if img >= 0 else -rs.heights[~img]
-        hi = h * _pair(root, lam) + ht
+        hi = h * p + (heights[img] if img >= 0 else -heights[~img])
         # integers m with m*h strictly between ht(alpha) in (0,h) and hi
         if hi > 0:
             ms = range(1, (hi - 1) // h + 1)
         else:
             ms = range(hi // h + 1, 1)
+        if not ms:
+            continue
+        nsep += len(ms)
+        fin = reflection(rs, a).mul(x)
+        coroot = coroot_pairing_coords(rs, a)
         for m in ms:
-            nsep += 1
-            r = AffineElt(
-                rs,
-                tuple(m * c for c in coroot_pairing_coords(rs, a)),
-                reflection(rs, a),
-            )
-            cand = r.mul(w)
+            cand = _affine(rs, tuple(map(add, lam, map((m - p).__mul__, coroot))), fin)
             if affine_length(cand) == lw - 1:
                 out.append((a, m, cand))
     if nsep != lw:
@@ -437,9 +460,13 @@ class IntervalEngine:
         self.bound = bound
         self.width = 2 * bound + 1
         rs = self.rs
-        self.theta_pair = coroot_pairing_coords(rs, rs.theta_index)
         self.rmult_stheta = table.rmult_root(rs.theta_index)
-        self.delta = [e.act_pairing(self.theta_pair) for e in table.elements]
+        # x(theta_check) is the coroot of x(theta), read from the root
+        # images of x^-1; cps[~c] = -cps[c] for the signed index ~c
+        cps = [coroot_pairing_coords(rs, c) for c in range(len(rs.positive_roots))]
+        cps += [tuple([-v for v in p]) for p in reversed(cps)]
+        imgs, th = table.inv_images(), rs.theta_index
+        self.delta = [cps[imgs[table.inv_idx(x)][th]] for x in range(len(table))]
         self.dense = rs.rank <= DENSE_MAX_RANK
         if not self.dense:
             return

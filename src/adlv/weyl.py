@@ -9,7 +9,9 @@ symmetrizer.
 While W has a cached ``GroupTable`` (only ``enumerate_group`` builds one),
 an element carries its table index, and products, inverses and the root
 images under the inverse (hence lengths) are table lookups; the matrix
-products serve groups with no cached table.  A table element's matrices are
+products serve groups with no cached table.  An element caches the columns
+of its inverse matrix (the pairing action) and its descent mask, so on the
+shared table elements both are per-index tables.  A table element's matrices are
 built on first access, from its word-prefix parent, so building a table (and
 the quantum Bruhat graph on it) multiplies no matrices.  Bruhat order is the
 table's bitmask closure, reflection length the rank of (action - id) on the
@@ -49,7 +51,7 @@ __all__ = [
 class WeylElt:
     """A finite Weyl group element; build via the module constructors."""
 
-    __slots__ = ("rs", "r", "ri", "_len", "_hash", "_idx")
+    __slots__ = ("rs", "r", "ri", "_len", "_hash", "_idx", "_cols", "_mask")
 
     def __init__(self, rs: RootSystem, r, ri):
         self.rs = rs
@@ -58,6 +60,8 @@ class WeylElt:
         self._len = None
         self._hash = None
         self._idx = None  # table index: the same in every table of rs
+        self._cols = None  # columns of ri, for act_pairing
+        self._mask = None  # neg_mask()
 
     # -- group operations -------------------------------------------------
 
@@ -67,7 +71,8 @@ class WeylElt:
             raise RefusalError("product of elements of different root systems")
         tab = _TABLES.get(rs)
         if tab is not None:
-            return tab.elements[tab.prod_idx(tab.idx(self), tab.idx(other))]
+            k = tab.prod_idx(tab.idx(self), tab.idx(other))
+            return tab.elements._slots[k] or tab.elements[k]
         return WeylElt(
             rs, mat_mul(self.r, other.r), mat_mul(other.ri, self.ri)
         )
@@ -75,7 +80,8 @@ class WeylElt:
     def inv(self) -> "WeylElt":
         tab = _TABLES.get(self.rs)
         if tab is not None:
-            return tab.elements[tab.inv_idx(tab.idx(self))]
+            k = tab.inv_idx(tab.idx(self))
+            return tab.elements._slots[k] or tab.elements[k]
         return WeylElt(self.rs, self.ri, self.r)
 
     # -- actions ----------------------------------------------------------
@@ -93,6 +99,13 @@ class WeylElt:
             return tab.inv_images()[tab.idx(self)]
         return _signed_images(rs, self.ri)
 
+    def neg_mask(self) -> tuple[int, ...]:
+        """1 where x^-1(beta) < 0 and 0 where it is positive, over the
+        positive roots beta (cached on the element)."""
+        if self._mask is None:
+            self._mask = tuple([1 if c < 0 else 0 for c in self.inv_images()])
+        return self._mask
+
     def act_coroot(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         # alpha_j_check = alpha_j / d_j, so the coroot action is D r D^-1;
         # every entry r[k][j] d_k / d_j is an integer.
@@ -104,11 +117,12 @@ class WeylElt:
 
     def act_pairing(self, p: Sequence) -> tuple:
         # <alpha_k, w lambda> = <w^-1 alpha_k, lambda>; column k of ri holds
-        # the root coordinates of w^-1 alpha_k.
-        return tuple([sum(map(mul, col, p)) for col in zip(*self.ri)])
-
-    def act_pairing_inv(self, p: Sequence) -> tuple:
-        return tuple([sum(map(mul, col, p)) for col in zip(*self.r)])
+        # the root coordinates of w^-1 alpha_k.  The columns are cached on
+        # the element, so a table element transposes once per index.
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = tuple(zip(*self.ri))
+        return tuple([sum(map(mul, col, p)) for col in cols])
 
     # -- length and descents ----------------------------------------------
 

@@ -3,10 +3,16 @@
 from functools import lru_cache
 from math import gcd
 
-from adlv.affine import AffineElt, affine_length, descent_left, simple_affine
+from adlv.affine import (
+    AffineElt,
+    affine_length,
+    coroot_pairing_coords,
+    descent_left,
+    simple_affine,
+)
 from adlv.newton import _averaging_data
 from adlv.rootsys import _dominantize
-from adlv.weyl import WeylElt, simple_reflection
+from adlv.weyl import WeylElt, reflection, simple_reflection
 
 
 @lru_cache(maxsize=None)
@@ -54,6 +60,45 @@ def bruhat_leq_affine(a: AffineElt, b: AffineElt) -> bool:
     if a.omega != b.omega:
         return False
     return _ableq(a, b)
+
+
+def _pair(root, lam) -> int:
+    return sum(a * b for a, b in zip(root, lam))
+
+
+def affine_length_loop(w: AffineElt) -> int:
+    """Affine length by one pairing per positive root: |<alpha, lam>| when
+    x^-1 alpha > 0 and |<alpha, lam> - 1| otherwise.  The oracle for the
+    column kernel of ``affine_length``."""
+    total = 0
+    for root, c in zip(w.rs.positive_roots, w.fin.inv_images()):
+        a = _pair(root, w.lam)
+        total += abs(a) if c >= 0 else abs(a - 1)
+    return total
+
+
+def cocovers_by_reflections(w: AffineElt) -> list:
+    """Cocovers as (root index, m, r w), each candidate built as the product
+    of the affine reflection r = t^{m alpha_check} s_alpha with w, lengths by
+    the per-root loop: the oracle for ``cocovers_with_reflections``."""
+    rs = w.rs
+    h = rs.coxeter_number
+    lw = affine_length_loop(w)
+    out = []
+    for a, (root, img) in enumerate(zip(rs.positive_roots, w.fin.inv_images())):
+        ht = rs.heights[img] if img >= 0 else -rs.heights[~img]
+        hi = h * _pair(root, w.lam) + ht
+        ms = range(1, (hi - 1) // h + 1) if hi > 0 else range(hi // h + 1, 1)
+        for m in ms:
+            r = AffineElt(
+                rs,
+                tuple(m * c for c in coroot_pairing_coords(rs, a)),
+                reflection(rs, a),
+            )
+            cand = r.mul(w)
+            if affine_length_loop(cand) == lw - 1:
+                out.append((a, m, cand))
+    return out
 
 
 def nu_keys(eng, states) -> set:

@@ -2,17 +2,19 @@
 Bruhat order, intervals, and Demazure products against brute force."""
 
 
-import pytest
-
+import sys
 from itertools import product
 
-from adlv import weyl
+import pytest
+
+from adlv import adm, affine, weyl
 from adlv.errors import BudgetError, InvariantError
 from adlv.rootsys import build_root_system, coweight, pairing
 from adlv.affine import (
     AffineElt,
     affine_length,
     cocovers,
+    coroot_pairing_coords,
     cocovers_with_reflections,
     demazure_ltri,
     demazure_rtri,
@@ -31,7 +33,10 @@ from adlv.affine import (
 from adlv.newton import theorem_grid
 from adlv.weyl import enumerate_group, identity_elt, longest_element
 
-from oracles import bruhat_leq_affine
+from adlv.adm import adm_set
+from adlv.cover import cover_sweep
+
+from oracles import affine_length_loop, bruhat_leq_affine, cocovers_by_reflections
 
 
 def aff(rs, lam, fin=None):
@@ -455,3 +460,80 @@ def test_engine_keeps_bitsets_up_to_rank_2():
     assert _pairs(eng, states) == {
         (0, (0,) * 5), (eng.table.rmult[0][0], (0,) * 5)
     }
+
+
+KERNEL_GROUPS = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]
+
+
+@pytest.mark.parametrize("ct,n", KERNEL_GROUPS)
+def test_length_and_cocover_kernels_match_oracles(ct, n, monkeypatch):
+    """The column kernel of ``affine_length`` and the direct cocover
+    candidates t^{lam + (m - <alpha, lam>) alpha_check} s_alpha x equal the
+    per-root loop and the r.mul(w) route, on the affine ball and on t^lam x
+    for every finite x and lam in {-2, ..., 2}^n, with and without a cached
+    group table."""
+    rs = build_root_system(ct, n)
+    elts = enumerate_group(rs).elements
+    box = product(range(-2, 3), repeat=n)
+    pairs = [(w.lam, w.fin) for w in _affine_ball(rs, 4 if n == 2 else 3)]
+    pairs += [(lam, x) for lam in box for x in elts]
+
+    def run():  # fresh finite parts: nothing cached on them by a previous run
+        ws = [aff(rs, lam, weyl.WeylElt(rs, x.r, x.ri)) for lam, x in pairs]
+        return [(affine_length(w), cocovers_with_reflections(w)) for w in ws], ws
+
+    got, ws = run()
+    assert got == [(affine_length_loop(w), cocovers_by_reflections(w)) for w in ws]
+    with monkeypatch.context() as m:
+        m.setattr(weyl, "_TABLES", {})
+        assert run()[0] == got
+
+
+def test_unchecked_products_pass_the_public_constructor(monkeypatch):
+    """Every element that mul, inv, cocovers_with_reflections or
+    lower_interval builds without the refusals, over B2 and G2 cover sweeps
+    and the A2, B2 and A3 admissible sets of (1, ..., 1), is accepted by
+    the public constructor and equals its rebuilt self, with the same hash."""
+    made = []
+    real = affine._affine
+
+    def recording(rs, lam, fin):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name.startswith("<"):  # a generator's own frame
+            caller = caller.f_back
+        w = real(rs, lam, fin)
+        made.append((caller.f_code.co_name, w))
+        return w
+
+    monkeypatch.setattr(affine, "_affine", recording)
+    for ct in ("B", "G"):
+        rs = build_root_system(ct, 2)
+        cover_sweep(rs, [coweight(rs, (2, 2)), coweight(rs, (3, 2))])
+    for ct, n in (("A", 2), ("B", 2), ("A", 3)):
+        adm_set(coweight(build_root_system(ct, n), (1,) * n))
+    assert {name for name, _ in made} == {"mul", "inv", "cocovers_with_reflections", "lower_interval"}
+    assert len(made) > 5_000
+    for _, w in made:
+        assert type(w.lam) is tuple
+        again = AffineElt(w.rs, w.lam, w.fin)
+        assert again == w and hash(again) == hash(w)
+
+
+@pytest.mark.parametrize("ct,n", [("D", 5), ("F", 4)])
+def test_engine_and_orbit_multiply_no_matrices(ct, n, monkeypatch):
+    """On a fresh group table, an engine's translation offsets x(theta_check)
+    and an admissible set's Weyl orbit are built without one matrix
+    product, and equal the matrix action on every element."""
+    rs = build_root_system(ct, n)
+    calls = []
+    real = weyl.mat_mul
+    monkeypatch.setattr(weyl, "_TABLES", {})
+    monkeypatch.setattr(weyl, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+    eng = engine_for(enumerate_group(rs), 2)
+    mu = (1, 0) + (2,) * (n - 2)
+    orbit = adm._orbit(rs, mu)
+    assert calls == []
+    theta_check = coroot_pairing_coords(rs, rs.theta_index)
+    elts = eng.table.elements
+    assert eng.delta == [x.act_pairing(theta_check) for x in elts]
+    assert orbit == {x.act_pairing(mu) for x in elts}

@@ -176,10 +176,10 @@ def test_inverse_and_length_properties(tn, word):
     x = from_word(rs, word)
     assert x.mul(x.inv()).is_identity()
     assert x.inv().length() == x.length()
-    # the two pairing actions are mutually inverse
+    # the pairing actions of x and x^-1 are mutually inverse
     lam = (1, 2)
-    assert x.act_pairing(x.act_pairing_inv(lam)) == lam
-    assert x.act_pairing_inv(lam) == x.inv().act_pairing(lam)
+    assert x.act_pairing(x.inv().act_pairing(lam)) == lam
+    assert x.inv().act_pairing(x.act_pairing(lam)) == lam
 
 
 INDEX_PATH = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)]
