@@ -8,14 +8,16 @@ from itertools import product
 import pytest
 
 from adlv import adm, affine, weyl
+from adlv.adm import adm_set
+from adlv.cover import cover_sweep
 from adlv.errors import BudgetError, InvariantError
 from adlv.rootsys import build_root_system, coweight, pairing
 from adlv.affine import (
     AffineElt,
     affine_length,
     cocovers,
-    coroot_pairing_coords,
     cocovers_with_reflections,
+    coroot_pairing_coords,
     demazure_ltri,
     demazure_rtri,
     demazure_star,
@@ -32,9 +34,6 @@ from adlv.affine import (
 )
 from adlv.newton import theorem_grid
 from adlv.weyl import enumerate_group, identity_elt, longest_element
-
-from adlv.adm import adm_set
-from adlv.cover import cover_sweep
 
 from oracles import affine_length_loop, bruhat_leq_affine, cocovers_by_reflections
 
@@ -511,7 +510,9 @@ def test_unchecked_products_pass_the_public_constructor(monkeypatch):
         cover_sweep(rs, [coweight(rs, (2, 2)), coweight(rs, (3, 2))])
     for ct, n in (("A", 2), ("B", 2), ("A", 3)):
         adm_set(coweight(build_root_system(ct, n), (1,) * n))
-    assert {name for name, _ in made} == {"mul", "inv", "cocovers_with_reflections", "lower_interval"}
+    assert {name for name, _ in made} == {
+        "mul", "inv", "cocovers_with_reflections", "lower_interval"
+    }
     assert len(made) > 5_000
     for _, w in made:
         assert type(w.lam) is tuple
