@@ -29,16 +29,17 @@ s_{j_l} (``tau_word``; left multiplication by a length-zero tau preserves
 the Bruhat order), cocovers from enumerating separating reflections, and
 the three Demazure products from folding reduced words.
 
-The engine keeps a state set grouped by finite Weyl index: in rank <= 2 one
-big-int bitset over a box of translation parts per index, so a letter costs
-one OR or shift per index, and in higher rank a set of translation parts.
+The engine keeps a state set grouped by finite Weyl index, one bucket of
+mixed-radix codes of translation parts per index over a box sized from the
+word's letters 0: in rank <= 2 a big-int bitset, so a letter costs one OR
+or shift per index, and in higher rank a frozenset of ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -67,7 +68,6 @@ __all__ = [
     "reduced_word_and_tau",
     "tau_word",
     "coroot_pairing_coords",
-    "engine_for",
     "lower_interval",
     "cocovers",
     "cocovers_with_reflections",
@@ -302,10 +302,10 @@ def lower_interval(w: AffineElt, budget: int = DEFAULT_INTERVAL_BUDGET) -> Bruha
         )
     rs = w.rs
     tau, word = tau_word(w)
-    eng = engine_for(enumerate_group(rs), lw)
+    eng = IntervalEngine(enumerate_group(rs), word, tau)
     elements = eng.table.elements
     members = set()
-    for x_idx, mus in eng.decoded(eng.interval_states(word, start=tau)):
+    for x_idx, mus in eng.decoded(eng.interval_states(word)):
         x = elements[x_idx]
         members.update(_affine(rs, mu, x) for mu in mus)
     if w not in members:
@@ -393,7 +393,7 @@ def demazure_ltri(x: AffineElt, y: AffineElt) -> AffineElt:
     return cur if tau.is_identity() else cur.mul(tau)
 
 
-# -- bitset interval engine ----------------------------------------------
+# -- interval engine -----------------------------------------------------
 
 def _bit_positions(bits: int):
     """Indices of the set bits of a nonnegative int, ascending."""
@@ -404,31 +404,23 @@ def _bit_positions(bits: int):
         i = s.find("1", i + 1)
 
 
-def _repeat(block: int, period: int, count: int) -> int:
-    """``count`` copies of ``block``, one every ``period`` bits."""
-    out, size = 0, 0
-    for bit in bin(count)[2:]:
-        out, size = out | out << (period * size), 2 * size
-        if bit == "1":
-            out, size = out << period | block, size + 1
-    return out
-
-
 # bitsets up to this rank: there an interval fills a fixed share of its box
 # (both grow as length**2); from rank 3 on the box, width**rank per finite
-# index, outgrows the interval, and sets of tuples are smaller and faster
+# index, outgrows the interval, and sets of codes are smaller and faster
 DENSE_MAX_RANK = 2
 
 
 class StateSet:
     """A set of interval states t^mu z, grouped by finite index: ``buckets``
-    maps indices z to their translation parts, as one bitset over packed
-    codes (a dense engine) or a frozenset of mu tuples (a sparse one)."""
+    maps indices z to the codes of their translation parts, as one bitset
+    (a dense engine) or a frozenset of ints (a sparse one).  ``zeros``
+    counts the letters 0 the states have taken."""
 
-    __slots__ = ("buckets",)
+    __slots__ = ("buckets", "zeros")
 
-    def __init__(self, buckets: dict):
+    def __init__(self, buckets: dict, zeros: int = 0):
         self.buckets = buckets
+        self.zeros = zeros
 
     def __len__(self) -> int:
         bs = self.buckets.values()
@@ -439,27 +431,42 @@ class StateSet:
         for x, b in self.buckets.items():
             c = other.buckets.get(x)
             out[x] = b if c is None else b & ~c if isinstance(b, int) else b - c
-        return StateSet(out)
+        return StateSet(out, self.zeros)
 
 
 class IntervalEngine:
-    """Subword dynamic programming over state sets grouped by finite index.
+    """Subword dynamic programming from ``start`` (the identity by default)
+    over state sets grouped by finite index, sized for the word ``word``.
 
-    A state is t^mu z with z indexed in a GroupTable.  A right letter j >= 1
-    merges bucket z into bucket z s_j; the letter 0 translates bucket z by
-    z(theta_check) and merges it into bucket z s_theta.  Up to rank
-    DENSE_MAX_RANK a bucket is a bitset over the codes sum (mu_k + bound)
-    width^k of a box, and a translation is one shift, after a test against
-    the edge mask of its offset (a state leaving the box raises instead of
-    carrying into the next coordinate).  Above it a bucket is a frozenset of
-    mu tuples, with no box."""
+    A state is t^mu z, z indexed in a GroupTable.  A letter j >= 1 merges
+    bucket z into bucket z s_j; the letter 0 translates bucket z by
+    delta[z] = z(theta_check) into bucket z s_theta.  Only letters 0 move
+    mu, so after at most ``zeros`` of them (the word's count) every mu lies
+    in the box lo <= mu <= hi, lo_k = start_k + zeros min(0, min_z
+    delta[z][k]) and hi_k likewise with max.  A bucket holds the codes
+    sum (mu_k - lo_k) places_k (a mixed radix, one width per coordinate):
+    up to rank DENSE_MAX_RANK as the bits of one int, above it as a
+    frozenset.  A translation adds offset[z] = sum delta[z][k] places_k to
+    each code (one shift for a bitset) and inside the box never carries;
+    ``step`` refuses a letter 0 past ``zeros``, the only way out of it.
 
-    def __init__(self, table: GroupTable, bound: int):
+    >>> from adlv.rootsys import build_root_system, coweight
+    >>> rs = build_root_system("A", 2)
+    >>> tau, word = tau_word(translation(coweight(rs, (1, 0))))
+    >>> eng = IntervalEngine(enumerate_group(rs), word, tau)
+    >>> eng.lo, eng.hi, len(eng.interval_states(word))
+    ((1, 0), (1, 0), 4)
+    >>> eng = IntervalEngine(enumerate_group(rs), word + (0,), tau)
+    >>> eng.lo, eng.hi, eng.widths
+    ((-1, -2), (3, 2), (5, 5))
+    """
+
+    def __init__(self, table: GroupTable, word: Sequence[int],
+                 start: AffineElt | None = None):
         self.table = table
-        self.rs = table.rs
-        self.bound = bound
-        self.width = 2 * bound + 1
-        rs = self.rs
+        self.rs = rs = table.rs
+        self.start = start or embed(identity_elt(rs))
+        self.zeros = zeros = word.count(0)
         self.rmult_stheta = table.rmult_root(rs.theta_index)
         # x(theta_check) is the coroot of x(theta), read from the root
         # images of x^-1; cps[~c] = -cps[c] for the signed index ~c
@@ -467,77 +474,58 @@ class IntervalEngine:
         cps += [tuple([-v for v in p]) for p in reversed(cps)]
         imgs, th = table.inv_images(), rs.theta_index
         self.delta = [cps[imgs[table.inv_idx(x)][th]] for x in range(len(table))]
+        cols = list(zip(*self.delta))
+        self.lo = tuple([s + zeros * min(0, *c) for s, c in zip(self.start.lam, cols)])
+        self.hi = tuple([s + zeros * max(0, *c) for s, c in zip(self.start.lam, cols)])
+        self.widths = tuple([h - l + 1 for l, h in zip(self.lo, self.hi)])
+        self.places = [prod(self.widths[:k]) for k in range(rs.rank)]
+        self.offset = [sum(map(mul, dv, self.places)) for dv in self.delta]
         self.dense = rs.rank <= DENSE_MAX_RANK
-        if not self.dense:
-            return
-        w = self.width
-        self.offset = [sum(d * w ** k for k, d in enumerate(dv)) for dv in self.delta]
-        self.edge = {dv: ~self._inside(dv) for dv in set(self.delta)}
-
-    def _inside(self, dv: Sequence[int]) -> int:
-        """Codes whose every coordinate k plus dv[k] stays in [0, width)."""
-        w, mask = self.width, 1
-        for k, d in enumerate(dv):  # widen the mask from coordinates < k to <= k
-            lo, hi = max(0, -d), min(w, w - d)
-            mask = _repeat(mask, w ** k, max(hi - lo, 0)) << lo * w ** k
-        return mask
+        self.codes = _bit_positions if self.dense else iter  # a bucket's codes
 
     def pack(self, mu: Sequence[int]) -> int:
-        code = 0
-        for c in reversed(mu):
-            s = c + self.bound
-            if not 0 <= s < self.width:
-                raise InvariantError("interval state out of the coweight box")
-            code = code * self.width + s
-        return code
+        if not all(l <= c <= h for l, c, h in zip(self.lo, mu, self.hi)):
+            raise InvariantError("interval state out of the coweight box")
+        return sum(map(mul, map(sub, mu, self.lo), self.places))
+
+    def unpack(self, code: int) -> tuple[int, ...]:
+        return tuple([code // p % w + l
+                      for p, w, l in zip(self.places, self.widths, self.lo)])
 
     def decoded(self, states: StateSet):
         """Per bucket: its finite index and an iterator over its translation parts."""
         for x, b in states.buckets.items():
-            yield x, self._decode(b) if self.dense else b
-
-    def _decode(self, bits: int):
-        """The translation parts of the states in one bitset."""
-        w, bound = self.width, self.bound
-        places = [w ** k for k in range(self.rs.rank)]
-        for code in _bit_positions(bits):
-            yield tuple([code // p % w - bound for p in places])
+            yield x, map(self.unpack, self.codes(b))
 
     def _translate(self, x: int, b):
         """Bucket b of index x translated by delta[x]."""
-        if not self.dense:
-            d = self.delta[x]
-            return frozenset(tuple(map(add, mu, d)) for mu in b)
-        if b & self.edge[self.delta[x]]:
-            raise InvariantError("interval state out of the coweight box")
         off = self.offset[x]
+        if not self.dense:
+            return frozenset(map(off.__add__, b))
         return b << off if off >= 0 else b >> -off
 
     def step(self, states: StateSet, j: int) -> StateSet:
-        r = self.table.rmult[j - 1] if j else self.rmult_stheta
+        zeros = states.zeros
+        if j:
+            r = self.table.rmult[j - 1]
+        elif zeros < self.zeros:
+            r, zeros = self.rmult_stheta, zeros + 1
+        else:
+            raise InvariantError(f"letter 0 past the {self.zeros} the box is sized for")
         out = dict(states.buckets)
         for x, b in states.buckets.items():
             y, b = r[x], b if j else self._translate(x, b)
             out[y] = out[y] | b if y in out else b
-        return StateSet(out)
+        return StateSet(out, zeros)
 
-    def interval_states(self, word: Sequence[int], state_cap: int | None = None,
-                        start: AffineElt | None = None) -> StateSet:
-        """start times each subword of word; start defaults to the identity."""
-        start = start or embed(identity_elt(self.rs))
-        seed = 1 << self.pack(start.lam) if self.dense else frozenset([start.lam])
-        states = StateSet({self.table.idx(start.fin): seed})
+    def interval_states(self, word: Sequence[int],
+                        state_cap: int | None = None) -> StateSet:
+        """start times each subword of word."""
+        code = self.pack(self.start.lam)
+        seed = 1 << code if self.dense else frozenset([code])
+        states = StateSet({self.table.idx(self.start.fin): seed})
         for j in word:
             states = self.step(states, j)
             if state_cap is not None and len(states) > state_cap:
                 raise BudgetError(f"interval grew past {state_cap} states")
         return states
-
-
-def engine_for(table: GroupTable, max_length: int) -> IntervalEngine:
-    """Engine sized for intervals below elements of the given length: every
-    coordinate of any translation part in such an interval is bounded by the
-    element length plus the number of positive roots."""
-    bound = max_length + len(table.rs.positive_roots) + 2
-    return IntervalEngine(table, bound)
-

@@ -20,14 +20,13 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .affine import (
-    _bit_positions,
+    _letter_roots,
     _scaled_inv_cartan_t,
     AffineElt,
     IntervalEngine,
     StateSet,
     demazure_ltri,
     embed,
-    engine_for,
     tau_word,
 )
 from .errors import InvariantError, RefusalError
@@ -100,13 +99,22 @@ def newton_point(w: AffineElt) -> NewtonPoint:
 @lru_cache(maxsize=None)
 def _averaging_data(table: GroupTable) -> list[tuple[tuple[int, ...], int]]:
     """Per element z: (sum over i=1..ord(z) of the pairing-action matrix of
-    z^i, row-major, and ord(z)).  Lets the Newton sum run in integers."""
+    z^i, row-major, and ord(z)).  Lets the Newton sum run in integers.
+
+    Column k of the matrix of x holds the root coordinates of x^-1(alpha_k),
+    read from the table's signed root images, so no element is built."""
+    rs, n = table.rs, table.rs.rank
+    roots = list(rs.positive_roots)
+    roots += [tuple([-c for c in r]) for r in reversed(rs.positive_roots)]
+    simple = _letter_roots(rs)[1:]
+    imgs = table.inv_images()
     out = []
-    for z in range(len(table.elements)):
-        acc, cur, m = [0] * table.rs.rank ** 2, z, 0
+    for z in range(len(table)):
+        acc, cur, m = [0] * n * n, z, 0
         while True:
             m += 1
-            acc = [a + c for a, c in zip(acc, chain(*table.elements[cur].ri))]
+            img = imgs[cur]
+            acc = list(map(add, acc, chain(*zip(*[roots[img[a]] for a in simple]))))
             if cur == 0:  # the identity
                 break
             cur = table.prod_idx(cur, z)
@@ -124,12 +132,14 @@ def _nu_keys(eng: IntervalEngine, states: StateSet,
     data of z.  A bucket with T = 0 fixes no nonzero coweight and gives the
     key 0 unread.  Otherwise (raw, m) packs into sum (raw_k + 2^(S-1))
     2^(S k) + m 2^(S n), Z-linear in mu: P + sum mu_i A_i with A_i row i of
-    T packed, or P - bound sum A_i + c A_0 + (c // width) (A_1 - width A_0)
-    from a dense code c (rank <= 2).  No field carries: |mu_i| <= bound
-    (the box, or checked per sparse bucket), so |raw_k| < 2^(S-1)."""
-    rs, n, bound = eng.rs, eng.rs.rank, eng.bound
+    T packed.  From a code c = sum (mu_k - lo_k) places_k it is P' + c A_0 +
+    sum_{k>=1} (c // places_k) (A_k - width_{k-1} A_{k-1}), with P' = P +
+    sum lo_k A_k.  No field carries: every mu lies in the engine's box, so
+    |mu_i| <= bound = max |lo_i|, |hi_i| and |raw_k| < 2^(S-1)."""
+    rs, n = eng.rs, eng.rs.rank
     data = _averaging_data(eng.table)
     tmax = max(max(map(abs, T)) for T, _ in data)
+    bound = max(map(abs, eng.lo + eng.hi))
     S = (n * bound * tmax).bit_length() + 1
     memo, half, mask = memo.setdefault(S, {}), 1 << S - 1, (1 << S) - 1
     keys: set[tuple[tuple[int, ...], int]] = set()
@@ -142,14 +152,13 @@ def _nu_keys(eng: IntervalEngine, states: StateSet,
             continue
         A = [sum(t << S * k for k, t in enumerate(T[i * n:i * n + n])) for i in range(n)]
         P = sum(half << S * k for k in range(n)) + (m << S * n)
-        if eng.dense:
-            P -= bound * sum(A)
-            A0, B = A[0], (A[1] if n > 1 else 0) - eng.width * A[0]
-            raws = {P + c * A0 + c // eng.width * B for c in _bit_positions(b)}
-        else:
-            if min(map(min, b)) < -bound or max(map(max, b)) > bound:
-                raise InvariantError("interval state out of the coweight box")
-            raws = {P + sum(map(mul, mu, A)) for mu in b}
+        P += sum(map(mul, eng.lo, A))
+        codes = list(eng.codes(b))
+        raws = [P + c * A[0] for c in codes]
+        for k in range(1, n):
+            p, B = eng.places[k], A[k] - eng.widths[k - 1] * A[k - 1]
+            raws = [r + c // p * B for r, c in zip(raws, codes)]
+        raws = set(raws)
         for r in raws.difference(memo):
             dom, _ = _dominantize(rs, [(r >> S * k & mask) - half for k in range(n)])
             g = gcd(m, *dom)
@@ -178,8 +187,8 @@ def _max_point(rs: RootSystem, keys) -> NewtonPoint:
 def max_newton_brute(w: AffineElt, state_cap: int | None = 5_000_000) -> NewtonPoint:
     """max{nu(u) : u <= w} by scanning the whole lower interval."""
     tau, word = tau_word(w)
-    eng = engine_for(enumerate_group(w.rs), len(word))
-    states = eng.interval_states(word, state_cap, tau)
+    eng = IntervalEngine(enumerate_group(w.rs), word, tau)
+    states = eng.interval_states(word, state_cap)
     return _max_point(w.rs, _nu_keys(eng, states, {}))
 
 
@@ -188,8 +197,8 @@ def max_translation_below(w: AffineElt, state_cap: int | None = 5_000_000) -> Ne
     representatives of translations in the interval (unique in the deep
     regimes where it is used)."""
     tau, word = tau_word(w)
-    eng = engine_for(enumerate_group(w.rs), len(word))
-    states = eng.interval_states(word, state_cap, tau).buckets
+    eng = IntervalEngine(enumerate_group(w.rs), word, tau)
+    states = eng.interval_states(word, state_cap).buckets
     # the bucket of the identity holds the translations: T = I, m = 1
     only = StateSet({0: states[0]} if 0 in states else {})
     return _max_point(w.rs, _nu_keys(eng, only, {}))
@@ -327,9 +336,10 @@ def sweep_records(
             raise RefusalError("sweep needs dominant regular lambda")
         lam_int = lam.int_pairing()
         base_tau, base_word = tau_word(AffineElt(rs, lam_int, w0_elt))
-        eng = engine_for(table, len(base_word) + table.lengths[table.w0_idx])
+        # the chains add finite letters only, so the box of base_word holds
+        eng = IntervalEngine(table, base_word, base_tau)
         memo: dict = {}
-        base = eng.interval_states(base_word, state_cap, base_tau)
+        base = eng.interval_states(base_word, state_cap)
         base_keys = _nu_keys(eng, base, memo)
         done = [False] * n_elts
         results: dict[int, dict] = {}

@@ -225,9 +225,8 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
     for i, j in adj:
         B[i][j] = -max(d[i], d[j])
     C = tuple(tuple(B[i][j] // d[i] for j in range(n)) for i in range(n))
-    for i in range(n):
-        for j in range(n):
-            assert B[i][j] == C[i][j] * d[i], "Cartan symmetrization failed"
+    if any(B[i][j] != C[i][j] * d[i] for i in range(n) for j in range(n)):
+        raise InvariantError("Cartan symmetrization failed")
 
     # pairing of a root-coefficient vector with the i-th simple coroot
     def pair_simple_coroot(c: Sequence[int], i: int) -> int:
@@ -253,9 +252,8 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
                         nxt.add(cand)
         roots |= nxt
         level = sorted(nxt)
-    assert len(roots) == TYPE_TABLE[ct].n_positive(n), (
-        f"root closure produced {len(roots)} roots for {ct}{n}"
-    )
+    if len(roots) != TYPE_TABLE[ct].n_positive(n):
+        raise InvariantError(f"root closure produced {len(roots)} roots for {ct}{n}")
 
     positive = tuple(sorted(roots, key=lambda r: (sum(r), r)))
     index = {r: a for a, r in enumerate(positive)}
@@ -266,12 +264,14 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
     coroots = []
     for r in positive:
         norm2 = sum(r[i] * r[j] * B[i][j] for i in range(n) for j in range(n))
-        assert norm2 % 2 == 0 and norm2 > 0
+        if norm2 % 2 or norm2 <= 0:
+            raise InvariantError(f"root {r} of {ct}{n} has norm {norm2}")
         db = norm2 // 2
         cr = []
         for i in range(n):
             num = r[i] * d[i]
-            assert num % db == 0, f"non-integral coroot coefficient for {r} in {ct}{n}"
+            if num % db:
+                raise InvariantError(f"non-integral coroot coefficient for {r} in {ct}{n}")
             cr.append(num // db)
         root_d.append(db)
         coroots.append(tuple(cr))
@@ -285,22 +285,21 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
     # highest root: unique height maximum, and dominance-maximal among all roots
     hmax = max(heights)
     tops = [a for a, h in enumerate(heights) if h == hmax]
-    assert len(tops) == 1, "highest root is not unique"
+    if len(tops) != 1:
+        raise InvariantError("highest root is not unique")
     ti = tops[0]
     th = positive[ti]
-    for r in positive:
-        assert all(t >= c for t, c in zip(th, r)), "theta not dominance-maximal"
+    if not all(t >= c for r in positive for t, c in zip(th, r)):
+        raise InvariantError("theta not dominance-maximal")
 
     # rho in root coords by an exact linear solve
     cinv = mat_inv(C)
     rho = mat_vec(cinv, (1,) * n)
     cinv_t = mat_inv(transpose(C))
-    two_rho = tuple(2 * x for x in rho)
-    assert all(x.denominator == 1 for x in two_rho)
-    two_rho = tuple(int(x) for x in two_rho)
-    # cross-check: 2 rho equals the sum of all positive roots
-    sums = tuple(sum(r[i] for r in positive) for i in range(n))
-    assert two_rho == sums, "2 rho != sum of positive roots"
+    # cross-check: 2 rho from the solve is the sum of the positive roots
+    two_rho = tuple(sum(r[i] for r in positive) for i in range(n))
+    if tuple(2 * x for x in rho) != two_rho:
+        raise InvariantError("2 rho != sum of positive roots")
 
     # ell(s_beta) = #{gamma > 0 : s_beta gamma < 0}, via the exact root action
     refl_len = []
@@ -311,7 +310,8 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
             k = sum(bc[j] * pairing_rows[g][j] for j in range(n))
             img = tuple(gc - k * bb for gc, bb in zip(gamma, beta))
             s = _sign(img)
-            assert s != 0
+            if not s:
+                raise InvariantError(f"reflection of {beta} sends a root to 0")
             if s < 0:
                 cnt += 1
         refl_len.append(cnt)

@@ -12,8 +12,9 @@ from adlv.rootsys import build_root_system
 
 @pytest.fixture(params=[True, False], ids=["dense", "sparse"])
 def dense(request, monkeypatch):
-    """Run a test with engines forced dense (bitsets) or sparse (tuples)."""
-    monkeypatch.setattr(affine, "DENSE_MAX_RANK", 2 if request.param else 0)
+    """Run a test with engines forced dense (bitsets, up to rank 3) or sparse
+    (frozensets); both hold the same mixed-radix codes of one box."""
+    monkeypatch.setattr(affine, "DENSE_MAX_RANK", 3 if request.param else 0)
     return request.param
 
 

@@ -1,6 +1,7 @@
 """Brute-force oracles the tests compare the package against."""
 
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 from adlv.affine import (
@@ -98,6 +99,23 @@ def cocovers_by_reflections(w: AffineElt) -> list:
             cand = r.mul(w)
             if affine_length_loop(cand) == lw - 1:
                 out.append((a, m, cand))
+    return out
+
+
+def averaging_data_matrices(table) -> list:
+    """Per element z: the sum of the pairing-action matrices ``ri`` of z^i
+    over i = 1..ord(z), row-major, and ord(z), read from the built table
+    elements: the oracle for ``newton._averaging_data``."""
+    out = []
+    for z in range(len(table)):
+        acc, cur, m = [0] * table.rs.rank ** 2, z, 0
+        while True:
+            m += 1
+            acc = [a + c for a, c in zip(acc, chain(*table.elements[cur].ri))]
+            if cur == 0:  # the identity
+                break
+            cur = table.prod_idx(cur, z)
+        out.append((tuple(acc), m))
     return out
 
 

@@ -14,6 +14,7 @@ from adlv.errors import BudgetError, InvariantError
 from adlv.rootsys import build_root_system, coweight, pairing
 from adlv.affine import (
     AffineElt,
+    IntervalEngine,
     affine_length,
     cocovers,
     cocovers_with_reflections,
@@ -24,7 +25,6 @@ from adlv.affine import (
     descent_left,
     descent_right,
     embed,
-    engine_for,
     lower_interval,
     reduced_word,
     reduced_word_and_tau,
@@ -392,34 +392,40 @@ def _pairs(eng, states):
 ZERO_HEAVY = (0, 1, 0, 2, 0) * 8
 
 
-@pytest.mark.parametrize("ct,n_grid", [("A", 4), ("B", 4), ("G", 1)])
-def test_interval_states_match_set_oracle(ct, n_grid, dense):
-    """Both state-set representations equal the set-of-pairs DP on the
-    words of ``tau_word(t^lam w0)`` from tau at theorem-grid lambdas (one
-    for G2, where the oracle takes seconds per interval; the A2 and B2
-    grids include nontrivial tau) and on a word heavy in the letter 0 from
-    the identity; so does the difference of two snapshots, as the Newton
+@pytest.mark.parametrize("ct,n,lams", [
+    pytest.param("A", 2, 4, id="A-4"),
+    pytest.param("B", 2, 4, id="B-4"),
+    pytest.param("G", 2, 1, id="G-1"),
+    pytest.param("A", 3, [(1, 1, 1), (2, 1, 2), (3, 2, 3)], id="A3"),
+])
+def test_interval_states_match_set_oracle(ct, n, lams, dense):
+    """Both state-set kinds equal the set-of-pairs DP on the words of
+    ``tau_word(t^lam w0)`` from tau: at the first theorem-grid lambdas in
+    rank 2 (one for G2, where the oracle takes seconds per interval; the A2
+    and B2 grids include nontrivial tau) and at small lambdas in A3, two of
+    them outside the coroot lattice; and on a word heavy in the letter 0 from
+    the identity.  So does the difference of two snapshots, as the Newton
     sweep takes it."""
-    rs = build_root_system(ct, 2)
+    rs = build_root_system(ct, n)
     table = enumerate_group(rs)
     w0 = longest_element(rs)
-    cases = []
-    for lam in theorem_grid(rs)[:n_grid]:
-        tau, word = tau_word(aff(rs, lam.pairing, w0))
-        cases.append((word, engine_for(table, len(word)), tau))
-    assert ct == "G" or not all(t.is_identity() for _, _, t in cases)
-    cases.append((ZERO_HEAVY, engine_for(table, 3 * len(ZERO_HEAVY)), None))
-    for word, eng, tau in cases:
+    if isinstance(lams, int):
+        lams = [lam.pairing for lam in theorem_grid(rs)[:lams]]
+    cases = [tau_word(aff(rs, lam, w0)) for lam in lams]
+    assert ct == "G" or not all(t.is_identity() for t, _ in cases)
+    cases.append((aff(rs, (0,) * n), ZERO_HEAVY))
+    for tau, word in cases:
+        eng = IntervalEngine(table, word, tau)
         assert eng.dense is dense
-        half = eng.interval_states(word[: len(word) // 2], start=tau)
-        expect = {(0, (0, 0))} if tau is None else {(table.idx(tau.fin), tau.lam)}
+        half = eng.interval_states(word[: len(word) // 2])
+        expect = {(table.idx(tau.fin), tau.lam)}
         for j in word[: len(word) // 2]:
             expect = _set_step(eng, expect, j)
         assert _pairs(eng, half) == expect
         expect_half = expect
         for j in word[len(word) // 2:]:
             expect = _set_step(eng, expect, j)
-        got = eng.interval_states(word, start=tau)
+        got = eng.interval_states(word)
         assert len(got) == len(expect)
         assert _pairs(eng, got) == expect
         assert _pairs(eng, got - half) == expect - expect_half
@@ -427,33 +433,35 @@ def test_interval_states_match_set_oracle(ct, n_grid, dense):
 
 @pytest.mark.parametrize("ct", ["A", "B", "G"])
 def test_interval_states_refuse_leaving_the_box(ct, dense):
-    """An engine sized for length 0 on a long 0-heavy word: the bitset step
-    raises at the same letter where the oracle first reaches a state outside
-    the box, instead of carrying into the next coordinate.  The sparse
-    engine has no box and follows the oracle to the end."""
+    """Every state the set-of-pairs DP reaches on a long 0-heavy word lies
+    in the box of the engine sized for that word, and the engine follows
+    it to the end.  A letter 0 past the sized count, the only way out of
+    the box, raises in both kinds, as does packing a state outside it."""
     rs = build_root_system(ct, 2)
-    eng = engine_for(enumerate_group(rs), 0)
+    eng = IntervalEngine(enumerate_group(rs), ZERO_HEAVY)
+    assert eng.zeros == 24
     states = eng.interval_states(())
     expect = _pairs(eng, states)
     for j in ZERO_HEAVY:
         expect = _set_step(eng, expect, j)
-        if dense and not all(abs(c) <= eng.bound for _, mu in expect for c in mu):
-            with pytest.raises(InvariantError, match="coweight box"):
-                eng.step(states, j)
-            return
         states = eng.step(states, j)
         assert _pairs(eng, states) == expect
-    assert not dense, "the word never left the box"
+    for _, mu in expect:
+        assert all(lo <= c <= hi for lo, c, hi in zip(eng.lo, mu, eng.hi))
+    assert states.zeros == 24
+    assert _pairs(eng, eng.step(states, 1)) == _set_step(eng, expect, 1)
+    with pytest.raises(InvariantError, match="letter 0 past the 24"):
+        eng.step(states, 0)
+    with pytest.raises(InvariantError, match="coweight box"):
+        eng.pack((eng.hi[0] + 1, eng.lo[1]))
 
 
 def test_engine_keeps_bitsets_up_to_rank_2():
-    """Rank-2 engines keep bitsets; from rank 3 on they keep sets of tuples.
-    A D5 engine for length 1 has a box of 47**5 codes per finite index (about
-    2.3e8 bits), yet its interval below s1 costs only its two states."""
+    """Rank-2 engines keep bitsets; from rank 3 on they keep frozensets of
+    codes.  A D5 engine for the word s1 costs only its two states."""
     for ct, rank in (("A", 1), ("G", 2), ("A", 3), ("D", 5)):
-        eng = engine_for(enumerate_group(build_root_system(ct, rank)), 1)
+        eng = IntervalEngine(enumerate_group(build_root_system(ct, rank)), (1,))
         assert eng.dense is (rank <= 2)
-    assert eng.width ** 5 > 2 * 10 ** 8
     states = eng.interval_states((1,))
     assert len(states) == 2
     assert _pairs(eng, states) == {
@@ -530,7 +538,7 @@ def test_engine_and_orbit_multiply_no_matrices(ct, n, monkeypatch):
     real = weyl.mat_mul
     monkeypatch.setattr(weyl, "_TABLES", {})
     monkeypatch.setattr(weyl, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
-    eng = engine_for(enumerate_group(rs), 2)
+    eng = IntervalEngine(enumerate_group(rs), (0, 0))
     mu = (1, 0) + (2,) * (n - 2)
     orbit = adm._orbit(rs, mu)
     assert calls == []

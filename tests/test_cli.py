@@ -494,18 +494,17 @@ import copy
 import dataclasses
 from unittest import mock
 from adlv import adm, affine, cascade, cover, rootsys, weyl
-from adlv.affine import StateSet, engine_for, translation
+from adlv.affine import IntervalEngine, translation
 from adlv.cover import _reflection_shape
 from adlv.errors import InvariantError
-from adlv.newton import _max_point, _nu_keys
+from adlv.newton import _max_point
 from adlv.qbg import QBGraph
 from adlv.rootsys import build_root_system, coweight
 from adlv.weyl import enumerate_group, identity_elt, simple_reflection
 
 a2 = build_root_system("A", 2)
 table = enumerate_group(a2)
-sparse = engine_for(enumerate_group(build_root_system("A", 3)), 0)
-far = StateSet({0: frozenset({(0, 0, 0), (sparse.bound + 1, 0, 0)})})
+sparse = IntervalEngine(enumerate_group(build_root_system("A", 3)), ())
 flat = copy.copy(table)
 flat.lengths = [0] * 6
 unlinked = copy.copy(table)
@@ -528,9 +527,9 @@ def patched(owner, name, value, call):
 for check in (
     lambda: QBGraph(flat),
     lambda: [skewed.search(x) for x in range(6)],
-    lambda: engine_for(table, 0).pack((99, 0)),
-    lambda: engine_for(table, 0).interval_states((0, 1, 0, 2, 0) * 8),
-    lambda: _nu_keys(sparse, far, {}),
+    lambda: IntervalEngine(table, ()).pack((99, 0)),
+    lambda: IntervalEngine(table, (0, 1, 0)).interval_states((0, 1, 0, 2, 0) * 8),
+    lambda: sparse.interval_states((0,)),
     lambda: _max_point(a2, {((1, 0), 1), ((0, 1), 1)}),
     lambda: _reflection_shape(a2, t11),
     patched(cover, "quantum_roots", lambda rs: [], lambda:
@@ -553,6 +552,9 @@ for check in (
     lambda: cascade.dp_root(
         dataclasses.replace(a2, reflection_lengths=(2, 2, 2)), 0),
     lambda: corrupt.elements[3],
+    patched(rootsys, "TYPE_TABLE", {**rootsys.TYPE_TABLE, "A": dataclasses.replace(
+        rootsys.TYPE_TABLE["A"], n_positive=lambda n: 0)}, lambda:
+            rootsys._build_root_system.__wrapped__("A", 2)),
 ):
     try:
         check()
@@ -563,24 +565,25 @@ for check in (
 
 def test_invariants_survive_python_O():
     """A graph with no edges or with a wrong packed coroot, a state outside
-    the coweight box (packed, reached by a letter-0 step of a too-small
-    engine, or in a sparse bucket whose Newton keys are taken), two
+    the coweight box (packed, or reached by a letter 0 past the count an
+    engine of either kind was sized for), two
     incomparable Newton points, a cocover step that is no reflection, a
     full drop through a root not listed as quantum, a word search that runs
     out of descents or leaves length behind, a coset walk ending off the
     dominant chamber, a table search that misses elements, finite descent and
     ascent searches that stop early, a dominating element that misses the
-    dominant representative, a reflection of even length and a table
-    element built through a corrupted multiplication entry are refused by
-    explicit checks, not asserts, so -O keeps them."""
+    dominant representative, a reflection of even length, a table
+    element built through a corrupted multiplication entry and a root
+    closure of the wrong size are refused by explicit checks, not asserts,
+    so -O keeps them."""
     res = _python_O("-c", _BROKEN_INVARIANTS)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         "raised: graph not strongly connected",
         "raised: two shortest paths with different weights",
         "raised: interval state out of the coweight box",
-        "raised: interval state out of the coweight box",
-        "raised: interval state out of the coweight box",
+        "raised: letter 0 past the 2 the box is sized for",
+        "raised: letter 0 past the 0 the box is sized for",
         "raised: maximal Newton point is not unique",
         "raised: finite part of a cocover step is not a reflection",
         "raised: a full-drop ascent from u must use a quantum root",
@@ -595,6 +598,7 @@ def test_invariants_survive_python_O():
         "raised: g(lambda) is not the dominant representative",
         "raised: reflection of even length",
         "raised: table element's matrix keys to another index",
+        "raised: root closure produced 3 roots for A2",
     ]
 
 

@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from adlv import affine, newton
+from adlv import affine, newton, weyl
 from adlv.errors import InvariantError, RefusalError
 from adlv.rootsys import build_root_system, coweight, dominance_leq, dominant_rep
 from adlv.affine import embed, lower_interval, simple_affine, translation
@@ -24,7 +24,7 @@ from adlv.newton import (
     xi_bound,
 )
 
-from oracles import nu_keys
+from oracles import averaging_data_matrices, nu_keys
 
 BOUND_TABLE = [
     # type, rank, S, Xi
@@ -236,6 +236,21 @@ def _check_keys_against_oracle(monkeypatch, rank):
     monkeypatch.setattr(newton, "_nu_keys", checked)
     monkeypatch.setattr(newton, "tau_word", recorded)
     return seen, trivial_tau
+
+
+@pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("D", 5)])
+def test_averaging_data_builds_no_elements(ct, n, monkeypatch):
+    """On a fresh group table the averaging data is read from the signed
+    root images without one matrix product, and equals the sums of the
+    elements' matrices."""
+    calls = []
+    real = weyl.mat_mul
+    monkeypatch.setattr(weyl, "_TABLES", {})
+    monkeypatch.setattr(weyl, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+    table = enumerate_group(build_root_system(ct, n))
+    data = newton._averaging_data(table)
+    assert calls == []
+    assert data == averaging_data_matrices(table)
 
 
 @pytest.mark.parametrize("ct,n", [("A", 1), ("A", 2), ("B", 2)])
