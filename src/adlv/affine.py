@@ -39,11 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm, prod
+from math import prod
 from operator import add, mul, sub
 from typing import Sequence
 
-from ._matrix import transpose, mat_vec
 from .errors import BudgetError, InvariantError, RefusalError
 from .rootsys import Coweight, RootSystem
 from .weyl import (
@@ -67,7 +66,6 @@ __all__ = [
     "reduced_word",
     "reduced_word_and_tau",
     "tau_word",
-    "coroot_pairing_coords",
     "lower_interval",
     "cocovers",
     "cocovers_with_reflections",
@@ -121,8 +119,9 @@ class AffineElt:
         lattice): its coroot coordinates, scaled to integers, mod the
         scale."""
         if self._omega is None:
-            den, inv = _scaled_inv_cartan_t(self.rs)
-            self._omega = tuple(sum(map(mul, row, self.lam)) % den for row in inv)
+            rs = self.rs
+            self._omega = tuple(sum(map(mul, row, self.lam)) % rs.inv_cartan_den
+                                for row in rs.inv_cartan_scaled)
         return self._omega
 
     def __eq__(self, other) -> bool:
@@ -169,48 +168,18 @@ def translation(lam: Coweight) -> AffineElt:
 
 
 @lru_cache(maxsize=None)
-def coroot_pairing_coords(rs: RootSystem, a: int) -> tuple[int, ...]:
-    """Pairing coordinates <alpha_i, beta_check> of the a-th positive coroot."""
-    return mat_vec(transpose(rs.cartan), rs.positive_coroots[a])
-
-
-@lru_cache(maxsize=None)
 def simple_affine(rs: RootSystem, j: int) -> AffineElt:
     """The affine generator s_0 = t^{theta_check} s_theta, or s_j for j >= 1."""
     if j == 0:
-        return AffineElt(
-            rs,
-            coroot_pairing_coords(rs, rs.theta_index),
-            reflection(rs, rs.theta_index),
-        )
+        th = rs.theta_index
+        return AffineElt(rs, rs.coroot_pairings[th], reflection(rs, th))
     return embed(simple_reflection(rs, j - 1))
-
-
-@lru_cache(maxsize=None)
-def _scaled_inv_cartan_t(rs: RootSystem) -> tuple[int, list[list[int]]]:
-    """(den, den * C^-T) for the least den giving integer entries: the
-    rows of the matrix give scaled coroot coordinates of a coweight."""
-    den = lcm(*(x.denominator for row in rs.inv_cartan_t for x in row))
-    return den, [[int(x * den) for x in row] for row in rs.inv_cartan_t]
-
-
-@lru_cache(maxsize=None)
-def _letter_roots(rs: RootSystem) -> tuple[int, ...]:
-    """Root index of each affine letter's root: theta, then alpha_1..n."""
-    simple = (rs.root_index[rs.simple_root(i)] for i in range(rs.rank))
-    return (rs.theta_index, *simple)
-
-
-@lru_cache(maxsize=None)
-def _root_columns(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """Column k: the k-th root coordinate of every positive root."""
-    return tuple(zip(*rs.positive_roots))
 
 
 def _pairings(rs: RootSystem, lam: tuple[int, ...]):
     """<beta, lam> over the positive roots beta, as an iterator: one
     C-level scaled column per coordinate of lam."""
-    cols = _root_columns(rs)
+    cols = rs.root_columns
     acc = map(lam[0].__mul__, cols[0])
     for k in range(1, rs.rank):
         acc = map(add, acc, map(lam[k].__mul__, cols[k]))
@@ -234,7 +203,7 @@ def descent_right(w: AffineElt, j: int) -> bool:
 def descent_left(w: AffineElt, j: int) -> bool:
     """True iff ell(s_j w) < ell(w)."""
     rs = w.rs
-    neg = w.fin.inv_images()[_letter_roots(rs)[j]] < 0
+    neg = w.fin.inv_images()[rs.letter_roots[j]] < 0
     if j == 0:
         c = sum(map(mul, rs.theta, w.lam))
         return c > 1 or (c == 1 and not neg)
@@ -342,7 +311,7 @@ def cocovers_with_reflections(w: AffineElt) -> list[tuple[int, int, AffineElt]]:
             continue
         nsep += len(ms)
         fin = reflection(rs, a).mul(x)
-        coroot = coroot_pairing_coords(rs, a)
+        coroot = rs.coroot_pairings[a]
         for m in ms:
             cand = _affine(rs, tuple(map(add, lam, map((m - p).__mul__, coroot))), fin)
             if affine_length(cand) == lw - 1:
@@ -469,10 +438,8 @@ class IntervalEngine:
         self.zeros = zeros = word.count(0)
         self.rmult_stheta = table.rmult_root(rs.theta_index)
         # x(theta_check) is the coroot of x(theta), read from the root
-        # images of x^-1; cps[~c] = -cps[c] for the signed index ~c
-        cps = [coroot_pairing_coords(rs, c) for c in range(len(rs.positive_roots))]
-        cps += [tuple([-v for v in p]) for p in reversed(cps)]
-        imgs, th = table.inv_images(), rs.theta_index
+        # images of x^-1 as a signed root index
+        cps, imgs, th = rs.coroot_pairings, table.inv_images(), rs.theta_index
         self.delta = [cps[imgs[table.inv_idx(x)][th]] for x in range(len(table))]
         cols = list(zip(*self.delta))
         self.lo = tuple([s + zeros * min(0, *c) for s, c in zip(self.start.lam, cols)])

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvariantError
 from .qbg import build_qbg
 from .rootsys import Coroot, Root, RootSystem, pair_root_coroot, root_leq
-from .weyl import GroupTable, WeylElt, enumerate_group, word_str
+from .weyl import GroupTable, WeylElt, enumerate_group, per_table, word_str
 
 __all__ = [
     "CascadeResult",
@@ -118,7 +117,7 @@ def dp_root(rs: RootSystem, root_idx: int) -> int:
     return (l + 1) // 2
 
 
-@lru_cache(maxsize=None)
+@per_table
 def _dp_table(table: GroupTable) -> tuple[int, ...]:
     """Least factorization cost from the identity to every element, where
     multiplying by s_beta costs dp_root(beta); uniform-cost search."""
@@ -152,7 +151,7 @@ def dp(x: WeylElt) -> int:
     return _dp_table(table)[table.idx(x)]
 
 
-@lru_cache(maxsize=None)
+@per_table
 def _ell_red_table(table: GroupTable) -> tuple[int, ...]:
     """Fewest reflections with additive lengths, from the identity to every
     element, by breadth-first search."""

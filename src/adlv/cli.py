@@ -24,7 +24,9 @@ Three subcommands:
 Type and rank are checked against the per-type table in ``adlv.rootsys``.
 Every suite but tables, and every query operator but len and eta,
 enumerates the finite Weyl group, so it first checks the group order
-against --cap.
+against --cap.  The commands that build the quantum Bruhat graph (query
+wt, elldown, and nu where the closed form applies; verify qbg, newton,
+adm and cascade) stop at 10^5 elements whatever --cap is.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 refused input (including --cap/--budget below 1) or an --out path that
@@ -54,7 +56,7 @@ from .affine import (
     embed,
     simple_affine,
 )
-from .cascade import cascade_r, compare_wt_r, dp_all, ell_red_all
+from .cascade import cascade_r, compare_wt_r, dp, ell_red
 from .cover import cover_depth_threshold, cover_sweep
 from .errors import BudgetError, InvariantError, RefusalError
 from .newton import (
@@ -338,12 +340,10 @@ def run_query(config: RunConfig, expression: str) -> dict:
 
     if op in ("dp", "ellred", "elldown", "cascade"):
         x = _require_finite(w, op)
-        table = enumerate_group(rs)
-        i = table.idx(x)
         if op == "dp":
-            result["dp"] = dp_all(rs)[i]
+            result["dp"] = dp(x)
         elif op == "ellred":
-            result["ell_red"] = ell_red_all(rs)[i]
+            result["ell_red"] = ell_red(x)
         elif op == "elldown":
             result["ell_down"] = build_qbg(rs).ell_down(x)
         else:
@@ -548,7 +548,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="Cartan type letter, or 'all' (tables only)")
         p.add_argument("--rank", type=int, default=None)
         p.add_argument("--cap", dest="group_cap", type=int, default=10**6,
-                       help="largest Weyl group order to enumerate")
+                       help="largest Weyl group order to enumerate; commands "
+                       "that build the quantum Bruhat graph stop at 10^5 "
+                       "whatever --cap is")
         p.add_argument("--out", dest="out_path", default=None)
 
     pt = sub.add_parser("tables", help="emit the bound/weight tables")

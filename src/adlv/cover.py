@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
 
-from .affine import (
-    AffineElt,
-    affine_length,
-    cocovers,
-    coroot_pairing_coords,
-)
+from .affine import AffineElt, affine_length, cocovers
 from .errors import InvariantError, RefusalError
 from .rootsys import (
     TYPE_TABLE,
@@ -108,7 +103,7 @@ def _reflection_shape(rs: RootSystem, r: AffineElt) -> tuple[Root, int]:
     b = _reflection_roots(rs).get(r.fin)
     if b is None:
         raise InvariantError("finite part of a cocover step is not a reflection")
-    cb = coroot_pairing_coords(rs, b)
+    cb = rs.coroot_pairings[b]
     k = next(i for i, c in enumerate(cb) if c)
     m, rem = divmod(r.lam[k], cb[k])
     if rem or tuple(m * c for c in cb) != tuple(r.lam):
@@ -169,7 +164,7 @@ def predicted_cocovers(
     for a, alpha in enumerate(rs.positive_roots):
         sa = reflection(rs, a)
         drop = pair_root_coroot(rs, rs.two_rho, rs.positive_coroots[a])
-        acheck = coroot_pairing_coords(rs, a)
+        acheck = rs.coroot_pairings[a]
         lam_minus = tuple(p - c for p, c in zip(lam_int, acheck))
         usa, sav = u.mul(sa), sa.mul(v)
         lusa, lsav = usa.length(), sav.length()

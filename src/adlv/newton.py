@@ -14,14 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, product
 from math import gcd, lcm
 from operator import add, mul
 
 from .affine import (
-    _letter_roots,
-    _scaled_inv_cartan_t,
     AffineElt,
     IntervalEngine,
     StateSet,
@@ -43,7 +40,14 @@ from .rootsys import (
     depth,
     dominant_rep,
 )
-from .weyl import GroupTable, WeylElt, enumerate_group, longest_element, word_str
+from .weyl import (
+    GroupTable,
+    WeylElt,
+    enumerate_group,
+    longest_element,
+    per_table,
+    word_str,
+)
 
 __all__ = [
     "NewtonPoint",
@@ -96,7 +100,7 @@ def newton_point(w: AffineElt) -> NewtonPoint:
 # -- brute force over intervals -------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@per_table
 def _averaging_data(table: GroupTable) -> list[tuple[tuple[int, ...], int]]:
     """Per element z: (sum over i=1..ord(z) of the pairing-action matrix of
     z^i, row-major, and ord(z)).  Lets the Newton sum run in integers.
@@ -104,10 +108,7 @@ def _averaging_data(table: GroupTable) -> list[tuple[tuple[int, ...], int]]:
     Column k of the matrix of x holds the root coordinates of x^-1(alpha_k),
     read from the table's signed root images, so no element is built."""
     rs, n = table.rs, table.rs.rank
-    roots = list(rs.positive_roots)
-    roots += [tuple([-c for c in r]) for r in reversed(rs.positive_roots)]
-    simple = _letter_roots(rs)[1:]
-    imgs = table.inv_images()
+    roots, simple, imgs = rs.signed_roots, rs.letter_roots[1:], table.inv_images()
     out = []
     for z in range(len(table)):
         acc, cur, m = [0] * n * n, z, 0
@@ -176,10 +177,9 @@ def _max_point(rs: RootSystem, keys) -> NewtonPoint:
         raise InvariantError("empty Newton point set")
     two_rho, den = rs.two_rho, lcm(*(m for _, m in keys))
     top, tm = max(keys, key=lambda k: sum(map(mul, two_rho, k[0])) * (den // k[1]))
-    _, inv = _scaled_inv_cartan_t(rs)
     for cs, m in keys:
         diff = [a * m - c * tm for a, c in zip(top, cs)]
-        if any(sum(r * d for r, d in zip(row, diff)) < 0 for row in inv):
+        if any(sum(map(mul, row, diff)) < 0 for row in rs.inv_cartan_scaled):
             raise InvariantError("maximal Newton point is not unique")
     return NewtonPoint(coweight(rs, tuple(Fraction(c, tm) for c in top)))
 
@@ -262,16 +262,15 @@ def max_newton_formula(
     ok = d > thr
     if not ok and not force:
         return FormulaResult("below-threshold", None, d, thr)
-    if g.is_identity():
-        x = w.fin
-    else:
-        if not lam_plus.is_regular():
-            raise RefusalError(
-                "translation part is singular and not dominant; cannot fold"
-            )
-        # w = u t^lam v with u = g^{-1}, v = g z.
-        x = demazure_ltri(embed(g.mul(w.fin)), embed(g.inv())).fin
-    value = lam_plus - coweight_from_coroot(rs, build_qbg(rs, cap).wt1(x))
+    if not (g.is_identity() or lam_plus.is_regular()):
+        raise RefusalError(
+            "translation part is singular and not dominant; cannot fold"
+        )
+    # w = u t^lam v with u = g^{-1}, v = g z, and x = v <| u
+    graph = build_qbg(rs, cap)
+    t = graph.table
+    x = t.ltri_idx(t.idx(g.mul(w.fin)), t.inv_idx(t.idx(g)))
+    value = lam_plus - coweight_from_coroot(rs, graph.wt1(x))
     return FormulaResult("ok" if ok else "below-threshold", value, d, thr)
 
 
@@ -356,10 +355,7 @@ def sweep_records(
                     keys |= _nu_keys(eng, states - seen, memo)
                     seen = states
                     nu_b = _max_point(rs, keys)
-                    wt_cw = coweight_from_coroot(
-                        rs, graph.wt1(table.elements[top])
-                    )
-                    nu_f = lam - wt_cw
+                    nu_f = lam - coweight_from_coroot(rs, graph.wt1(top))
                     results[top] = {
                         "type": rs.cartan_type,
                         "rank": rs.rank,

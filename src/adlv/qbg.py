@@ -14,14 +14,16 @@ weight wt(x, y) and the distance d_Gamma(x, y) are served from the one
 search to the identity through the group table; ``adlv verify qbg`` checks
 them against the forward search from x.  They and the downward-only
 decompositions drive the closed-form weight tables, the Newton-point
-weight bound and the dimension formulas.
+weight bound and the dimension formulas.  ``build_qbg`` keeps one graph
+per group table, on the table (``weyl.per_table``), and refuses a group
+above its own cap, ``DEFAULT_QBG_CAP``, whatever the cap of the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvariantError, RefusalError
+from .errors import BudgetError, InvariantError, RefusalError
 from .rootsys import (
     Coroot,
     Root,
@@ -37,6 +39,7 @@ from .weyl import (
     WeylElt,
     enumerate_group,
     identity_elt,
+    per_table,
     reflection,
     reflection_length,
 )
@@ -262,15 +265,19 @@ class QBGraph:
         return self._reverse_down()[0]
 
 
-_GRAPHS: dict[RootSystem, QBGraph] = {}
+_graph = per_table(QBGraph)
 
 
 def build_qbg(rs: RootSystem, cap: int = DEFAULT_QBG_CAP) -> QBGraph:
-    """Build (and cache) the graph; BudgetError when |W| exceeds ``cap``."""
-    table = enumerate_group(rs, cap)
-    if rs not in _GRAPHS:
-        _GRAPHS[rs] = QBGraph(table)
-    return _GRAPHS[rs]
+    """The graph on the cached group table, built once and kept on it;
+    BudgetError when |W| exceeds ``cap``, the graph cap."""
+    order = WEYL_ORDER(rs.cartan_type, rs.rank)
+    if order > cap:
+        raise BudgetError(
+            f"quantum Bruhat graph of type {rs.cartan_type}{rs.rank} has "
+            f"{order} vertices, exceeding the graph cap of {cap}"
+        )
+    return _graph(enumerate_group(rs, cap))
 
 
 @dataclass

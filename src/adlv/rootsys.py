@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from ._matrix import mat_inv, mat_vec, transpose
@@ -162,9 +162,9 @@ def _sign(v: Sequence[int]) -> int:
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Immutable bundle of root-system data; build via :func:`build_root_system`,
-    which makes one object per (type, rank), so equality and hashing are by
-    identity."""
+    """Immutable root-system data, with everything derived from it per root;
+    build via :func:`build_root_system`, which makes one object per (type,
+    rank), so equality and hashing are by identity."""
 
     cartan_type: str
     rank: int
@@ -174,13 +174,21 @@ class RootSystem:
     positive_coroots: tuple[Coroot, ...]         # index-paired with the roots
     root_d: tuple[int, ...]                      # d_beta = (beta, beta)/2
     heights: tuple[int, ...]
-    pairing_rows: tuple[tuple[int, ...], ...]    # [a][j] = <root_a, a_j_check>
     theta_index: int
     two_rho: Root
-    rho: tuple[Fraction, ...]                    # root coords of rho
     quantum_flags: tuple[bool, ...]
     reflection_lengths: tuple[int, ...]          # ell(s_beta) per positive root
+    # indexed by a signed root index: c for the c-th positive root, ~c for
+    # its negative (the list read from the end)
+    signed_roots: tuple[Root, ...] = field(repr=False)
+    coroot_pairings: tuple[tuple[int, ...], ...] = field(repr=False)  # C^T beta_check
+    letter_roots: tuple[int, ...] = field(repr=False)  # theta, then alpha_1..n
+    root_columns: tuple[tuple[int, ...], ...] = field(repr=False)  # transposed roots
     inv_cartan_t: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    # the least den making den * C^-T integral, and that matrix: its rows
+    # give scaled coroot coordinates of a coweight
+    inv_cartan_den: int = field(repr=False)
+    inv_cartan_scaled: tuple[tuple[int, ...], ...] = field(repr=False)
     root_index: dict = field(repr=False)
 
     @property
@@ -278,9 +286,10 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
     root_d = tuple(root_d)
     coroots = tuple(coroots)
 
-    pairing_rows = tuple(
-        tuple(pair_simple_coroot(r, j) for j in range(n)) for r in positive
-    )
+    # <alpha_i, beta_check> per positive coroot (C^T beta_check), then negatives
+    Ct = transpose(C)
+    cps = tuple(mat_vec(Ct, bc) for bc in coroots)
+    cps += tuple(tuple([-v for v in p]) for p in cps[::-1])
 
     # highest root: unique height maximum, and dominance-maximal among all roots
     hmax = max(heights)
@@ -292,22 +301,20 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
     if not all(t >= c for r in positive for t, c in zip(th, r)):
         raise InvariantError("theta not dominance-maximal")
 
-    # rho in root coords by an exact linear solve
-    cinv = mat_inv(C)
-    rho = mat_vec(cinv, (1,) * n)
-    cinv_t = mat_inv(transpose(C))
-    # cross-check: 2 rho from the solve is the sum of the positive roots
+    # cross-check: the sum of the positive roots pairs to 2 with every
+    # simple coroot, so it is 2 rho
     two_rho = tuple(sum(r[i] for r in positive) for i in range(n))
-    if tuple(2 * x for x in rho) != two_rho:
+    if any(pair_simple_coroot(two_rho, i) != 2 for i in range(n)):
         raise InvariantError("2 rho != sum of positive roots")
+    cinv_t = mat_inv(Ct)
+    den = math.lcm(*(x.denominator for row in cinv_t for x in row))
 
     # ell(s_beta) = #{gamma > 0 : s_beta gamma < 0}, via the exact root action
     refl_len = []
     for a, beta in enumerate(positive):
         cnt = 0
-        bc = coroots[a]
-        for g, gamma in enumerate(positive):
-            k = sum(bc[j] * pairing_rows[g][j] for j in range(n))
+        for gamma in positive:
+            k = sum(map(mul, gamma, cps[a]))  # <gamma, beta_check>
             img = tuple(gc - k * bb for gc, bb in zip(gamma, beta))
             s = _sign(img)
             if not s:
@@ -332,13 +339,17 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
         positive_coroots=coroots,
         root_d=root_d,
         heights=heights,
-        pairing_rows=pairing_rows,
         theta_index=ti,
         two_rho=two_rho,
-        rho=tuple(Fraction(x) for x in rho),
         quantum_flags=qflags,
         reflection_lengths=refl_len,
+        signed_roots=positive + tuple(tuple([-c for c in r]) for r in positive[::-1]),
+        coroot_pairings=cps,
+        letter_roots=(ti, *(index[_unit(n, i)] for i in range(n))),
+        root_columns=tuple(zip(*positive)),
         inv_cartan_t=cinv_t,
+        inv_cartan_den=den,
+        inv_cartan_scaled=tuple(tuple(int(x * den) for x in row) for row in cinv_t),
         root_index=index,
     )
 

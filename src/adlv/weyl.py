@@ -15,7 +15,9 @@ shared table elements both are per-index tables.  A table element's matrices are
 built on first access, from its word-prefix parent, so building a table (and
 the quantum Bruhat graph on it) multiplies no matrices.  Bruhat order is the
 table's bitmask closure, reflection length the rank of (action - id) on the
-reflection representation.
+reflection representation.  Whatever is derived from a table (the quantum
+Bruhat graph, the Newton averaging sums, dp, ell_red) is kept on that table
+by ``per_table``, so it lives exactly as long as the table's cache entry.
 
 >>> from adlv.rootsys import build_root_system
 >>> rs = build_root_system("A", 2)
@@ -44,6 +46,7 @@ __all__ = [
     "longest_element",
     "reflection_length",
     "enumerate_group",
+    "per_table",
     "word_str",
 ]
 
@@ -214,11 +217,8 @@ def reflection(rs: RootSystem, root) -> WeylElt:
 @lru_cache(maxsize=None)
 def _reflection_by_index(rs: RootSystem, a: int) -> WeylElt:
     beta = rs.positive_roots[a]
-    bc = rs.positive_coroots[a]
+    prc = rs.coroot_pairings[a]  # <alpha_j, beta_check>
     n = rs.rank
-    C = rs.cartan
-    # <alpha_j, beta_check>
-    prc = tuple(sum(bc[i] * C[i][j] for i in range(n)) for j in range(n))
     r = tuple(
         tuple((1 if k == j else 0) - prc[j] * beta[k] for j in range(n))
         for k in range(n)
@@ -268,7 +268,8 @@ class GroupTable:
     reflection.  The build records only this index data: ``elements[a]``
     is built on first access (see ``_Elements``), and so are the root
     images under inverses (``inv_images``), reflection-multiplication
-    tables and the full Bruhat relation (as bitmasks).
+    tables, the full Bruhat relation (as bitmasks) and what other modules
+    derive from the table (``per_table``).
     """
 
     def __init__(self, rs: RootSystem):
@@ -311,6 +312,7 @@ class GroupTable:
         self._refl_mult: dict[int, list[int]] = {}
         self._inv_images: list[tuple[int, ...]] | None = None
         self._leq_masks: list[int] | None = None
+        self._derived: dict = {}  # per_table: build -> build(self)
         self.w0_idx = order - 1
 
     def __len__(self) -> int:
@@ -455,6 +457,16 @@ def _signed_images(rs: RootSystem, m) -> tuple[int, ...]:
         idx[v] if v in idx else ~idx[tuple(-c for c in v)]
         for v in (mat_vec(m, root) for root in rs.positive_roots)
     )
+
+
+def per_table(build):
+    """``build(table)``, computed once per table and kept on it: data
+    derived from a group table lives exactly as long as the table."""
+    def get(table: GroupTable):
+        if build not in table._derived:
+            table._derived[build] = build(table)
+        return table._derived[build]
+    return get
 
 
 _TABLES: dict[RootSystem, GroupTable] = {}

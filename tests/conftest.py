@@ -1,7 +1,10 @@
 """Shared test helpers.
 
-The library caches root systems, group tables, and graphs aggressively, so
-fixtures hand out the cached objects rather than managing lifecycles.
+The library builds one root system per (type, rank), with its derived root
+data on it, and caches one group table per root system in ``weyl._TABLES``;
+whatever is derived from a table (the graph, the Newton averaging sums, dp
+and ell_red) is kept on that table.  Fixtures hand out the cached objects,
+and a test that needs fresh tables monkeypatches ``weyl._TABLES``.
 """
 
 import pytest

@@ -7,12 +7,11 @@ from math import gcd
 from adlv.affine import (
     AffineElt,
     affine_length,
-    coroot_pairing_coords,
     descent_left,
     simple_affine,
 )
 from adlv.newton import _averaging_data
-from adlv.rootsys import _dominantize
+from adlv.rootsys import _dominantize, coweight_from_coroot
 from adlv.weyl import WeylElt, reflection, simple_reflection
 
 
@@ -91,11 +90,8 @@ def cocovers_by_reflections(w: AffineElt) -> list:
         hi = h * _pair(root, w.lam) + ht
         ms = range(1, (hi - 1) // h + 1) if hi > 0 else range(hi // h + 1, 1)
         for m in ms:
-            r = AffineElt(
-                rs,
-                tuple(m * c for c in coroot_pairing_coords(rs, a)),
-                reflection(rs, a),
-            )
+            coroot = coweight_from_coroot(rs, rs.positive_coroots[a]).pairing
+            r = AffineElt(rs, tuple(m * c for c in coroot), reflection(rs, a))
             cand = r.mul(w)
             if affine_length_loop(cand) == lw - 1:
                 out.append((a, m, cand))

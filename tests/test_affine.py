@@ -18,7 +18,6 @@ from adlv.affine import (
     affine_length,
     cocovers,
     cocovers_with_reflections,
-    coroot_pairing_coords,
     demazure_ltri,
     demazure_rtri,
     demazure_star,
@@ -542,7 +541,7 @@ def test_engine_and_orbit_multiply_no_matrices(ct, n, monkeypatch):
     mu = (1, 0) + (2,) * (n - 2)
     orbit = adm._orbit(rs, mu)
     assert calls == []
-    theta_check = coroot_pairing_coords(rs, rs.theta_index)
+    theta_check = rs.coroot_pairings[rs.theta_index]
     elts = eng.table.elements
     assert eng.delta == [x.act_pairing(theta_check) for x in elts]
     assert orbit == {x.act_pairing(mu) for x in elts}

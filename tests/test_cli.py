@@ -262,6 +262,12 @@ def test_budget_errors_exit_3(capsys):
         argv = ["query", "--type", "A", "--rank", "2", "--cap", "1", expr]
         assert main(argv) == 3, expr
         assert "exceeds --cap" in capsys.readouterr().err
+    # the graph has its own cap, which --cap does not raise: A8 has 9!
+    # elements, and the refusal names the graph cap before any enumeration
+    for expr in ("wt w0", "elldown s1"):
+        argv = ["query", "--type", "A", "--rank", "8", "--cap", "1000000", expr]
+        assert main(argv) == 3, expr
+        assert "graph cap of 100000" in capsys.readouterr().err
     # nu with neither route available: too long to sweep, below threshold
     argv = ["query", "--type", "A", "--rank", "2", "--budget", "1", "nu s1 s2"]
     assert main(argv) == 3

@@ -83,19 +83,13 @@ def test_records_carry_separating_reflection(ct, n):
             refl = embed(reflection(rs, a))
             shift = AffineElt(
                 rs,
-                tuple(rec.m * c for c in _coroot_pairing(rs, a)),
+                tuple(rec.m * c for c in rs.coroot_pairings[a]),
                 identity_elt(rs),
             )
             assert shift.mul(refl).mul(w) == rec.result
             assert affine_length(rec.result) == affine_length(w) - 1
             assert bruhat_leq_affine(rec.result, w)
             assert rec.case_label == min(rec.labels)
-
-
-def _coroot_pairing(rs, a):
-    from adlv.affine import coroot_pairing_coords
-
-    return coroot_pairing_coords(rs, a)
 
 
 def test_predicted_equals_enumerated_a2_grid(a2):

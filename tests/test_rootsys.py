@@ -1,6 +1,7 @@
 """Root system construction, pairings, dominance, and quantum roots."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +105,34 @@ def test_coroot_pairing_consistency(ct, n):
         lam = coweight_from_coroot(rs, gamma)
         for b, beta in enumerate(rs.positive_roots):
             assert pair_root_coroot(rs, beta, gamma) == pairing(rs, beta, lam)
+
+
+@pytest.mark.parametrize("ct,n", ALL_SMALL + [("E", 6), ("E", 7), ("E", 8)])
+def test_derived_root_data(ct, n):
+    """The root data the RootSystem carries, recomputed from the Cartan
+    matrix and the root lists: coroot pairings C^T beta_check, the scaled
+    inverse of C^T with its least denominator, the roots of the affine
+    letters, the root columns, and the signed lists (~c is -c)."""
+    rs = build_root_system(ct, n)
+    C, nroots = rs.cartan, len(rs.positive_roots)
+    for a, bc in enumerate(rs.positive_coroots):
+        cp = tuple(sum(C[j][i] * bc[j] for j in range(n)) for i in range(n))
+        assert rs.coroot_pairings[a] == cp
+    den, inv = rs.inv_cartan_den, rs.inv_cartan_scaled
+    assert all(
+        sum(inv[i][k] * C[j][k] for k in range(n)) == den * (i == j)
+        for i in range(n) for j in range(n)
+    )
+    assert den > 0 and gcd(den, *(x for row in inv for x in row)) == 1
+    letters = [rs.positive_roots[a] for a in rs.letter_roots]
+    assert letters == [rs.theta] + [rs.simple_root(i) for i in range(n)]
+    assert all(rs.root_columns[k][a] == r[k]
+               for a, r in enumerate(rs.positive_roots) for k in range(n))
+    assert len(rs.root_columns) == n
+    assert rs.signed_roots[:nroots] == rs.positive_roots
+    for signed in (rs.signed_roots, rs.coroot_pairings):
+        assert len(signed) == 2 * nroots
+        assert all(signed[~c] == tuple(-x for x in signed[c]) for c in range(nroots))
 
 
 @pytest.mark.parametrize("ct,n", ALL_SMALL)

@@ -1,13 +1,15 @@
 """Finite Weyl group elements, group tables, Bruhat order, reflection
 length."""
 
+import gc
 import random
+import weakref
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adlv import qbg, weyl
+from adlv import cascade, newton, qbg, weyl
 from adlv.rootsys import WEYL_ORDER, build_root_system
 from adlv.weyl import (
     enumerate_group,
@@ -224,13 +226,30 @@ def test_table_and_qbg_build_multiply_no_matrices(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(weyl, "mat_mul", counted)
-    monkeypatch.setattr(weyl, "_TABLES", {})
-    monkeypatch.setattr(qbg, "_GRAPHS", {})
+    monkeypatch.setattr(weyl, "_TABLES", {})  # fresh tables carry no graph
     for ct, n in (("F", 4), ("D", 5)):
         rs = build_root_system(ct, n)
         enumerate_group(rs)
         qbg.build_qbg(rs)
     assert not calls
+
+
+def test_derived_data_lives_and_dies_with_its_table(monkeypatch):
+    """The graph, the Newton averaging data, dp and ell_red are kept on the
+    group table they come from: dropping the table from the cache frees
+    it, and the table that replaces it gets a graph of its own."""
+    rs = build_root_system("D", 4)
+    monkeypatch.setattr(weyl, "_TABLES", {})
+    table = enumerate_group(rs)
+    assert qbg.build_qbg(rs).table is table
+    newton._averaging_data(table)
+    cascade.dp_all(rs)
+    cascade.ell_red_all(rs)
+    ref = weakref.ref(table)
+    del table, weyl._TABLES[rs]
+    gc.collect()
+    assert ref() is None
+    assert qbg.build_qbg(rs).table is enumerate_group(rs)
 
 
 @pytest.mark.parametrize("ct,n", [("B", 3), ("G", 2), ("D", 4), ("F", 4)])
