@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from operator import add
 
 from .affine import (
     AffineElt,
     affine_length,
     descent_left,
-    lower_interval,
+    lower_union,
     simple_affine,
     translation,
 )
@@ -30,7 +31,6 @@ from .rootsys import (
     TYPE_TABLE,
     Coweight,
     RootSystem,
-    coweight,
     coweight_from_coroot,
     depth,
     dominance_leq,
@@ -99,7 +99,9 @@ def _rho_pair(rs: RootSystem, lam: Coweight) -> Fraction:
 
 
 def adm_set(mu: Coweight, budget: int = DEFAULT_ADM_BUDGET) -> AdmSet:
-    """Union of the lower intervals of t^{x(mu)} over the Weyl orbit."""
+    """Union of the lower intervals of t^{x(mu)} over the Weyl orbit.  The
+    orbit translations share one lattice class, so one ``lower_union``
+    engine runs all their words and builds each member once."""
     rs = mu.rs
     if not mu.is_dominant():
         raise RefusalError("admissible sets are indexed by dominant mu")
@@ -111,11 +113,9 @@ def adm_set(mu: Coweight, budget: int = DEFAULT_ADM_BUDGET) -> AdmSet:
             f"{budget}"
         )
     enumerate_group(rs)  # the cap refusal, before the orbit is walked
-    members: set[AffineElt] = set()
-    for pt in _orbit(rs, mu_int):
-        top = AffineElt(rs, pt, identity_elt(rs))
-        members |= lower_interval(top, budget=budget).members
-    return AdmSet(mu, frozenset(members))
+    e = identity_elt(rs)
+    tops = [AffineElt(rs, pt, e) for pt in sorted(_orbit(rs, mu_int))]
+    return AdmSet(mu, lower_union(tops, budget=budget))
 
 
 def _orbit(rs: RootSystem, p: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -132,8 +132,19 @@ def _orbit(rs: RootSystem, p: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 
 def product_set(a: AdmSet, b: AdmSet) -> frozenset[AffineElt]:
-    """The literal product set {w w' : w in a, w' in b}."""
-    return frozenset(x.mul(y) for x in a.members for y in b.members)
+    """The literal product set {w w' : w in a, w' in b}.  Products are keyed
+    on (translation part, table index of the finite part), and each
+    distinct one is built once."""
+    table = enumerate_group(a.mu.rs)
+    ys = [(y, y.lam, table.idx(y.fin)) for y in b.members]
+    firsts: dict = {}
+    for x in a.members:
+        lam, act, xi = x.lam, x.fin.act_pairing, table.idx(x.fin)
+        for y, ylam, yi in ys:
+            key = (tuple(map(add, lam, act(ylam))), table.prod_idx(xi, yi))
+            if key not in firsts:
+                firsts[key] = x, y
+    return frozenset([x.mul(y) for x, y in firsts.values()])
 
 
 @dataclass
@@ -203,7 +214,7 @@ def eta(w: AffineElt) -> WeylElt:
         s = simple_affine(rs, i + 1)
         y = s.mul(y)
         u = u.mul(s.fin)
-    if not coweight(rs, y.lam).is_dominant():
+    if min(y.lam) < 0:
         raise InvariantError(
             "coset-minimal element does not have a dominant translation part"
         )

@@ -23,11 +23,13 @@ transposed once per index.  Products, inverses, cocover candidates and
 interval members are built by ``_affine``, which skips the refusals of the
 public constructor: their parts come from elements that passed them.
 
-Lower intervals come from the subword dynamic program of
-``IntervalEngine`` from tau along the reduced word of w = tau s_{j_1} ...
-s_{j_l} (``tau_word``; left multiplication by a length-zero tau preserves
-the Bruhat order), cocovers from enumerating separating reflections, and
-the three Demazure products from folding reduced words.
+Lower intervals, and their unions over tops that share tau (admissible
+sets), come from one ``IntervalEngine`` started at tau: its subword dynamic
+program runs along the reduced word of each top w = tau s_{j_1} ... s_{j_l}
+(``tau_word``; left multiplication by a length-zero tau preserves the
+Bruhat order), and the state sets merge bucket by bucket.  Cocovers come from
+enumerating separating reflections, and the three Demazure products from
+folding reduced words.
 
 The engine keeps a state set grouped by finite Weyl index, one bucket of
 mixed-radix codes of translation parts per index over a box sized from the
@@ -38,9 +40,9 @@ or shift per index, and in higher rank a frozenset of ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
-from operator import add, mul, sub
+from operator import add, mul, or_, sub
 from typing import Sequence
 
 from .errors import BudgetError, InvariantError, RefusalError
@@ -67,6 +69,7 @@ __all__ = [
     "reduced_word_and_tau",
     "tau_word",
     "lower_interval",
+    "lower_union",
     "cocovers",
     "cocovers_with_reflections",
     "demazure_star",
@@ -260,26 +263,39 @@ def tau_word(w: AffineElt) -> tuple[AffineElt, tuple[int, ...]]:
 
 
 def lower_interval(w: AffineElt, budget: int = DEFAULT_INTERVAL_BUDGET) -> BruhatInterval:
-    """All u <= w, by the packed subword dynamic program from tau along the
-    word of ``tau_word(w)``.  The engine indexes the finite Weyl group, so a
-    group above the ``enumerate_group`` cap (E7, E8) raises BudgetError."""
-    lw = affine_length(w)
+    """All u <= w: the one-top case of ``lower_union``."""
+    return BruhatInterval(top=w, members=lower_union([w], budget))
+
+
+def lower_union(tops: Sequence[AffineElt],
+                budget: int = DEFAULT_INTERVAL_BUDGET) -> frozenset[AffineElt]:
+    """All u below some element of ``tops``, which must share one
+    length-zero part tau: tau times the union of the intervals [e, v] over
+    the words v of ``tau_word``.  One ``IntervalEngine`` starts at tau, its
+    box sized for the word with the most letters 0, runs every word and
+    merges the state sets bucket by bucket; each distinct member is decoded
+    and built once.  The engine indexes the finite Weyl group, so a group
+    above the ``enumerate_group`` cap (E7, E8) raises BudgetError."""
+    lw = max(map(affine_length, tops))
     if lw > budget:
         raise BudgetError(
             f"lower interval of an element of length {lw} exceeds the budget "
             f"of {budget}; raise the budget explicitly to proceed"
         )
-    rs = w.rs
-    tau, word = tau_word(w)
-    eng = IntervalEngine(enumerate_group(rs), word, tau)
+    rs = tops[0].rs
+    tws = [tau_word(w) for w in tops]
+    tau = tws[0][0]
+    if any(t.rs is not rs or t != tau for t, _ in tws):
+        raise RefusalError("tops must share a root system and a length-zero part")
+    words = [word for _, word in tws]
+    eng = IntervalEngine(enumerate_group(rs), max(words, key=lambda v: v.count(0)), tau)
+    states = reduce(or_, map(eng.interval_states, words))
     elements = eng.table.elements
-    members = set()
-    for x_idx, mus in eng.decoded(eng.interval_states(word)):
-        x = elements[x_idx]
-        members.update(_affine(rs, mu, x) for mu in mus)
-    if w not in members:
+    members = frozenset([_affine(rs, mu, elements[x])
+                         for x, mus in eng.decoded(states) for mu in mus])
+    if not members.issuperset(tops):
         raise InvariantError("lower interval misses its top element")
-    return BruhatInterval(top=w, members=frozenset(members))
+    return members
 
 
 def cocovers_with_reflections(w: AffineElt) -> list[tuple[int, int, AffineElt]]:
@@ -394,6 +410,14 @@ class StateSet:
     def __len__(self) -> int:
         bs = self.buckets.values()
         return sum(b.bit_count() if isinstance(b, int) else len(b) for b in bs)
+
+    def __or__(self, other: "StateSet") -> "StateSet":
+        """Bucketwise union (an OR of bitsets, a union of frozensets),
+        counting the larger number of letters 0."""
+        out = dict(self.buckets)
+        for x, b in other.buckets.items():
+            out[x] = out[x] | b if x in out else b
+        return StateSet(out, max(self.zeros, other.zeros))
 
     def __sub__(self, other: "StateSet") -> "StateSet":
         out = {}

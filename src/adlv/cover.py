@@ -143,13 +143,14 @@ def predicted_cocovers(
     lu, lv = u.length(), v.length()
     by_result: dict[AffineElt, tuple[list[int], Root, int]] = {}
     non_cocover: list[AffineElt] = []
+    w_inv = w.inv()
 
     def emit(case: int, root: Root, w2: AffineElt) -> None:
         if w2 in by_result:
             by_result[w2][0].append(case)
             return
         # a reflection step with a length drop of one is a Bruhat cocover
-        r = w2.mul(w.inv())
+        r = w2.mul(w_inv)
         beta, m = _reflection_shape(rs, r)
         if affine_length(w2) != lw - 1:
             if ok:

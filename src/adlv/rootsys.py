@@ -199,9 +199,6 @@ class RootSystem:
     def coxeter_number(self) -> int:
         return self.heights[self.theta_index] + 1
 
-    def simple_root(self, i: int) -> Root:
-        return _unit(self.rank, i)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RootSystem({self.cartan_type}{self.rank})"
 

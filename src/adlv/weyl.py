@@ -109,15 +109,6 @@ class WeylElt:
             self._mask = tuple([1 if c < 0 else 0 for c in self.inv_images()])
         return self._mask
 
-    def act_coroot(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        # alpha_j_check = alpha_j / d_j, so the coroot action is D r D^-1;
-        # every entry r[k][j] d_k / d_j is an integer.
-        d = self.rs.sym_d
-        return tuple(
-            sum(row[j] * d[k] // d[j] * coeffs[j] for j in range(len(d)))
-            for k, row in enumerate(self.r)
-        )
-
     def act_pairing(self, p: Sequence) -> tuple:
         # <alpha_k, w lambda> = <w^-1 alpha_k, lambda>; column k of ri holds
         # the root coordinates of w^-1 alpha_k.  The columns are cached on
@@ -311,7 +302,6 @@ class GroupTable:
         ]
         self._refl_mult: dict[int, list[int]] = {}
         self._inv_images: list[tuple[int, ...]] | None = None
-        self._leq_masks: list[int] | None = None
         self._derived: dict = {}  # per_table: build -> build(self)
         self.w0_idx = order - 1
 
@@ -380,29 +370,6 @@ class GroupTable:
                 rows.append(tuple(map(perms[i].__getitem__, parent)))
             self._inv_images = rows
         return self._inv_images
-
-    def bruhat_masks(self) -> list[int]:
-        """For each index a, a bitmask of all indices b with b <= a in Bruhat
-        order.  Built once by the cocover recursion, in length order."""
-        if self._leq_masks is None:
-            nroots = len(self.rs.positive_roots)
-            tabs = [self.rmult_root(t) for t in range(nroots)]
-            masks = [0] * len(self.elements)
-            for a in range(len(self.elements)):
-                m = 1 << a
-                la = self.lengths[a]
-                for t in range(nroots):
-                    b = tabs[t][a]
-                    if self.lengths[b] == la - 1:
-                        m |= masks[b]
-                if la and m == 1 << a:
-                    raise InvariantError("element without a cocover")
-                masks[a] = m
-            self._leq_masks = masks
-        return self._leq_masks
-
-    def leq_idx(self, a: int, b: int) -> bool:
-        return bool((self.bruhat_masks()[b] >> a) & 1)
 
 
 class _Elements(Sequence):

@@ -4,15 +4,72 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd
 
+from adlv.adm import DEFAULT_ADM_BUDGET, _orbit
 from adlv.affine import (
     AffineElt,
     affine_length,
     descent_left,
+    lower_interval,
     simple_affine,
 )
 from adlv.newton import _averaging_data
 from adlv.rootsys import _dominantize, coweight_from_coroot
-from adlv.weyl import WeylElt, reflection, simple_reflection
+from adlv.weyl import WeylElt, identity_elt, per_table, reflection, simple_reflection
+
+
+def simple_root(rs, i: int) -> tuple[int, ...]:
+    """The i-th simple root in root coordinates."""
+    return tuple(1 if j == i else 0 for j in range(rs.rank))
+
+
+def act_coroot(x: WeylElt, coeffs) -> tuple[int, ...]:
+    """x acting on a coweight in simple-coroot coordinates.  With
+    alpha_j_check = alpha_j / d_j the coroot action is D r D^-1, and every
+    entry r[k][j] d_k / d_j is an integer."""
+    d = x.rs.sym_d
+    return tuple(
+        sum(row[j] * d[k] // d[j] * coeffs[j] for j in range(len(d)))
+        for k, row in enumerate(x.r)
+    )
+
+
+def _bruhat_masks(table) -> list[int]:
+    nroots = len(table.rs.positive_roots)
+    tabs = [table.rmult_root(t) for t in range(nroots)]
+    masks = [0] * len(table)
+    for a in range(len(table)):
+        m = 1 << a
+        la = table.lengths[a]
+        for t in range(nroots):
+            b = tabs[t][a]
+            if table.lengths[b] == la - 1:
+                m |= masks[b]
+        assert not la or m != 1 << a, "element without a cocover"
+        masks[a] = m
+    return masks
+
+
+def bruhat_masks(table) -> list[int]:
+    """For each index a of a group table, a bitmask of all indices b with
+    b <= a in Bruhat order, by the cocover recursion in length order (kept
+    on the table)."""
+    return per_table(_bruhat_masks)(table)
+
+
+def leq_idx(table, a: int, b: int) -> bool:
+    """Bruhat order on table indices, read from ``bruhat_masks``."""
+    return bool((bruhat_masks(table)[b] >> a) & 1)
+
+
+def adm_set_by_intervals(mu, budget: int = DEFAULT_ADM_BUDGET) -> frozenset:
+    """The admissible set as the literal union of ``lower_interval`` over
+    the translations by the Weyl orbit of mu, one engine per orbit point:
+    the oracle for the merged engine of ``adm_set``."""
+    rs = mu.rs
+    members = set()
+    for pt in _orbit(rs, mu.int_pairing()):
+        members |= lower_interval(AffineElt(rs, pt, identity_elt(rs)), budget).members
+    return frozenset(members)
 
 
 @lru_cache(maxsize=None)

@@ -25,6 +25,8 @@ from adlv.adm import (
     virtual_dim,
 )
 
+from oracles import adm_set_by_intervals
+
 
 def b0(rs):
     return BInvariants(coweight(rs, (0,) * rs.rank), 0)
@@ -37,6 +39,7 @@ def test_adm_sizes_frozen():
     a2 = build_root_system("A", 2)
     assert len(adm_set(coweight(a2, (1, 1)))) == 25
     assert len(adm_set(coweight(a2, (2, 2)))) == 85
+    assert len(adm_set(coweight(build_root_system("A", 3), (2, 2, 2)))) == 3401
     # rank 4: the intervals run on sets of tuples, not bitsets; the sizes
     # are those of the set-of-int engine that preceded both
     a4 = build_root_system("A", 4)
@@ -74,6 +77,32 @@ def test_additivity():
     assert product_set(adm_set(th), adm_set(th)) == adm_set(
         coweight(a2, (2, 2))
     ).members
+
+
+# mu lies outside the coroot lattice (tau != 1) at A2 (1, 0), C2 (2, 1)
+# and A3 (1, 0, 0)
+@pytest.mark.parametrize("ct,n,mu", [
+    ("A", 2, (1, 0)), ("A", 2, (1, 1)), ("A", 2, (2, 2)), ("B", 2, (2, 2)),
+    ("C", 2, (2, 1)), ("G", 2, (1, 0)), ("G", 2, (2, 1)),
+    ("A", 3, (1, 0, 0)), ("A", 3, (1, 1, 1)), ("B", 3, (1, 0, 1)),
+])
+def test_adm_set_matches_union_of_intervals(ct, n, mu, dense):
+    """The merged engine gives the union of the orbit tops' lower
+    intervals, one engine per top, in either bucket kind."""
+    m = coweight(build_root_system(ct, n), mu)
+    assert adm_set(m).members == adm_set_by_intervals(m)
+
+
+@pytest.mark.parametrize("ct,mu,nu", [
+    ("A", (1, 1), (1, 1)), ("A", (1, 0), (0, 1)), ("B", (1, 1), (1, 1)),
+    ("C", (1, 0), (0, 1)), ("G", (1, 0), (1, 0)),
+])
+def test_product_set_is_the_literal_product(ct, mu, nu):
+    rs = build_root_system(ct, 2)
+    a, b = adm_set(coweight(rs, mu)), adm_set(coweight(rs, nu))
+    assert product_set(a, b) == frozenset(
+        x.mul(y) for x in a.members for y in b.members
+    )
 
 
 def test_membership_depth_gate(a2, g2):

@@ -8,9 +8,9 @@ from itertools import product
 import pytest
 
 from adlv import adm, affine, weyl
-from adlv.adm import adm_set
+from adlv.adm import adm_set, product_set
 from adlv.cover import cover_sweep
-from adlv.errors import BudgetError, InvariantError
+from adlv.errors import BudgetError, InvariantError, RefusalError
 from adlv.rootsys import build_root_system, coweight, pairing
 from adlv.affine import (
     AffineElt,
@@ -25,6 +25,7 @@ from adlv.affine import (
     descent_right,
     embed,
     lower_interval,
+    lower_union,
     reduced_word,
     reduced_word_and_tau,
     simple_affine,
@@ -131,6 +132,13 @@ def test_lower_interval_members_below_top(a2):
     for u in iv.members:
         for c in cocovers(u):
             assert c in iv.members
+
+
+def test_lower_union_refuses_tops_of_different_classes(a2, b2):
+    with pytest.raises(RefusalError):
+        lower_union([aff(a2, (1, 0)), aff(a2, (0, 1))])
+    with pytest.raises(RefusalError):
+        lower_union([aff(a2, (1, 1)), aff(b2, (1, 1))])
 
 
 def test_lower_interval_budget(a2):
@@ -497,9 +505,10 @@ def test_length_and_cocover_kernels_match_oracles(ct, n, monkeypatch):
 
 def test_unchecked_products_pass_the_public_constructor(monkeypatch):
     """Every element that mul, inv, cocovers_with_reflections or
-    lower_interval builds without the refusals, over B2 and G2 cover sweeps
-    and the A2, B2 and A3 admissible sets of (1, ..., 1), is accepted by
-    the public constructor and equals its rebuilt self, with the same hash."""
+    lower_union builds without the refusals, over B2 and G2 cover sweeps,
+    the A2, B2 and A3 admissible sets of (1, ..., 1), the A3 one of
+    (2, 2, 2), a lower interval and a product set, is accepted by the
+    public constructor and equals its rebuilt self, with the same hash."""
     made = []
     real = affine._affine
 
@@ -517,8 +526,13 @@ def test_unchecked_products_pass_the_public_constructor(monkeypatch):
         cover_sweep(rs, [coweight(rs, (2, 2)), coweight(rs, (3, 2))])
     for ct, n in (("A", 2), ("B", 2), ("A", 3)):
         adm_set(coweight(build_root_system(ct, n), (1,) * n))
+    adm_set(coweight(build_root_system("A", 3), (2, 2, 2)))
+    b2 = build_root_system("B", 2)
+    lower_interval(translation(coweight(b2, (2, 1))))
+    ones = adm_set(coweight(b2, (1, 1)))
+    product_set(ones, ones)
     assert {name for name, _ in made} == {
-        "mul", "inv", "cocovers_with_reflections", "lower_interval"
+        "mul", "inv", "cocovers_with_reflections", "lower_union"
     }
     assert len(made) > 5_000
     for _, w in made:

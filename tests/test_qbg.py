@@ -30,6 +30,8 @@ from adlv.qbg import (
     wt_w0_closed_form,
 )
 
+from oracles import leq_idx
+
 UNIQ = [("A", 2), ("B", 2), ("G", 2)]
 ORACLE_SCOPE = UNIQ + [("A", 3), ("B", 3), ("C", 3)]
 
@@ -255,7 +257,7 @@ def test_wt_monotone_in_bruhat(ct, n):
     wts = g.all_wt1()
     for a in range(len(table)):
         for b in range(len(table)):
-            if table.leq_idx(a, b):
+            if leq_idx(table, a, b):
                 assert all(x <= y for x, y in zip(wts[a], wts[b]))
 
 

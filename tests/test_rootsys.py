@@ -26,6 +26,8 @@ from adlv.rootsys import (
 )
 from adlv.weyl import identity_elt
 
+from oracles import simple_root
+
 ALL_SMALL = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
     ("B", 2), ("B", 3), ("B", 4),
@@ -125,7 +127,7 @@ def test_derived_root_data(ct, n):
     )
     assert den > 0 and gcd(den, *(x for row in inv for x in row)) == 1
     letters = [rs.positive_roots[a] for a in rs.letter_roots]
-    assert letters == [rs.theta] + [rs.simple_root(i) for i in range(n)]
+    assert letters == [rs.theta] + [simple_root(rs, i) for i in range(n)]
     assert all(rs.root_columns[k][a] == r[k]
                for a, r in enumerate(rs.positive_roots) for k in range(n))
     assert len(rs.root_columns) == n
