@@ -30,8 +30,6 @@ from .rootsys import (
     check_type,
     coweight,
     depth,
-    pair_root_coroot,
-    quantum_roots,
 )
 from .weyl import (
     WeylElt,
@@ -139,7 +137,6 @@ def predicted_cocovers(
 
     w = _utv(u, lam_int, v)
     lw = affine_length(w)
-    quantum = set(quantum_roots(rs))
     lu, lv = u.length(), v.length()
     by_result: dict[AffineElt, tuple[list[int], Root, int]] = {}
     non_cocover: list[AffineElt] = []
@@ -164,7 +161,7 @@ def predicted_cocovers(
 
     for a, alpha in enumerate(rs.positive_roots):
         sa = reflection(rs, a)
-        drop = pair_root_coroot(rs, rs.two_rho, rs.positive_coroots[a])
+        drop = 2 * sum(rs.positive_coroots[a])  # <2 rho, alpha_i_check> = 2 for all i
         acheck = rs.coroot_pairings[a]
         lam_minus = tuple(p - c for p, c in zip(lam_int, acheck))
         usa, sav = u.mul(sa), sa.mul(v)
@@ -172,7 +169,7 @@ def predicted_cocovers(
         if lusa == lu - 1:
             emit(1, alpha, _utv(usa, lam_int, v))
         if lusa == lu + drop - 1:
-            if alpha not in quantum:
+            if not rs.quantum_flags[a]:
                 raise InvariantError(
                     "a full-drop ascent from u must use a quantum root"
                 )
@@ -180,7 +177,7 @@ def predicted_cocovers(
         if lsav == lv + 1:
             emit(3, alpha, _utv(u, lam_int, sav))
         if lsav == lv - drop + 1:
-            if alpha not in quantum:
+            if not rs.quantum_flags[a]:
                 raise InvariantError(
                     "a full-drop descent from v must use a quantum root"
                 )

@@ -127,7 +127,9 @@ def _nu_keys(eng: IntervalEngine, states: StateSet,
              memo: dict) -> set[tuple[tuple[int, ...], int]]:
     """Distinct Newton points over a state set, as normalized (integer
     dominant vector, denominator) keys.  ``memo`` maps S to packed ints to
-    keys and may be shared across calls on the same engine.
+    keys, and each key to itself so equal keys share one tuple.  A packed
+    int encodes mu T and m themselves (lo is folded into P), not lambda or
+    the engine, so one memo serves every engine on the same table.
 
     A state t^mu z has raw vector mu T and order m, (T, m) the averaging
     data of z.  A bucket with T = 0 fixes no nonzero coweight and gives the
@@ -163,45 +165,54 @@ def _nu_keys(eng: IntervalEngine, states: StateSet,
         for r in raws.difference(memo):
             dom, _ = _dominantize(rs, [(r >> S * k & mask) - half for k in range(n)])
             g = gcd(m, *dom)
-            memo[r] = (tuple(c // g for c in dom), m // g)
+            key = (tuple(c // g for c in dom), m // g)
+            memo[r] = memo.setdefault(key, key)
         keys.update(map(memo.__getitem__, raws))
     return keys
 
 
-def _max_point(rs: RootSystem, keys) -> NewtonPoint:
-    """Dominance maximum of a set of normalized keys; InvariantError unless
-    the set has a single top element.  The keys stay integers: the argmax
-    of the 2 rho height scaled by the lcm of the denominators, then one
-    cross-multiplied dominance test per key."""
+def _max_point(rs: RootSystem, keys) -> tuple[tuple[int, ...], int]:
+    """Dominance maximum of a set of normalized keys, as a key;
+    InvariantError unless the set has a single top element.  The keys stay
+    integers: the argmax of the 2 rho height scaled by the lcm of the
+    denominators, then one cross-multiplied dominance test per key.
+
+    K u N has a top iff {t} u N has one, for t the top of K: a top of {t} u N
+    dominates K through t, and a top of K u N lying in K dominates t, so it
+    is t.  A sweep therefore carries a running top, not the whole set."""
     if not keys:
         raise InvariantError("empty Newton point set")
     two_rho, den = rs.two_rho, lcm(*(m for _, m in keys))
-    top, tm = max(keys, key=lambda k: sum(map(mul, two_rho, k[0])) * (den // k[1]))
+    top, tm = best = max(keys, key=lambda k: sum(map(mul, two_rho, k[0])) * (den // k[1]))
     for cs, m in keys:
         diff = [a * m - c * tm for a, c in zip(top, cs)]
         if any(sum(map(mul, row, diff)) < 0 for row in rs.inv_cartan_scaled):
             raise InvariantError("maximal Newton point is not unique")
-    return NewtonPoint(coweight(rs, tuple(Fraction(c, tm) for c in top)))
+    return best
+
+
+def _interval_top(w: AffineElt, state_cap: int | None, translations: bool) -> NewtonPoint:
+    """Top Newton point over the interval below w, or over its translations
+    only: the bucket of the identity, where T = I and m = 1."""
+    tau, word = tau_word(w)
+    eng = IntervalEngine(enumerate_group(w.rs), word, tau)
+    states = eng.interval_states(word, state_cap)
+    if translations:
+        states = StateSet({x: b for x, b in states.buckets.items() if x == 0})
+    cs, m = _max_point(w.rs, _nu_keys(eng, states, {}))
+    return NewtonPoint(coweight(w.rs, tuple(Fraction(c, m) for c in cs)))
 
 
 def max_newton_brute(w: AffineElt, state_cap: int | None = 5_000_000) -> NewtonPoint:
     """max{nu(u) : u <= w} by scanning the whole lower interval."""
-    tau, word = tau_word(w)
-    eng = IntervalEngine(enumerate_group(w.rs), word, tau)
-    states = eng.interval_states(word, state_cap)
-    return _max_point(w.rs, _nu_keys(eng, states, {}))
+    return _interval_top(w, state_cap, False)
 
 
 def max_translation_below(w: AffineElt, state_cap: int | None = 5_000_000) -> NewtonPoint:
     """max{gamma_plus : t^gamma <= w}; the dominance top over dominant
     representatives of translations in the interval (unique in the deep
     regimes where it is used)."""
-    tau, word = tau_word(w)
-    eng = IntervalEngine(enumerate_group(w.rs), word, tau)
-    states = eng.interval_states(word, state_cap).buckets
-    # the bucket of the identity holds the translations: T = I, m = 1
-    only = StateSet({0: states[0]} if 0 in states else {})
-    return _max_point(w.rs, _nu_keys(eng, only, {}))
+    return _interval_top(w, state_cap, True)
 
 
 # -- thresholds -----------------------------------------------------------
@@ -323,13 +334,17 @@ def sweep_records(
     Walks one interval per (lam, chain): for t^lam w0 = tau w2 (``tau_word``)
     the word w2 extended letter by letter along a reduced word of w0 stays
     reduced, so snapshots of the subword DP from tau are exactly the
-    intervals below t^lam x for x on a chain from w0 down to the identity."""
+    intervals below t^lam x for x on a chain from w0 down to the identity.
+    These only grow, so each top's maximum is over the last top and the keys
+    of the states new since (exact, see ``_max_point``), starting from the
+    base interval's top, found once per lam; one key memo serves every lam."""
     table = enumerate_group(rs)
     graph = build_qbg(rs)
     w0_elt = longest_element(rs)
     n_elts = len(table)
     chains = _chain_cover(table)
     records: list[dict] = []
+    memo: dict = {}
     for lam in lambdas:
         if not (lam.is_dominant() and lam.is_regular()):
             raise RefusalError("sweep needs dominant regular lambda")
@@ -337,24 +352,21 @@ def sweep_records(
         base_tau, base_word = tau_word(AffineElt(rs, lam_int, w0_elt))
         # the chains add finite letters only, so the box of base_word holds
         eng = IntervalEngine(table, base_word, base_tau)
-        memo: dict = {}
         base = eng.interval_states(base_word, state_cap)
-        base_keys = _nu_keys(eng, base, memo)
+        base_top = _max_point(rs, _nu_keys(eng, base, memo))
         done = [False] * n_elts
         results: dict[int, dict] = {}
         for chain in chains:
-            # the state set only grows along a chain, so each top adds the
-            # keys of the states that are new since the last evaluated one
             states = seen = base
-            keys = set(base_keys)
+            best = base_top
             pref = 0
             for step_no in range(len(chain) + 1):
                 top = table.prod_idx(table.w0_idx, pref)
                 if not done[top]:
                     done[top] = True
-                    keys |= _nu_keys(eng, states - seen, memo)
+                    best = _max_point(rs, _nu_keys(eng, states - seen, memo) | {best})
                     seen = states
-                    nu_b = _max_point(rs, keys)
+                    nu_b = tuple(Fraction(c, best[1]) for c in best[0])
                     nu_f = lam - coweight_from_coroot(rs, graph.wt1(top))
                     results[top] = {
                         "type": rs.cartan_type,
@@ -362,8 +374,8 @@ def sweep_records(
                         "lambda": list(lam_int),
                         "x": word_str(table.words[top]),
                         "nu_formula": [str(c) for c in nu_f.pairing],
-                        "nu_brute": [str(c) for c in nu_b.pairing],
-                        "match": nu_f.pairing == nu_b.pairing,
+                        "nu_brute": [str(c) for c in nu_b],
+                        "match": nu_f.pairing == nu_b,
                     }
                 if step_no < len(chain):
                     j = chain[step_no]

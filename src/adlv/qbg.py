@@ -32,7 +32,6 @@ from .rootsys import (
     WEYL_ORDER,
     _unit,
     check_type,
-    pair_root_coroot,
 )
 from .weyl import (
     GroupTable,
@@ -110,7 +109,7 @@ class QBGraph:
         ]
         up, up_in, down, down_in = ([[] for _ in range(nv)] for _ in range(4))
         for a, cr in enumerate(rs.positive_coroots):
-            drop = pair_root_coroot(rs, rs.two_rho, cr) - 1
+            drop = 2 * sum(cr) - 1  # <2 rho, alpha_i_check> = 2 for all i
             quantum = rs.quantum_flags[a]
             tab = table.rmult_root(a)
             for x in range(nv):

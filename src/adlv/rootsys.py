@@ -467,7 +467,8 @@ def dominance_leq(a: Coweight, b: Coweight) -> bool:
 def _dominantize(rs: RootSystem, p: Sequence[Num]) -> tuple[tuple[Num, ...], list[int]]:
     """Sweep lambda into the dominant cone; returns (coords, word) where the
     recorded simple reflections, applied left-to-right as written, satisfy
-    s_{i_k} ... s_{i_1} lambda = lambda_plus."""
+    s_{i_k} ... s_{i_1} lambda = lambda_plus.  Integer coordinates come back
+    untouched; Fraction ones are normalized."""
     C = rs.cartan
     n = rs.rank
     cur = list(p)
@@ -481,7 +482,7 @@ def _dominantize(rs: RootSystem, p: Sequence[Num]) -> tuple[tuple[Num, ...], lis
             i = 0
         else:
             i += 1
-    return tuple(map(_norm_num, cur)), word
+    return tuple(map(_norm_num, cur) if Fraction in map(type, cur) else cur), word
 
 
 def dominant_rep(lam: Coweight):

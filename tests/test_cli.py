@@ -509,6 +509,7 @@ from adlv.rootsys import build_root_system, coweight
 from adlv.weyl import enumerate_group, identity_elt, simple_reflection
 
 a2 = build_root_system("A", 2)
+no_quantum = dataclasses.replace(a2, quantum_flags=(False,) * 3)
 table = enumerate_group(a2)
 sparse = IntervalEngine(enumerate_group(build_root_system("A", 3)), ())
 flat = copy.copy(table)
@@ -538,9 +539,9 @@ for check in (
     lambda: sparse.interval_states((0,)),
     lambda: _max_point(a2, {((1, 0), 1), ((0, 1), 1)}),
     lambda: _reflection_shape(a2, t11),
-    patched(cover, "quantum_roots", lambda rs: [], lambda:
-            cover.predicted_cocovers(identity_elt(a2), coweight(a2, (3, 3)),
-                                     simple_reflection(a2, 0))),
+    lambda: cover.predicted_cocovers(identity_elt(no_quantum),
+                                     coweight(no_quantum, (3, 3)),
+                                     simple_reflection(no_quantum, 0)),
     patched(affine, "descent_left", lambda w, j: False, lambda:
             affine.reduced_word_and_tau(t11)),
     patched(affine, "affine_length", lambda w: real_length(w) // 2, lambda:

@@ -9,8 +9,15 @@ import pytest
 from adlv import affine, newton, weyl
 from adlv.errors import InvariantError, RefusalError
 from adlv.rootsys import build_root_system, coweight, dominance_leq, dominant_rep
-from adlv.affine import embed, lower_interval, simple_affine, translation
-from adlv.weyl import enumerate_group, simple_reflection
+from adlv.affine import (
+    AffineElt,
+    embed,
+    lower_interval,
+    simple_affine,
+    tau_word,
+    translation,
+)
+from adlv.weyl import enumerate_group, simple_reflection, word_str
 from adlv.newton import (
     NewtonPoint,
     _max_point,
@@ -181,22 +188,26 @@ def _fraction_max_point(rs, keys):
 
 
 @pytest.mark.parametrize("ct", ["A", "B", "C"])
-def test_max_point_matches_fraction_oracle(ct, monkeypatch):
-    """On the key set of every interval of the rank-2 theorem grids the
-    sweep evaluates, the integer maximum equals the Fraction one."""
+def test_max_point_matches_fraction_oracle(ct):
+    """Every record of the rank-2 theorem grids carries the Fraction
+    maximum over the full key set of its interval below t^lam x, built
+    afresh by the tuple oracle: the running top of the sweep loses
+    nothing against the whole set."""
     rs = build_root_system(ct, 2)
-    calls = []
-
-    def checked(rs_, keys):
-        got = _max_point(rs_, keys)
-        assert got == _fraction_max_point(rs_, keys)
-        calls.append(len(keys))
-        return got
-
-    monkeypatch.setattr(newton, "_max_point", checked)
+    table = enumerate_group(rs)
     recs = sweep_records(rs, theorem_grid(rs))
-    assert len(calls) == len(recs) and min(calls) > 1
-    assert all(r["match"] for r in recs)
+    assert len(recs) == 4 * len(table)
+    for i, rec in enumerate(recs):
+        x = i % len(table)
+        assert rec["x"] == word_str(table.words[x])
+        w = AffineElt(rs, tuple(rec["lambda"]), table.elements[x])
+        tau, word = tau_word(w)
+        eng = affine.IntervalEngine(table, word, tau)
+        keys = nu_keys(eng, eng.interval_states(word))
+        assert len(keys) > 1
+        nu = _fraction_max_point(rs, keys).pairing
+        assert rec["nu_brute"] == [str(c) for c in nu]
+        assert rec["match"]
 
 
 def test_max_point_refuses_incomparable(a2):
@@ -205,6 +216,40 @@ def test_max_point_refuses_incomparable(a2):
         with pytest.raises(InvariantError, match="not unique"):
             top(a2, keys)
 
+
+def test_running_top(a2):
+    """The sweep feeds ``_max_point`` the previous top with a batch of new
+    keys: a batch with two incomparable maxima above the top is refused,
+    and a batch lying below the top keeps it."""
+    top = ((4, 4), 1)
+    with pytest.raises(InvariantError, match="not unique"):
+        _max_point(a2, {top, ((9, 0), 1), ((0, 9), 1), ((1, 1), 1)})
+    below = {((1, 1), 1), ((2, 0), 1), ((1, 2), 2), ((4, 4), 1)}
+    assert _max_point(a2, below | {top}) == top
+    assert _fraction_max_point(a2, below | {top}).pairing == (4, 4)
+
+
+@pytest.mark.parametrize("ct,n,lams", [
+    ("A", 2, [(8, 8), (9, 9)]),
+    ("B", 2, [(11, 11), (12, 12), (16, 16)]),
+    ("A", 3, [(1, 1, 1), (1, 2, 1)]),
+])
+def test_sweep_shares_memo_exactly(ct, n, lams, monkeypatch):
+    """One memo across the lambdas of a sweep, holding packed ints of more
+    than one width S, gives the records of separate sweeps."""
+    rs = build_root_system(ct, n)
+    lams = [coweight(rs, lam) for lam in lams]
+    alone = [r for lam in lams for r in sweep_records(rs, [lam])]
+    widths, real = set(), newton._nu_keys
+
+    def recorded(eng, states, memo):
+        out = real(eng, states, memo)
+        widths.update(memo)
+        return out
+
+    monkeypatch.setattr(newton, "_nu_keys", recorded)
+    assert sweep_records(rs, lams) == alone
+    assert len(widths) > 1
 
 
 def _check_keys_against_oracle(monkeypatch, rank):

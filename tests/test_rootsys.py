@@ -12,6 +12,7 @@ from adlv.errors import RefusalError
 from adlv.newton import reduce_to_dominant
 from adlv.rootsys import (
     VALID_RANKS,
+    _dominantize,
     build_root_system,
     coweight,
     coweight_from_coroot,
@@ -226,3 +227,14 @@ def test_reflection_length_flags(ct, n):
         drop = pair_root_coroot(rs, rs.two_rho, rs.positive_coroots[a])
         is_q = rs.reflection_lengths[a] == drop - 1
         assert is_q == rs.quantum_flags[a]
+
+
+def test_dominantize_keeps_ints_and_normalizes_fractions():
+    a2 = build_root_system("A", 2)
+    coords, word = _dominantize(a2, [1, -3])
+    assert coords == (2, 1) and word == [1, 0]
+    assert all(type(c) is int for c in coords)
+    coords, _ = _dominantize(a2, [Fraction(1), Fraction(-1, 2)])
+    assert coords == (Fraction(1, 2), Fraction(1, 2))
+    coords, _ = _dominantize(a2, [Fraction(3), Fraction(-2)])
+    assert coords == (1, 2) and all(type(c) is int for c in coords)
