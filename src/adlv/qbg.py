@@ -79,12 +79,13 @@ class QBGraph:
     """The graph, with weighted breadth-first search utilities.
 
     ``up[x]`` lists the targets of the weight-zero edges leaving x and
-    ``down[x]`` the ``(target, root_index)`` pairs of its down edges, in
-    root-index order; ``up_in``/``down_in`` list them by target.  Layered
-    searches check every shortest-path edge for weight agreement and keep
-    only each vertex's first-found parent (x s_beta = y fixes the root).
-    The lists are kept rather than re-derived from ``rmult_root`` per
-    search: a vertex has a handful of edges but |Phi+| candidate roots.
+    ``down[x]`` the ``(target, packed coroot)`` pairs of its down edges, in
+    root-index order, each edge through beta carrying the one int
+    ``inc[beta]``; ``up_in``/``down_in`` list them by target.  The root of
+    an edge x -> y is fixed by x^-1 y = s_beta.  Layered searches check
+    every shortest-path edge for weight agreement.  The lists are kept
+    rather than re-derived from ``rmult_root`` per search: a vertex has a
+    handful of edges but |Phi+| candidate roots.
 
     A search carries its accumulated weight as one packed int: field i,
     ``width`` bits at offset ``i * width``, holds simple-coroot coordinate
@@ -103,37 +104,41 @@ class QBGraph:
         lengths = table.lengths
         top = max(max(c) for c in rs.positive_coroots)
         self.width = width = (nv * top).bit_length() + 1
-        self.inc = [
+        self.inc = inc = [
             sum(c << (i * width) for i, c in enumerate(cr))
             for cr in rs.positive_coroots
         ]
         up, up_in, down, down_in = ([[] for _ in range(nv)] for _ in range(4))
-        for a, cr in enumerate(rs.positive_coroots):
-            drop = 2 * sum(cr) - 1  # <2 rho, alpha_i_check> = 2 for all i
-            quantum = rs.quantum_flags[a]
-            tab = table.rmult_root(a)
-            for x in range(nv):
-                y = tab[x]
-                d = lengths[y] - lengths[x]
+        roots = [  # <2 rho, alpha_i_check> = 2 for all i gives the drop
+            (table.rmult_root(a), 2 * sum(cr) - 1, rs.quantum_flags[a], inc[a])
+            for a, cr in enumerate(rs.positive_coroots)
+        ]
+        # v s_beta = w iff w s_beta = v: each vertex lists its out- and
+        # in-edges in root order, allocated together for the searches' scans
+        for v in range(nv):
+            lv = lengths[v]
+            for tab, drop, quantum, c in roots:
+                w = tab[v]
+                d = lengths[w] - lv
                 if d == 1:
-                    up[x].append(y)
-                    up_in[y].append(x)
+                    up[v].append(w)
                 elif d == -drop:
                     if not quantum:
                         raise InvariantError("down edge through a non-quantum root")
-                    down[x].append((y, a))
-                    down_in[y].append((x, a))
+                    down[v].append((w, c))
+                if d == -1:
+                    up_in[v].append(w)
+                elif d == drop:
+                    down_in[v].append((w, c))
         self.up, self.down, self.up_in, self.down_in = up, down, up_in, down_in
         self._rev_down: tuple[list[int], list[int]] | None = None
         # Strong connectivity: the identity reaches everything and is
         # reachable from everything.
         dist_from_e, _ = self.search(0)
         rd, rwts, _ = self._run_bfs(0, up_in, down_in)
-        if min(dist_from_e) < 0 or min(rd) < 0:
+        if max(dist_from_e) == nv or max(rd) == nv:
             raise InvariantError("graph not strongly connected")
-        self._rev: tuple[list[int], list[Coroot]] = (
-            rd, [self.decode(p) for p in rwts]
-        )
+        self._rev: tuple[list[int], list[Coroot]] = (rd, list(map(self.decode, rwts)))
 
     # -- searches ---------------------------------------------------------
 
@@ -146,14 +151,12 @@ class QBGraph:
         )
 
     def _run_bfs(self, src: int, up, down):
-        """Layered BFS accumulating packed down-edge weights.  Returns the
-        distances, the packed weights, and each vertex's first-found
-        parent, which makes the extracted witnesses deterministic."""
-        inc = self.inc
+        """Layered BFS accumulating packed down-edge weights: distances, packed
+        weights and discovery order.  Distances start at |W|, above all, so an
+        edge into the same or an earlier layer costs one comparison."""
         n = len(up)
-        dist = [-1] * n
+        dist = [n] * n
         wts = [0] * n
-        parent = [-1] * n
         dist[src] = 0
         queue = [src]
         for v in queue:  # the loop also visits the vertices appended below
@@ -161,34 +164,40 @@ class QBGraph:
             wv = wts[v]
             for u in up[v]:
                 du = dist[u]
-                if du < 0:
+                if du < dnext:
+                    continue
+                if du > dnext:
                     dist[u] = dnext
                     wts[u] = wv
-                    parent[u] = v
                     queue.append(u)
-                elif du == dnext and wts[u] != wv:
+                elif wts[u] != wv:
                     raise InvariantError("two shortest paths with different weights")
-            for u, a in down[v]:
-                w = wv + inc[a]
+            for u, c in down[v]:
                 du = dist[u]
-                if du < 0:
+                if du < dnext:
+                    continue
+                w = wv + c
+                if du > dnext:
                     dist[u] = dnext
                     wts[u] = w
-                    parent[u] = v
                     queue.append(u)
-                elif du == dnext and wts[u] != w:
+                elif wts[u] != w:
                     raise InvariantError("two shortest paths with different weights")
-        return dist, wts, parent
+        return dist, wts, queue
 
     def search(self, src) -> tuple[list[int], list[int]]:
         """Uncached forward search, the oracle for ``wt`` and ``d_gamma``:
-        d_Gamma(src, y) and the packed wt(src, y) for every index y."""
+        d_Gamma(src, y) and the packed wt(src, y) for every index y, each
+        reached, as the graph is strongly connected."""
         return self._run_bfs(self._idx(src), self.up, self.down)[:2]
 
     def _reverse_down(self):
+        """The down-only search to the identity: distances, and each vertex's
+        first-found parent, derived once as its earliest-queued in-neighbour."""
         if self._rev_down is None:
-            dist, _, parent = self._run_bfs(0, [()] * len(self.up), self.down_in)
-            if min(dist) < 0:
+            nv = len(self.up)
+            dist, _, order = self._run_bfs(0, [()] * nv, self.down_in)
+            if max(dist) == nv:
                 raise InvariantError("element with no downward decomposition")
             # Down-only distance to the identity agrees with the
             # unrestricted one.
@@ -196,6 +205,11 @@ class QBGraph:
                 raise InvariantError(
                     "a shortest path to the identity beats the down-only one"
                 )
+            parent = [-1] * nv
+            for v in order:  # the first queued vertex with an edge to u found u
+                for u, _ in self.down_in[v]:
+                    if parent[u] < 0:
+                        parent[u] = v
             self._rev_down = (dist, parent)
         return self._rev_down
 

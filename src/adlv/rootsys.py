@@ -46,7 +46,6 @@ __all__ = [
     "dominance_leq",
     "dominant_rep",
     "quantum_roots",
-    "quantum_roots_by_classification",
     "root_leq",
     "TYPE_TABLE",
     "TypeRow",
@@ -184,6 +183,7 @@ class RootSystem:
     coroot_pairings: tuple[tuple[int, ...], ...] = field(repr=False)  # C^T beta_check
     letter_roots: tuple[int, ...] = field(repr=False)  # theta, then alpha_1..n
     root_columns: tuple[tuple[int, ...], ...] = field(repr=False)  # transposed roots
+    cartan_t: tuple[tuple[int, ...], ...] = field(repr=False)  # C^T, coroots to pairings
     inv_cartan_t: tuple[tuple[Fraction, ...], ...] = field(repr=False)
     # the least den making den * C^-T integral, and that matrix: its rows
     # give scaled coroot coordinates of a coweight
@@ -344,6 +344,7 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
         coroot_pairings=cps,
         letter_roots=(ti, *(index[_unit(n, i)] for i in range(n))),
         root_columns=tuple(zip(*positive)),
+        cartan_t=Ct,
         inv_cartan_t=cinv_t,
         inv_cartan_den=den,
         inv_cartan_scaled=tuple(tuple(int(x * den) for x in row) for row in cinv_t),
@@ -385,18 +386,20 @@ class Coweight:
             raise RefusalError("coweight coordinates must be int or Fraction")
         coords = tuple(map(_norm_num, self.pairing))
         object.__setattr__(self, "pairing", coords)
-        cc = self.coroot_coords()
-        if all(isinstance(x, int) or x.denominator == 1 for x in cc):
+        if all(type(x) is int for x in self.coroot_coords()):
             lat = "coroot"
-        elif all(isinstance(x, int) for x in coords):
+        elif all(type(x) is int for x in coords):
             lat = "coweight"
         else:
             lat = "rational"
         object.__setattr__(self, "lattice", lat)
 
     def coroot_coords(self) -> tuple[Num, ...]:
-        """Coefficients over the simple coroots (p = C^T c inverted exactly)."""
-        return tuple(_norm_num(x) for x in mat_vec(self.rs.inv_cartan_t, self.pairing))
+        """Coefficients over the simple coroots (p = C^T c inverted exactly) as
+        den * C^-T p over den, integral iff den divides it (Fractions too)."""
+        den = self.rs.inv_cartan_den
+        return tuple([x // den if x % den == 0 else Fraction(x, den)
+                      for x in mat_vec(self.rs.inv_cartan_scaled, self.pairing)])
 
     def __add__(self, other: "Coweight") -> "Coweight":
         return Coweight(_same_rs(self, other), tuple(map(add, self.pairing, other.pairing)))
@@ -432,9 +435,7 @@ def coweight(rs: RootSystem, pairing_coords: Iterable[Num]) -> Coweight:
 
 def coweight_from_coroot(rs: RootSystem, coroot_coords: Iterable[Num]) -> Coweight:
     """Coweight from coefficients over the simple coroots (p = C^T c)."""
-    c = tuple(coroot_coords)
-    p = mat_vec(transpose(rs.cartan), c)
-    return Coweight(rs, p)
+    return Coweight(rs, mat_vec(rs.cartan_t, tuple(coroot_coords)))
 
 
 def pairing(rs: RootSystem, root: Root, lam: Coweight) -> Num:
@@ -506,21 +507,6 @@ def dominant_rep(lam: Coweight):
 def quantum_roots(rs: RootSystem) -> list[Root]:
     """Positive roots beta with ell(s_beta) = <2 rho, beta_check> - 1."""
     return [r for r, q in zip(rs.positive_roots, rs.quantum_flags) if q]
-
-
-def quantum_roots_by_classification(rs: RootSystem) -> list[Root]:
-    """Independent route to the quantum roots: all long roots, plus the short
-    roots whose support uses only short simple roots.  (In the simply laced
-    types every root counts as long.)"""
-    dmax = max(rs.sym_d)
-    out = []
-    for a, r in enumerate(rs.positive_roots):
-        if rs.root_d[a] == dmax:
-            out.append(r)
-        else:
-            if all(rs.sym_d[i] < dmax for i in range(rs.rank) if r[i]):
-                out.append(r)
-    return out
 
 
 def root_leq(beta: Root, gamma: Root) -> bool:

@@ -22,6 +22,21 @@ def simple_root(rs, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(rs.rank))
 
 
+def quantum_roots_by_classification(rs) -> list[tuple[int, ...]]:
+    """Independent route to the quantum roots: all long roots, plus the short
+    roots whose support uses only short simple roots.  (In the simply laced
+    types every root counts as long.)"""
+    dmax = max(rs.sym_d)
+    out = []
+    for a, r in enumerate(rs.positive_roots):
+        if rs.root_d[a] == dmax:
+            out.append(r)
+        else:
+            if all(rs.sym_d[i] < dmax for i in range(rs.rank) if r[i]):
+                out.append(r)
+    return out
+
+
 def act_coroot(x: WeylElt, coeffs) -> tuple[int, ...]:
     """x acting on a coweight in simple-coroot coordinates.  With
     alpha_j_check = alpha_j / d_j the coroot action is D r D^-1, and every

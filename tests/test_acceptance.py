@@ -236,7 +236,8 @@ def test_criterion_05_qbg_identities():
     for ct in ("A", "B", "G"):
         rs = build_root_system(ct, 2)
         g = build_qbg(rs)
-        n = len(g.table)
+        t = g.table
+        n = len(t)
         zero = (0,) * rs.rank
         for src in range(n):
             dist = {src: 0}
@@ -256,7 +257,9 @@ def test_criterion_05_qbg_identities():
                     continue
                 acc = set()
                 for u, gamma in [(u, zero) for u in g.up_in[v]] + [
-                    (u, rs.positive_coroots[a]) for u, a in g.down_in[v]
+                    (u, rs.positive_coroots[
+                        t.reflections.index(t.prod_idx(t.inv_idx(u), v))])
+                    for u, _ in g.down_in[v]
                 ]:
                     if u in dist and dist[u] + 1 == dist[v]:
                         acc |= {

@@ -517,7 +517,8 @@ flat.lengths = [0] * 6
 unlinked = copy.copy(table)
 unlinked.rmult_root = lambda a: list(range(6))
 skewed = QBGraph(table)
-skewed.inc[0] += 1
+for edges in skewed.down + skewed.down_in:  # one wrong packed coroot
+    edges[:] = [(u, c + (c == skewed.inc[0])) for u, c in edges]
 corrupt = weyl.GroupTable(a2)
 corrupt.rmult[1][3] = 2  # claims s1 s2 * s2 = s2
 t11 = translation(coweight(a2, (1, 1)))

@@ -36,9 +36,26 @@ UNIQ = [("A", 2), ("B", 2), ("G", 2)]
 ORACLE_SCOPE = UNIQ + [("A", 3), ("B", 3), ("C", 3)]
 
 
-def _edges(up, down, x):
+def _root(table, x, y):
+    """The root of the edge between x and y, read off the table: x^-1 y is
+    the reflection s_beta, whichever way the edge points."""
+    return table.reflections.index(table.prod_idx(table.inv_idx(x), y))
+
+
+def _edges(g, up, down, x):
     """The edges at x as (other end, root index or None for an up edge)."""
-    return [(u, None) for u in up[x]] + list(down[x])
+    return [(u, None) for u in up[x]] + [
+        (u, _root(g.table, x, u)) for u, _ in down[x]
+    ]
+
+
+def _corrupt(g, a):
+    """Add one to the packed coroot of root a on every edge carrying it;
+    packing is injective, so those are the edges whose weight equals it."""
+    bad = g.inc[a]
+    for lists in (g.down, g.down_in):
+        for edges in lists:
+            edges[:] = [(u, c + (c == bad)) for u, c in edges]
 
 
 def _tuple_bfs(g, src, up, down):
@@ -52,7 +69,7 @@ def _tuple_bfs(g, src, up, down):
     q = deque([src])
     while q:
         v = q.popleft()
-        for u, a in _edges(up, down, v):
+        for u, a in _edges(g, up, down, v):
             w = wts[v]
             if a is not None:
                 w = tuple(p + c for p, c in zip(w, coroots[a]))
@@ -78,6 +95,43 @@ def test_packed_weights_match_tuple_oracle(ct, n):
     dist, wts = _tuple_bfs(g, 0, g.up_in, g.down_in)
     assert g.all_wt1() == wts
     assert [g.wt1(x) for x in range(nv)] == wts
+
+
+@pytest.mark.parametrize("ct,n", [("F", 4), ("D", 5)])
+def test_packed_weights_match_tuple_oracle_sampled(ct, n):
+    """The benchmark's groups: a seeded sample of forward searches, and the
+    search to the identity, equal the tuple search, and every vertex is
+    reached, so no distance is left at the |W| sentinel."""
+    g = build_qbg(build_root_system(ct, n))
+    nv = len(g.table)
+    for src in Random(0).sample(range(nv), 6):
+        got_dist, got_wts = g.search(src)
+        assert max(got_dist) < nv
+        assert (got_dist, [g.decode(p) for p in got_wts]) == _tuple_bfs(
+            g, src, g.up, g.down
+        )
+    assert g.all_wt1() == _tuple_bfs(g, 0, g.up_in, g.down_in)[1]
+    assert max(g.all_ell_down()) < nv
+
+
+@pytest.mark.parametrize("ct,n", UNIQ)
+def test_parents_from_discovery_order(ct, n):
+    """The parents read off the down-only search's discovery order are the
+    first-found parents of a reference search that stores them."""
+    g = build_qbg(build_root_system(ct, n))
+    nv = len(g.table)
+    parent = [-1] * nv
+    seen = [False] * nv
+    seen[0] = True
+    q = deque([0])
+    while q:
+        v = q.popleft()
+        for u, _ in g.down_in[v]:
+            if not seen[u]:
+                seen[u] = True
+                parent[u] = v
+                q.append(u)
+    assert g._reverse_down()[1] == parent
 
 
 SERVED_SCOPE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -133,8 +187,7 @@ def test_corrupted_increment_is_refused(ct, n):
     paths disagree, and the search says so."""
     rs = build_root_system(ct, n)
     g = QBGraph(enumerate_group(rs))
-    a = next(a for a, q in enumerate(rs.quantum_flags) if q)
-    g.inc[a] += 1
+    _corrupt(g, next(a for a, q in enumerate(rs.quantum_flags) if q))
     with pytest.raises(InvariantError, match="different weights"):
         for x in range(len(g.table)):
             g.search(x)
@@ -146,7 +199,7 @@ def test_down_only_search_checks_weights():
     shortest downward paths use the reflection in root 0 a different
     number of times."""
     g = QBGraph(enumerate_group(build_root_system("A", 3)))
-    g.inc[0] += 1
+    _corrupt(g, 0)
     with pytest.raises(InvariantError, match="different weights"):
         g.all_ell_down()
 
@@ -175,7 +228,8 @@ def test_ltri_idx_matches_affine_fold(ct, n, count):
 def test_edge_classification(b2):
     """Up edges raise the length by one, down edges through quantum roots
     drop it by <2 rho, beta_check> - 1, and up and down together hold each
-    edge derived from ``rmult_root`` once, in both directions."""
+    edge derived from ``rmult_root`` once, in both directions; each down
+    edge through beta carries the packed coroot ``inc[beta]``."""
     g = build_qbg(b2)
     table = g.table
     nv = len(table)
@@ -192,7 +246,9 @@ def test_edge_classification(b2):
     for x in range(nv):
         for y in g.up[x]:
             assert table.lengths[y] - table.lengths[x] == 1
-        for y, a in g.down[x]:
+        for y, c in g.down[x]:
+            a = _root(table, x, y)
+            assert c is g.inc[a]
             drop = pair_root_coroot(b2, b2.two_rho, b2.positive_coroots[a]) - 1
             assert table.lengths[y] - table.lengths[x] == -drop
             assert b2.quantum_flags[a]
@@ -200,7 +256,7 @@ def test_edge_classification(b2):
         edges = [
             (x, u, a) if fwd else (u, x, a)
             for x in range(nv)
-            for u, a in _edges(up, down, x)
+            for u, a in _edges(g, up, down, x)
         ]
         assert len(edges) == len(set(edges))
         assert set(edges) == expected
@@ -223,7 +279,7 @@ def test_shortest_path_weight_uniqueness(ct, n):
         while frontier:
             nxt = []
             for x in frontier:
-                for y, a in _edges(g.up, g.down, x):
+                for y, a in _edges(g, g.up, g.down, x):
                     if dist[y] is None:
                         dist[y] = dist[x] + 1
                         nxt.append(y)
@@ -233,7 +289,7 @@ def test_shortest_path_weight_uniqueness(ct, n):
         wsets[src] = {(0,) * rs.rank}
         order = sorted(range(nv), key=lambda v: dist[v])
         for x in order:
-            for y, a in _edges(g.up, g.down, x):
+            for y, a in _edges(g, g.up, g.down, x):
                 if dist[y] != dist[x] + 1:
                     continue
                 gamma = rs.positive_coroots[a] if a is not None else (0,) * rs.rank
@@ -370,7 +426,7 @@ def test_wt_additive_along_up_edges(a2):
     away from the identity only through down contributions."""
     g = build_qbg(a2)
     for x in range(len(g.table)):
-        for y, a in _edges(g.up, g.down, x):
+        for y, a in _edges(g, g.up, g.down, x):
             gamma = a2.positive_coroots[a] if a is not None else (0,) * 2
             lhs = coweight_from_coroot(a2, g.wt(x, 0))
             # triangle bound through the edge

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,12 +23,11 @@ from adlv.rootsys import (
     pair_root_coroot,
     pairing,
     quantum_roots,
-    quantum_roots_by_classification,
     root_leq,
 )
 from adlv.weyl import identity_elt
 
-from oracles import simple_root
+from oracles import quantum_roots_by_classification, simple_root
 
 ALL_SMALL = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -156,6 +156,35 @@ def test_coweight_lattice_tags(a2):
     # a fundamental coweight has coroot coords (2/3, 1/3)
     assert coweight(a2, (1, 0)).lattice == "coweight"
     assert coweight(a2, (Fraction(1, 2), 0)).lattice == "rational"
+
+
+@pytest.mark.parametrize("ct,n", ALL_SMALL + [("E", 6), ("E", 7), ("E", 8)])
+def test_coweight_lattice_matches_fraction_path(ct, n):
+    """Coweights are classified through den * C^-T; on seeded
+    integer and Fraction coweights, ``coroot_coords`` and ``lattice`` equal
+    the all-Fraction computation through C^-T."""
+    rs = build_root_system(ct, n)
+    rng = Random(0)
+    for k in range(40):
+        if k % 2:
+            p = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)]
+        else:
+            p = [rng.randint(-9, 9) for _ in range(n)]
+        if k % 4 == 0:  # a coroot-lattice point
+            p = [sum(x * c for x, c in zip(col, p)) for col in zip(*rs.cartan)]
+        lam = coweight(rs, p)
+        cc = tuple(sum(x * y for x, y in zip(row, p)) for row in rs.inv_cartan_t)
+        assert lam.coroot_coords() == cc
+        assert [type(x) for x in lam.coroot_coords()] == [
+            int if x.denominator == 1 else Fraction for x in cc
+        ]
+        lattice = (
+            "coroot" if all(x.denominator == 1 for x in cc)
+            else "coweight" if all(Fraction(x).denominator == 1 for x in p)
+            else "rational"
+        )
+        assert lam.lattice == lattice
+        assert (k % 4 == 0) <= (lattice == "coroot")
 
 
 @pytest.mark.parametrize(
