@@ -305,16 +305,19 @@ def cocovers_with_reflections(w: AffineElt) -> list[tuple[int, int, AffineElt]]:
     Candidate reflections are exactly those whose hyperplane separates the
     base alcove from w's alcove; their number must equal ell(w), which is
     checked.  Cocovers are the candidates that drop the length by exactly 1.
-    With w = t^lam x, a candidate is r w = t^{lam + (m - <alpha, lam>)
-    alpha_check} s_alpha x, so each root costs one finite product.
+    With w = t^lam x, a candidate is r w = t^{lam + k alpha_check} s_alpha x,
+    k = m - <alpha, lam>: one finite product per root, and a length that is
+    one pass over lam's pairings plus k times alpha's column
+    ``RootSystem.coroot_columns``, against the descent mask of s_alpha x.
     """
     rs = w.rs
     h, heights = rs.coxeter_number, rs.heights
     lam, x = w.lam, w.fin
     lw = affine_length(w)
+    pairs = list(_pairings(rs, lam))
     out = []
     nsep = 0
-    for a, (p, img) in enumerate(zip(_pairings(rs, lam), x.inv_images())):
+    for a, (p, img) in enumerate(zip(pairs, x.inv_images())):
         # h * <alpha, w(q)> with q = rho_check/h, by the signed height of
         # x^-1 alpha
         hi = h * p + (heights[img] if img >= 0 else -heights[~img])
@@ -327,11 +330,12 @@ def cocovers_with_reflections(w: AffineElt) -> list[tuple[int, int, AffineElt]]:
             continue
         nsep += len(ms)
         fin = reflection(rs, a).mul(x)
-        coroot = rs.coroot_pairings[a]
+        base, col = list(map(sub, pairs, fin.neg_mask())), rs.coroot_columns[a]
         for m in ms:
-            cand = _affine(rs, tuple(map(add, lam, map((m - p).__mul__, coroot))), fin)
-            if affine_length(cand) == lw - 1:
-                out.append((a, m, cand))
+            k = m - p
+            if sum(map(abs, map(add, base, map(k.__mul__, col)))) == lw - 1:
+                coroot = map(k.__mul__, rs.coroot_pairings[a])
+                out.append((a, m, _affine(rs, tuple(map(add, lam, coroot)), fin)))
     if nsep != lw:
         raise InvariantError(
             f"separating-hyperplane count {nsep} != length {lw}"

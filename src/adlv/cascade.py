@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 from .qbg import build_qbg
-from .rootsys import Coroot, Root, RootSystem, pair_root_coroot, root_leq
+from .rootsys import Coroot, Root, RootSystem, root_leq
 from .weyl import GroupTable, WeylElt, enumerate_group, per_table, word_str
 
 __all__ = [
@@ -79,19 +79,11 @@ def cascade_r(x: WeylElt) -> CascadeResult:
     on roots."""
     rs = x.rs
     neg = {rs.root_index[beta] for beta in minus_one_roots(x)}
-    roots = rs.positive_roots
-    coroots = rs.positive_coroots
+    roots, coroots, cols = rs.positive_roots, rs.positive_coroots, rs.coroot_columns
     levels: list[tuple[Root, ...]] = []
     taken: list[int] = []
     while True:
-        pool = [
-            a
-            for a in neg
-            if all(
-                pair_root_coroot(rs, roots[a], coroots[b]) == 0
-                for b in taken
-            )
-        ]
+        pool = [a for a in neg if all(not cols[b][a] for b in taken)]
         if not pool:
             break
         level = [
@@ -197,9 +189,8 @@ def orthogonal_decompositions(
     table = enumerate_group(x.rs)
     if max_factors is None:
         max_factors = rs.rank
-    roots = rs.positive_roots
-    coroots = rs.positive_coroots
-    nroots = len(roots)
+    cols = rs.coroot_columns  # cols[b][a] = <beta_a, beta_b_check>
+    nroots = len(rs.positive_roots)
     target = table.idx(x)
     mult = [table.rmult_root(a) for a in range(nroots)]
     out: list[tuple[int, ...]] = []
@@ -210,10 +201,7 @@ def orthogonal_decompositions(
         if len(chosen) >= max_factors:
             return
         for a in range(start, nroots):
-            if all(
-                pair_root_coroot(rs, roots[a], coroots[b]) == 0
-                for b in chosen
-            ):
+            if all(not cols[b][a] for b in chosen):
                 chosen.append(a)
                 rec(a + 1, chosen, mult[a][cur])
                 chosen.pop()

@@ -181,6 +181,8 @@ class RootSystem:
     # its negative (the list read from the end)
     signed_roots: tuple[Root, ...] = field(repr=False)
     coroot_pairings: tuple[tuple[int, ...], ...] = field(repr=False)  # C^T beta_check
+    # <beta, gamma_check> over the positive roots beta, per signed index of gamma
+    coroot_columns: tuple[tuple[int, ...], ...] = field(repr=False)
     letter_roots: tuple[int, ...] = field(repr=False)  # theta, then alpha_1..n
     root_columns: tuple[tuple[int, ...], ...] = field(repr=False)  # transposed roots
     cartan_t: tuple[tuple[int, ...], ...] = field(repr=False)  # C^T, coroots to pairings
@@ -306,12 +308,13 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
     cinv_t = mat_inv(Ct)
     den = math.lcm(*(x.denominator for row in cinv_t for x in row))
 
+    # cols[c][b] = <beta_b, gamma_check>, gamma the root at signed index c
+    cols = tuple(tuple([sum(map(mul, r, cp)) for r in positive]) for cp in cps)
     # ell(s_beta) = #{gamma > 0 : s_beta gamma < 0}, via the exact root action
     refl_len = []
     for a, beta in enumerate(positive):
         cnt = 0
-        for gamma in positive:
-            k = sum(map(mul, gamma, cps[a]))  # <gamma, beta_check>
+        for gamma, k in zip(positive, cols[a]):  # k = <gamma, beta_check>
             img = tuple(gc - k * bb for gc, bb in zip(gamma, beta))
             s = _sign(img)
             if not s:
@@ -342,6 +345,7 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
         reflection_lengths=refl_len,
         signed_roots=positive + tuple(tuple([-c for c in r]) for r in positive[::-1]),
         coroot_pairings=cps,
+        coroot_columns=cols,
         letter_roots=(ti, *(index[_unit(n, i)] for i in range(n))),
         root_columns=tuple(zip(*positive)),
         cartan_t=Ct,

@@ -12,8 +12,9 @@ from adlv.affine import (
     lower_interval,
     simple_affine,
 )
+from adlv.cover import CocoverRecord, CoverResult, cover_depth_threshold
 from adlv.newton import _averaging_data
-from adlv.rootsys import _dominantize, coweight_from_coroot
+from adlv.rootsys import _dominantize, coweight_from_coroot, depth
 from adlv.weyl import WeylElt, identity_elt, per_table, reflection, simple_reflection
 
 
@@ -203,3 +204,78 @@ def nu_keys(eng, states) -> set:
             g = gcd(m, *dom)
             keys.add((tuple(c // g for c in dom), m // g))
     return keys
+
+
+def _utv(u: WeylElt, lam, v: WeylElt) -> AffineElt:
+    """u t^lam v = t^{u(lam)} uv, for lam in pairing coordinates."""
+    return AffineElt(u.rs, u.act_pairing(lam), u.mul(v))
+
+
+def _object_reflection_shape(rs, r: AffineElt):
+    """(beta, m) with r = t^{m beta_check} s_beta, beta positive."""
+    roots = {reflection(rs, a): a for a in range(len(rs.positive_roots))}
+    b = roots[r.fin]
+    cb = rs.coroot_pairings[b]
+    k = next(i for i, c in enumerate(cb) if c)
+    m, rem = divmod(r.lam[k], cb[k])
+    assert not rem and tuple(m * c for c in cb) == r.lam
+    return rs.positive_roots[b], m
+
+
+def predicted_cocovers_by_objects(u: WeylElt, lam, v: WeylElt,
+                                  force: bool = False) -> CoverResult:
+    """The four-case cocover list of w = u t^lam v on ``WeylElt`` and
+    ``AffineElt`` objects: each case's element is built as a product, its
+    separating reflection read from w' w^-1 and its length from
+    ``affine_length``.  The oracle for the index classifier
+    ``cover.predicted_cocovers``."""
+    rs = lam.rs
+    lam_int = lam.int_pairing()
+    thr = cover_depth_threshold(rs.cartan_type)
+    d = depth(lam)
+    ok = d >= thr
+    if not ok and not force:
+        return CoverResult("below-threshold", [], d, thr)
+    w = _utv(u, lam_int, v)
+    lw = affine_length(w)
+    lu, lv = u.length(), v.length()
+    by_result: dict = {}
+    non_cocover: list = []
+    w_inv = w.inv()
+
+    def emit(case: int, w2: AffineElt) -> None:
+        if w2 in by_result:
+            by_result[w2][0].append(case)
+            return
+        beta, m = _object_reflection_shape(rs, w2.mul(w_inv))
+        if affine_length(w2) != lw - 1:
+            assert not ok, f"case {case} produced a non-cocover length"
+            if w2 not in non_cocover:
+                non_cocover.append(w2)
+            return
+        by_result[w2] = ([case], beta, m)
+
+    for a in range(len(rs.positive_roots)):
+        sa = reflection(rs, a)
+        drop = 2 * sum(rs.positive_coroots[a])
+        lam_minus = tuple(p - c for p, c in zip(lam_int, rs.coroot_pairings[a]))
+        usa, sav = u.mul(sa), sa.mul(v)
+        if usa.length() == lu - 1:
+            emit(1, _utv(usa, lam_int, v))
+        if usa.length() == lu + drop - 1:
+            assert rs.quantum_flags[a]
+            emit(2, _utv(usa, lam_minus, v))
+        if sav.length() == lv + 1:
+            emit(3, _utv(u, lam_int, sav))
+        if sav.length() == lv - drop + 1:
+            assert rs.quantum_flags[a]
+            emit(4, _utv(u, lam_minus, sav))
+
+    records = [
+        CocoverRecord(beta, m, min(cases), tuple(sorted(set(cases))), w2)
+        for w2, (cases, beta, m) in by_result.items()
+    ]
+    records.sort(key=lambda r: (r.case_label, r.root, r.m))
+    return CoverResult(
+        "ok" if ok else "below-threshold", records, d, thr, non_cocover
+    )

@@ -539,7 +539,7 @@ for check in (
     lambda: IntervalEngine(table, (0, 1, 0)).interval_states((0, 1, 0, 2, 0) * 8),
     lambda: sparse.interval_states((0,)),
     lambda: _max_point(a2, {((1, 0), 1), ((0, 1), 1)}),
-    lambda: _reflection_shape(a2, t11),
+    lambda: _reflection_shape(table, (1, 1), 0),
     lambda: cover.predicted_cocovers(identity_elt(no_quantum),
                                      coweight(no_quantum, (3, 3)),
                                      simple_reflection(no_quantum, 0)),

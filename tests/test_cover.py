@@ -3,8 +3,8 @@ prediction against exhaustive enumeration."""
 
 import pytest
 
-from adlv import cover
-from adlv.errors import InvariantError, RefusalError
+from adlv import cover, weyl
+from adlv.errors import BudgetError, InvariantError, RefusalError
 from adlv.rootsys import build_root_system, coweight
 from adlv.affine import (
     AffineElt,
@@ -13,7 +13,13 @@ from adlv.affine import (
     embed,
     translation,
 )
-from adlv.weyl import enumerate_group, identity_elt, reflection, simple_reflection
+from adlv.weyl import (
+    enumerate_group,
+    identity_elt,
+    longest_element,
+    reflection,
+    simple_reflection,
+)
 from adlv.cover import (
     cover_depth_threshold,
     cover_sweep,
@@ -22,7 +28,7 @@ from adlv.cover import (
     verify_cover_theorem,
 )
 
-from oracles import bruhat_leq_affine
+from oracles import bruhat_leq_affine, predicted_cocovers_by_objects
 
 
 def test_thresholds():
@@ -41,6 +47,25 @@ def test_nondominant_refused(a2):
         predicted_cocovers(
             identity_elt(a2), coweight(a2, (-1, 3)), identity_elt(a2)
         )
+
+
+def test_mixed_root_systems_refused(a2, b2):
+    lam = coweight(a2, (3, 3))
+    with pytest.raises(RefusalError, match="one root system"):
+        predicted_cocovers(identity_elt(b2), lam, identity_elt(a2))
+    with pytest.raises(RefusalError, match="one root system"):
+        predicted_cocovers(identity_elt(a2), lam, identity_elt(b2))
+
+
+def test_classifier_refuses_groups_above_the_table_cap(monkeypatch):
+    """The classifier runs on the group table, so E7 raises BudgetError
+    without building one."""
+    monkeypatch.setattr(weyl, "_TABLES", {})
+    e7 = build_root_system("E", 7)
+    e = identity_elt(e7)
+    with pytest.raises(BudgetError):
+        predicted_cocovers(e, coweight(e7, (3,) * 7), e)
+    assert weyl._TABLES == {}
 
 
 def test_below_threshold_status(a2):
@@ -90,6 +115,28 @@ def test_records_carry_separating_reflection(ct, n):
             assert affine_length(rec.result) == affine_length(w) - 1
             assert bruhat_leq_affine(rec.result, w)
             assert rec.case_label == min(rec.labels)
+
+
+@pytest.mark.parametrize("ct,n", [("B", 2), ("G", 2), ("A", 3), ("C", 3)])
+def test_index_classifier_matches_object_oracle(ct, n):
+    """The whole ``CoverResult`` (status, depth, records with root, m, case
+    labels and result, and ``non_cocover``, in order) equals the object
+    oracle's, for every v, u in {e, s1, w0} and depths thr - 2 ... thr + 1,
+    forced, so below-threshold rows are included, and at depth 1, where
+    cases 2 and 4 predict non-cocovers."""
+    rs = build_root_system(ct, n)
+    elts = enumerate_group(rs).elements
+    thr = cover_depth_threshold(ct)
+    us = [identity_elt(rs), simple_reflection(rs, 0), longest_element(rs)]
+    non_cocovers = 0
+    for d in {1, *range(thr - 2, thr + 2)}:
+        lam = coweight(rs, tuple(d + i % 2 for i in range(n)))
+        for u in us:
+            for v in elts:
+                got = predicted_cocovers(u, lam, v, force=True)
+                assert got == predicted_cocovers_by_objects(u, lam, v, force=True)
+                non_cocovers += len(got.non_cocover)
+    assert non_cocovers
 
 
 def test_predicted_equals_enumerated_a2_grid(a2):

@@ -115,12 +115,15 @@ def test_derived_root_data(ct, n):
     """The root data the RootSystem carries, recomputed from the Cartan
     matrix and the root lists: coroot pairings C^T beta_check, the scaled
     inverse of C^T with its least denominator, the roots of the affine
-    letters, the root columns, and the signed lists (~c is -c)."""
+    letters, the root and coroot columns, and the signed lists (~c is -c)."""
     rs = build_root_system(ct, n)
     C, nroots = rs.cartan, len(rs.positive_roots)
     for a, bc in enumerate(rs.positive_coroots):
         cp = tuple(sum(C[j][i] * bc[j] for j in range(n)) for i in range(n))
         assert rs.coroot_pairings[a] == cp
+        assert rs.coroot_columns[a] == tuple(
+            pair_root_coroot(rs, beta, bc) for beta in rs.positive_roots
+        )
     den, inv = rs.inv_cartan_den, rs.inv_cartan_scaled
     assert all(
         sum(inv[i][k] * C[j][k] for k in range(n)) == den * (i == j)
@@ -133,7 +136,7 @@ def test_derived_root_data(ct, n):
                for a, r in enumerate(rs.positive_roots) for k in range(n))
     assert len(rs.root_columns) == n
     assert rs.signed_roots[:nroots] == rs.positive_roots
-    for signed in (rs.signed_roots, rs.coroot_pairings):
+    for signed in (rs.signed_roots, rs.coroot_pairings, rs.coroot_columns):
         assert len(signed) == 2 * nroots
         assert all(signed[~c] == tuple(-x for x in signed[c]) for c in range(nroots))
 

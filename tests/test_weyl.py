@@ -162,6 +162,14 @@ def test_coroot_action_matches_root_action(ct, n):
             )
 
 
+@pytest.mark.parametrize("ct,n", SMALL + [("F", 4), ("D", 5)])
+def test_table_words_are_the_least_reduced_words(ct, n):
+    """A table's word for each index is its element's lexicographically
+    least reduced word, so reports may label elements by ``table.words``."""
+    table = enumerate_group(build_root_system(ct, n))
+    assert all(table.words[a] == x.to_word() for a, x in enumerate(table.elements))
+
+
 def test_word_str():
     assert word_str(()) == "e"
     assert word_str((0, 1)) == "s1s2"
