@@ -314,15 +314,13 @@ def dim_X_formula(
     return DimResult("ok" if not reasons else "probe", value, "; ".join(reasons))
 
 
-def adm_summary(
-    mu: Coweight, b: BInvariants, budget: int = DEFAULT_ADM_BUDGET
-) -> dict:
+def adm_summary(mu: Coweight, b: BInvariants) -> dict:
     """JSON-shaped record tying the pieces together for one query."""
     da = d_adm(mu, b)
     dx = dim_X_formula(mu, b)
     return {
         "mu": list(mu.int_pairing()),
-        "size_of_adm": len(adm_set(mu, budget)),
+        "size_of_adm": len(adm_set(mu)),
         "d_adm": None if da.value is None else str(da.value),
         "d_adm_status": da.status,
         "dim_formula": None if dx.value is None else str(dx.value),

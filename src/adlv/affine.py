@@ -27,14 +27,16 @@ Lower intervals, and their unions over tops that share tau (admissible
 sets), come from one ``IntervalEngine`` started at tau: its subword dynamic
 program runs along the reduced word of each top w = tau s_{j_1} ... s_{j_l}
 (``tau_word``; left multiplication by a length-zero tau preserves the
-Bruhat order), and the state sets merge bucket by bucket.  Cocovers come from
-enumerating separating reflections, and the three Demazure products from
-folding reduced words.
+Bruhat order), and the state sets merge bucket by bucket.  Every interval,
+Newton maxima's included, is set up by ``_interval_engine`` and refused
+past ``STATE_CAP`` states.  Cocovers come from enumerating separating
+reflections, and the three Demazure products from folding reduced words.
 
 The engine keeps a state set grouped by finite Weyl index, one bucket of
 mixed-radix codes of translation parts per index over a box sized from the
-word's letters 0: in rank <= 2 a big-int bitset, so a letter costs one OR
-or shift per index, and in higher rank a frozenset of ints.
+word's letters 0: up to rank ``DENSE_MAX_RANK`` (3) a big-int bitset, so a
+letter costs one OR or shift per index, and in higher rank a frozenset of
+ints.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import prod
-from operator import add, mul, or_, sub
+from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import BudgetError, InvariantError, RefusalError
@@ -80,6 +82,8 @@ __all__ = [
 ]
 
 DEFAULT_INTERVAL_BUDGET = 30
+# the most states an interval's state set may hold
+STATE_CAP = 5_000_000
 
 
 class AffineElt:
@@ -271,27 +275,19 @@ def lower_union(tops: Sequence[AffineElt],
                 budget: int = DEFAULT_INTERVAL_BUDGET) -> frozenset[AffineElt]:
     """All u below some element of ``tops``, which must share one
     length-zero part tau: tau times the union of the intervals [e, v] over
-    the words v of ``tau_word``.  One ``IntervalEngine`` starts at tau, its
-    box sized for the word with the most letters 0, runs every word and
-    merges the state sets bucket by bucket; each distinct member is decoded
-    and built once.  The engine indexes the finite Weyl group, so a group
-    above the ``enumerate_group`` cap (E7, E8) raises BudgetError."""
+    the words v of ``tau_word``, from ``_interval_engine``; each distinct
+    member is decoded and built once.  BudgetError past ``STATE_CAP``
+    states, or for a group above the ``enumerate_group`` cap (E7, E8),
+    whose finite Weyl group the engine indexes."""
     lw = max(map(affine_length, tops))
     if lw > budget:
         raise BudgetError(
             f"lower interval of an element of length {lw} exceeds the budget "
             f"of {budget}; raise the budget explicitly to proceed"
         )
-    rs = tops[0].rs
-    tws = [tau_word(w) for w in tops]
-    tau = tws[0][0]
-    if any(t.rs is not rs or t != tau for t, _ in tws):
-        raise RefusalError("tops must share a root system and a length-zero part")
-    words = [word for _, word in tws]
-    eng = IntervalEngine(enumerate_group(rs), max(words, key=lambda v: v.count(0)), tau)
-    states = reduce(or_, map(eng.interval_states, words))
+    eng, states = _interval_engine(tops)
     elements = eng.table.elements
-    members = frozenset([_affine(rs, mu, elements[x])
+    members = frozenset([_affine(eng.rs, mu, elements[x])
                          for x, mus in eng.decoded(states) for mu in mus])
     if not members.issuperset(tops):
         raise InvariantError("lower interval misses its top element")
@@ -393,10 +389,15 @@ def _bit_positions(bits: int):
         i = s.find("1", i + 1)
 
 
-# bitsets up to this rank: there an interval fills a fixed share of its box
-# (both grow as length**2); from rank 3 on the box, width**rank per finite
-# index, outgrows the interval, and sets of codes are smaller and faster
-DENSE_MAX_RANK = 2
+# bitsets up to this rank, frozensets of codes above it: the box, width**rank
+# codes per finite index, outgrows the interval as the rank grows, and
+# neither kind serves every rank.  One process per run on an x86-64 host,
+# Python 3.11, CPU time and peak RSS, equal outputs.  Rank 2: the A2, B2, C2
+# and G2 theorem grids take 0.3 s at 18 MB with bitsets, 2.4 s at 50 MB with
+# frozensets.  Rank 3: the A3 grid 20-25 s at 73 MB against 35-43 s at
+# 290 MB, and Adm(1,1,1) of B3 0.05 against 0.13 s.  Rank 4: Adm(1,1,1,1)
+# of A4 takes 4.7 s against 0.55 s, and of D4 45 s against 4.5 s.
+DENSE_MAX_RANK = 3
 
 
 class StateSet:
@@ -475,6 +476,7 @@ class IntervalEngine:
         self.widths = tuple([h - l + 1 for l, h in zip(self.lo, self.hi)])
         self.places = [prod(self.widths[:k]) for k in range(rs.rank)]
         self.offset = [sum(map(mul, dv, self.places)) for dv in self.delta]
+        self.size = len(table) * prod(self.widths)  # the states the box holds
         self.dense = rs.rank <= DENSE_MAX_RANK
         self.codes = _bit_positions if self.dense else iter  # a bucket's codes
 
@@ -513,14 +515,34 @@ class IntervalEngine:
             out[y] = out[y] | b if y in out else b
         return StateSet(out, zeros)
 
-    def interval_states(self, word: Sequence[int],
-                        state_cap: int | None = None) -> StateSet:
-        """start times each subword of word."""
+    def _bounded(self, states: StateSet) -> StateSet:
+        """states, or BudgetError if they number more than ``STATE_CAP``;
+        counted only when the box can hold that many."""
+        if self.size > STATE_CAP and len(states) > STATE_CAP:
+            raise BudgetError(f"interval grew past {STATE_CAP} states")
+        return states
+
+    def interval_states(self, word: Sequence[int]) -> StateSet:
+        """start times each subword of word, bounded by ``STATE_CAP``."""
         code = self.pack(self.start.lam)
         seed = 1 << code if self.dense else frozenset([code])
         states = StateSet({self.table.idx(self.start.fin): seed})
         for j in word:
-            states = self.step(states, j)
-            if state_cap is not None and len(states) > state_cap:
-                raise BudgetError(f"interval grew past {state_cap} states")
+            states = self._bounded(self.step(states, j))
         return states
+
+
+def _interval_engine(tops: Sequence[AffineElt]) -> tuple[IntervalEngine, StateSet]:
+    """One ``IntervalEngine`` started at the length-zero part tau that
+    ``tops`` share, its box sized for the word with the most letters 0, and
+    the union, bucket by bucket, of the state sets of their words
+    (``tau_word``): tau times the intervals [e, v].  Each state set and the
+    union are bounded by ``STATE_CAP``."""
+    rs = tops[0].rs
+    tws = [tau_word(w) for w in tops]
+    tau = tws[0][0]
+    if any(t.rs is not rs or t != tau for t, _ in tws):
+        raise RefusalError("tops must share a root system and a length-zero part")
+    words = [word for _, word in tws]
+    eng = IntervalEngine(enumerate_group(rs), max(words, key=lambda v: v.count(0)), tau)
+    return eng, reduce(lambda a, b: eng._bounded(a | b), map(eng.interval_states, words))

@@ -178,17 +178,14 @@ def ell_red(x: WeylElt) -> int:
     return _ell_red_table(table)[table.idx(x)]
 
 
-def orthogonal_decompositions(
-    x: WeylElt, max_factors: int | None = None
-) -> list[tuple[int, ...]]:
+def orthogonal_decompositions(x: WeylElt) -> list[tuple[int, ...]]:
     """All ways to write the involution x as a product of pairwise
     orthogonal reflections, as sorted root-index tuples (order within a
-    tuple is irrelevant: the factors commute)."""
+    tuple is irrelevant: the factors commute).  Orthogonal roots are
+    linearly independent, so no tuple has more than rank factors."""
     _require_involution(x)
     rs = x.rs
     table = enumerate_group(x.rs)
-    if max_factors is None:
-        max_factors = rs.rank
     cols = rs.coroot_columns  # cols[b][a] = <beta_a, beta_b_check>
     nroots = len(rs.positive_roots)
     target = table.idx(x)
@@ -198,8 +195,6 @@ def orthogonal_decompositions(
     def rec(start: int, chosen: list[int], cur: int) -> None:
         if cur == target:
             out.append(tuple(chosen))
-        if len(chosen) >= max_factors:
-            return
         for a in range(start, nroots):
             if all(not cols[b][a] for b in chosen):
                 chosen.append(a)

@@ -24,9 +24,10 @@ Three subcommands:
 Type and rank are checked against the per-type table in ``adlv.rootsys``.
 Every suite but tables, and every query operator but len and eta,
 enumerates the finite Weyl group, so it first checks the group order
-against --cap.  The commands that build the quantum Bruhat graph (query
-wt, elldown, and nu where the closed form applies; verify qbg, newton,
-adm and cascade) stop at 10^5 elements whatever --cap is.
+against --cap (default ``weyl.GROUP_CAP``).  The commands that build the
+quantum Bruhat graph (query wt, elldown, and nu where the closed form
+applies; verify qbg, newton, adm and cascade) stop at the graph cap
+``qbg.QBG_CAP`` whatever --cap is.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 refused input (including --cap/--budget below 1) or an --out path that
@@ -44,11 +45,12 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import product
 from random import Random
 
+from . import affine, qbg, weyl
 from .adm import BInvariants, adm_set, d_adm, d_adm_brute, eta, product_set
 from .affine import (
     AffineElt,
@@ -108,8 +110,9 @@ class QueryError(ValueError):
 class RunConfig:
     cartan_type: str | None = None
     rank: int | None = None
-    group_cap: int = 10**6
-    interval_budget: int = 30
+    # the library's bounds, read when a config is made
+    group_cap: int = field(default_factory=lambda: weyl.GROUP_CAP)
+    interval_budget: int = field(default_factory=lambda: affine.DEFAULT_INTERVAL_BUDGET)
     sweep_seed: int = 0
     output_format: str = "json"
     with_brute: bool = False
@@ -547,9 +550,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", dest="cartan_type", default=None,
                        help="Cartan type letter, or 'all' (tables only)")
         p.add_argument("--rank", type=int, default=None)
-        p.add_argument("--cap", dest="group_cap", type=int, default=10**6,
+        p.add_argument("--cap", dest="group_cap", type=int, default=weyl.GROUP_CAP,
                        help="largest Weyl group order to enumerate; commands "
-                       "that build the quantum Bruhat graph stop at 10^5 "
+                       f"that build the quantum Bruhat graph stop at {qbg.QBG_CAP} "
                        "whatever --cap is")
         p.add_argument("--out", dest="out_path", default=None)
 
@@ -564,7 +567,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (pq, pv):
         common(p)
         p.add_argument("--budget", dest="interval_budget", type=int,
-                       default=30, help="largest element length to sweep")
+                       default=affine.DEFAULT_INTERVAL_BUDGET,
+                       help="largest element length to sweep")
     pq.add_argument("expression")
     pv.add_argument("--seed", dest="sweep_seed", type=int, default=0)
     pv.add_argument("suite")

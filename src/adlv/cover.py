@@ -227,25 +227,11 @@ def verify_cover_theorem(u: WeylElt, lam: Coweight, v: WeylElt) -> dict:
     }
 
 
-def cover_sweep(
-    rs: RootSystem,
-    lambdas,
-    us=None,
-    vs=None,
-) -> list[dict]:
-    """Reports for every (u, lam, v) in the product; default u = identity
-    and v over the whole finite group."""
-    table = enumerate_group(rs)
-    if us is None:
-        us = [identity_elt(rs)]
-    if vs is None:
-        vs = list(table.elements)
-    out = []
-    for lam in lambdas:
-        for u in us:
-            for v in vs:
-                out.append(verify_cover_theorem(u, lam, v))
-    return out
+def cover_sweep(rs: RootSystem, lambdas) -> list[dict]:
+    """Reports for u = identity, every given lam and every v in the finite
+    group."""
+    e, vs = identity_elt(rs), enumerate_group(rs).elements
+    return [verify_cover_theorem(e, lam, v) for lam in lambdas for v in vs]
 
 
 def sample_triples(

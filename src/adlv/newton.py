@@ -22,12 +22,12 @@ from .affine import (
     AffineElt,
     IntervalEngine,
     StateSet,
+    _interval_engine,
     demazure_ltri,
     embed,
-    tau_word,
 )
 from .errors import InvariantError, RefusalError
-from .qbg import DEFAULT_QBG_CAP, build_qbg, m_tilde
+from .qbg import build_qbg, m_tilde
 from .rootsys import (
     TYPE_TABLE,
     Coweight,
@@ -191,28 +191,26 @@ def _max_point(rs: RootSystem, keys) -> tuple[tuple[int, ...], int]:
     return best
 
 
-def _interval_top(w: AffineElt, state_cap: int | None, translations: bool) -> NewtonPoint:
+def _interval_top(w: AffineElt, translations: bool) -> NewtonPoint:
     """Top Newton point over the interval below w, or over its translations
     only: the bucket of the identity, where T = I and m = 1."""
-    tau, word = tau_word(w)
-    eng = IntervalEngine(enumerate_group(w.rs), word, tau)
-    states = eng.interval_states(word, state_cap)
+    eng, states = _interval_engine([w])
     if translations:
         states = StateSet({x: b for x, b in states.buckets.items() if x == 0})
     cs, m = _max_point(w.rs, _nu_keys(eng, states, {}))
     return NewtonPoint(coweight(w.rs, tuple(Fraction(c, m) for c in cs)))
 
 
-def max_newton_brute(w: AffineElt, state_cap: int | None = 5_000_000) -> NewtonPoint:
+def max_newton_brute(w: AffineElt) -> NewtonPoint:
     """max{nu(u) : u <= w} by scanning the whole lower interval."""
-    return _interval_top(w, state_cap, False)
+    return _interval_top(w, False)
 
 
-def max_translation_below(w: AffineElt, state_cap: int | None = 5_000_000) -> NewtonPoint:
+def max_translation_below(w: AffineElt) -> NewtonPoint:
     """max{gamma_plus : t^gamma <= w}; the dominance top over dominant
     representatives of translations in the interval (unique in the deep
     regimes where it is used)."""
-    return _interval_top(w, state_cap, True)
+    return _interval_top(w, True)
 
 
 # -- thresholds -----------------------------------------------------------
@@ -257,9 +255,7 @@ class FormulaResult:
     threshold: int
 
 
-def max_newton_formula(
-    w: AffineElt, force: bool = False, cap: int = DEFAULT_QBG_CAP
-) -> FormulaResult:
+def max_newton_formula(w: AffineElt, force: bool = False) -> FormulaResult:
     """Closed form for the maximal Newton point: lam - wt(x) after writing
     w = u t^lam v with lam dominant and folding u into the finite part.
 
@@ -278,7 +274,7 @@ def max_newton_formula(
             "translation part is singular and not dominant; cannot fold"
         )
     # w = u t^lam v with u = g^{-1}, v = g z, and x = v <| u
-    graph = build_qbg(rs, cap)
+    graph = build_qbg(rs)
     t = graph.table
     x = t.ltri_idx(t.idx(g.mul(w.fin)), t.inv_idx(t.idx(g)))
     value = lam_plus - coweight_from_coroot(rs, graph.wt1(x))
@@ -323,11 +319,7 @@ def _chain_cover(table: GroupTable) -> list[tuple[int, ...]]:
     return chains
 
 
-def sweep_records(
-    rs: RootSystem,
-    lambdas,
-    state_cap: int | None = 5_000_000,
-) -> list[dict]:
+def sweep_records(rs: RootSystem, lambdas) -> list[dict]:
     """Compare the closed form against the brute-force maximum for every
     x in W and each given dominant regular lam.
 
@@ -349,10 +341,8 @@ def sweep_records(
         if not (lam.is_dominant() and lam.is_regular()):
             raise RefusalError("sweep needs dominant regular lambda")
         lam_int = lam.int_pairing()
-        base_tau, base_word = tau_word(AffineElt(rs, lam_int, w0_elt))
-        # the chains add finite letters only, so the box of base_word holds
-        eng = IntervalEngine(table, base_word, base_tau)
-        base = eng.interval_states(base_word, state_cap)
+        # the chains add finite letters only, so the base interval's box holds
+        eng, base = _interval_engine([AffineElt(rs, lam_int, w0_elt)])
         base_top = _max_point(rs, _nu_keys(eng, base, memo))
         done = [False] * n_elts
         results: dict[int, dict] = {}
@@ -379,7 +369,7 @@ def sweep_records(
                     }
                 if step_no < len(chain):
                     j = chain[step_no]
-                    states = eng.step(states, j + 1)
+                    states = eng._bounded(eng.step(states, j + 1))
                     pref = table.rmult[j][pref]
         records.extend(results[i] for i in sorted(results))
     return records

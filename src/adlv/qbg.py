@@ -16,7 +16,7 @@ them against the forward search from x.  They and the downward-only
 decompositions drive the closed-form weight tables, the Newton-point
 weight bound and the dimension formulas.  ``build_qbg`` keeps one graph
 per group table, on the table (``weyl.per_table``), and refuses a group
-above its own cap, ``DEFAULT_QBG_CAP``, whatever the cap of the table.
+above its own cap, ``QBG_CAP``, below the group cap ``weyl.GROUP_CAP``.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ __all__ = [
     "compute_M",
     "m_tilde",
     "reflection_length_w0",
-    "DEFAULT_QBG_CAP",
+    "QBG_CAP",
 ]
 
-DEFAULT_QBG_CAP = 10 ** 5
+QBG_CAP = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -281,16 +281,16 @@ class QBGraph:
 _graph = per_table(QBGraph)
 
 
-def build_qbg(rs: RootSystem, cap: int = DEFAULT_QBG_CAP) -> QBGraph:
+def build_qbg(rs: RootSystem) -> QBGraph:
     """The graph on the cached group table, built once and kept on it;
-    BudgetError when |W| exceeds ``cap``, the graph cap."""
+    BudgetError when |W| exceeds ``QBG_CAP``, the graph cap."""
     order = WEYL_ORDER(rs.cartan_type, rs.rank)
-    if order > cap:
+    if order > QBG_CAP:
         raise BudgetError(
             f"quantum Bruhat graph of type {rs.cartan_type}{rs.rank} has "
-            f"{order} vertices, exceeding the graph cap of {cap}"
+            f"{order} vertices, exceeding the graph cap of {QBG_CAP}"
         )
-    return _graph(enumerate_group(rs, cap))
+    return _graph(enumerate_group(rs))
 
 
 @dataclass
@@ -304,13 +304,13 @@ class RQRDReport:
     minimality: str | None = None  # "graph" or "reflection-length bound"
 
 
-def verify_rqrd(x: WeylElt, factors, cap: int = DEFAULT_QBG_CAP) -> RQRDReport:
+def verify_rqrd(x: WeylElt, factors) -> RQRDReport:
     """Check that ``factors`` (root coefficient vectors, product order) is a
     minimal length-additive quantum-reflection factorization of x.
 
-    Minimality is decided by graph search when the group fits under ``cap``;
-    otherwise it is certified only when the factor count meets the
-    reflection-length lower bound rank(x - 1)."""
+    Minimality is decided by graph search when the group fits under
+    ``QBG_CAP``; otherwise it is certified only when the factor count meets
+    the reflection-length lower bound rank(x - 1)."""
     rs = x.rs
     factors = tuple(tuple(f) for f in factors)
     k = len(factors)
@@ -338,8 +338,8 @@ def verify_rqrd(x: WeylElt, factors, cap: int = DEFAULT_QBG_CAP) -> RQRDReport:
             )
     minimality = None
     if not reasons:
-        if WEYL_ORDER(rs.cartan_type, rs.rank) <= cap:
-            d = build_qbg(rs, cap).ell_down(x)
+        if WEYL_ORDER(rs.cartan_type, rs.rank) <= QBG_CAP:
+            d = build_qbg(rs).ell_down(x)
             if k == d:
                 minimality = "graph"
             else:
@@ -511,9 +511,9 @@ def reflection_length_w0(cartan_type: str, rank: int) -> int:
     return TYPE_TABLE[check_type(cartan_type, rank)].ell_r_w0(rank)
 
 
-def compute_M(rs: RootSystem, cap: int = DEFAULT_QBG_CAP) -> int:
+def compute_M(rs: RootSystem) -> int:
     """max over x in W and simple alpha of <alpha, wt(x)>, by enumeration."""
-    g = build_qbg(rs, cap)
+    g = build_qbg(rs)
     C = rs.cartan
     n = rs.rank
     best = 0

@@ -186,7 +186,6 @@ class RootSystem:
     letter_roots: tuple[int, ...] = field(repr=False)  # theta, then alpha_1..n
     root_columns: tuple[tuple[int, ...], ...] = field(repr=False)  # transposed roots
     cartan_t: tuple[tuple[int, ...], ...] = field(repr=False)  # C^T, coroots to pairings
-    inv_cartan_t: tuple[tuple[Fraction, ...], ...] = field(repr=False)
     # the least den making den * C^-T integral, and that matrix: its rows
     # give scaled coroot coordinates of a coweight
     inv_cartan_den: int = field(repr=False)
@@ -349,7 +348,6 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
         letter_roots=(ti, *(index[_unit(n, i)] for i in range(n))),
         root_columns=tuple(zip(*positive)),
         cartan_t=Ct,
-        inv_cartan_t=cinv_t,
         inv_cartan_den=den,
         inv_cartan_scaled=tuple(tuple(int(x * den) for x in row) for row in cinv_t),
         root_index=index,
@@ -463,9 +461,10 @@ def depth(lam: Coweight) -> Num:
 
 
 def dominance_leq(a: Coweight, b: Coweight) -> bool:
-    """True iff b - a is a nonnegative rational combination of simple coroots."""
+    """True iff b - a is a nonnegative rational combination of simple
+    coroots: its coroot coordinates, scaled by den > 0, are nonnegative."""
     diff = tuple(map(sub, b.pairing, a.pairing))
-    coords = mat_vec(_same_rs(a, b).inv_cartan_t, diff)
+    coords = mat_vec(_same_rs(a, b).inv_cartan_scaled, diff)
     return all(x >= 0 for x in coords)
 
 

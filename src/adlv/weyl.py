@@ -13,11 +13,12 @@ products serve groups with no cached table.  An element caches the columns
 of its inverse matrix (the pairing action) and its descent mask, so on the
 shared table elements both are per-index tables.  A table element's matrices are
 built on first access, from its word-prefix parent, so building a table (and
-the quantum Bruhat graph on it) multiplies no matrices.  Bruhat order is the
-table's bitmask closure, reflection length the rank of (action - id) on the
-reflection representation.  Whatever is derived from a table (the quantum
-Bruhat graph, the Newton averaging sums, dp, ell_red) is kept on that table
-by ``per_table``, so it lives exactly as long as the table's cache entry.
+the quantum Bruhat graph on it) multiplies no matrices.  Reflection length is
+the rank of (action - id) on the reflection representation.  Whatever is
+derived from a table (the quantum Bruhat graph, the Newton averaging sums,
+dp, ell_red) is kept on that table by ``per_table``, so it lives exactly as
+long as the table's cache entry.  ``enumerate_group`` refuses a group above
+``GROUP_CAP`` elements.
 
 >>> from adlv.rootsys import build_root_system
 >>> rs = build_root_system("A", 2)
@@ -48,7 +49,11 @@ __all__ = [
     "enumerate_group",
     "per_table",
     "word_str",
+    "GROUP_CAP",
 ]
+
+# the largest group order ``enumerate_group`` tables
+GROUP_CAP = 10**6
 
 
 class WeylElt:
@@ -165,14 +170,11 @@ class WeylElt:
         return "WeylElt(e)" if not w else f"WeylElt({word_str(w)})"
 
 
-def word_str(word: Iterable[int], letters_are_affine: bool = False) -> str:
-    """Human form of a word.  Finite words use 1-based Bourbaki labels; affine
-    words are already over letters 0..n with 0 the affine node."""
+def word_str(word: Iterable[int]) -> str:
+    """Human form of a finite word, in 1-based Bourbaki labels."""
     seq = list(word)
     if not seq:
         return "e"
-    if letters_are_affine:
-        return "".join(f"s{j}" for j in seq)
     return "".join(f"s{i + 1}" for i in seq)
 
 
@@ -259,8 +261,7 @@ class GroupTable:
     reflection.  The build records only this index data: ``elements[a]``
     is built on first access (see ``_Elements``), and so are the root
     images under inverses (``inv_images``), reflection-multiplication
-    tables, the full Bruhat relation (as bitmasks) and what other modules
-    derive from the table (``per_table``).
+    tables and what other modules derive from the table (``per_table``).
     """
 
     def __init__(self, rs: RootSystem):
@@ -439,13 +440,14 @@ def per_table(build):
 _TABLES: dict[RootSystem, GroupTable] = {}
 
 
-def enumerate_group(rs: RootSystem, cap: int = 10 ** 6) -> GroupTable:
-    """Enumerate W (cached).  Raises BudgetError when |W| exceeds ``cap``."""
+def enumerate_group(rs: RootSystem) -> GroupTable:
+    """Enumerate W (cached).  Raises BudgetError when |W| exceeds
+    ``GROUP_CAP``."""
     order = WEYL_ORDER(rs.cartan_type, rs.rank)
-    if order > cap:
+    if order > GROUP_CAP:
         raise BudgetError(
             f"Weyl group of type {rs.cartan_type}{rs.rank} has {order} "
-            f"elements, exceeding the cap of {cap}"
+            f"elements, exceeding the cap of {GROUP_CAP}"
         )
     tab = _TABLES.get(rs)
     if tab is None:

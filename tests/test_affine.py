@@ -32,7 +32,7 @@ from adlv.affine import (
     tau_word,
     translation,
 )
-from adlv.newton import theorem_grid
+from adlv.newton import max_newton_brute, sweep_records, theorem_grid
 from adlv.weyl import enumerate_group, identity_elt, longest_element
 
 from oracles import affine_length_loop, bruhat_leq_affine, cocovers_by_reflections
@@ -147,6 +147,22 @@ def test_lower_interval_budget(a2):
     # the engine indexes the finite group, which E8 has too many elements for
     with pytest.raises(BudgetError):
         lower_interval(simple_affine(build_root_system("E", 8), 1))
+
+
+def test_state_cap_bounds_every_interval(a2, monkeypatch):
+    """``STATE_CAP`` is read at call time and bounds every interval: the
+    admissible set of (1, 0), whose three words' intervals hold 4 states
+    each, is refused for its union of 7, and a Newton maximum and a Newton
+    sweep for their single intervals."""
+    assert len(adm_set(coweight(a2, (1, 0)))) == 7
+    monkeypatch.setattr(affine, "STATE_CAP", 4)
+    w = aff(a2, (2, 2), longest_element(a2))
+    for call in (lambda: adm_set(coweight(a2, (1, 0))),
+                 lambda: max_newton_brute(w),
+                 lambda: sweep_records(a2, theorem_grid(a2)[:1])):
+        with pytest.raises(BudgetError, match="interval grew past 4 states"):
+            call()
+    assert len(lower_interval(aff(a2, (1, 0))).members) == 4
 
 
 def test_cocover_counts(a2):
@@ -463,12 +479,13 @@ def test_interval_states_refuse_leaving_the_box(ct, dense):
         eng.pack((eng.hi[0] + 1, eng.lo[1]))
 
 
-def test_engine_keeps_bitsets_up_to_rank_2():
-    """Rank-2 engines keep bitsets; from rank 3 on they keep frozensets of
-    codes.  A D5 engine for the word s1 costs only its two states."""
-    for ct, rank in (("A", 1), ("G", 2), ("A", 3), ("D", 5)):
+def test_engine_keeps_bitsets_up_to_rank_3():
+    """Engines up to rank 3 keep bitsets; from rank 4 on they keep
+    frozensets of codes.  A D5 engine for the word s1 costs only its two
+    states."""
+    for ct, rank in (("A", 1), ("G", 2), ("A", 3), ("C", 3), ("A", 4), ("D", 5)):
         eng = IntervalEngine(enumerate_group(build_root_system(ct, rank)), (1,))
-        assert eng.dense is (rank <= 2)
+        assert eng.dense is (rank <= 3)
     states = eng.interval_states((1,))
     assert len(states) == 2
     assert _pairs(eng, states) == {

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from adlv import cli
+from adlv import affine, cli, weyl
 from adlv.cli import (
     ALL_TABLE_RANKS,
     RunConfig,
@@ -246,6 +246,20 @@ def test_query_finite_only_ops_refuse_translations(capsys):
 def test_usage_errors_exit_2(capsys, argv, fragment):
     assert main(argv) == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_cap_and_budget_defaults_are_the_library_constants(monkeypatch):
+    """--cap and --budget default to ``weyl.GROUP_CAP`` and
+    ``affine.DEFAULT_INTERVAL_BUDGET``, read when the command runs, so the
+    command line restates neither."""
+    for cap, budget in ((weyl.GROUP_CAP, affine.DEFAULT_INTERVAL_BUDGET), (7, 3)):
+        monkeypatch.setattr(weyl, "GROUP_CAP", cap)
+        monkeypatch.setattr(affine, "DEFAULT_INTERVAL_BUDGET", budget)
+        for argv in (["tables"], ["query", "len s1"], ["verify", "adm"]):
+            args = cli._build_parser().parse_args(argv)
+            assert args.group_cap == cap
+            assert getattr(args, "interval_budget", budget) == budget
+        assert (RunConfig().group_cap, RunConfig().interval_budget) == (cap, budget)
 
 
 def test_budget_errors_exit_3(capsys):
@@ -511,7 +525,7 @@ from adlv.weyl import enumerate_group, identity_elt, simple_reflection
 a2 = build_root_system("A", 2)
 no_quantum = dataclasses.replace(a2, quantum_flags=(False,) * 3)
 table = enumerate_group(a2)
-sparse = IntervalEngine(enumerate_group(build_root_system("A", 3)), ())
+sparse = IntervalEngine(enumerate_group(build_root_system("A", 4)), ())
 flat = copy.copy(table)
 flat.lengths = [0] * 6
 unlinked = copy.copy(table)

@@ -166,7 +166,8 @@ def test_cover_sweep_with_u():
         elts = list(enumerate_group(rs).elements)
         c = cover_depth_threshold(ct)
         lams = [coweight(rs, p) for p in [(c, c)] + extra]
-        reports = cover_sweep(rs, lams, us=elts, vs=elts)
+        reports = [verify_cover_theorem(u, lam, v)
+                   for lam in lams for u in elts for v in elts]
         assert len(reports) == len(lams) * len(elts) ** 2
         assert all(r["match"] and r["status"] == "ok" for r in reports)
         labels = {

@@ -257,7 +257,7 @@ def _check_keys_against_oracle(monkeypatch, rank):
     ``tau_word`` to record whether each sweep starts from tau = 1; returns
     counts of the kinds of bucket the patched calls saw and the set of
     recorded tau kinds."""
-    real, real_tau_word = newton._nu_keys, newton.tau_word
+    real, real_tau_word = newton._nu_keys, affine.tau_word
     seen = dict.fromkeys(["empty", "zero T"], 0)
     trivial_tau = set()
 
@@ -279,7 +279,7 @@ def _check_keys_against_oracle(monkeypatch, rank):
         return tau, word
 
     monkeypatch.setattr(newton, "_nu_keys", checked)
-    monkeypatch.setattr(newton, "tau_word", recorded)
+    monkeypatch.setattr(affine, "tau_word", recorded)
     return seen, trivial_tau
 
 
@@ -312,13 +312,16 @@ def test_packed_keys_match_tuple_oracle(ct, n, dense, monkeypatch):
 
 
 def test_packed_keys_match_tuple_oracle_a3(a3, monkeypatch):
-    """The sparse kernel on A3 at small lambdas, one of them outside the
-    coroot lattice."""
-    seen, trivial_tau = _check_keys_against_oracle(monkeypatch, 3)
+    """Both kernels on A3 (bitsets by default, frozensets forced) at small
+    lambdas, one of them outside the coroot lattice."""
     lams = [coweight(a3, (1, 1, 1)), coweight(a3, (1, 2, 1))]
-    assert len(sweep_records(a3, lams)) == 2 * 24
-    assert all(seen.values()), seen
-    assert trivial_tau == {True, False}
+    for dense_max_rank in (affine.DENSE_MAX_RANK, 0):
+        with monkeypatch.context() as m:
+            m.setattr(affine, "DENSE_MAX_RANK", dense_max_rank)
+            seen, trivial_tau = _check_keys_against_oracle(m, 3)
+            assert len(sweep_records(a3, lams)) == 2 * 24
+            assert all(seen.values()), seen
+            assert trivial_tau == {True, False}
 
 
 @pytest.mark.parametrize("ct", ["A", "B"])

@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+from adlv import qbg
 from adlv.affine import demazure_ltri, embed, translation
 from adlv.errors import BudgetError, InvariantError
 from adlv.newton import max_newton_formula
@@ -171,14 +172,15 @@ def test_queries_keep_no_state():
     assert sizes() == before
 
 
-def test_build_qbg_checks_cap_when_cached(b3):
-    """A cached graph is no way round the cap."""
+def test_build_qbg_checks_cap_when_cached(b3, monkeypatch):
+    """A cached graph is no way round the cap, read at call time."""
     build_qbg(b3)
-    with pytest.raises(BudgetError, match="cap of 10"):
-        build_qbg(b3, cap=10)
+    monkeypatch.setattr(qbg, "QBG_CAP", 10)
+    with pytest.raises(BudgetError, match="graph cap of 10$"):
+        build_qbg(b3)
     w = translation(coweight(b3, (5, 5, 5))).mul(embed(longest_element(b3)))
-    with pytest.raises(BudgetError):
-        max_newton_formula(w, force=True, cap=10)
+    with pytest.raises(BudgetError, match="graph cap of 10$"):
+        max_newton_formula(w, force=True)
 
 
 @pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2)])

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adlv._matrix import mat_inv
 from adlv.adm import adm_membership_char, adm_set
 from adlv.cover import predicted_cocovers
 from adlv.errors import RefusalError
@@ -163,11 +164,14 @@ def test_coweight_lattice_tags(a2):
 
 @pytest.mark.parametrize("ct,n", ALL_SMALL + [("E", 6), ("E", 7), ("E", 8)])
 def test_coweight_lattice_matches_fraction_path(ct, n):
-    """Coweights are classified through den * C^-T; on seeded
-    integer and Fraction coweights, ``coroot_coords`` and ``lattice`` equal
-    the all-Fraction computation through C^-T."""
+    """Coweights are classified, and dominance decided, through den * C^-T;
+    on seeded integer and Fraction coweights, ``coroot_coords``,
+    ``lattice`` and ``dominance_leq`` (from 0, and from the previous
+    coweight) equal the all-Fraction computation through C^-T."""
     rs = build_root_system(ct, n)
+    inv_cartan_t = mat_inv(rs.cartan_t)
     rng = Random(0)
+    prev = None
     for k in range(40):
         if k % 2:
             p = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)]
@@ -176,8 +180,14 @@ def test_coweight_lattice_matches_fraction_path(ct, n):
         if k % 4 == 0:  # a coroot-lattice point
             p = [sum(x * c for x, c in zip(col, p)) for col in zip(*rs.cartan)]
         lam = coweight(rs, p)
-        cc = tuple(sum(x * y for x, y in zip(row, p)) for row in rs.inv_cartan_t)
+        cc = tuple(sum(x * y for x, y in zip(row, p)) for row in inv_cartan_t)
         assert lam.coroot_coords() == cc
+        assert dominance_leq(coweight(rs, (0,) * n), lam) is all(x >= 0 for x in cc)
+        if prev is not None:
+            pc, pp = prev
+            d = [c - q for c, q in zip(cc, pc)]
+            assert dominance_leq(pp, lam) is all(x >= 0 for x in d)
+        prev = cc, lam
         assert [type(x) for x in lam.coroot_coords()] == [
             int if x.denominator == 1 else Fraction for x in cc
         ]

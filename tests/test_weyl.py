@@ -173,7 +173,6 @@ def test_table_words_are_the_least_reduced_words(ct, n):
 def test_word_str():
     assert word_str(()) == "e"
     assert word_str((0, 1)) == "s1s2"
-    assert word_str((0, 1), letters_are_affine=True) == "s0s1"
 
 
 @settings(max_examples=50, deadline=None)
