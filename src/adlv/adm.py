@@ -51,14 +51,12 @@ __all__ = [
     "adm_set",
     "product_set",
     "adm_membership_char",
-    "membership_depth_ok",
     "eta",
     "virtual_dim",
     "min_dgamma",
     "d_adm",
     "d_adm_brute",
     "dim_X_formula",
-    "adm_summary",
 ]
 
 DEFAULT_ADM_BUDGET = 40
@@ -156,10 +154,6 @@ class MembershipResult:
     status: str
     value: bool | None
     reason: str = ""
-
-
-def membership_depth_ok(mu: Coweight) -> bool:
-    return depth(mu) >= TYPE_TABLE[mu.rs.cartan_type].depth_threshold
 
 
 def adm_membership_char(
@@ -313,16 +307,3 @@ def dim_X_formula(
     )
     return DimResult("ok" if not reasons else "probe", value, "; ".join(reasons))
 
-
-def adm_summary(mu: Coweight, b: BInvariants) -> dict:
-    """JSON-shaped record tying the pieces together for one query."""
-    da = d_adm(mu, b)
-    dx = dim_X_formula(mu, b)
-    return {
-        "mu": list(mu.int_pairing()),
-        "size_of_adm": len(adm_set(mu)),
-        "d_adm": None if da.value is None else str(da.value),
-        "d_adm_status": da.status,
-        "dim_formula": None if dx.value is None else str(dx.value),
-        "dim_formula_status": dx.status,
-    }

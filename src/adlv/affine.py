@@ -41,7 +41,6 @@ ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import prod
 from operator import add, mul, sub
@@ -60,17 +59,14 @@ from .weyl import (
 
 __all__ = [
     "AffineElt",
-    "BruhatInterval",
     "embed",
     "translation",
     "simple_affine",
     "affine_length",
     "descent_left",
     "descent_right",
-    "reduced_word",
     "reduced_word_and_tau",
     "tau_word",
-    "lower_interval",
     "lower_union",
     "cocovers",
     "cocovers_with_reflections",
@@ -158,12 +154,6 @@ def _affine(rs: RootSystem, lam: tuple[int, ...], fin: WeylElt) -> AffineElt:
     return w
 
 
-@dataclass(frozen=True)
-class BruhatInterval:
-    top: AffineElt
-    members: frozenset
-
-
 def embed(x: WeylElt) -> AffineElt:
     """The finite element x viewed as t^0 x."""
     return AffineElt(x.rs, (0,) * x.rs.rank, x)
@@ -240,19 +230,6 @@ def reduced_word_and_tau(w: AffineElt) -> tuple[tuple[int, ...], AffineElt]:
     return tuple(out), cur
 
 
-def reduced_word(w: AffineElt) -> tuple[int, ...]:
-    """Reduced word over letters 0..n, chosen by least left descent.  Only
-    for elements of the affine Weyl group proper; elements with a
-    length-zero component have no word over the generators."""
-    word, tau = reduced_word_and_tau(w)
-    if not tau.is_identity():
-        raise ValueError(
-            "element has a nontrivial length-zero part; use "
-            "reduced_word_and_tau"
-        )
-    return word
-
-
 def tau_word(w: AffineElt) -> tuple[AffineElt, tuple[int, ...]]:
     """(tau, word) with w = tau s_{j_1} ... s_{j_l}, tau of length zero and
     l = ell(w), from the greedy word of w^-1.
@@ -264,11 +241,6 @@ def tau_word(w: AffineElt) -> tuple[AffineElt, tuple[int, ...]]:
     """
     word, tau = reduced_word_and_tau(w.inv())
     return tau.inv(), word[::-1]
-
-
-def lower_interval(w: AffineElt, budget: int = DEFAULT_INTERVAL_BUDGET) -> BruhatInterval:
-    """All u <= w: the one-top case of ``lower_union``."""
-    return BruhatInterval(top=w, members=lower_union([w], budget))
 
 
 def lower_union(tops: Sequence[AffineElt],

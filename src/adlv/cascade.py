@@ -210,15 +210,12 @@ def compare_wt_r(rs: RootSystem) -> dict:
     with the depth statistics alongside."""
     table = enumerate_group(rs)
     g = build_qbg(rs)
-    dps = _dp_table(table)
-    reds = _ell_red_table(table)
+    dps, reds = dp_all(rs), ell_red_all(rs)
     downs = g.all_ell_down()
     wts = g.all_wt1()
     rows = []
-    for i in range(len(table)):
-        if table.prod_idx(i, i) != 0:
-            continue
-        x = table.elements[i]
+    for x in involutions(rs):
+        i = table.idx(x)
         r = cascade_r(x).r
         wt = wts[i]
         rows.append(

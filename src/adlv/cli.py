@@ -22,15 +22,13 @@ Three subcommands:
     a json report; exit code 0 iff the suite passes.
 
 Type and rank are checked against the per-type table in ``adlv.rootsys``.
-Every suite but tables, and every query operator but len and eta,
-enumerates the finite Weyl group, so it first checks the group order
-against --cap (default ``weyl.GROUP_CAP``).  The commands that build the
-quantum Bruhat graph (query wt, elldown, and nu where the closed form
-applies; verify qbg, newton, adm and cascade) stop at the graph cap
-``qbg.QBG_CAP`` whatever --cap is.
+A command that enumerates the finite Weyl group stops at the library's
+group cap ``weyl.GROUP_CAP``, and one that builds the quantum Bruhat graph
+(query wt, elldown, and nu where the closed form applies; verify qbg,
+newton, adm and cascade) at the graph cap ``qbg.QBG_CAP``; both exit 3.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-refused input (including --cap/--budget below 1) or an --out path that
+refused input (including --budget below 1) or an --out path that
 cannot be written (``error: cannot write ...``), 3 budget exceeded,
 4 internal invariant violated (a bug, not bad input).
 Reports are deterministic for a fixed config and seed, except for the
@@ -50,7 +48,7 @@ from fractions import Fraction
 from itertools import product
 from random import Random
 
-from . import affine, qbg, weyl
+from . import affine
 from .adm import BInvariants, adm_set, d_adm, d_adm_brute, eta, product_set
 from .affine import (
     AffineElt,
@@ -110,27 +108,17 @@ class QueryError(ValueError):
 class RunConfig:
     cartan_type: str | None = None
     rank: int | None = None
-    # the library's bounds, read when a config is made
-    group_cap: int = field(default_factory=lambda: weyl.GROUP_CAP)
+    # the library's bound, read when a config is made
     interval_budget: int = field(default_factory=lambda: affine.DEFAULT_INTERVAL_BUDGET)
     sweep_seed: int = 0
     output_format: str = "json"
     with_brute: bool = False
 
     def __post_init__(self):
-        for flag, value in (("--cap", self.group_cap),
-                            ("--budget", self.interval_budget)):
-            if value <= 0:
-                raise QueryError(f"{flag} must be positive, got {value}")
-
-
-def _check_cap(config: RunConfig, rs) -> None:
-    """The one --cap check, made before anything enumerates W."""
-    order = WEYL_ORDER(rs.cartan_type, rs.rank)
-    if order > config.group_cap:
-        raise BudgetError(
-            f"group order {order} exceeds --cap {config.group_cap}"
-        )
+        if self.interval_budget <= 0:
+            raise QueryError(
+                f"--budget must be positive, got {self.interval_budget}"
+            )
 
 
 # -- tables ----------------------------------------------------------------
@@ -146,7 +134,6 @@ def table_rows(config: RunConfig) -> list[dict]:
         ct = check_type(config.cartan_type, config.rank)
         ns = ALL_TABLE_RANKS[ct] if config.rank is None else [config.rank]
         scope = [(ct, n) for n in ns]
-    brute_cap = min(config.group_cap, TABLE_BRUTE_CAP)
     rows = []
     for ct, n in scope:
         row = {
@@ -158,7 +145,7 @@ def table_rows(config: RunConfig) -> list[dict]:
             "ell_R_w0": reflection_length_w0(ct, n),
             "wt_w0": list(wt_w0_closed_form(ct, n)),
         }
-        if config.with_brute and WEYL_ORDER(ct, n) <= brute_cap:
+        if config.with_brute and WEYL_ORDER(ct, n) <= TABLE_BRUTE_CAP:
             rs = build_root_system(ct, n)
             g = build_qbg(rs)
             row["wt_w0_brute"] = list(g.wt1(longest_element(rs)))
@@ -272,9 +259,6 @@ def run_query(config: RunConfig, expression: str) -> dict:
         raise QueryError("query needs --type and --rank")
     rs = build_root_system(config.cartan_type, config.rank)
     op, rest = tokens[0], tokens[1:]
-    # every operator but len and eta enumerates W
-    if op in ("nu", "wt", "elldown", "dp", "ellred", "cascade", "admsize"):
-        _check_cap(config, rs)
     result: dict = {
         "schema_version": SCHEMA_VERSION,
         "type": rs.cartan_type,
@@ -502,7 +486,6 @@ def run_suite(config: RunConfig, suite: str) -> dict:
             "A" if config.cartan_type in (None, "all") else config.cartan_type,
             2 if config.rank is None else config.rank,
         )
-        _check_cap(config, rs)
         ct, n = rs.cartan_type, rs.rank
     cases, failures, extras = _SUITES[suite](config, rs)
     report = {
@@ -550,10 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--type", dest="cartan_type", default=None,
                        help="Cartan type letter, or 'all' (tables only)")
         p.add_argument("--rank", type=int, default=None)
-        p.add_argument("--cap", dest="group_cap", type=int, default=weyl.GROUP_CAP,
-                       help="largest Weyl group order to enumerate; commands "
-                       f"that build the quantum Bruhat graph stop at {qbg.QBG_CAP} "
-                       "whatever --cap is")
         p.add_argument("--out", dest="out_path", default=None)
 
     pt = sub.add_parser("tables", help="emit the bound/weight tables")

@@ -23,7 +23,7 @@ from random import Random
 from .affine import AffineElt, _pairings, cocovers
 from .errors import InvariantError, RefusalError
 from .rootsys import TYPE_TABLE, Coweight, Root, RootSystem, check_type, coweight, depth
-from .weyl import GroupTable, WeylElt, enumerate_group, identity_elt, per_table, word_str
+from .weyl import GroupTable, WeylElt, enumerate_group, identity_elt, word_str
 
 __all__ = [
     "CocoverRecord",
@@ -75,16 +75,10 @@ class CoverResult:
     non_cocover: list[AffineElt] = field(default_factory=list)
 
 
-@per_table
-def _root_of_reflection(table: GroupTable) -> dict[int, int]:
-    """Index of s_beta -> index of the positive root beta."""
-    return {r: b for b, r in enumerate(table.reflections)}
-
-
 def _reflection_shape(table: GroupTable, lam: tuple[int, ...], x: int) -> tuple[int, int]:
     """(b, m) with t^lam x = t^{m beta_check} s_beta for the b-th positive
     root beta, x a table index; InvariantError unless it has that shape."""
-    b = _root_of_reflection(table).get(x)
+    b = table.root_of_reflection.get(x)
     if b is None:
         raise InvariantError("finite part of a cocover step is not a reflection")
     cb = table.rs.coroot_pairings[b]

@@ -23,8 +23,6 @@ from .affine import (
     IntervalEngine,
     StateSet,
     _interval_engine,
-    demazure_ltri,
-    embed,
 )
 from .errors import InvariantError, RefusalError
 from .qbg import build_qbg, m_tilde
@@ -42,7 +40,6 @@ from .rootsys import (
 )
 from .weyl import (
     GroupTable,
-    WeylElt,
     enumerate_group,
     longest_element,
     per_table,
@@ -54,9 +51,7 @@ __all__ = [
     "FormulaResult",
     "newton_point",
     "max_newton_brute",
-    "max_translation_below",
     "max_newton_formula",
-    "reduce_to_dominant",
     "xi_bound",
     "s_bound",
     "theorem_grid",
@@ -191,26 +186,11 @@ def _max_point(rs: RootSystem, keys) -> tuple[tuple[int, ...], int]:
     return best
 
 
-def _interval_top(w: AffineElt, translations: bool) -> NewtonPoint:
-    """Top Newton point over the interval below w, or over its translations
-    only: the bucket of the identity, where T = I and m = 1."""
-    eng, states = _interval_engine([w])
-    if translations:
-        states = StateSet({x: b for x, b in states.buckets.items() if x == 0})
-    cs, m = _max_point(w.rs, _nu_keys(eng, states, {}))
-    return NewtonPoint(coweight(w.rs, tuple(Fraction(c, m) for c in cs)))
-
-
 def max_newton_brute(w: AffineElt) -> NewtonPoint:
     """max{nu(u) : u <= w} by scanning the whole lower interval."""
-    return _interval_top(w, False)
-
-
-def max_translation_below(w: AffineElt) -> NewtonPoint:
-    """max{gamma_plus : t^gamma <= w}; the dominance top over dominant
-    representatives of translations in the interval (unique in the deep
-    regimes where it is used)."""
-    return _interval_top(w, True)
+    eng, states = _interval_engine([w])
+    cs, m = _max_point(w.rs, _nu_keys(eng, states, {}))
+    return NewtonPoint(coweight(w.rs, tuple(Fraction(c, m) for c in cs)))
 
 
 # -- thresholds -----------------------------------------------------------
@@ -230,15 +210,6 @@ def xi_bound(cartan_type: str, rank: int) -> int:
 
 
 # -- the closed form ------------------------------------------------------
-
-
-def reduce_to_dominant(u: WeylElt, lam: Coweight, v: WeylElt) -> AffineElt:
-    """t^lam (v <| u), which shares its maximal Newton point with
-    u t^lam v when lam is dominant regular."""
-    if not (lam.is_dominant() and lam.is_regular()):
-        raise RefusalError("lambda must be dominant regular to reduce")
-    x = demazure_ltri(embed(v), embed(u)).fin
-    return AffineElt(lam.rs, lam.int_pairing(), x)
 
 
 @dataclass

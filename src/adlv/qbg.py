@@ -266,7 +266,7 @@ class QBGraph:
         labels = []
         while v != 0:
             p = parent[v]
-            labels.append(t.reflections.index(t.prod_idx(t.inv_idx(v), p)))
+            labels.append(t.root_of_reflection[t.prod_idx(t.inv_idx(v), p)])
             v = p
         roots = self.rs.positive_roots
         return RQRD(tuple(roots[a] for a in reversed(labels)))

@@ -41,15 +41,12 @@ __all__ = [
     "coweight",
     "coweight_from_coroot",
     "pairing",
-    "pair_root_coroot",
     "depth",
     "dominance_leq",
     "dominant_rep",
-    "quantum_roots",
     "root_leq",
     "TYPE_TABLE",
     "TypeRow",
-    "VALID_RANKS",
     "WEYL_ORDER",
     "check_type",
 ]
@@ -108,8 +105,6 @@ TYPE_TABLE = {
     "G": TypeRow(2, 2, 6, lambda n: 6, lambda n: 12, lambda n: 10,
                  lambda n: 4, lambda n: 2),
 }
-
-VALID_RANKS = {ct: row.valid for ct, row in TYPE_TABLE.items()}
 
 
 def check_type(cartan_type: str, rank: int | None = None) -> str:
@@ -445,12 +440,6 @@ def pairing(rs: RootSystem, root: Root, lam: Coweight) -> Num:
     return _norm_num(sum(c * p for c, p in zip(root, lam.pairing)))
 
 
-def pair_root_coroot(rs: RootSystem, root: Root, coroot: Coroot) -> int:
-    """<beta, gamma_check> for a root and a coroot, via the Cartan matrix."""
-    n = rs.rank
-    return sum(root[i] * coroot[j] * rs.cartan[j][i] for i in range(n) for j in range(n))
-
-
 def depth(lam: Coweight) -> Num:
     """min_i <alpha_i, lambda>: positive iff lambda is dominant regular.
 
@@ -505,11 +494,6 @@ def dominant_rep(lam: Coweight):
     if g.act_pairing(lam.pairing) != out.pairing:
         raise InvariantError("g(lambda) is not the dominant representative")
     return out, g
-
-
-def quantum_roots(rs: RootSystem) -> list[Root]:
-    """Positive roots beta with ell(s_beta) = <2 rho, beta_check> - 1."""
-    return [r for r, q in zip(rs.positive_roots, rs.quantum_flags) if q]
 
 
 def root_leq(beta: Root, gamma: Root) -> bool:

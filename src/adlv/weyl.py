@@ -43,7 +43,6 @@ __all__ = [
     "identity_elt",
     "simple_reflection",
     "reflection",
-    "from_word",
     "longest_element",
     "reflection_length",
     "enumerate_group",
@@ -219,14 +218,6 @@ def _reflection_by_index(rs: RootSystem, a: int) -> WeylElt:
     return WeylElt(rs, r, r)
 
 
-def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElt:
-    """Product of simple reflections (0-based indices)."""
-    w = identity_elt(rs)
-    for i in word:
-        w = w.mul(simple_reflection(rs, i))
-    return w
-
-
 @lru_cache(maxsize=None)
 def longest_element(rs: RootSystem) -> WeylElt:
     w = identity_elt(rs)
@@ -258,10 +249,11 @@ class GroupTable:
     of ``elements[a] * s_i``; every other product (``prod_idx``,
     ``inv_idx``, ``rmult_root``) is a fold of ``rmult`` along ``words``.
     ``reflections`` maps a positive root index to the index of its
-    reflection.  The build records only this index data: ``elements[a]``
-    is built on first access (see ``_Elements``), and so are the root
-    images under inverses (``inv_images``), reflection-multiplication
-    tables and what other modules derive from the table (``per_table``).
+    reflection, and ``root_of_reflection`` back.  The build records only
+    this index data: ``elements[a]`` is built on first access (see
+    ``_Elements``), and so are the root images under inverses
+    (``inv_images``), reflection-multiplication tables and what other
+    modules derive from the table (``per_table``).
     """
 
     def __init__(self, rs: RootSystem):
@@ -301,6 +293,7 @@ class GroupTable:
         self.reflections = [
             self.idx(reflection(rs, a)) for a in range(len(rs.positive_roots))
         ]
+        self.root_of_reflection = {r: a for a, r in enumerate(self.reflections)}
         self._refl_mult: dict[int, list[int]] = {}
         self._inv_images: list[tuple[int, ...]] | None = None
         self._derived: dict = {}  # per_table: build -> build(self)

@@ -9,7 +9,7 @@ from adlv.affine import (
     AffineElt,
     affine_length,
     descent_left,
-    lower_interval,
+    lower_union,
     simple_affine,
 )
 from adlv.cover import CocoverRecord, CoverResult, cover_depth_threshold
@@ -21,6 +21,21 @@ from adlv.weyl import WeylElt, identity_elt, per_table, reflection, simple_refle
 def simple_root(rs, i: int) -> tuple[int, ...]:
     """The i-th simple root in root coordinates."""
     return tuple(1 if j == i else 0 for j in range(rs.rank))
+
+
+def from_word(rs, word) -> WeylElt:
+    """Product of simple reflections (0-based indices)."""
+    w = identity_elt(rs)
+    for i in word:
+        w = w.mul(simple_reflection(rs, i))
+    return w
+
+
+def pair_root_coroot(rs, root, coroot) -> int:
+    """<beta, gamma_check> for a root and a coroot, via the Cartan matrix:
+    the oracle for ``RootSystem.coroot_columns``."""
+    n = rs.rank
+    return sum(root[i] * coroot[j] * rs.cartan[j][i] for i in range(n) for j in range(n))
 
 
 def quantum_roots_by_classification(rs) -> list[tuple[int, ...]]:
@@ -78,13 +93,13 @@ def leq_idx(table, a: int, b: int) -> bool:
 
 
 def adm_set_by_intervals(mu, budget: int = DEFAULT_ADM_BUDGET) -> frozenset:
-    """The admissible set as the literal union of ``lower_interval`` over
+    """The admissible set as the literal union of ``lower_union`` over
     the translations by the Weyl orbit of mu, one engine per orbit point:
     the oracle for the merged engine of ``adm_set``."""
     rs = mu.rs
     members = set()
     for pt in _orbit(rs, mu.int_pairing()):
-        members |= lower_interval(AffineElt(rs, pt, identity_elt(rs)), budget).members
+        members |= lower_union([AffineElt(rs, pt, identity_elt(rs))], budget)
     return frozenset(members)
 
 

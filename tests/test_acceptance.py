@@ -31,7 +31,7 @@ from adlv.affine import (
     demazure_rtri,
     demazure_star,
     embed,
-    lower_interval,
+    lower_union,
     simple_affine,
 )
 from adlv.cascade import cascade_r, compare_wt_r, dp, dp_all, ell_red, ell_red_all
@@ -45,16 +45,15 @@ from adlv.qbg import (
     w0_rqrd_exhibit,
     wt_w0_closed_form,
 )
-from adlv.rootsys import build_root_system, coweight, pair_root_coroot
+from adlv.rootsys import build_root_system, coweight
 from adlv.weyl import (
     enumerate_group,
-    from_word,
     identity_elt,
     longest_element,
     reflection_length,
 )
 
-from oracles import bruhat_leq_affine, bruhat_masks
+from oracles import bruhat_leq_affine, bruhat_masks, from_word, pair_root_coroot
 
 GOLDEN = Path(__file__).resolve().parents[1] / "src" / "adlv" / "golden"
 
@@ -404,14 +403,14 @@ def test_criterion_06_demazure_oracles():
 
     a1 = build_root_system("A", 1)
     b1 = ball(a1, 8)
-    lows1 = {w: lower_interval(w, 40).members for w in b1}
+    lows1 = {w: lower_union([w], 40) for w in b1}
     pairs1 = [(x, y) for x in b1 for y in b1]
     affine_pairs += len(pairs1)
     affine_bad += check_affine(a1, pairs1, lows1)
 
     a2 = build_root_system("A", 2)
     b2 = ball(a2, 8)
-    lows2 = {w: lower_interval(w, 40).members for w in b2}
+    lows2 = {w: lower_union([w], 40) for w in b2}
     pairs2 = [
         (x, y) for x in b2 for y in b2 if b2[x] + b2[y] <= 8
     ]

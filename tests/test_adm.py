@@ -14,12 +14,10 @@ from adlv.adm import (
     BInvariants,
     adm_membership_char,
     adm_set,
-    adm_summary,
     d_adm,
     d_adm_brute,
     dim_X_formula,
     eta,
-    membership_depth_ok,
     min_dgamma,
     product_set,
     virtual_dim,
@@ -106,10 +104,13 @@ def test_product_set_is_the_literal_product(ct, mu, nu):
 
 
 def test_membership_depth_gate(a2, g2):
-    assert membership_depth_ok(coweight(a2, (3, 3)))
-    assert not membership_depth_ok(coweight(a2, (2, 3)))
-    assert membership_depth_ok(coweight(g2, (6, 6)))
-    assert not membership_depth_ok(coweight(g2, (5, 6)))
+    """The depth clause of the membership regime: depth(mu) must reach the
+    type's threshold c, 3 in A2 and 6 in G2."""
+    for rs, c, mu, below in ((a2, 3, (3, 3), False), (a2, 3, (2, 3), True),
+                             (g2, 6, (6, 6), False), (g2, 6, (5, 6), True)):
+        e, m = identity_elt(rs), coweight(rs, mu)
+        reason = adm_membership_char(e, m, e, m).reason
+        assert (f"depth(mu) < {c}" in reason) is below, (rs, mu)
 
 
 def test_membership_char_vs_enumeration(a2):
@@ -232,11 +233,3 @@ def test_b_invariants_validation(a2):
     with pytest.raises(RefusalError):
         BInvariants(coweight(a2, (0, 0)), -1)
 
-
-def test_adm_summary_shape(a2):
-    rep = adm_summary(coweight(a2, (2, 2)), b0(a2))
-    assert rep["mu"] == [2, 2]
-    assert rep["size_of_adm"] == 85
-    assert rep["d_adm"] == "5"
-    assert rep["d_adm_status"] == "ok"
-    assert rep["dim_formula"] == "5"

@@ -22,16 +22,15 @@ from adlv.cascade import (
     orthogonal_decompositions,
 )
 from adlv.qbg import build_qbg
-from adlv.rootsys import build_root_system, pair_root_coroot
+from adlv.rootsys import build_root_system
 from adlv.weyl import (
     enumerate_group,
-    from_word,
     longest_element,
     reflection_length,
     word_str,
 )
 
-from oracles import act_coroot
+from oracles import act_coroot, from_word, pair_root_coroot
 
 # ---------------------------------------------------------------------------
 # involutions enumeration

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from adlv import affine, cli, weyl
+from adlv import affine, cli
 from adlv.cli import (
     ALL_TABLE_RANKS,
     RunConfig,
@@ -241,6 +241,8 @@ def test_query_finite_only_ops_refuse_translations(capsys):
           "--seed", "5", "len s1"], "unrecognized arguments: --format"),
         (["tables", "--budget", "7", "--seed", "3"],
          "unrecognized arguments: --budget 7 --seed 3"),
+        # the group cap is the library's alone
+        (["verify", "qbg", "--cap", "5"], "unrecognized arguments: --cap 5"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, fragment):
@@ -249,17 +251,13 @@ def test_usage_errors_exit_2(capsys, argv, fragment):
 
 
 def test_cap_and_budget_defaults_are_the_library_constants(monkeypatch):
-    """--cap and --budget default to ``weyl.GROUP_CAP`` and
-    ``affine.DEFAULT_INTERVAL_BUDGET``, read when the command runs, so the
-    command line restates neither."""
-    for cap, budget in ((weyl.GROUP_CAP, affine.DEFAULT_INTERVAL_BUDGET), (7, 3)):
-        monkeypatch.setattr(weyl, "GROUP_CAP", cap)
+    """--budget defaults to ``affine.DEFAULT_INTERVAL_BUDGET``, read when
+    the command runs, so the command line does not restate it."""
+    for budget in (affine.DEFAULT_INTERVAL_BUDGET, 3):
         monkeypatch.setattr(affine, "DEFAULT_INTERVAL_BUDGET", budget)
-        for argv in (["tables"], ["query", "len s1"], ["verify", "adm"]):
-            args = cli._build_parser().parse_args(argv)
-            assert args.group_cap == cap
-            assert getattr(args, "interval_budget", budget) == budget
-        assert (RunConfig().group_cap, RunConfig().interval_budget) == (cap, budget)
+        for argv in (["query", "len s1"], ["verify", "adm"]):
+            assert cli._build_parser().parse_args(argv).interval_budget == budget
+        assert RunConfig().interval_budget == budget
 
 
 def test_budget_errors_exit_3(capsys):
@@ -268,26 +266,27 @@ def test_budget_errors_exit_3(capsys):
     )
     assert code == 3
     assert "budget exceeded" in capsys.readouterr().err
-    code = main(["verify", "qbg", "--type", "A", "--rank", "2", "--cap", "1"])
-    assert code == 3
-    # every query operator that enumerates W honours --cap
-    for expr in ("nu s1", "wt w0", "elldown s1", "dp s1", "ellred s1",
-                 "cascade s1", "admsize [1,1]"):
-        argv = ["query", "--type", "A", "--rank", "2", "--cap", "1", expr]
+    # the library's group cap refuses E7 (2903040 elements) wherever W is
+    # enumerated, and its graph cap refuses E7 and A8 (9! elements) before
+    # any enumeration
+    assert main(["verify", "cover", "--type", "E", "--rank", "7"]) == 3
+    assert "exceeding the cap of 1000000" in capsys.readouterr().err
+    for expr in ("nu s1", "dp s1", "ellred s1", "admsize [0,0,0,0,0,0,1]"):
+        argv = ["query", "--type", "E", "--rank", "7", expr]
         assert main(argv) == 3, expr
-        assert "exceeds --cap" in capsys.readouterr().err
-    # the graph has its own cap, which --cap does not raise: A8 has 9!
-    # elements, and the refusal names the graph cap before any enumeration
-    for expr in ("wt w0", "elldown s1"):
-        argv = ["query", "--type", "A", "--rank", "8", "--cap", "1000000", expr]
-        assert main(argv) == 3, expr
-        assert "graph cap of 100000" in capsys.readouterr().err
+        assert "exceeding the cap of 1000000" in capsys.readouterr().err
+    for ct, rank in (("E", 7), ("A", 8)):
+        for expr in ("wt w0", "elldown s1"):
+            argv = ["query", "--type", ct, "--rank", str(rank), expr]
+            assert main(argv) == 3, expr
+            assert "graph cap of 100000" in capsys.readouterr().err
     # nu with neither route available: too long to sweep, below threshold
     argv = ["query", "--type", "A", "--rank", "2", "--budget", "1", "nu s1 s2"]
     assert main(argv) == 3
-    # len and eta do not enumerate W, so they run at any cap
-    for ct, rank, expr in (("A", 2, "eta s1"), ("E", 8, "len s0")):
-        argv = ["query", "--type", ct, "--rank", str(rank), "--cap", "1", expr]
+    # len, eta and cascade build no table, so they run above the caps
+    for ct, rank, expr in (("E", 7, "cascade s1"), ("E", 7, "eta s1"),
+                           ("E", 8, "len s0")):
+        argv = ["query", "--type", ct, "--rank", str(rank), expr]
         assert main(argv) == 0, expr
 
 
@@ -430,7 +429,7 @@ def _python_O(*args):
 
 
 def test_refusals_survive_python_O():
-    """The --cap refusal, the integrality, coordinate-count and
+    """The --budget refusal, the integrality, coordinate-count and
     root-system checks on an affine element's parts, the coordinate count
     of a coweight, the root-system check on finite and affine products, on
     coweight sums, differences and dominance and on a group-table lookup,
@@ -441,8 +440,8 @@ def test_refusals_survive_python_O():
     def run(*args):
         return _python_O("-m", "adlv.cli", *args)
 
-    res = run("tables", "--cap", "0")
-    assert res.returncode == 2 and "--cap" in res.stderr
+    res = run("query", "--type", "A", "--rank", "2", "--budget", "0", "len s1")
+    assert res.returncode == 2 and "--budget must be positive" in res.stderr
     res = run("verify", "newton", "--type", "A", "--rank", "2")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["passed"] is True
@@ -475,12 +474,13 @@ from adlv.affine import AffineElt, embed
 from adlv.errors import RefusalError
 from adlv.qbg import build_qbg
 from adlv.rootsys import build_root_system, coweight, dominance_leq
-from adlv.weyl import enumerate_group, from_word, identity_elt
+from adlv.weyl import enumerate_group, identity_elt, simple_reflection
 
 a2, b2 = build_root_system("A", 2), build_root_system("B", 2)
 g2 = build_root_system("G", 2)
 e = identity_elt(a2)
-s2s1s2 = from_word(b2, (1, 0, 1))
+s1, s2 = simple_reflection(b2, 0), simple_reflection(b2, 1)
+s2s1s2 = s2.mul(s1).mul(s2)
 for check in (
     lambda: AffineElt(a2, (Fraction(1, 2), 0), e),
     lambda: AffineElt(a2, (True, 0), e),

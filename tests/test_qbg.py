@@ -17,7 +17,6 @@ from adlv.rootsys import (
     coweight,
     coweight_from_coroot,
     dominance_leq,
-    pair_root_coroot,
 )
 from adlv.weyl import enumerate_group, longest_element
 from adlv.qbg import (
@@ -31,7 +30,7 @@ from adlv.qbg import (
     wt_w0_closed_form,
 )
 
-from oracles import leq_idx
+from oracles import leq_idx, pair_root_coroot
 
 UNIQ = [("A", 2), ("B", 2), ("G", 2)]
 ORACLE_SCOPE = UNIQ + [("A", 3), ("B", 3), ("C", 3)]

@@ -11,9 +11,8 @@ from adlv._matrix import mat_inv
 from adlv.adm import adm_membership_char, adm_set
 from adlv.cover import predicted_cocovers
 from adlv.errors import RefusalError
-from adlv.newton import reduce_to_dominant
 from adlv.rootsys import (
-    VALID_RANKS,
+    TYPE_TABLE,
     _dominantize,
     build_root_system,
     coweight,
@@ -21,14 +20,12 @@ from adlv.rootsys import (
     depth,
     dominance_leq,
     dominant_rep,
-    pair_root_coroot,
     pairing,
-    quantum_roots,
     root_leq,
 )
 from adlv.weyl import identity_elt
 
-from oracles import quantum_roots_by_classification, simple_root
+from oracles import pair_root_coroot, quantum_roots_by_classification, simple_root
 
 ALL_SMALL = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -66,8 +63,8 @@ def test_invalid_types_rejected():
                   ("G", 3), ("H", 2)]:
         with pytest.raises(ValueError):
             build_root_system(ct, n)
-        if ct in VALID_RANKS:
-            assert not VALID_RANKS[ct](n)
+        if ct in TYPE_TABLE:
+            assert not TYPE_TABLE[ct].valid(n)
 
 
 def test_one_root_system_per_type_and_rank():
@@ -144,14 +141,16 @@ def test_derived_root_data(ct, n):
 
 @pytest.mark.parametrize("ct,n", ALL_SMALL)
 def test_quantum_roots_two_routes(ct, n):
-    """Length criterion vs the long/short-support classification."""
+    """Length criterion (``quantum_flags``) vs the long/short-support
+    classification."""
     rs = build_root_system(ct, n)
-    assert quantum_roots(rs) == quantum_roots_by_classification(rs)
+    flagged = [r for r, q in zip(rs.positive_roots, rs.quantum_flags) if q]
+    assert flagged == quantum_roots_by_classification(rs)
 
 
 def test_quantum_roots_simply_laced_all(a2, a3):
     for rs in (a2, a3):
-        assert len(quantum_roots(rs)) == len(rs.positive_roots)
+        assert all(rs.quantum_flags)
 
 
 def test_coweight_lattice_tags(a2):
@@ -204,11 +203,10 @@ def test_coweight_lattice_matches_fraction_path(ct, n):
     "call",
     [
         lambda e, lam: predicted_cocovers(e, lam, e),
-        lambda e, lam: reduce_to_dominant(e, lam, e),
         lambda e, lam: adm_membership_char(e, lam, e, lam),
         lambda e, lam: adm_set(lam),
     ],
-    ids=["predicted_cocovers", "reduce_to_dominant", "adm_membership_char",
+    ids=["predicted_cocovers", "adm_membership_char",
          "adm_set"],
 )
 def test_non_integral_coweight_refused(a2, call):

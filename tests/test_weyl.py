@@ -13,7 +13,6 @@ from adlv import cascade, newton, qbg, weyl
 from adlv.rootsys import WEYL_ORDER, build_root_system
 from adlv.weyl import (
     enumerate_group,
-    from_word,
     longest_element,
     reflection,
     reflection_length,
@@ -21,7 +20,7 @@ from adlv.weyl import (
     word_str,
 )
 
-from oracles import act_coroot, bruhat_leq, leq_idx
+from oracles import act_coroot, bruhat_leq, from_word, leq_idx
 
 SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("D", 4)]
 
