@@ -13,17 +13,6 @@ from typing import Sequence
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple([sum(map(mul, row, col)) for col in bt]) for row in a
-    )
-
-
 def mat_vec(a: Matrix, v: Sequence) -> tuple:
     return tuple([sum(map(mul, row, v)) for row in a])
 
@@ -70,7 +59,3 @@ def mat_rank(a: Sequence[Sequence[int]]) -> int:
         if rank == len(rows):
             break
     return rank
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))

@@ -12,16 +12,16 @@ arithmetic: for each positive root alpha the contribution is
 |<alpha, lambda>| when x^-1 alpha > 0 and |<alpha, lambda> - 1| otherwise.
 
 Lengths, descents and cocovers read the signs and heights of x^-1 alpha
-from ``WeylElt.inv_images`` (lengths through its 0/1 form
-``WeylElt.neg_mask``), and products of finite parts go through
-``WeylElt.mul``: both are table lookups when the finite group has a cached
-``GroupTable`` (``enumerate_group`` builds one; nothing here does), and
-fall back to the integer matrices otherwise (E7, E8, or any group not yet
-enumerated).  Translation parts move by ``WeylElt.act_pairing``, on the
-columns of x^-1 cached on the finite part, so with a table they are
-transposed once per index.  Products, inverses, cocover candidates and
-interval members are built by ``_affine``, which skips the refusals of the
-public constructor: their parts come from elements that passed them.
+from the finite part's row of root images ``WeylElt.inv_images`` (lengths
+through its 0/1 form ``WeylElt.neg_mask``), and products of finite parts
+go through ``WeylElt.mul``: a table lookup when the finite group has a
+cached ``GroupTable`` (``enumerate_group`` builds one; nothing here does),
+else a composition of rows (E7, E8, or any group not yet enumerated).
+Translation parts move by ``WeylElt.act_pairing``, on the roots
+x^-1(alpha_k) cached on the finite part, so with a table they are read once
+per index.  Products, inverses, cocover candidates and interval members are
+built by ``_affine``, which skips the refusals of the public constructor:
+their parts come from elements that passed them.
 
 Lower intervals, and their unions over tops that share tau (admissible
 sets), come from one ``IntervalEngine`` started at tau: its subword dynamic
@@ -135,8 +135,8 @@ class AffineElt:
         )
 
     def __hash__(self) -> int:
-        # the finite part's hash is its cached hash of r, so this is
-        # hash((lam, fin.r)) without hashing r again
+        # the finite part's hash is its cached hash of its row, so this
+        # is hash((lam, fin.imgs)) without hashing the row again
         if self._hash is None:
             self._hash = hash((self.lam, self.fin))
         return self._hash

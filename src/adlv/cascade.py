@@ -41,14 +41,10 @@ def _require_involution(x: WeylElt) -> None:
 
 
 def minus_one_roots(x: WeylElt) -> list[Root]:
-    """Positive roots negated by the involution x."""
+    """Positive roots negated by the involution x (x = x^-1, so its row
+    of root images holds ~c at c)."""
     _require_involution(x)
-    rs = x.rs
-    return [
-        beta
-        for beta in rs.positive_roots
-        if x.act_root(beta) == tuple(-c for c in beta)
-    ]
+    return [beta for c, beta in enumerate(x.rs.positive_roots) if x.imgs[c] == ~c]
 
 
 def involutions(rs: RootSystem) -> list[WeylElt]:

@@ -5,8 +5,8 @@ Three subcommands:
 
 ``adlv tables``
     Emit the bound/weight tables (S, M-tilde, Xi, reflection length of w0,
-    and the closed-form wt(w0) coefficients), optionally restricted by
-    --type/--rank, as json, csv, or markdown.  Small groups also carry
+    and the closed-form wt(w0) coefficients) for every type or one --type
+    (and --rank), as json, csv, or markdown.  Small groups also carry
     brute-force cross-check columns.
 
 ``adlv query``
@@ -19,7 +19,9 @@ Three subcommands:
 
 ``adlv verify``
     Run a named suite (tables, qbg, newton, cover, adm, cascade) and write
-    a json report; exit code 0 iff the suite passes.
+    a json report; exit code 0 iff the suite passes.  The other suites run
+    on one group (A2 with no --type), and adm exits 3 when it would check
+    nothing.
 
 Type and rank are checked against the per-type table in ``adlv.rootsys``.
 A command that enumerates the finite Weyl group stops at the library's
@@ -129,6 +131,8 @@ def table_rows(config: RunConfig) -> list[dict]:
     coefficient vector; with ``with_brute`` set, small groups also carry
     brute-force companion columns."""
     if config.cartan_type in (None, "all"):
+        if config.rank is not None:
+            raise QueryError("--rank needs a single --type")
         scope = [(ct, n) for ct, ns in ALL_TABLE_RANKS.items() for n in ns]
     else:
         ct = check_type(config.cartan_type, config.rank)
@@ -427,25 +431,26 @@ def _suite_cover(config: RunConfig, rs) -> tuple[int, list, dict]:
 
 
 def _suite_adm(config: RunConfig, rs) -> tuple[int, list, dict]:
-    n = rs.rank
-    cases, failures = 0, []
+    n, budget = rs.rank, config.interval_budget
+    cases, failures = 1, []  # the d_adm check always runs
     ones = coweight(rs, (1,) * n)
     lt = pairing(rs, rs.two_rho, ones)
+    if lt > budget:
+        raise BudgetError(
+            f"<2 rho, (1, ..., 1)> = {lt} exceeds the budget {budget}, so "
+            "the adm suite would check nothing"
+        )
     # additivity at the smallest regular lattice point, budget permitting
-    if 2 * lt <= config.interval_budget:
-        A1 = adm_set(ones, budget=config.interval_budget)
-        A2 = adm_set(ones + ones, budget=config.interval_budget)
+    if 2 * lt <= budget:
+        A1 = adm_set(ones, budget=budget)
+        A2 = adm_set(ones + ones, budget=budget)
         cases += 1
         if product_set(A1, A1) != A2.members:
             failures.append({"check": "additivity", "mu": [1] * n})
     # closed form vs exhaustive max of the virtual dimension
-    if lt <= config.interval_budget:
-        b0 = BInvariants(coweight(rs, (0,) * n), 0)
-        cases += 1
-        if d_adm(ones, b0).value != d_adm_brute(
-            ones, b0, budget=config.interval_budget
-        ):
-            failures.append({"check": "d_adm-vs-brute", "mu": [1] * n})
+    b0 = BInvariants(coweight(rs, (0,) * n), 0)
+    if d_adm(ones, b0).value != d_adm_brute(ones, b0, budget=budget):
+        failures.append({"check": "d_adm-vs-brute", "mu": [1] * n})
     return cases, failures, {}
 
 
@@ -480,11 +485,12 @@ def run_suite(config: RunConfig, suite: str) -> dict:
     t0 = time.perf_counter()
     if suite == "tables":
         ct, n, rs = config.cartan_type or "all", config.rank, None
+    elif config.cartan_type == "all":
+        raise QueryError(f"--type all is for tables only, not the {suite} suite")
     else:
         # the other suites default to A2
         rs = build_root_system(
-            "A" if config.cartan_type in (None, "all") else config.cartan_type,
-            2 if config.rank is None else config.rank,
+            config.cartan_type or "A", 2 if config.rank is None else config.rank
         )
         ct, n = rs.cartan_type, rs.rank
     cases, failures, extras = _SUITES[suite](config, rs)

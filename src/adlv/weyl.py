@@ -1,24 +1,27 @@
-"""Finite Weyl group elements as exact integer matrices.
+"""Finite Weyl group elements as signed root permutations.
 
-An element carries two integer matrices: its action on root coordinates and
-the inverse action.  Carrying the inverse makes inversion free and gives
-O(n^2) access to both "how does w move this root" and "which root maps onto
-this one".  The coroot action is derived from the root action through the
-symmetrizer.
+An element x is the row ``imgs`` of x^-1(beta) over the positive roots
+beta, each a signed root index: c for the c-th positive root, ~c for its
+negative.  It is the row ``GroupTable.inv_images`` stores, and all the
+arithmetic runs on it: a product composes two rows
+((xy)^-1 beta = y^-1(x^-1 beta)), an inverse inverts the permutation, the
+length counts negative entries, a left descent is one entry and a right
+descent one scan.  The pairing action reads the roots x^-1(alpha_k), and
+the root action, the rho_check key of a table index and the reflection
+length (the rank of x - 1) read the forward images x(alpha_j).
+Reflections are built from root data.
 
 While W has a cached ``GroupTable`` (only ``enumerate_group`` builds one),
-an element carries its table index, and products, inverses and the root
-images under the inverse (hence lengths) are table lookups; the matrix
-products serve groups with no cached table.  An element caches the columns
-of its inverse matrix (the pairing action) and its descent mask, so on the
-shared table elements both are per-index tables.  A table element's matrices are
-built on first access, from its word-prefix parent, so building a table (and
-the quantum Bruhat graph on it) multiplies no matrices.  Reflection length is
-the rank of (action - id) on the reflection representation.  Whatever is
-derived from a table (the quantum Bruhat graph, the Newton averaging sums,
-dp, ell_red) is kept on that table by ``per_table``, so it lives exactly as
-long as the table's cache entry.  ``enumerate_group`` refuses a group above
-``GROUP_CAP`` elements.
+products and inverses are table lookups that hand out the shared table
+elements, whose lengths, pairing roots and descent masks are cached once
+per index; groups with no cached table (E7, E8, or any group not yet
+enumerated) compose rows.  A table element and its row are built on first
+access, from its word-prefix parent, so building a table (and the quantum
+Bruhat graph on it) builds no table element.  Whatever is derived from a table
+(the quantum Bruhat graph, the Newton averaging sums, dp, ell_red) is kept
+on that table by ``per_table``, so it lives exactly as long as the table's
+cache entry.  ``enumerate_group`` refuses a group above ``GROUP_CAP``
+elements.
 
 >>> from adlv.rootsys import build_root_system
 >>> rs = build_root_system("A", 2)
@@ -33,9 +36,9 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Sequence
 
-from ._matrix import identity, mat_mul, mat_rank, mat_sub, mat_vec
+from ._matrix import mat_rank
 from .errors import BudgetError, InvariantError, RefusalError
-from .rootsys import RootSystem, WEYL_ORDER, _sign
+from .rootsys import RootSystem, WEYL_ORDER
 
 __all__ = [
     "WeylElt",
@@ -58,16 +61,15 @@ GROUP_CAP = 10**6
 class WeylElt:
     """A finite Weyl group element; build via the module constructors."""
 
-    __slots__ = ("rs", "r", "ri", "_len", "_hash", "_idx", "_cols", "_mask")
+    __slots__ = ("rs", "imgs", "_len", "_hash", "_idx", "_cols", "_mask")
 
-    def __init__(self, rs: RootSystem, r, ri):
+    def __init__(self, rs: RootSystem, imgs: tuple[int, ...]):
         self.rs = rs
-        self.r = r      # action on root coordinates; column j is w(alpha_j)
-        self.ri = ri
+        self.imgs = imgs  # x^-1(beta) per positive root beta, signed index
         self._len = None
         self._hash = None
         self._idx = None  # table index: the same in every table of rs
-        self._cols = None  # columns of ri, for act_pairing
+        self._cols = None  # root coordinates of x^-1(alpha_k), for act_pairing
         self._mask = None  # neg_mask()
 
     # -- group operations -------------------------------------------------
@@ -80,65 +82,67 @@ class WeylElt:
         if tab is not None:
             k = tab.prod_idx(tab.idx(self), tab.idx(other))
             return tab.elements._slots[k] or tab.elements[k]
-        return WeylElt(
-            rs, mat_mul(self.r, other.r), mat_mul(other.ri, self.ri)
-        )
+        # (xy)^-1 beta = y^-1(x^-1 beta)
+        return WeylElt(rs, tuple(map(_signed(other.imgs).__getitem__, self.imgs)))
 
     def inv(self) -> "WeylElt":
         tab = _TABLES.get(self.rs)
         if tab is not None:
             k = tab.inv_idx(tab.idx(self))
             return tab.elements._slots[k] or tab.elements[k]
-        return WeylElt(self.rs, self.ri, self.r)
+        return WeylElt(self.rs, _inverse(self.imgs))
 
     # -- actions ----------------------------------------------------------
 
     def act_root(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        return mat_vec(self.r, coeffs)
+        return tuple([sum(map(mul, col, coeffs)) for col in zip(*self._forward())])
 
     def inv_images(self) -> tuple[int, ...]:
         """x^-1(beta) for each positive root beta, as a signed root index:
-        c for the c-th positive root, ~c for its negative.  Read from the
-        cached group table when there is one, else from the matrix."""
-        rs = self.rs
-        tab = _TABLES.get(rs)
-        if tab is not None:
-            return tab.inv_images()[tab.idx(self)]
-        return _signed_images(rs, self.ri)
+        c for the c-th positive root, ~c for its negative."""
+        return self.imgs
 
     def neg_mask(self) -> tuple[int, ...]:
         """1 where x^-1(beta) < 0 and 0 where it is positive, over the
         positive roots beta (cached on the element)."""
         if self._mask is None:
-            self._mask = tuple([1 if c < 0 else 0 for c in self.inv_images()])
+            self._mask = tuple([1 if c < 0 else 0 for c in self.imgs])
         return self._mask
 
     def act_pairing(self, p: Sequence) -> tuple:
-        # <alpha_k, w lambda> = <w^-1 alpha_k, lambda>; column k of ri holds
-        # the root coordinates of w^-1 alpha_k.  The columns are cached on
-        # the element, so a table element transposes once per index.
+        # <alpha_k, w lambda> = <w^-1 alpha_k, lambda>.  The root
+        # coordinates of w^-1 alpha_k are cached on the element, so a table
+        # element reads them once per index.
         cols = self._cols
         if cols is None:
-            cols = self._cols = tuple(zip(*self.ri))
+            roots, imgs = self.rs.signed_roots, self.imgs
+            cols = self._cols = tuple([roots[imgs[a]] for a in self.rs.letter_roots[1:]])
         return tuple([sum(map(mul, col, p)) for col in cols])
+
+    def _forward(self) -> list[tuple[int, ...]]:
+        """The root coordinates of x(alpha_j) for each simple root: their
+        heights are the rho_check key of ``GroupTable.index``."""
+        roots, fwd = self.rs.signed_roots, _inverse(self.imgs)
+        return [roots[fwd[a]] for a in self.rs.letter_roots[1:]]
 
     # -- length and descents ----------------------------------------------
 
     def length(self) -> int:
         if self._len is None:
-            self._len = sum(c < 0 for c in self.inv_images())
+            self._len = sum(c < 0 for c in self.imgs)
         return self._len
 
     def is_identity(self) -> bool:
-        return self.r == _id_mat(self.rs)
+        return not self.length()
 
     def descent_right(self, i: int) -> bool:
-        """ell(w s_i) < ell(w), i.e. w(alpha_i) < 0 (i is 0-based)."""
-        return _sign(tuple(row[i] for row in self.r)) < 0
+        """ell(w s_i) < ell(w), i.e. w(alpha_i) < 0 (i is 0-based): some
+        positive root has image -alpha_i under w^-1."""
+        return ~self.rs.letter_roots[i + 1] in self.imgs
 
     def descent_left(self, i: int) -> bool:
         """ell(s_i w) < ell(w), i.e. w^-1(alpha_i) < 0."""
-        return _sign(tuple(row[i] for row in self.ri)) < 0
+        return self.imgs[self.rs.letter_roots[i + 1]] < 0
 
     def to_word(self) -> tuple[int, ...]:
         """Lexicographically least reduced word (0-based generator indices)."""
@@ -157,16 +161,35 @@ class WeylElt:
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElt) and self.r == other.r and self.rs is other.rs
+        return (isinstance(other, WeylElt) and self.imgs == other.imgs
+                and self.rs is other.rs)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.r)
+            self._hash = hash(self.imgs)
         return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         w = self.to_word()
         return "WeylElt(e)" if not w else f"WeylElt({word_str(w)})"
+
+
+def _signed(imgs: tuple[int, ...]) -> tuple[int, ...]:
+    """A row extended to every signed root index: entry c as given, and
+    entry ~c, read from the end, its negative."""
+    return imgs + tuple([~c for c in reversed(imgs)])
+
+
+def _inverse(imgs: tuple[int, ...]) -> tuple[int, ...]:
+    """The row of x from the row of x^-1: x^-1(beta_c) = +-beta_s means
+    x(beta_s) = +-beta_c."""
+    out = [0] * len(imgs)
+    for c, s in enumerate(imgs):
+        if s < 0:
+            out[~s] = ~c
+        else:
+            out[s] = c
+    return tuple(out)
 
 
 def word_str(word: Iterable[int]) -> str:
@@ -178,26 +201,14 @@ def word_str(word: Iterable[int]) -> str:
 
 
 @lru_cache(maxsize=None)
-def _id_mat(rs: RootSystem):
-    return identity(rs.rank)
-
-
-@lru_cache(maxsize=None)
 def identity_elt(rs: RootSystem) -> WeylElt:
-    e = _id_mat(rs)
-    return WeylElt(rs, e, e)
+    return WeylElt(rs, tuple(range(len(rs.positive_roots))))
 
 
 @lru_cache(maxsize=None)
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
     """s_i for 0-based simple index i."""
-    n = rs.rank
-    C = rs.cartan
-    r = tuple(
-        tuple((1 if k == j else 0) - (C[i][j] if k == i else 0) for j in range(n))
-        for k in range(n)
-    )
-    return WeylElt(rs, r, r)
+    return _reflection_by_index(rs, rs.letter_roots[i + 1])
 
 
 def reflection(rs: RootSystem, root) -> WeylElt:
@@ -208,14 +219,15 @@ def reflection(rs: RootSystem, root) -> WeylElt:
 
 @lru_cache(maxsize=None)
 def _reflection_by_index(rs: RootSystem, a: int) -> WeylElt:
-    beta = rs.positive_roots[a]
-    prc = rs.coroot_pairings[a]  # <alpha_j, beta_check>
-    n = rs.rank
-    r = tuple(
-        tuple((1 if k == j else 0) - prc[j] * beta[k] for j in range(n))
-        for k in range(n)
-    )
-    return WeylElt(rs, r, r)
+    """s_beta gamma = gamma - <gamma, beta_check> beta over the positive
+    roots gamma; s_beta is an involution, so these are also the images
+    under its inverse."""
+    beta, idx = rs.positive_roots[a], rs.root_index  # positive roots only
+    imgs = []
+    for gamma, k in zip(rs.positive_roots, rs.coroot_columns[a]):
+        v = tuple([g - k * b for g, b in zip(gamma, beta)])
+        imgs.append(idx[v] if v in idx else ~idx[tuple([-c for c in v])])
+    return WeylElt(rs, tuple(imgs))
 
 
 @lru_cache(maxsize=None)
@@ -234,8 +246,10 @@ def longest_element(rs: RootSystem) -> WeylElt:
 def reflection_length(x: WeylElt) -> int:
     """Least number of reflections multiplying to x: the rank of (x - 1) on
     the reflection representation (the same on root and coroot
-    coordinates)."""
-    return mat_rank(mat_sub(x.r, _id_mat(x.rs)))
+    coordinates).  Row j of its transpose is x(alpha_j) - alpha_j."""
+    return mat_rank([
+        [c - (k == j) for k, c in enumerate(v)] for j, v in enumerate(x._forward())
+    ])
 
 
 class GroupTable:
@@ -250,10 +264,10 @@ class GroupTable:
     ``inv_idx``, ``rmult_root``) is a fold of ``rmult`` along ``words``.
     ``reflections`` maps a positive root index to the index of its
     reflection, and ``root_of_reflection`` back.  The build records only
-    this index data: ``elements[a]`` is built on first access (see
-    ``_Elements``), and so are the root images under inverses
-    (``inv_images``), reflection-multiplication tables and what other
-    modules derive from the table (``per_table``).
+    this index data: each element's row of root images (``inv_images``)
+    and the element holding it are built on first access (see
+    ``_Elements``), and so are reflection-multiplication tables and what
+    other modules derive from the table (``per_table``).
     """
 
     def __init__(self, rs: RootSystem):
@@ -290,8 +304,10 @@ class GroupTable:
         self.index = index
         self.lengths = [len(w) for w in words]
         self.rmult = rmult
+        # the key of s_beta: ht(alpha_j - <alpha_j, beta_check> beta)
         self.reflections = [
-            self.idx(reflection(rs, a)) for a in range(len(rs.positive_roots))
+            index[tuple([1 - p * h for p in rs.coroot_pairings[a]])]
+            for a, h in enumerate(rs.heights)
         ]
         self.root_of_reflection = {r: a for a, r in enumerate(self.reflections)}
         self._refl_mult: dict[int, list[int]] = {}
@@ -307,7 +323,7 @@ class GroupTable:
             raise RefusalError("element and table of different root systems")
         a = x._idx
         if a is None:
-            a = x._idx = self.index[tuple(map(sum, zip(*x.r)))]
+            a = x._idx = self.index[tuple(map(sum, x._forward()))]
         return a
 
     def inv_idx(self, a: int) -> int:
@@ -345,38 +361,28 @@ class GroupTable:
         return tab
 
     def inv_images(self) -> list[tuple[int, ...]]:
-        """Per index, ``WeylElt.inv_images`` of its element: the signed
-        root indices of x^-1(beta) over the positive roots beta.  With
-        x = y s_i, x^-1(beta) = s_i(y^-1(beta)), so each row is the row of
-        the parent ``rmult[i][x]`` through the signed root permutation of
-        s_i; only the n simple reflections' matrices are read."""
+        """Per index, the row ``imgs`` of its element: the signed root
+        indices of x^-1(beta) over the positive roots beta."""
         if self._inv_images is None:
-            rs = self.rs
-            perms = []
-            for i in range(rs.rank):
-                # P[c] is s_i(beta_c); P[~c], read from the end, -s_i(beta_c)
-                pos = _signed_images(rs, simple_reflection(rs, i).r)
-                perms.append(pos + tuple(~p for p in reversed(pos)))
-            rows = [tuple(range(len(rs.positive_roots)))]
-            for a in range(1, len(self.elements)):
-                i = self.words[a][-1]
-                parent = rows[self.rmult[i][a]]
-                rows.append(tuple(map(perms[i].__getitem__, parent)))
-            self._inv_images = rows
+            elements = self.elements
+            for a in range(len(elements)):
+                elements._row(a)
+            self._inv_images = elements._rows
         return self._inv_images
 
 
 class _Elements(Sequence):
-    """A table's elements in index order, each built on first access: walk
-    up the word-prefix parents not yet built, then multiply back down by
-    simple reflections, checking that the rho_check key of each new matrix
-    is its own index."""
+    """A table's elements in index order, each built on first access from
+    its row (``_row``), checking that the row keys to its own index."""
 
     def __init__(self, rs: RootSystem, words, rmult, index):
         self._rs, self._words, self._rmult, self._index = rs, words, rmult, index
         e = identity_elt(rs)
         e._idx, e._len = 0, 0
         self._slots: list[WeylElt | None] = [e] + [None] * (len(words) - 1)
+        self._rows: list = [e.imgs] + [None] * (len(words) - 1)
+        # the row of s_i over every signed root index
+        self._perms = [_signed(simple_reflection(rs, i).imgs) for i in range(rs.rank)]
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -390,34 +396,32 @@ class _Elements(Sequence):
         x = self._slots[a]
         if x is not None:
             return x
-        slots, path, a = self._slots, [], range(len(self))[a]
-        for i in reversed(self._words[a]):
-            if slots[a] is not None:
-                break
-            path.append((a, i))
-            a = self._rmult[i][a]
-        else:  # the walk used the whole word: its base is the identity
-            a = 0
-        x = slots[a]
-        for b, i in reversed(path):
-            # mat_mul, not WeylElt.mul, which would come back here
-            g = simple_reflection(self._rs, i)
-            r = mat_mul(x.r, g.r)
-            if self._index.get(tuple(map(sum, zip(*r)))) != b:
-                raise InvariantError("table element's matrix keys to another index")
-            x = slots[b] = WeylElt(self._rs, r, mat_mul(g.ri, x.ri))
-            x._idx, x._len = b, len(self._words[b])
+        a = range(len(self))[a]
+        x = WeylElt(self._rs, self._row(a))
+        if self._index.get(tuple(map(sum, x._forward()))) != a:
+            raise InvariantError("table element's row keys to another index")
+        x._idx, x._len = a, len(self._words[a])
+        self._slots[a] = x
         return x
 
-
-def _signed_images(rs: RootSystem, m) -> tuple[int, ...]:
-    """m(beta) over the positive roots beta, for a matrix m acting on root
-    coordinates: c for the c-th positive root, ~c for its negative."""
-    idx = rs.root_index  # positive roots only
-    return tuple(
-        idx[v] if v in idx else ~idx[tuple(-c for c in v)]
-        for v in (mat_vec(m, root) for root in rs.positive_roots)
-    )
+    def _row(self, a: int) -> tuple[int, ...]:
+        """The row of element a.  With x = y s_i for the word-prefix parent
+        y, x^-1(beta) = s_i(y^-1(beta)): walk up the parents whose rows are
+        not yet known, at most one per letter, then map back down."""
+        rows, words, rmult = self._rows, self._words, self._rmult
+        path = []
+        for _ in words[a]:
+            if rows[a] is not None:
+                break
+            i = words[a][-1]
+            path.append((a, i))
+            a = rmult[i][a]
+        row = rows[a]
+        if row is None:
+            raise InvariantError("word-prefix parents do not reach the identity")
+        for b, i in reversed(path):
+            row = rows[b] = tuple(map(self._perms[i].__getitem__, row))
+        return row
 
 
 def per_table(build):

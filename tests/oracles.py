@@ -15,7 +15,14 @@ from adlv.affine import (
 from adlv.cover import CocoverRecord, CoverResult, cover_depth_threshold
 from adlv.newton import _averaging_data
 from adlv.rootsys import _dominantize, coweight_from_coroot, depth
-from adlv.weyl import WeylElt, identity_elt, per_table, reflection, simple_reflection
+from adlv.weyl import (
+    WeylElt,
+    enumerate_group,
+    identity_elt,
+    per_table,
+    reflection,
+    simple_reflection,
+)
 
 
 def simple_root(rs, i: int) -> tuple[int, ...]:
@@ -53,14 +60,26 @@ def quantum_roots_by_classification(rs) -> list[tuple[int, ...]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def word_matrix(rs, word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The action on root coordinates of s_{i_1} ... s_{i_l}, multiplied
+    out from the Cartan matrix: s_i alpha_j = alpha_j - C[i][j] alpha_i,
+    so right multiplication by s_i takes row[i] * C[i] off each row."""
+    m = [[int(k == j) for j in range(rs.rank)] for k in range(rs.rank)]
+    for i in word:
+        m = [[v - row[i] * c for v, c in zip(row, rs.cartan[i])] for row in m]
+    return tuple(map(tuple, m))
+
+
 def act_coroot(x: WeylElt, coeffs) -> tuple[int, ...]:
-    """x acting on a coweight in simple-coroot coordinates.  With
-    alpha_j_check = alpha_j / d_j the coroot action is D r D^-1, and every
-    entry r[k][j] d_k / d_j is an integer."""
+    """x acting on a coweight in simple-coroot coordinates, from the matrix
+    r of its table word.  With alpha_j_check = alpha_j / d_j the coroot
+    action is D r D^-1, and every entry r[k][j] d_k / d_j is an integer."""
+    table = enumerate_group(x.rs)
     d = x.rs.sym_d
     return tuple(
         sum(row[j] * d[k] // d[j] * coeffs[j] for j in range(len(d)))
-        for k, row in enumerate(x.r)
+        for k, row in enumerate(word_matrix(x.rs, table.words[table.idx(x)]))
     )
 
 
@@ -187,15 +206,17 @@ def cocovers_by_reflections(w: AffineElt) -> list:
 
 
 def averaging_data_matrices(table) -> list:
-    """Per element z: the sum of the pairing-action matrices ``ri`` of z^i
-    over i = 1..ord(z), row-major, and ord(z), read from the built table
-    elements: the oracle for ``newton._averaging_data``."""
+    """Per element z: the sum of the pairing-action matrices of z^i over
+    i = 1..ord(z), row-major, and ord(z): the oracle for
+    ``newton._averaging_data``.  The pairing action of x is the root action
+    of x^-1, multiplied out along the reversed table word of x."""
     out = []
     for z in range(len(table)):
         acc, cur, m = [0] * table.rs.rank ** 2, z, 0
         while True:
             m += 1
-            acc = [a + c for a, c in zip(acc, chain(*table.elements[cur].ri))]
+            ri = word_matrix(table.rs, table.words[cur][::-1])
+            acc = [a + c for a, c in zip(acc, chain(*ri))]
             if cur == 0:  # the identity
                 break
             cur = table.prod_idx(cur, z)

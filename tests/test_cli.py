@@ -290,6 +290,43 @@ def test_budget_errors_exit_3(capsys):
         assert main(argv) == 0, expr
 
 
+def test_adm_suite_refuses_a_run_that_checks_nothing(capsys):
+    """Above the budget the adm suite has no case to run: F4's
+    <2 rho, (1, 1, 1, 1)> = 110 exceeds the default 30, so the run exits 3
+    instead of passing with 0 cases."""
+    assert main(["verify", "adm", "--type", "F", "--rank", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "<2 rho, (1, ..., 1)> = 110 exceeds the budget 30" in err
+    code, rep = run_json(capsys, ["verify", "adm", "--type", "G", "--rank", "2"])
+    assert code == 0 and rep["cases"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["verify", "qbg", "--type", "all", "--rank", "3"],
+         "--type all is for tables only, not the qbg suite"),
+        (["verify", "adm", "--type", "all"], "--type all is for tables only"),
+        (["tables", "--rank", "3"], "--rank needs a single --type"),
+        (["tables", "--type", "all", "--rank", "2"], "--rank needs a single --type"),
+        (["verify", "tables", "--rank", "2"], "--rank needs a single --type"),
+    ],
+)
+def test_scope_is_refused_not_coerced(capsys, argv, fragment):
+    """``--type all`` names every type only for tables, and ``--rank``
+    narrows the tables only under a single type: anything else is refused
+    (exit 2), not run on A or on every rank."""
+    assert main(argv) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_verify_defaults_to_a2(capsys):
+    """With no --type, verify runs A2 (tables over every type is the
+    golden-file test)."""
+    code, rep = run_json(capsys, ["verify", "qbg"])
+    assert code == 0 and (rep["type"], rep["rank"]) == ("A", 2)
+
+
 def test_verify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(
         cli._SUITES, "qbg", lambda config, rs: (1, [{"check": "forced"}], {})
@@ -619,7 +656,7 @@ def test_invariants_survive_python_O():
         "raised: ascents ran out below w0",
         "raised: g(lambda) is not the dominant representative",
         "raised: reflection of even length",
-        "raised: table element's matrix keys to another index",
+        "raised: table element's row keys to another index",
         "raised: root closure produced 3 roots for A2",
     ]
 

@@ -182,8 +182,8 @@ def test_cover_sweep_with_u():
 def test_sample_triples_deterministic(a3):
     s1 = sample_triples(a3, 5, 3, 5, seed=11)
     s2 = sample_triples(a3, 5, 3, 5, seed=11)
-    assert [(u.r, lam.pairing, v.r) for u, lam, v in s1] == [
-        (u.r, lam.pairing, v.r) for u, lam, v in s2
+    assert [(u, lam.pairing, v) for u, lam, v in s1] == [
+        (u, lam.pairing, v) for u, lam, v in s2
     ]
     for u, lam, v in s1:
         assert lam.is_dominant()

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adlv import cascade, newton, qbg, weyl
-from adlv.rootsys import WEYL_ORDER, build_root_system
+from adlv.errors import InvariantError
+from adlv.rootsys import TYPE_TABLE, WEYL_ORDER, build_root_system
 from adlv.weyl import (
     enumerate_group,
     longest_element,
@@ -195,11 +196,10 @@ INDEX_PATH = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)]
 
 @pytest.mark.parametrize("ct,n", INDEX_PATH)
 def test_index_path_matches_matrices(ct, n, monkeypatch):
-    """With the group table cached, products, inverses and root images
-    under inverses are table lookups; with the table taken out of the cache
-    the same calls multiply matrices.  Both give the same elements, and
-    the table path hands out the shared table elements with their
-    lengths."""
+    """With the group table cached, products and inverses are table
+    lookups; with the table taken out of the cache the same calls compose
+    and invert rows of root images.  Both give the same elements, and the
+    table path hands out the shared table elements with their lengths."""
     rs = build_root_system(ct, n)
     table = enumerate_group(rs)
     elts = table.elements
@@ -223,21 +223,13 @@ def test_index_path_matches_matrices(ct, n, monkeypatch):
 
 def test_table_and_qbg_build_multiply_no_matrices(monkeypatch):
     """Building the F4 and D5 tables and their quantum Bruhat graphs reads
-    index data only: no element matrix is built."""
-    calls = []
-    real = weyl.mat_mul
-
-    def counted(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(weyl, "mat_mul", counted)
+    index data only: no table element past the identity is built."""
     monkeypatch.setattr(weyl, "_TABLES", {})  # fresh tables carry no graph
     for ct, n in (("F", 4), ("D", 5)):
         rs = build_root_system(ct, n)
-        enumerate_group(rs)
+        table = enumerate_group(rs)
         qbg.build_qbg(rs)
-    assert not calls
+        assert table.elements._slots[1:] == [None] * (len(table) - 1)
 
 
 def test_derived_data_lives_and_dies_with_its_table(monkeypatch):
@@ -258,13 +250,33 @@ def test_derived_data_lives_and_dies_with_its_table(monkeypatch):
     assert qbg.build_qbg(rs).table is enumerate_group(rs)
 
 
+def test_composition_path_on_e7_and_e8(monkeypatch):
+    """E7 and E8 are above ``GROUP_CAP``, so composing and inverting rows
+    is their only path.  On E8, w0 has length 120, is an involution, has
+    the tabulated reflection length 8, and its reduced word folds back to
+    it; on E7, (xy)^-1 = y^-1 x^-1 for seeded words.  No table is built."""
+    monkeypatch.setattr(weyl, "_TABLES", {})
+    e8 = build_root_system("E", 8)
+    w0 = longest_element(e8)
+    assert w0.length() == 120 and w0.mul(w0).is_identity()
+    assert reflection_length(w0) == TYPE_TABLE["E"].ell_r_w0(8) == 8
+    assert from_word(e8, w0.to_word()) == w0
+    e7 = build_root_system("E", 7)
+    rng = random.Random(7)
+    for _ in range(20):
+        x, y = (from_word(e7, [rng.randrange(7) for _ in range(rng.randrange(30))])
+                for _ in range(2))
+        assert x.mul(y).inv() == y.inv().mul(x.inv())
+    assert weyl._TABLES == {}
+
+
 @pytest.mark.parametrize("ct,n", [("B", 3), ("G", 2), ("D", 4), ("F", 4)])
 def test_lazy_elements_match_eager_in_any_order(ct, n, monkeypatch):
-    """Table elements built in a shuffled order equal the matrix products
+    """Table elements built in a shuffled order equal the row products
     of their words, carry their index and length, and are built once; the
     whole sequence equals a fresh table's, read in index order."""
     rs = build_root_system(ct, n)
-    monkeypatch.setattr(weyl, "_TABLES", {})  # from_word multiplies matrices
+    monkeypatch.setattr(weyl, "_TABLES", {})  # from_word composes rows
     table = weyl.GroupTable(rs)
     order = list(range(len(table)))
     random.Random(5).shuffle(order)
@@ -275,3 +287,19 @@ def test_lazy_elements_match_eager_in_any_order(ct, n, monkeypatch):
         assert table.elements[a] is x
     fresh = list(weyl.GroupTable(rs).elements)
     assert list(table.elements) == fresh and table.elements == fresh
+
+
+def test_corrupt_parent_entries_are_refused():
+    """A multiplication entry that sends an element's word-prefix walk
+    back to itself, or to the wrong parent, is refused when the element is
+    built; its rows are never handed out as another index's element."""
+    a2 = build_root_system("A", 2)
+    looped = weyl.GroupTable(a2)
+    looped.rmult[1][3] = 3  # claims s1 s2 * s2 = s1 s2
+    with pytest.raises(InvariantError, match="do not reach the identity"):
+        looped.elements[3]
+    wrong = weyl.GroupTable(a2)
+    wrong.rmult[1][3] = 2  # claims s1 s2 * s2 = s2
+    with pytest.raises(InvariantError, match="keys to another index"):
+        wrong.elements[3]
+    assert wrong.elements[2] == simple_reflection(a2, 1)
