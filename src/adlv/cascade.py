@@ -72,7 +72,14 @@ def cascade_r(x: WeylElt) -> CascadeResult:
     Level 1 holds the dominance-maximal negated roots; level i the maximal
     ones orthogonal to every root of the earlier levels; r is the sum of
     all their coroots.  Maximality is taken in the ambient dominance order
-    on roots."""
+    on roots.
+
+    >>> from adlv.rootsys import build_root_system
+    >>> from adlv.weyl import longest_element
+    >>> res = cascade_r(longest_element(build_root_system("A", 3)))
+    >>> res.E_levels, res.r
+    ((((1, 1, 1),), ((0, 1, 0),)), (1, 2, 1))
+    """
     rs = x.rs
     neg = {rs.root_index[beta] for beta in minus_one_roots(x)}
     roots, coroots, cols = rs.positive_roots, rs.positive_coroots, rs.coroot_columns

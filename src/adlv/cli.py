@@ -19,9 +19,12 @@ Three subcommands:
 
 ``adlv verify``
     Run a named suite (tables, qbg, newton, cover, adm, cascade) and write
-    a json report; exit code 0 iff the suite passes.  The other suites run
-    on one group (A2 with no --type), and adm exits 3 when it would check
-    nothing.
+    a json report; exit code 0 iff the suite passes.  The tables suite
+    checks small groups' brute-force columns, and on every row that the
+    cascade of w0 is a minimal quantum-reflection factorization with
+    ell_R(w0) factors whose coroots sum to wt(w0).  The other suites run
+    on one group (A2 with neither --type nor --rank), and adm exits 3 when
+    it would check nothing.
 
 Type and rank are checked against the per-type table in ``adlv.rootsys``.
 A command that enumerates the finite Weyl group stops at the library's
@@ -74,6 +77,7 @@ from .qbg import (
     compute_M,
     m_tilde,
     reflection_length_w0,
+    verify_rqrd,
     wt_w0_closed_form,
 )
 from .rootsys import (
@@ -355,14 +359,35 @@ def run_query(config: RunConfig, expression: str) -> dict:
 # which scopes itself) and returns (cases, failures, extra report keys).
 
 
+def _w0_cascade_reasons(row: dict) -> list[str]:
+    """Where the cascade of w0 disagrees with a table row.  Its roots are
+    pairwise orthogonal, so their reflections commute and multiply to w0 in
+    any order; they must form a minimal quantum factorization with ell_R_w0
+    factors, and their coroots must sum to wt_w0: a length-additive path of
+    ell_R(w0) down edges is a shortest one, and every shortest path carries
+    wt(w0) (Postnikov, Proc. AMS 133 (2005))."""
+    res = cascade_r(longest_element(build_root_system(row["type"], row["rank"])))
+    factors = [beta for level in res.E_levels for beta in level]
+    reasons = verify_rqrd(res.involution, factors).reasons
+    if len(factors) != row["ell_R_w0"]:
+        reasons.append(f"{len(factors)} cascade factors, not ell_R_w0")
+    if list(res.r) != row["wt_w0"]:
+        reasons.append(f"cascade coroot sum {list(res.r)} differs from wt_w0")
+    return reasons
+
+
 def _suite_tables(config: RunConfig, _rs: None) -> tuple[int, list, dict]:
+    """Each row's brute-force columns, where the group is small, and on
+    every row the cascade of w0 against ell_R_w0 and wt_w0."""
     cases, failures = 0, []
     for row in table_rows(replace(config, with_brute=True)):
         cases += 1
-        if "match" in row and not row["match"]:
-            failures.append(
-                {"table_row": f"{row['type']}{row['rank']}", "row": row}
-            )
+        reasons = _w0_cascade_reasons(row)
+        if not row.get("match", True):
+            reasons.insert(0, "brute-force columns disagree")
+        if reasons:
+            failures.append({"table_row": f"{row['type']}{row['rank']}",
+                             "row": row, "reasons": reasons})
     return cases, failures, {}
 
 
@@ -487,6 +512,8 @@ def run_suite(config: RunConfig, suite: str) -> dict:
         ct, n, rs = config.cartan_type or "all", config.rank, None
     elif config.cartan_type == "all":
         raise QueryError(f"--type all is for tables only, not the {suite} suite")
+    elif config.cartan_type is None and config.rank is not None:
+        raise QueryError("--rank needs a single --type")
     else:
         # the other suites default to A2
         rs = build_root_system(

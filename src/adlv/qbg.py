@@ -30,7 +30,6 @@ from .rootsys import (
     RootSystem,
     TYPE_TABLE,
     WEYL_ORDER,
-    _unit,
     check_type,
 )
 from .weyl import (
@@ -45,12 +44,10 @@ from .weyl import (
 
 __all__ = [
     "QBGraph",
-    "RQRD",
     "RQRDReport",
     "build_qbg",
     "verify_rqrd",
     "wt_w0_closed_form",
-    "w0_rqrd_exhibit",
     "compute_M",
     "m_tilde",
     "reflection_length_w0",
@@ -58,21 +55,6 @@ __all__ = [
 ]
 
 QBG_CAP = 10 ** 5
-
-
-@dataclass(frozen=True)
-class RQRD:
-    """A factorization x = s_{beta_1} ... s_{beta_k} into reflections in
-    quantum roots, with additive length and k as small as possible.  Factors
-    are root coefficient vectors, in product order."""
-
-    factors: tuple[Root, ...]
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
 
 
 class QBGraph:
@@ -257,9 +239,10 @@ class QBGraph:
         """Least number of down edges from x to the identity."""
         return self._reverse_down()[0][self._idx(x)]
 
-    def rqrd(self, x) -> RQRD:
-        """A minimal downward decomposition of x read off the search tree:
-        each tree edge v -> parent[v] is v s_beta = parent[v]."""
+    def rqrd(self, x) -> tuple[Root, ...]:
+        """A minimal downward decomposition x = s_{beta_1} ... s_{beta_k}
+        read off the search tree, as root coefficient vectors in product
+        order: each tree edge v -> parent[v] is v s_beta = parent[v]."""
         _, parent = self._reverse_down()
         t = self.table
         v = self._idx(x)
@@ -269,7 +252,7 @@ class QBGraph:
             labels.append(t.root_of_reflection[t.prod_idx(t.inv_idx(v), p)])
             v = p
         roots = self.rs.positive_roots
-        return RQRD(tuple(roots[a] for a in reversed(labels)))
+        return tuple(roots[a] for a in reversed(labels))
 
     def all_wt1(self) -> list[Coroot]:
         return self._rev[1]
@@ -301,16 +284,17 @@ class RQRDReport:
     reasons: list[str] = field(default_factory=list)
     factor_count: int = 0
     length_sum: int = 0
-    minimality: str | None = None  # "graph" or "reflection-length bound"
+    minimality: str | None = None  # "reflection-length bound" or "graph"
 
 
 def verify_rqrd(x: WeylElt, factors) -> RQRDReport:
     """Check that ``factors`` (root coefficient vectors, product order) is a
     minimal length-additive quantum-reflection factorization of x.
 
-    Minimality is decided by graph search when the group fits under
-    ``QBG_CAP``; otherwise it is certified only when the factor count meets
-    the reflection-length lower bound rank(x - 1)."""
+    Valid factors give a downward path of k edges, so ell_down(x) <= k,
+    and ell_down(x) >= ell_R(x) = rank(x - 1): a factor count meeting that
+    bound is minimal.  Only when it does not is minimality decided by the
+    graph, for a group under ``QBG_CAP``; above it, it stays undecided."""
     rs = x.rs
     factors = tuple(tuple(f) for f in factors)
     k = len(factors)
@@ -338,7 +322,10 @@ def verify_rqrd(x: WeylElt, factors) -> RQRDReport:
             )
     minimality = None
     if not reasons:
-        if WEYL_ORDER(rs.cartan_type, rs.rank) <= QBG_CAP:
+        lr = reflection_length(x)
+        if k == lr:
+            minimality = "reflection-length bound"
+        elif WEYL_ORDER(rs.cartan_type, rs.rank) <= QBG_CAP:
             d = build_qbg(rs).ell_down(x)
             if k == d:
                 minimality = "graph"
@@ -348,14 +335,10 @@ def verify_rqrd(x: WeylElt, factors) -> RQRDReport:
                     "decomposition exists"
                 )
         else:
-            lr = reflection_length(x)
-            if k == lr:
-                minimality = "reflection-length bound"
-            else:
-                reasons.append(
-                    f"minimality undecided without enumeration "
-                    f"({k} factors, lower bound {lr})"
-                )
+            reasons.append(
+                f"minimality undecided without enumeration "
+                f"({k} factors, lower bound {lr})"
+            )
     return RQRDReport(not reasons, reasons, k, lsum, minimality)
 
 
@@ -403,97 +386,6 @@ def wt_w0_closed_form(cartan_type: str, rank: int) -> Coroot:
         ("E", 8): (4, 8, 10, 14, 12, 8, 6, 2),
         ("F", 4): (2, 6, 4, 2),
         ("G", 2): (2, 2),
-    }[(ct, n)]
-
-
-def w0_rqrd_exhibit(cartan_type: str, rank: int) -> tuple[Root, ...]:
-    """A minimal downward decomposition of the longest element, as root
-    coefficient vectors in product order.
-
-    The factors are pairwise orthogonal (they form the cascade of strongly
-    orthogonal roots), the factor count equals the reflection length of w_0,
-    and the coroots of the factors sum to ``wt_w0_closed_form``.  All three
-    facts are what the test suite checks."""
-    ct = check_type(cartan_type, rank)
-    n = rank
-    k = n // 2
-    facs: list[Root] = []
-    if ct == "A":
-        for j in range(1, (n + 1) // 2 + 1):
-            facs.append(
-                tuple(1 if j - 1 <= i <= n - j else 0 for i in range(n))
-            )
-        return tuple(facs)
-    if ct == "B":
-        last_o = n - 1 if n % 2 == 0 else n - 2
-        for o in range(1, last_o + 1, 2):
-            long_root = tuple(
-                0 if i < o - 1 else (1 if i == o - 1 else 2)
-                for i in range(n)
-            )
-            facs += [long_root, _unit(n, o - 1)]
-        if n % 2 == 1:
-            facs.append(_unit(n, n - 1))
-        return tuple(facs)
-    if ct == "C":
-        for j in range(1, n + 1):
-            facs.append(
-                tuple(
-                    0 if i < j - 1 else (1 if i == n - 1 else 2)
-                    for i in range(n)
-                )
-            )
-        return tuple(facs)
-    if ct == "D":
-        # Tails are 2's through position n-2, then 1, 1 on the fork.
-        last_o = n - 3 if n % 2 == 0 else n - 4
-        for o in range(1, last_o + 1, 2):
-            long_root = tuple(
-                0 if i < o - 1
-                else 1 if i == o - 1 or i >= n - 2
-                else 2
-                for i in range(n)
-            )
-            facs += [long_root, _unit(n, o - 1)]
-        if n % 2 == 0:
-            facs += [_unit(n, n - 2), _unit(n, n - 1)]
-        else:
-            fork = tuple(1 if i >= n - 3 else 0 for i in range(n))
-            facs += [fork, _unit(n, n - 3)]
-        return tuple(facs)
-    return {
-        ("E", 6): (
-            (1, 2, 2, 3, 2, 1),
-            (1, 0, 1, 1, 1, 1),
-            (0, 0, 1, 1, 1, 0),
-            (0, 0, 0, 1, 0, 0),
-        ),
-        ("E", 7): (
-            (2, 2, 3, 4, 3, 2, 1),
-            (0, 1, 1, 2, 2, 2, 1),
-            (0, 1, 1, 2, 1, 0, 0),
-            (0, 1, 0, 0, 0, 0, 0),
-            (0, 0, 1, 0, 0, 0, 0),
-            (0, 0, 0, 0, 1, 0, 0),
-            (0, 0, 0, 0, 0, 0, 1),
-        ),
-        ("E", 8): (
-            (2, 3, 4, 6, 5, 4, 3, 2),
-            (2, 2, 3, 4, 3, 2, 1, 0),
-            (0, 1, 1, 2, 2, 2, 1, 0),
-            (0, 1, 1, 2, 1, 0, 0, 0),
-            (0, 1, 0, 0, 0, 0, 0, 0),
-            (0, 0, 1, 0, 0, 0, 0, 0),
-            (0, 0, 0, 0, 1, 0, 0, 0),
-            (0, 0, 0, 0, 0, 0, 1, 0),
-        ),
-        ("F", 4): (
-            (2, 3, 4, 2),
-            (0, 1, 2, 2),
-            (0, 1, 2, 0),
-            (0, 1, 0, 0),
-        ),
-        ("G", 2): ((3, 2), (1, 0)),
     }[(ct, n)]
 
 

@@ -2,6 +2,7 @@
 query results, verification suites, and byte-stability of the shipped
 tables."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -310,6 +311,7 @@ def test_adm_suite_refuses_a_run_that_checks_nothing(capsys):
         (["tables", "--rank", "3"], "--rank needs a single --type"),
         (["tables", "--type", "all", "--rank", "2"], "--rank needs a single --type"),
         (["verify", "tables", "--rank", "2"], "--rank needs a single --type"),
+        (["verify", "qbg", "--rank", "3"], "--rank needs a single --type"),
     ],
 )
 def test_scope_is_refused_not_coerced(capsys, argv, fragment):
@@ -393,6 +395,43 @@ def test_tables_suite_small_scope():
     rep = run_suite(RunConfig(cartan_type="G", rank=2), "tables")
     assert rep["passed"] is True
     assert rep["cases"] == 1
+
+
+# sha256 of the `verify tables` report over every type, minus wall_time, as
+# the CLI writes it; recorded before the cascade of w0 was checked per row
+TABLES_REPORT_DIGEST = (
+    "3424ce2d07ed01e9b5a8565d73e8a4c126ec6936f0d46ee01963410d647677b5"
+)
+
+
+def test_tables_suite_report_frozen():
+    rep = run_suite(RunConfig(), "tables")
+    rep.pop("wall_time")
+    assert rep["cases"] == 32
+    text = json.dumps(rep, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLES_REPORT_DIGEST
+
+
+@pytest.mark.parametrize("ct,n,reasons", [
+    # E8 has no brute-force columns: only the cascade of w0 catches it
+    ("E", 8, ["cascade coroot sum [4, 8, 10, 14, 12, 8, 6, 2] differs from wt_w0"]),
+    ("A", 2, ["brute-force columns disagree",
+              "cascade coroot sum [1, 1] differs from wt_w0"]),
+])
+def test_tables_suite_names_a_wrong_wt_w0_row(capsys, monkeypatch, ct, n, reasons):
+    """A wrong wt(w0) closed form fails its row, and only its row."""
+    closed = cli.wt_w0_closed_form
+
+    def wrong(ct_, n_):
+        v = closed(ct_, n_)
+        return v[:-1] + (v[-1] + 1,) if (ct_, n_) == (ct, n) else v
+
+    monkeypatch.setattr(cli, "wt_w0_closed_form", wrong)
+    code, rep = run_json(capsys, ["verify", "tables"])
+    assert code == 1 and rep["cases"] == 32
+    [failure] = rep["failures"]
+    assert failure["table_row"] == f"{ct}{n}"
+    assert failure["reasons"] == reasons
 
 
 def test_qbg_suite_holds_one_search_at_a_time():

@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from adlv import qbg
+from adlv.cascade import cascade_r
 from adlv.affine import demazure_ltri, embed, translation
 from adlv.errors import BudgetError, InvariantError
 from adlv.newton import max_newton_formula
@@ -18,7 +19,7 @@ from adlv.rootsys import (
     coweight_from_coroot,
     dominance_leq,
 )
-from adlv.weyl import enumerate_group, longest_element
+from adlv.weyl import enumerate_group, longest_element, reflection
 from adlv.qbg import (
     QBGraph,
     build_qbg,
@@ -26,11 +27,10 @@ from adlv.qbg import (
     m_tilde,
     reflection_length_w0,
     verify_rqrd,
-    w0_rqrd_exhibit,
     wt_w0_closed_form,
 )
 
-from oracles import leq_idx, pair_root_coroot
+from oracles import from_word, leq_idx, pair_root_coroot
 
 UNIQ = [("A", 2), ("B", 2), ("G", 2)]
 ORACLE_SCOPE = UNIQ + [("A", 3), ("B", 3), ("C", 3)]
@@ -361,17 +361,44 @@ def test_compute_M_below_m_tilde(ct, n):
 
 
 def test_rqrd_of_w0(c3, g2):
-    for rs in (c3, g2):
+    """The search-tree decomposition is valid and minimal.  w0 is a product
+    of ell_R(w0) orthogonal quantum reflections, so the reflection-length
+    bound certifies it; s3 s2 s3 in C3 and s2 s1 s2 in G2 are reflections
+    in non-quantum roots, ell_down = 3 > ell_R = 1, so only the graph does."""
+    for rs, word in ((c3, (2, 1, 2)), (g2, (1, 0, 1))):
         g = build_qbg(rs)
-        w0 = longest_element(rs)
-        dec = g.rqrd(w0)
-        rep = verify_rqrd(w0, tuple(dec))
-        assert rep.ok, rep.reasons
-        assert rep.minimality == "graph"
-        assert len(dec) == g.ell_down(w0)
+        for x, minimality in ((longest_element(rs), "reflection-length bound"),
+                              (from_word(rs, word), "graph")):
+            dec = g.rqrd(x)
+            rep = verify_rqrd(x, dec)
+            assert rep.ok, rep.reasons
+            assert rep.minimality == minimality
+            assert len(dec) == g.ell_down(x)
 
 
-# sha256 of repr([rqrd(x).factors for every x]) and of repr(all_ell_down()),
+def test_verify_rqrd_reasons(a2, c3):
+    """Each refusal of verify_rqrd, with the one reason it gives."""
+    s1 = reflection(a2, (1, 0))
+    theta = reflection(a2, (1, 1))
+    e7 = build_root_system("E", 7)
+    a1, a3 = (1,) + (0,) * 6, (0, 0, 1, 0, 0, 0, 0)
+    cases = [
+        (s1, [(2, 0)], "(2, 0) is not a positive root"),
+        (s1, [(-1, 0)], "(-1, 0) is not a positive root"),
+        (reflection(c3, (0, 1, 1)), [(0, 1, 1)], "(0, 1, 1) is not a quantum root"),
+        (s1, [(0, 1)], "factors do not multiply to the element"),
+        (s1.mul(s1), [(1, 0), (1, 0)], "length sum 2 differs from ell(x) = 0"),
+        (theta, [(1, 0), (0, 1), (1, 0)],
+         "not minimal: 3 factors, but a 1-step decomposition exists"),
+        (reflection(e7, (1, 0, 1, 0, 0, 0, 0)), [a1, a3, a1],
+         "minimality undecided without enumeration (3 factors, lower bound 1)"),
+    ]
+    for x, factors, reason in cases:
+        rep = verify_rqrd(x, factors)
+        assert (rep.ok, rep.reasons, rep.minimality) == (False, [reason], None)
+
+
+# sha256 of repr([rqrd(x) for every x]) and of repr(all_ell_down()),
 # recorded when each search tree edge still stored its root
 WITNESS_DIGESTS = {
     ("C", 3): ("604d3bce97dd7e67f3ee3a40bb5a7484fd7974dce7378ef63598677bf42c8a74",
@@ -390,7 +417,7 @@ def test_rqrd_witnesses_frozen(ct, n):
     """Deriving each tree edge's root from (vertex, parent) gives the same
     decomposition of every x as storing it did."""
     g = build_qbg(build_root_system(ct, n))
-    factors = [g.rqrd(x).factors for x in range(len(g.table))]
+    factors = [g.rqrd(x) for x in range(len(g.table))]
     got = tuple(
         hashlib.sha256(repr(v).encode()).hexdigest()
         for v in (factors, g.all_ell_down())
@@ -399,16 +426,19 @@ def test_rqrd_witnesses_frozen(ct, n):
 
 
 def test_w0_exhibits_high_rank():
-    """The written-out decompositions for the two largest exceptional
-    groups are valid with factor count equal to the rank; minimality is
-    certified by the reflection-length lower bound without enumeration."""
+    """The cascade of w0 in the two largest exceptional groups is a valid
+    decomposition with rank many factors, certified minimal by the
+    reflection-length bound without enumeration, and its coroots sum to
+    the closed form of wt(w0)."""
     for ct, n in [("E", 7), ("E", 8)]:
         rs = build_root_system(ct, n)
-        factors = w0_rqrd_exhibit(ct, n)
+        res = cascade_r(longest_element(rs))
+        factors = [beta for level in res.E_levels for beta in level]
         assert len(factors) == n
-        rep = verify_rqrd(longest_element(rs), factors)
+        rep = verify_rqrd(res.involution, factors)
         assert rep.ok, rep.reasons
         assert rep.minimality == "reflection-length bound"
+        assert res.r == wt_w0_closed_form(ct, n)
 
 
 def test_reflection_length_w0_table_small():
