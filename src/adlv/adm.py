@@ -12,10 +12,10 @@ data here: the formulas consume them, nothing computes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from operator import add
+from typing import NamedTuple
 
 from .affine import (
     AffineElt,
@@ -31,6 +31,7 @@ from .rootsys import (
     TYPE_TABLE,
     Coweight,
     RootSystem,
+    _Frozen,
     coweight_from_coroot,
     depth,
     dominance_leq,
@@ -62,12 +63,14 @@ __all__ = [
 DEFAULT_ADM_BUDGET = 40
 
 
-@dataclass(frozen=True)
-class AdmSet:
-    """A dominant lattice coweight with its admissible set."""
+class AdmSet(_Frozen):
+    """A dominant lattice coweight with its admissible set.  A slotted class,
+    not a NamedTuple, whose ``_make`` would read its ``len``."""
 
-    mu: Coweight
-    members: frozenset[AffineElt]
+    __slots__ = ("mu", "members")
+
+    def __init__(self, mu: Coweight, members: frozenset[AffineElt]):
+        super().__init__(mu=mu, members=members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -76,19 +79,18 @@ class AdmSet:
         return w in self.members
 
 
-@dataclass(frozen=True)
-class BInvariants:
+class BInvariants(_Frozen):
     """Caller-declared invariants of a class b: its Newton point (a
     dominant coweight) and its defect."""
 
-    nu: Coweight
-    defect: int
+    __slots__ = ("nu", "defect")
 
-    def __post_init__(self):
-        if not self.nu.is_dominant():
+    def __init__(self, nu: Coweight, defect: int):
+        if not nu.is_dominant():
             raise RefusalError("Newton point must be dominant")
-        if not 0 <= self.defect <= self.nu.rs.rank:
+        if not 0 <= defect <= nu.rs.rank:
             raise RefusalError("defect out of range")
+        super().__init__(nu=nu, defect=defect)
 
 
 def _rho_pair(rs: RootSystem, lam: Coweight) -> Fraction:
@@ -145,8 +147,7 @@ def product_set(a: AdmSet, b: AdmSet) -> frozenset[AffineElt]:
     return frozenset([x.mul(y) for x, y in firsts.values()])
 
 
-@dataclass
-class MembershipResult:
+class MembershipResult(NamedTuple):
     """Membership verdict with its validity status ("ok" inside the
     proposition's regime, "outside-regime" otherwise; the verdict is filled
     outside the regime only on request and certifies nothing there)."""
@@ -231,8 +232,7 @@ def min_dgamma(rs: RootSystem) -> int:
     return min(g.d_gamma(x, t.prod_idx(x, t.w0_idx)) for x in range(len(t)))
 
 
-@dataclass
-class DimResult:
+class DimResult(NamedTuple):
     """A closed-form dimension value with its validity status."""
 
     status: str

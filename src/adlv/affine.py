@@ -376,13 +376,16 @@ class StateSet:
     """A set of interval states t^mu z, grouped by finite index: ``buckets``
     maps indices z to the codes of their translation parts, as one bitset
     (a dense engine) or a frozenset of ints (a sparse one).  ``zeros``
-    counts the letters 0 the states have taken."""
+    counts the letters 0 the states have taken, and ``bound`` is at least
+    their number: exact after a count, doubled by a step (each state stays
+    or moves), summed by a union and kept by a difference."""
 
-    __slots__ = ("buckets", "zeros")
+    __slots__ = ("buckets", "zeros", "bound")
 
-    def __init__(self, buckets: dict, zeros: int = 0):
+    def __init__(self, buckets: dict, zeros: int, bound: int):
         self.buckets = buckets
         self.zeros = zeros
+        self.bound = bound
 
     def __len__(self) -> int:
         bs = self.buckets.values()
@@ -394,14 +397,14 @@ class StateSet:
         out = dict(self.buckets)
         for x, b in other.buckets.items():
             out[x] = out[x] | b if x in out else b
-        return StateSet(out, max(self.zeros, other.zeros))
+        return StateSet(out, max(self.zeros, other.zeros), self.bound + other.bound)
 
     def __sub__(self, other: "StateSet") -> "StateSet":
         out = {}
         for x, b in self.buckets.items():
             c = other.buckets.get(x)
             out[x] = b if c is None else b & ~c if isinstance(b, int) else b - c
-        return StateSet(out, self.zeros)
+        return StateSet(out, self.zeros, self.bound)
 
 
 class IntervalEngine:
@@ -485,20 +488,22 @@ class IntervalEngine:
         for x, b in states.buckets.items():
             y, b = r[x], b if j else self._translate(x, b)
             out[y] = out[y] | b if y in out else b
-        return StateSet(out, zeros)
+        return StateSet(out, zeros, 2 * states.bound)
 
     def _bounded(self, states: StateSet) -> StateSet:
         """states, or BudgetError if they number more than ``STATE_CAP``;
-        counted only when the box can hold that many."""
-        if self.size > STATE_CAP and len(states) > STATE_CAP:
-            raise BudgetError(f"interval grew past {STATE_CAP} states")
+        counted only when the box and their bound can hold that many."""
+        if self.size > STATE_CAP and states.bound > STATE_CAP:
+            states.bound = len(states)
+            if states.bound > STATE_CAP:
+                raise BudgetError(f"interval grew past {STATE_CAP} states")
         return states
 
     def interval_states(self, word: Sequence[int]) -> StateSet:
         """start times each subword of word, bounded by ``STATE_CAP``."""
         code = self.pack(self.start.lam)
         seed = 1 << code if self.dense else frozenset([code])
-        states = StateSet({self.table.idx(self.start.fin): seed})
+        states = StateSet({self.table.idx(self.start.fin): seed}, 0, 1)
         for j in word:
             states = self._bounded(self.step(states, j))
         return states

@@ -13,7 +13,7 @@ lines these up against the graph weight wt(x) per involution.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantError
 from .qbg import build_qbg
@@ -57,8 +57,7 @@ def involutions(rs: RootSystem) -> list[WeylElt]:
     ]
 
 
-@dataclass(frozen=True)
-class CascadeResult:
+class CascadeResult(NamedTuple):
     """Cascade levels of an involution and their coroot sum."""
 
     involution: WeylElt

@@ -16,9 +16,9 @@ made positive) and an integer m, recomputed from w' w^-1 and checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import sub
 from random import Random
+from typing import NamedTuple, Sequence
 
 from .affine import AffineElt, _pairings, cocovers
 from .errors import InvariantError, RefusalError
@@ -42,8 +42,7 @@ def cover_depth_threshold(cartan_type: str) -> int:
     return TYPE_TABLE[check_type(cartan_type)].depth_threshold
 
 
-@dataclass(frozen=True)
-class CocoverRecord:
+class CocoverRecord(NamedTuple):
     """One predicted cocover.
 
     ``root`` and ``m`` describe the separating reflection t^{m root_check}
@@ -60,8 +59,7 @@ class CocoverRecord:
     result: AffineElt
 
 
-@dataclass
-class CoverResult:
+class CoverResult(NamedTuple):
     """Classifier output with its validity status ("ok" above the depth
     threshold, "below-threshold" otherwise; records filled below threshold
     only on request).  ``non_cocover`` holds the elements a case predicted
@@ -72,7 +70,7 @@ class CoverResult:
     records: list[CocoverRecord]
     depth: object
     threshold: int
-    non_cocover: list[AffineElt] = field(default_factory=list)
+    non_cocover: Sequence[AffineElt] = ()
 
 
 def _reflection_shape(table: GroupTable, lam: tuple[int, ...], x: int) -> tuple[int, int]:

@@ -12,11 +12,11 @@ integer grids just above the threshold and emit JSON-friendly records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm
 from operator import add, mul
+from typing import NamedTuple
 
 from .affine import (
     AffineElt,
@@ -32,6 +32,7 @@ from .rootsys import (
     Num,
     RootSystem,
     _dominantize,
+    _Frozen,
     check_type,
     coweight,
     coweight_from_coroot,
@@ -59,15 +60,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NewtonPoint:
+class NewtonPoint(_Frozen):
     """A dominant rational coweight; the slope invariant of an element."""
 
-    value: Coweight
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if any(p < 0 for p in self.value.pairing):
+    def __init__(self, value: Coweight):
+        if any(p < 0 for p in value.pairing):
             raise InvariantError("Newton point with a negative pairing coordinate")
+        super().__init__(value=value)
 
     @property
     def pairing(self) -> tuple[Num, ...]:
@@ -212,8 +213,7 @@ def xi_bound(cartan_type: str, rank: int) -> int:
 # -- the closed form ------------------------------------------------------
 
 
-@dataclass
-class FormulaResult:
+class FormulaResult(NamedTuple):
     """Closed-form evaluation with its validity status.
 
     ``status`` is "ok" above the depth threshold and "below-threshold"

@@ -21,7 +21,7 @@ above its own cap, ``QBG_CAP``, below the group cap ``weyl.GROUP_CAP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BudgetError, InvariantError, RefusalError
 from .rootsys import (
@@ -71,12 +71,17 @@ class QBGraph:
 
     A search carries its accumulated weight as one packed int: field i,
     ``width`` bits at offset ``i * width``, holds simple-coroot coordinate
-    i, and ``inc[a]`` is the packed positive coroot of root a.  With
-    ``width = (|W| * c).bit_length() + 1``, c the largest coroot
-    coefficient, no field can carry: coordinates are nonnegative and a
-    shortest path has fewer than |W| edges, so every coordinate is below
-    |W| * c.  Packing is then injective, and comparing two packed weights
-    is comparing the tuples.
+    i, and ``inc[a]`` is the packed positive coroot of root a.  No field
+    carries with ``width = max(1, ell(w0).bit_length())``: along k edges
+    from x to y the coordinates, all nonnegative, sum to
+    (ell(x) + k - ell(y)) / 2, as an up edge adds 1 to the length and a
+    down edge through beta subtracts <2 rho, beta_check> - 1.  Descents
+    are down edges and reduced words up paths, so d(x, e) <= ell(x) and
+    d(e, y) = ell(y), which the constructor certifies from its two
+    searches rooted at the identity; a shortest path has
+    k <= ell(x) + ell(y), so each coordinate is at most ell(x) <= ell(w0).
+    Packing is then injective, and comparing two packed weights is
+    comparing the tuples.
     """
 
     def __init__(self, table: GroupTable):
@@ -84,8 +89,7 @@ class QBGraph:
         self.rs = rs = table.rs
         nv = len(table)
         lengths = table.lengths
-        top = max(max(c) for c in rs.positive_coroots)
-        self.width = width = (nv * top).bit_length() + 1
+        self.width = width = max(1, max(lengths).bit_length())
         self.inc = inc = [
             sum(c << (i * width) for i, c in enumerate(cr))
             for cr in rs.positive_coroots
@@ -120,6 +124,9 @@ class QBGraph:
         rd, rwts, _ = self._run_bfs(0, up_in, down_in)
         if max(dist_from_e) == nv or max(rd) == nv:
             raise InvariantError("graph not strongly connected")
+        # the width rests on d(e, y) = ell(y) and d(x, e) <= ell(x)
+        if dist_from_e != list(lengths) or any(map(int.__gt__, rd, lengths)):
+            raise InvariantError("an identity distance breaks the weight width bound")
         self._rev: tuple[list[int], list[Coroot]] = (rd, list(map(self.decode, rwts)))
 
     # -- searches ---------------------------------------------------------
@@ -276,15 +283,14 @@ def build_qbg(rs: RootSystem) -> QBGraph:
     return _graph(enumerate_group(rs))
 
 
-@dataclass
-class RQRDReport:
+class RQRDReport(NamedTuple):
     """Outcome of checking a proposed downward decomposition."""
 
     ok: bool
-    reasons: list[str] = field(default_factory=list)
-    factor_count: int = 0
-    length_sum: int = 0
-    minimality: str | None = None  # "reflection-length bound" or "graph"
+    reasons: list[str]
+    factor_count: int
+    length_sum: int
+    minimality: str | None  # "reflection-length bound" or "graph"
 
 
 def verify_rqrd(x: WeylElt, factors) -> RQRDReport:

@@ -25,11 +25,10 @@ the depth threshold c, S, M-tilde and ell_R(w0)) are defined once, in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from ._matrix import mat_inv, mat_vec, transpose
 from .errors import InvariantError, RefusalError
@@ -56,8 +55,37 @@ Coroot = tuple[int, ...]        # coefficients over simple coroots
 Num = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class TypeRow:
+class _Frozen:
+    """Base of the slotted value classes: each field of ``__slots__`` is set
+    once, by ``_set`` in ``__init__``, and assigning or deleting it later
+    raises; equal and hashed by their fields.  The records read rarely are
+    NamedTuples instead."""
+
+    __slots__ = ()
+    _set = object.__setattr__
+
+    def __init__(self, **fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes every field by keyword")
+        for name, value in fields.items():
+            self._set(name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class TypeRow(NamedTuple):
     """The per-type constants the paper's theorems depend on.
 
     Ranks run from ``lo`` through ``hi`` (unbounded when None); every
@@ -154,38 +182,42 @@ def _sign(v: Sequence[int]) -> int:
     return 0
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
-    """Immutable root-system data, with everything derived from it per root;
-    build via :func:`build_root_system`, which makes one object per (type,
-    rank), so equality and hashing are by identity."""
+class RootSystem(_Frozen):
+    """Immutable root-system data, with everything derived from it per root,
+    every field given by keyword; build via :func:`build_root_system`, which
+    makes one object per (type, rank), so equality and hashing are by
+    identity.  Plain slots, since the hot loops read its fields."""
 
-    cartan_type: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]          # C[i][j] = <a_j, a_i_check>
-    sym_d: tuple[int, ...]
-    positive_roots: tuple[Root, ...]             # sorted by (height, coeffs)
-    positive_coroots: tuple[Coroot, ...]         # index-paired with the roots
-    root_d: tuple[int, ...]                      # d_beta = (beta, beta)/2
-    heights: tuple[int, ...]
-    theta_index: int
-    two_rho: Root
-    quantum_flags: tuple[bool, ...]
-    reflection_lengths: tuple[int, ...]          # ell(s_beta) per positive root
-    # indexed by a signed root index: c for the c-th positive root, ~c for
-    # its negative (the list read from the end)
-    signed_roots: tuple[Root, ...] = field(repr=False)
-    coroot_pairings: tuple[tuple[int, ...], ...] = field(repr=False)  # C^T beta_check
-    # <beta, gamma_check> over the positive roots beta, per signed index of gamma
-    coroot_columns: tuple[tuple[int, ...], ...] = field(repr=False)
-    letter_roots: tuple[int, ...] = field(repr=False)  # theta, then alpha_1..n
-    root_columns: tuple[tuple[int, ...], ...] = field(repr=False)  # transposed roots
-    cartan_t: tuple[tuple[int, ...], ...] = field(repr=False)  # C^T, coroots to pairings
-    # the least den making den * C^-T integral, and that matrix: its rows
-    # give scaled coroot coordinates of a coweight
-    inv_cartan_den: int = field(repr=False)
-    inv_cartan_scaled: tuple[tuple[int, ...], ...] = field(repr=False)
-    root_index: dict = field(repr=False)
+    __slots__ = (
+        "cartan_type",
+        "rank",
+        "cartan",              # C[i][j] = <a_j, a_i_check>
+        "sym_d",
+        "positive_roots",      # sorted by (height, coeffs)
+        "positive_coroots",    # index-paired with the roots
+        "root_d",              # d_beta = (beta, beta)/2
+        "heights",
+        "theta_index",
+        "two_rho",
+        "quantum_flags",
+        "reflection_lengths",  # ell(s_beta) per positive root
+        # indexed by a signed root index: c for the c-th positive root, ~c
+        # for its negative (the list read from the end)
+        "signed_roots",
+        "coroot_pairings",     # C^T beta_check
+        # <beta, gamma_check> over the positive roots beta, per signed
+        # index of gamma
+        "coroot_columns",
+        "letter_roots",        # theta, then alpha_1..n
+        "root_columns",        # transposed roots
+        "cartan_t",            # C^T, coroots to pairings
+        # the least den making den * C^-T integral, and that matrix: its
+        # rows give scaled coroot coordinates of a coweight
+        "inv_cartan_den",
+        "inv_cartan_scaled",
+        "root_index",
+    )
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @property
     def theta(self) -> Root:
@@ -361,35 +393,37 @@ def _same_rs(a: "Coweight", b: "Coweight") -> RootSystem:
     return a.rs
 
 
-@dataclass(frozen=True)
-class Coweight:
+class Coweight(_Frozen):
     """A rational coweight in pairing coordinates ``<alpha_i, lambda>``.
 
     ``lattice`` records where the point lives: "coroot" for the coroot
     lattice, "coweight" for the coweight lattice, "rational" otherwise.
-    It is derived from the coordinates, never trusted from the caller.
+    It is derived from the coordinates, never trusted from the caller, and
+    left out of equality and hashing, which are by (rs, pairing).
     """
 
-    rs: RootSystem
-    pairing: tuple[Num, ...]
-    lattice: str = field(init=False, compare=False)
+    __slots__ = ("rs", "pairing", "lattice")
 
-    def __post_init__(self):
-        if len(self.pairing) != self.rs.rank:
+    def _key(self) -> tuple:
+        return self.rs, self.pairing
+
+    def __init__(self, rs: RootSystem, pairing: tuple[Num, ...]):
+        if len(pairing) != rs.rank:
             raise RefusalError(
-                f"{len(self.pairing)} coweight coordinates in rank {self.rs.rank}"
+                f"{len(pairing)} coweight coordinates in rank {rs.rank}"
             )
-        if not all(type(x) is int or isinstance(x, Fraction) for x in self.pairing):
+        if not all(type(x) is int or isinstance(x, Fraction) for x in pairing):
             raise RefusalError("coweight coordinates must be int or Fraction")
-        coords = tuple(map(_norm_num, self.pairing))
-        object.__setattr__(self, "pairing", coords)
+        coords = tuple(map(_norm_num, pairing))
+        self._set("rs", rs)
+        self._set("pairing", coords)
         if all(type(x) is int for x in self.coroot_coords()):
             lat = "coroot"
         elif all(type(x) is int for x in coords):
             lat = "coweight"
         else:
             lat = "rational"
-        object.__setattr__(self, "lattice", lat)
+        self._set("lattice", lat)
 
     def coroot_coords(self) -> tuple[Num, ...]:
         """Coefficients over the simple coroots (p = C^T c inverted exactly) as

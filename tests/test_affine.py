@@ -447,6 +447,42 @@ def test_interval_states_match_set_oracle(ct, n, lams, dense):
         assert _pairs(eng, got - half) == expect - expect_half
 
 
+@pytest.mark.parametrize("ct,n,lam", [
+    pytest.param("A", 2, None, id="A2-zero-heavy"),
+    pytest.param("G", 2, None, id="G2-zero-heavy"),
+    pytest.param("A", 3, (4, 4, 4), id="A3-base"),
+])
+def test_state_bound_covers_the_count(ct, n, lam, monkeypatch):
+    """``StateSet.bound`` is at least the number of states after every step,
+    union and difference, on a word heavy in the letter 0 and on the word of
+    an A3 base interval below t^lam w0.  So ``_bounded``, which counts only
+    once the bound passes ``STATE_CAP``, refuses at the letter where a count
+    after every letter first passes it, or at none."""
+    rs = build_root_system(ct, n)
+    tau, word = ((aff(rs, (0,) * n), ZERO_HEAVY) if lam is None
+                 else tau_word(aff(rs, lam, longest_element(rs))))
+    eng = IntervalEngine(enumerate_group(rs), word, tau)
+    snaps = [eng.interval_states(())]
+    for j in word:
+        snaps.append(eng.step(snaps[-1], j))
+    for a, b in zip(snaps, snaps[1:]):
+        for s in (b, a | b, b - a):
+            assert s.bound >= len(s)
+    counts = [len(s) for s in snaps[1:]]
+    assert counts[-1] > 100 * counts[0]
+    for cap in (counts[len(counts) // 4], counts[len(counts) // 2],
+                counts[-1] - 1, counts[-1]):
+        monkeypatch.setattr(affine, "STATE_CAP", cap)
+        states, refused = snaps[0], None
+        for i, j in enumerate(word):
+            try:
+                states = eng._bounded(eng.step(states, j))
+            except BudgetError:
+                refused = i
+                break
+        assert refused == next((i for i, c in enumerate(counts) if c > cap), None)
+
+
 @pytest.mark.parametrize("ct", ["A", "B", "G"])
 def test_interval_states_refuse_leaving_the_box(ct, dense):
     """Every state the set-of-pairs DP reaches on a long 0-heavy word lies

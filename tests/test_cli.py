@@ -587,7 +587,6 @@ print("B2 index of s2s1s2 intact:",
 
 _BROKEN_INVARIANTS = """
 import copy
-import dataclasses
 from unittest import mock
 from adlv import adm, affine, cascade, cover, rootsys, weyl
 from adlv.affine import IntervalEngine, translation
@@ -599,11 +598,19 @@ from adlv.rootsys import build_root_system, coweight
 from adlv.weyl import enumerate_group, identity_elt, simple_reflection
 
 a2 = build_root_system("A", 2)
-no_quantum = dataclasses.replace(a2, quantum_flags=(False,) * 3)
+
+
+def replaced(rs, **changes):
+    return rootsys.RootSystem(**{k: getattr(rs, k) for k in rs.__slots__} | changes)
+
+
+no_quantum = replaced(a2, quantum_flags=(False,) * 3)
 table = enumerate_group(a2)
 sparse = IntervalEngine(enumerate_group(build_root_system("A", 4)), ())
 flat = copy.copy(table)
 flat.lengths = [0] * 6
+swapped = copy.copy(table)  # the lengths of s1 (index 1) and w0 (index 5) exchanged
+swapped.lengths = [0, 3, 1, 2, 2, 1]
 unlinked = copy.copy(table)
 unlinked.rmult_root = lambda a: list(range(6))
 skewed = QBGraph(table)
@@ -624,6 +631,7 @@ def patched(owner, name, value, call):
 
 for check in (
     lambda: QBGraph(flat),
+    lambda: QBGraph(swapped),
     lambda: [skewed.search(x) for x in range(6)],
     lambda: IntervalEngine(table, ()).pack((99, 0)),
     lambda: IntervalEngine(table, (0, 1, 0)).interval_states((0, 1, 0, 2, 0) * 8),
@@ -648,10 +656,10 @@ for check in (
     patched(rootsys, "_dominantize", lambda rs, p: ((0, 0), []), lambda:
             rootsys.dominant_rep(coweight(a2, (1, -1)))),
     lambda: cascade.dp_root(
-        dataclasses.replace(a2, reflection_lengths=(2, 2, 2)), 0),
+        replaced(a2, reflection_lengths=(2, 2, 2)), 0),
     lambda: corrupt.elements[3],
-    patched(rootsys, "TYPE_TABLE", {**rootsys.TYPE_TABLE, "A": dataclasses.replace(
-        rootsys.TYPE_TABLE["A"], n_positive=lambda n: 0)}, lambda:
+    patched(rootsys, "TYPE_TABLE", {**rootsys.TYPE_TABLE, "A":
+        rootsys.TYPE_TABLE["A"]._replace(n_positive=lambda n: 0)}, lambda:
             rootsys._build_root_system.__wrapped__("A", 2)),
 ):
     try:
@@ -662,9 +670,11 @@ for check in (
 
 
 def test_invariants_survive_python_O():
-    """A graph with no edges or with a wrong packed coroot, a state outside
-    the coweight box (packed, or reached by a letter 0 past the count an
-    engine of either kind was sized for), two
+    """A graph with no edges, one whose distances to and from the identity
+    break the packed-weight width bound (A2 with the lengths of s1 and w0
+    swapped, which passes every other check) or one with a wrong packed
+    coroot, a state outside the coweight box (packed, or reached by a
+    letter 0 past the count an engine of either kind was sized for), two
     incomparable Newton points, a cocover step that is no reflection, a
     full drop through a root not listed as quantum, a word search that runs
     out of descents or leaves length behind, a coset walk ending off the
@@ -678,6 +688,7 @@ def test_invariants_survive_python_O():
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         "raised: graph not strongly connected",
+        "raised: an identity distance breaks the weight width bound",
         "raised: two shortest paths with different weights",
         "raised: interval state out of the coweight box",
         "raised: letter 0 past the 2 the box is sized for",
@@ -698,6 +709,20 @@ def test_invariants_survive_python_O():
         "raised: table element's row keys to another index",
         "raised: root closure produced 3 roots for A2",
     ]
+
+
+def test_cli_import_generates_no_code():
+    """Importing the CLI loads neither ``dataclasses`` nor ``inspect``: its
+    records are NamedTuples and slotted classes, so start-up executes no
+    generated methods."""
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", "import adlv.cli, sys; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(GOLDEN.parents[1])},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_run_query_requires_scope():
