@@ -352,13 +352,18 @@ def demazure_ltri(x: AffineElt, y: AffineElt) -> AffineElt:
 
 # -- interval engine -----------------------------------------------------
 
-def _bit_positions(bits: int):
-    """Indices of the set bits of a nonnegative int, ascending."""
+def _line_ends(bits: int, width: int):
+    """Ascending, the lowest and highest set bit (a lone one once) of each
+    run of ``width`` bits that has one: a box line's ends; width 1, all bits."""
     s = bin(bits)[:1:-1]
     i = s.find("1")
     while i >= 0:
+        end = i - i % width + width
+        j = s.rfind("1", i, end)
         yield i
-        i = s.find("1", i + 1)
+        if j > i:
+            yield j
+        i = s.find("1", end)
 
 
 # bitsets up to this rank, frozensets of codes above it: the box, width**rank
@@ -453,7 +458,6 @@ class IntervalEngine:
         self.offset = [sum(map(mul, dv, self.places)) for dv in self.delta]
         self.size = len(table) * prod(self.widths)  # the states the box holds
         self.dense = rs.rank <= DENSE_MAX_RANK
-        self.codes = _bit_positions if self.dense else iter  # a bucket's codes
 
     def pack(self, mu: Sequence[int]) -> int:
         if not all(l <= c <= h for l, c, h in zip(self.lo, mu, self.hi)):
@@ -467,7 +471,7 @@ class IntervalEngine:
     def decoded(self, states: StateSet):
         """Per bucket: its finite index and an iterator over its translation parts."""
         for x, b in states.buckets.items():
-            yield x, map(self.unpack, self.codes(b))
+            yield x, map(self.unpack, _line_ends(b, 1) if self.dense else b)
 
     def _translate(self, x: int, b):
         """Bucket b of index x translated by delta[x]."""

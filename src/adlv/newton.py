@@ -23,6 +23,7 @@ from .affine import (
     IntervalEngine,
     StateSet,
     _interval_engine,
+    _line_ends,
 )
 from .errors import InvariantError, RefusalError
 from .qbg import build_qbg, m_tilde
@@ -121,19 +122,24 @@ def _averaging_data(table: GroupTable) -> list[tuple[tuple[int, ...], int]]:
 
 def _nu_keys(eng: IntervalEngine, states: StateSet,
              memo: dict) -> set[tuple[tuple[int, ...], int]]:
-    """Distinct Newton points over a state set, as normalized (integer
-    dominant vector, denominator) keys.  ``memo`` maps S to packed ints to
-    keys, and each key to itself so equal keys share one tuple.  A packed
-    int encodes mu T and m themselves (lo is folded into P), not lambda or
-    the engine, so one memo serves every engine on the same table.
+    """Newton keys, normalized as (integer dominant vector, denominator), of
+    the states that end a box line in their bucket (every state of a sparse
+    engine); ``_max_point`` answers on them as on all keys.  A state t^mu z
+    has key dom(mu T / m), (T, m) the averaging data of z, and mu -> mu T / m
+    is linear.  <2 rho, dom v> = max_w <2 rho, w v> is convex in v, and for
+    dominant nu, t, nu <= t iff nu lies in conv(W t) (Kostant, Ann. Sci. ENS
+    1973), so the height maximum and "every key <= t" over a bucket are
+    decided at the extreme points of its hull, and each of those ends a line.
 
-    A state t^mu z has raw vector mu T and order m, (T, m) the averaging
-    data of z.  A bucket with T = 0 fixes no nonzero coweight and gives the
-    key 0 unread.  Otherwise (raw, m) packs into sum (raw_k + 2^(S-1))
-    2^(S k) + m 2^(S n), Z-linear in mu: P + sum mu_i A_i with A_i row i of
-    T packed.  From a code c = sum (mu_k - lo_k) places_k it is P' + c A_0 +
-    sum_{k>=1} (c // places_k) (A_k - width_{k-1} A_{k-1}), with P' = P +
-    sum lo_k A_k.  No field carries: every mu lies in the engine's box, so
+    ``memo`` maps S to packed ints to keys, and each key to itself so equal
+    keys share one tuple.  A packed int encodes mu T and m themselves (lo is
+    folded into P), not lambda or the engine, so one memo serves every
+    engine on the same table.  A bucket with T = 0 fixes no nonzero coweight
+    and gives the key 0 unread.  Otherwise (raw, m) packs into sum (raw_k +
+    2^(S-1)) 2^(S k) + m 2^(S n), Z-linear in mu: P + sum mu_i A_i with A_i
+    row i of T packed.  From c = sum (mu_k - lo_k) places_k it is P' + c A_0
+    + sum_{k>=1} (c // places_k) (A_k - width_{k-1} A_{k-1}), P' = P + sum
+    lo_k A_k.  No field carries: every mu lies in the engine's box, so
     |mu_i| <= bound = max |lo_i|, |hi_i| and |raw_k| < 2^(S-1)."""
     rs, n = eng.rs, eng.rs.rank
     data = _averaging_data(eng.table)
@@ -152,7 +158,7 @@ def _nu_keys(eng: IntervalEngine, states: StateSet,
         A = [sum(t << S * k for k, t in enumerate(T[i * n:i * n + n])) for i in range(n)]
         P = sum(half << S * k for k in range(n)) + (m << S * n)
         P += sum(map(mul, eng.lo, A))
-        codes = list(eng.codes(b))
+        codes = list(_line_ends(b, eng.widths[0]) if eng.dense else b)
         raws = [P + c * A[0] for c in codes]
         for k in range(1, n):
             p, B = eng.places[k], A[k] - eng.widths[k - 1] * A[k - 1]
@@ -175,7 +181,10 @@ def _max_point(rs: RootSystem, keys) -> tuple[tuple[int, ...], int]:
 
     K u N has a top iff {t} u N has one, for t the top of K: a top of {t} u N
     dominates K through t, and a top of K u N lying in K dominates t, so it
-    is t.  A sweep therefore carries a running top, not the whole set."""
+    is t.  A sweep therefore carries a running top, not the whole set.
+    Line ends' keys (``_nu_keys``) have the top of all keys, or none: that
+    top, of greatest height, is a line end's, and a top t of the ends' keys
+    bounds every key, each bucket's hull mapping into conv(W t)."""
     if not keys:
         raise InvariantError("empty Newton point set")
     two_rho, den = rs.two_rho, lcm(*(m for _, m in keys))

@@ -224,17 +224,27 @@ def averaging_data_matrices(table) -> list:
     return out
 
 
+def bit_positions(bits: int):
+    """Indices of the set bits of a nonnegative int, ascending, one find
+    per bit: the oracle for ``affine._line_ends``."""
+    s = bin(bits)[:1:-1]
+    i = s.find("1")
+    while i >= 0:
+        yield i
+        i = s.find("1", i + 1)
+
+
 def nu_keys(eng, states) -> set:
-    """Normalized Newton keys over a state set, one decoded mu tuple and
-    one matrix-vector product per state: the oracle for the packed
-    ``newton._nu_keys``."""
+    """Normalized Newton keys of every state of a state set, one decoded mu
+    tuple and one matrix-vector product per state: the oracle for the packed
+    ``newton._nu_keys``, which reads only the ends of each box line."""
     rs, n = eng.rs, eng.rs.rank
     data = _averaging_data(eng.table)
     keys = set()
-    for x_idx, mus in eng.decoded(states):
+    for x_idx, b in states.buckets.items():
         T, m = data[x_idx]
         cols = [T[k::n] for k in range(n)]
-        for mu in mus:
+        for mu in map(eng.unpack, bit_positions(b) if eng.dense else b):
             raw = tuple(sum(a * t for a, t in zip(mu, col)) for col in cols)
             dom, _ = _dominantize(rs, raw)
             g = gcd(m, *dom)

@@ -386,6 +386,33 @@ def test_cascade_suite_expected_mismatches_b4():
     assert len(words) == 24
 
 
+@pytest.mark.parametrize("ct,n,cases", [("B", 2, 6), ("C", 2, 6), ("C", 3, 20)])
+def test_cascade_suite_expects_no_witness_in_type_c(ct, n, cases):
+    """Type C, and B2 = C2, has wt = r on every involution, as type A
+    does, so its suite passes with no expected mismatches."""
+    rep = run_suite(RunConfig(cartan_type=ct, rank=n), "cascade")
+    assert rep["passed"] is True
+    assert rep["failures"] == []
+    assert rep["cases"] == cases
+    assert "expected_mismatches" not in rep
+
+
+# sha256 of the `verify newton --type G --rank 2` report minus wall_time,
+# in the layout of bench/workloads.py::report_digest, recorded when the
+# brute maximum still read every state of the interval
+NEWTON_G2_REPORT_DIGEST = (
+    "e267287ab98ec890cd5abdc4f94c9e9510587dbc21cc776aaeb20aec8830415d"
+)
+
+
+def test_newton_suite_report_frozen_g2():
+    rep = run_suite(RunConfig(cartan_type="G", rank=2), "newton")
+    rep.pop("wall_time")
+    assert rep["cases"] == 48
+    text = json.dumps(rep, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == NEWTON_G2_REPORT_DIGEST
+
+
 def test_cover_suite_small():
     rep = run_suite(RunConfig(cartan_type="A", rank=2), "cover")
     assert rep["passed"] is True

@@ -2,8 +2,11 @@
 form, and the sweep harness."""
 
 from fractions import Fraction
+from math import prod
+from operator import le
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adlv import affine, newton, weyl
 from adlv.errors import InvariantError, RefusalError
@@ -246,19 +249,29 @@ def test_sweep_shares_memo_exactly(ct, n, lams, monkeypatch):
     assert len(widths) > 1
 
 
+def _top_or_refusal(rs, keys):
+    """``_max_point`` of keys, or the message it refuses them with."""
+    try:
+        return _max_point(rs, keys)
+    except InvariantError as exc:
+        return str(exc)
+
+
 def _check_keys_against_oracle(monkeypatch, rank):
-    """Patch ``_nu_keys`` so every call also runs the tuple oracle, and
-    ``tau_word`` to record whether each sweep starts from tau = 1; returns
-    counts of the kinds of bucket the patched calls saw and the set of
-    recorded tau kinds."""
+    """Patch ``_nu_keys`` so every call also runs the tuple oracle over
+    every state, and ``tau_word`` to record whether each sweep starts from
+    tau = 1; returns counts of the kinds of bucket the patched calls saw
+    and the set of recorded tau kinds.  The packed keys must be a subset of
+    the oracle's, with the same ``_max_point`` or the same refusal."""
     real, real_tau_word = newton._nu_keys, affine.tau_word
     seen = dict.fromkeys(["empty", "zero T"], 0)
     trivial_tau = set()
 
     def checked(eng, states, memo):
         assert eng.dense is (rank <= affine.DENSE_MAX_RANK)
-        got = real(eng, states, memo)
-        assert got == nu_keys(eng, states)
+        got, full = real(eng, states, memo), nu_keys(eng, states)
+        assert got <= full
+        assert _top_or_refusal(eng.rs, got) == _top_or_refusal(eng.rs, full)
         data = newton._averaging_data(eng.table)
         for x, b in states.buckets.items():
             if not b:
@@ -277,6 +290,45 @@ def _check_keys_against_oracle(monkeypatch, rank):
     return seen, trivial_tau
 
 
+def _box_engine(ct):
+    """A dense rank-2 engine sized for three letters 0: its box holds
+    [-6, 6]^2 (A2), [-6, 6] x [-3, 3] (B2) or [-3, 3] x [-6, 6] (G2)."""
+    return affine.IntervalEngine(enumerate_group(build_root_system(ct, 2)), (0, 0, 0))
+
+
+_MU = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from("ABG"), st.dictionaries(
+    st.integers(0, 11),
+    st.one_of(st.lists(_MU, max_size=40), st.integers(0, (1 << 169) - 1)),
+    max_size=4))
+# no unique top: two incomparable keys, (2, 0) and (0, 2), in the
+# identity's bucket, and the ends (3, 0) and (0, 3) of a line through 0
+@example("A", {0: [(2, 0), (0, 2)]})
+@example("A", {0: [(k, 0) for k in range(-3, 4)]})
+# every state of G2's box in one bucket and a line's interior in another
+@example("G", {7: (1 << 91) - 1, 3: [(-2, 0), (-1, 0), (0, 0), (1, 0)]})
+def test_line_end_keys_give_the_top_of_all_keys(ct, buckets):
+    """Over random subsets of an engine's box, one per bucket (a list of
+    coweights, those outside the box dropped, or a bitset), the line-end
+    keys of ``_nu_keys`` are among the tuple oracle's keys of every state,
+    and ``_max_point`` gives both the same key or refuses both."""
+    eng = _box_engine(ct)
+    box, bits = (1 << prod(eng.widths)) - 1, {}
+    for x, b in buckets.items():
+        if isinstance(b, list):
+            inside = {mu for mu in b if all(map(le, eng.lo, mu)) and all(map(le, mu, eng.hi))}
+            b = sum(1 << eng.pack(mu) for mu in inside)
+        x %= len(eng.table)
+        bits[x] = bits.get(x, 0) | b & box
+    states = affine.StateSet(bits, 0, 0)
+    got, full = newton._nu_keys(eng, states, {}), nu_keys(eng, states)
+    assert got <= full
+    assert _top_or_refusal(eng.rs, got) == _top_or_refusal(eng.rs, full)
+
+
 @pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("D", 5)])
 def test_averaging_data_builds_no_elements(ct, n, monkeypatch):
     """On a fresh group table the averaging data is read from the signed
@@ -292,9 +344,10 @@ def test_averaging_data_builds_no_elements(ct, n, monkeypatch):
 @pytest.mark.parametrize("ct,n", [("A", 1), ("A", 2), ("B", 2)])
 def test_packed_keys_match_tuple_oracle(ct, n, dense, monkeypatch):
     """On both engines, every key set of the rank <= 2 theorem-grid sweep
-    equals the tuple oracle's: full intervals and the partial sets
-    ``states - seen`` with a shared memo, from trivial and nontrivial tau,
-    with empty buckets and buckets whose averaging matrix is 0."""
+    is a subset of the tuple oracle's with the same maximum or refusal:
+    full intervals and the partial sets ``states - seen`` with a shared
+    memo, from trivial and nontrivial tau, with empty buckets and buckets
+    whose averaging matrix is 0."""
     rs = build_root_system(ct, n)
     seen, trivial_tau = _check_keys_against_oracle(monkeypatch, n)
     assert all(r["match"] for r in sweep_records(rs, theorem_grid(rs)))
