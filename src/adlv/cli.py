@@ -33,7 +33,8 @@ group cap ``weyl.GROUP_CAP``, and one that builds the quantum Bruhat graph
 newton, adm and cascade) at the graph cap ``qbg.QBG_CAP``; both exit 3.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-refused input (including --budget below 1) or an --out path that
+refused input (including --budget below 1, or --budget for a verify
+suite other than adm) or an --out path that
 cannot be written (``error: cannot write ...``), 3 budget exceeded,
 4 internal invariant violated (a bug, not bad input).
 Reports are deterministic for a fixed config and seed, except for the
@@ -586,8 +587,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (pq, pv):
         common(p)
         p.add_argument("--budget", dest="interval_budget", type=int,
-                       default=affine.DEFAULT_INTERVAL_BUDGET,
-                       help="largest element length to sweep")
+                       help="largest element length to sweep (verify: adm only)")
     pq.add_argument("expression")
     pv.add_argument("--seed", dest="sweep_seed", type=int, default=0)
     pv.add_argument("suite")
@@ -597,6 +597,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if (args.command == "verify" and args.suite != "adm"
+                and args.interval_budget is not None):
+            raise QueryError(
+                f"the {args.suite} suite does not read --budget; only adm does")
         # each subcommand defines only the flags it reads
         config = RunConfig(**{k: v for k, v in vars(args).items()
                               if k in RunConfig.__slots__})

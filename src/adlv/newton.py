@@ -38,10 +38,10 @@ from .rootsys import (
     coweight,
     coweight_from_coroot,
     depth,
-    dominant_rep,
 )
 from .weyl import (
     GroupTable,
+    dominant_rep,
     enumerate_group,
     longest_element,
     per_table,

@@ -42,7 +42,6 @@ __all__ = [
     "pairing",
     "depth",
     "dominance_leq",
-    "dominant_rep",
     "root_leq",
     "TYPE_TABLE",
     "TypeRow",
@@ -174,14 +173,6 @@ def _edges_and_d(ct: str, n: int) -> tuple[list[tuple[int, int]], tuple[int, ...
     return chain, (1, 3)  # G2
 
 
-def _sign(v: Sequence[int]) -> int:
-    """Sign of a sign-coherent coefficient vector (0 for the zero vector)."""
-    for x in v:
-        if x:
-            return 1 if x > 0 else -1
-    return 0
-
-
 class RootSystem(_Frozen):
     """Immutable root-system data, with everything derived from it per root,
     every field given by keyword; build via :func:`build_root_system`, which
@@ -192,15 +183,16 @@ class RootSystem(_Frozen):
         "cartan_type",
         "rank",
         "cartan",              # C[i][j] = <a_j, a_i_check>
-        "sym_d",
         "positive_roots",      # sorted by (height, coeffs)
         "positive_coroots",    # index-paired with the roots
-        "root_d",              # d_beta = (beta, beta)/2
         "heights",
         "theta_index",
         "two_rho",
         "quantum_flags",
-        "reflection_lengths",  # ell(s_beta) per positive root
+        # per positive root beta, s_beta gamma over the positive roots gamma
+        # as signed root indices: the row of the WeylElt s_beta
+        "reflection_rows",
+        "reflection_lengths",  # ell(s_beta): the negative entries of its row
         # indexed by a signed root index: c for the c-th positive root, ~c
         # for its negative (the list read from the end)
         "signed_roots",
@@ -239,10 +231,14 @@ def build_root_system(cartan_type: str, rank: int) -> RootSystem:
     """Construct the root system of the given Cartan type and rank (cached:
     one object per canonical type and rank).
 
-    Positive roots are generated by closing the simple roots under root
-    addition, using the string criterion: beta + a_i is a root iff
-    p - <beta, a_i_check> >= 1 where p is the length of the alpha_i-string
-    below beta.  The result is checked against the classical root count.
+    Each positive root is found together with its coroot in one walk: from
+    the simple pairs (a_i, a_i_check), apply s_i wherever it raises the
+    height, beta -> beta - <beta, a_i_check> a_i and beta_check ->
+    beta_check - <a_i, beta_check> a_i_check.  Every positive root is
+    reached this way and (w beta)_check = w(beta_check) (Humphreys,
+    *Introduction to Lie Algebras*, 10.2-10.3), so no norms are needed.
+    The roots are checked against the classical root count, and each
+    reflection's signed root permutation is computed once from them.
     """
     return _build_root_system(check_type(cartan_type, rank), rank)
 
@@ -261,60 +257,52 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
     if any(B[i][j] != C[i][j] * d[i] for i in range(n) for j in range(n)):
         raise InvariantError("Cartan symmetrization failed")
 
-    # pairing of a root-coefficient vector with the i-th simple coroot
-    def pair_simple_coroot(c: Sequence[int], i: int) -> int:
-        return sum(C[i][j] * c[j] for j in range(n))
-
-    roots: set[Root] = {_unit(n, i) for i in range(n)}
-    level = sorted(roots)
+    # the walk of build_root_system, breadth first
+    pairs = {_unit(n, i): _unit(n, i) for i in range(n)}  # root -> coroot
+    level = list(pairs)
     while level:
-        nxt: set[Root] = set()
+        nxt = []
         for beta in level:
-            for i in range(n):
-                ai = _unit(n, i)
-                if beta == ai:
-                    continue
-                p = 0
-                cur = tuple(b - a for b, a in zip(beta, ai))
-                while cur in roots:
-                    p += 1
-                    cur = tuple(b - a for b, a in zip(cur, ai))
-                if p - pair_simple_coroot(beta, i) >= 1:
-                    cand = tuple(b + a for b, a in zip(beta, ai))
-                    if cand not in roots:
-                        nxt.add(cand)
-        roots |= nxt
-        level = sorted(nxt)
-    if len(roots) != TYPE_TABLE[ct].n_positive(n):
-        raise InvariantError(f"root closure produced {len(roots)} roots for {ct}{n}")
+            bc = pairs[beta]
+            ks = mat_vec(C, beta)  # <beta, a_i_check> per i
+            if sum(map(mul, ks, bc)) != 2:
+                raise InvariantError(f"<beta, beta_check> != 2 for {beta} in {ct}{n}")
+            for i, k in enumerate(ks):  # s_i raises beta iff k < 0; else up = beta
+                up = beta[:i] + (beta[i] - k,) + beta[i + 1:] if k < 0 else beta
+                if up not in pairs:
+                    m = sum(C[j][i] * bc[j] for j in range(n))  # <a_i, beta_check>
+                    pairs[up] = bc[:i] + (bc[i] - m,) + bc[i + 1:]
+                    nxt.append(up)
+        level = nxt
+    if len(pairs) != TYPE_TABLE[ct].n_positive(n):
+        raise InvariantError(f"root closure produced {len(pairs)} roots for {ct}{n}")
 
-    positive = tuple(sorted(roots, key=lambda r: (sum(r), r)))
+    positive = tuple(sorted(pairs, key=lambda r: (sum(r), r)))
+    coroots = tuple(map(pairs.__getitem__, positive))
     index = {r: a for a, r in enumerate(positive)}
     heights = tuple(sum(r) for r in positive)
-
-    # d_beta and the coroot of each root: beta_check = sum_i c_i (d_i/d_beta) a_i_check
-    root_d = []
-    coroots = []
-    for r in positive:
-        norm2 = sum(r[i] * r[j] * B[i][j] for i in range(n) for j in range(n))
-        if norm2 % 2 or norm2 <= 0:
-            raise InvariantError(f"root {r} of {ct}{n} has norm {norm2}")
-        db = norm2 // 2
-        cr = []
-        for i in range(n):
-            num = r[i] * d[i]
-            if num % db:
-                raise InvariantError(f"non-integral coroot coefficient for {r} in {ct}{n}")
-            cr.append(num // db)
-        root_d.append(db)
-        coroots.append(tuple(cr))
-    root_d = tuple(root_d)
-    coroots = tuple(coroots)
+    signed = positive + tuple(tuple([-c for c in r]) for r in positive[::-1])
 
     # <alpha_i, beta_check> per positive coroot (C^T beta_check), then negatives
     Ct = transpose(C)
     cps = tuple(mat_vec(Ct, bc) for bc in coroots)
     cps += tuple(tuple([-v for v in p]) for p in cps[::-1])
+    # cols[c][b] = <beta_b, gamma_check>, gamma the root at signed index c
+    cols = tuple(tuple([sum(map(mul, r, cp)) for r in positive]) for cp in cps)
+
+    # rows[a][c]: s_beta gamma = gamma - <gamma, beta_check> beta as a signed
+    # index, beta and gamma the a-th and c-th positive roots
+    signed_index = dict(zip(signed, [*range(len(positive)), *range(-len(positive), 0)]))
+    rows = []
+    for beta, col in zip(positive, cols):
+        row = []
+        for gamma, k in zip(positive, col):
+            img = tuple([g - k * b for g, b in zip(gamma, beta)])
+            if img not in signed_index:
+                raise InvariantError(f"s_{beta} sends {gamma} to {img}, not a root")
+            row.append(signed_index[img])
+        rows.append(tuple(row))
+    refl_len = tuple([sum(c < 0 for c in row) for row in rows])
 
     # highest root: unique height maximum, and dominance-maximal among all roots
     hmax = max(heights)
@@ -329,26 +317,10 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
     # cross-check: the sum of the positive roots pairs to 2 with every
     # simple coroot, so it is 2 rho
     two_rho = tuple(sum(r[i] for r in positive) for i in range(n))
-    if any(pair_simple_coroot(two_rho, i) != 2 for i in range(n)):
+    if any(p != 2 for p in mat_vec(C, two_rho)):
         raise InvariantError("2 rho != sum of positive roots")
     cinv_t = mat_inv(Ct)
     den = math.lcm(*(x.denominator for row in cinv_t for x in row))
-
-    # cols[c][b] = <beta_b, gamma_check>, gamma the root at signed index c
-    cols = tuple(tuple([sum(map(mul, r, cp)) for r in positive]) for cp in cps)
-    # ell(s_beta) = #{gamma > 0 : s_beta gamma < 0}, via the exact root action
-    refl_len = []
-    for a, beta in enumerate(positive):
-        cnt = 0
-        for gamma, k in zip(positive, cols[a]):  # k = <gamma, beta_check>
-            img = tuple(gc - k * bb for gc, bb in zip(gamma, beta))
-            s = _sign(img)
-            if not s:
-                raise InvariantError(f"reflection of {beta} sends a root to 0")
-            if s < 0:
-                cnt += 1
-        refl_len.append(cnt)
-    refl_len = tuple(refl_len)
 
     # quantum roots: ell(s_beta) == <2 rho, beta_check> - 1 (always >= holds
     # with <2 rho, beta_check> - 1 >= ell(s_beta); see the library tests)
@@ -360,16 +332,15 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
         cartan_type=ct,
         rank=n,
         cartan=C,
-        sym_d=tuple(d),
         positive_roots=positive,
         positive_coroots=coroots,
-        root_d=root_d,
         heights=heights,
         theta_index=ti,
         two_rho=two_rho,
         quantum_flags=qflags,
+        reflection_rows=tuple(rows),
         reflection_lengths=refl_len,
-        signed_roots=positive + tuple(tuple([-c for c in r]) for r in positive[::-1]),
+        signed_roots=signed,
         coroot_pairings=cps,
         coroot_columns=cols,
         letter_roots=(ti, *(index[_unit(n, i)] for i in range(n))),
@@ -437,9 +408,6 @@ class Coweight(_Frozen):
 
     def __sub__(self, other: "Coweight") -> "Coweight":
         return Coweight(_same_rs(self, other), tuple(map(sub, self.pairing, other.pairing)))
-
-    def __neg__(self) -> "Coweight":
-        return Coweight(self.rs, tuple(-a for a in self.pairing))
 
     def int_pairing(self) -> tuple[int, ...]:
         """The pairing coordinates, which must all be integers (lambda in
@@ -510,24 +478,6 @@ def _dominantize(rs: RootSystem, p: Sequence[Num]) -> tuple[tuple[Num, ...], lis
         else:
             i += 1
     return tuple(map(_norm_num, cur) if Fraction in map(type, cur) else cur), word
-
-
-def dominant_rep(lam: Coweight):
-    """Dominant representative of the Weyl orbit of lam.
-
-    Returns ``(lam_plus, g)`` with ``g(lam) = lam_plus`` (g a WeylElt).
-    """
-    from .weyl import identity_elt, simple_reflection
-
-    rs = lam.rs
-    coords, word = _dominantize(rs, lam.pairing)
-    g = identity_elt(rs)
-    for i in word:
-        g = simple_reflection(rs, i).mul(g)
-    out = Coweight(rs, coords)
-    if g.act_pairing(lam.pairing) != out.pairing:
-        raise InvariantError("g(lambda) is not the dominant representative")
-    return out, g
 
 
 def root_leq(beta: Root, gamma: Root) -> bool:

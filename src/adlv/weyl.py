@@ -9,7 +9,7 @@ length counts negative entries, a left descent is one entry and a right
 descent one scan.  The pairing action reads the roots x^-1(alpha_k), and
 the root action, the rho_check key of a table index and the reflection
 length (the rank of x - 1) read the forward images x(alpha_j).
-Reflections are built from root data.
+A reflection's row is ``RootSystem.reflection_rows``.
 
 While W has a cached ``GroupTable`` (only ``enumerate_group`` builds one),
 products and inverses are table lookups that hand out the shared table
@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 from ._matrix import mat_rank
 from .errors import BudgetError, InvariantError, RefusalError
-from .rootsys import RootSystem, WEYL_ORDER
+from .rootsys import Coweight, RootSystem, WEYL_ORDER, _dominantize
 
 __all__ = [
     "WeylElt",
@@ -48,6 +48,7 @@ __all__ = [
     "reflection",
     "longest_element",
     "reflection_length",
+    "dominant_rep",
     "enumerate_group",
     "per_table",
     "word_str",
@@ -219,15 +220,9 @@ def reflection(rs: RootSystem, root) -> WeylElt:
 
 @lru_cache(maxsize=None)
 def _reflection_by_index(rs: RootSystem, a: int) -> WeylElt:
-    """s_beta gamma = gamma - <gamma, beta_check> beta over the positive
-    roots gamma; s_beta is an involution, so these are also the images
-    under its inverse."""
-    beta, idx = rs.positive_roots[a], rs.root_index  # positive roots only
-    imgs = []
-    for gamma, k in zip(rs.positive_roots, rs.coroot_columns[a]):
-        v = tuple([g - k * b for g, b in zip(gamma, beta)])
-        imgs.append(idx[v] if v in idx else ~idx[tuple([-c for c in v])])
-    return WeylElt(rs, tuple(imgs))
+    """s_beta from its row of root images; s_beta is an involution, so
+    they are also the images under its inverse."""
+    return WeylElt(rs, rs.reflection_rows[a])
 
 
 @lru_cache(maxsize=None)
@@ -250,6 +245,22 @@ def reflection_length(x: WeylElt) -> int:
     return mat_rank([
         [c - (k == j) for k, c in enumerate(v)] for j, v in enumerate(x._forward())
     ])
+
+
+def dominant_rep(lam: Coweight) -> tuple[Coweight, WeylElt]:
+    """Dominant representative of the Weyl orbit of lam.
+
+    Returns ``(lam_plus, g)`` with ``g(lam) = lam_plus``.
+    """
+    rs = lam.rs
+    coords, word = _dominantize(rs, lam.pairing)
+    g = identity_elt(rs)
+    for i in word:
+        g = simple_reflection(rs, i).mul(g)
+    out = Coweight(rs, coords)
+    if g.act_pairing(lam.pairing) != out.pairing:
+        raise InvariantError("g(lambda) is not the dominant representative")
+    return out, g
 
 
 class GroupTable:

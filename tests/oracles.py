@@ -3,6 +3,7 @@
 from functools import lru_cache
 from itertools import chain
 from math import gcd
+from operator import add, sub
 
 from adlv.adm import DEFAULT_ADM_BUDGET, _orbit
 from adlv.affine import (
@@ -14,7 +15,7 @@ from adlv.affine import (
 )
 from adlv.cover import CocoverRecord, CoverResult, cover_depth_threshold
 from adlv.newton import _averaging_data
-from adlv.rootsys import _dominantize, coweight_from_coroot, depth
+from adlv.rootsys import _dominantize, _edges_and_d, coweight_from_coroot, depth
 from adlv.weyl import (
     WeylElt,
     enumerate_group,
@@ -45,17 +46,83 @@ def pair_root_coroot(rs, root, coroot) -> int:
     return sum(root[i] * coroot[j] * rs.cartan[j][i] for i in range(n) for j in range(n))
 
 
+def symmetrizer(rs) -> tuple[int, ...]:
+    """d_i = (a_i, a_i)/2, so that (a_i, a_j) = d_i C[i][j]."""
+    return _edges_and_d(rs.cartan_type, rs.rank)[1]
+
+
+def half_norm(rs, root) -> int:
+    """d_beta = (beta, beta)/2 from the symmetric form (a_i, a_j) = d_i C[i][j]."""
+    d, C, n = symmetrizer(rs), rs.cartan, rs.rank
+    norm2 = sum(root[i] * root[j] * d[i] * C[i][j] for i in range(n) for j in range(n))
+    assert norm2 > 0 and norm2 % 2 == 0, (root, norm2)
+    return norm2 // 2
+
+
+def roots_by_strings(rs) -> list[tuple[int, ...]]:
+    """The positive roots by closing the simple roots under root addition,
+    sorted by (height, coefficients): beta + a_i is a root iff
+    p - <beta, a_i_check> >= 1, p the length of the a_i-string below beta."""
+    n, C = rs.rank, rs.cartan
+    roots = {simple_root(rs, i) for i in range(n)}
+    level = sorted(roots)
+    while level:
+        nxt = set()
+        for beta in level:
+            for i in range(n):
+                ai = simple_root(rs, i)
+                if beta == ai:
+                    continue
+                p, cur = 0, tuple(map(sub, beta, ai))
+                while cur in roots:
+                    p, cur = p + 1, tuple(map(sub, cur, ai))
+                if p - sum(C[i][j] * beta[j] for j in range(n)) >= 1:
+                    nxt.add(tuple(map(add, beta, ai)))
+        nxt -= roots
+        roots |= nxt
+        level = sorted(nxt)
+    return sorted(roots, key=lambda r: (sum(r), r))
+
+
+def coroots_by_norms(rs, roots) -> list[tuple[int, ...]]:
+    """beta_check = sum_i c_i (d_i / d_beta) a_i_check for beta = sum_i c_i a_i,
+    every coefficient an integer."""
+    d, out = symmetrizer(rs), []
+    for r in roots:
+        db = half_norm(rs, r)
+        assert all(c * di % db == 0 for c, di in zip(r, d)), r
+        out.append(tuple(c * di // db for c, di in zip(r, d)))
+    return out
+
+
+def reflect(rs, beta, beta_check, gamma) -> tuple[int, ...]:
+    """s_beta gamma = gamma - <gamma, beta_check> beta, in root coordinates."""
+    k = pair_root_coroot(rs, gamma, beta_check)
+    return tuple(g - k * b for g, b in zip(gamma, beta))
+
+
+def reflection_lengths_by_counting(rs, roots, coroots) -> list[int]:
+    """ell(s_beta) = #{gamma > 0 : s_beta gamma < 0}, each image read by
+    the sign of its first nonzero coefficient."""
+    def negative(v):
+        assert any(v), "a reflection sent a root to 0"
+        return next(c for c in v if c) < 0
+    return [sum(negative(reflect(rs, beta, bc, gamma)) for gamma in roots)
+            for beta, bc in zip(roots, coroots)]
+
+
 def quantum_roots_by_classification(rs) -> list[tuple[int, ...]]:
     """Independent route to the quantum roots: all long roots, plus the short
     roots whose support uses only short simple roots.  (In the simply laced
     types every root counts as long.)"""
-    dmax = max(rs.sym_d)
+    d = symmetrizer(rs)
+    dmax = max(d)
     out = []
-    for a, r in enumerate(rs.positive_roots):
-        if rs.root_d[a] == dmax:
+    for r in rs.positive_roots:
+        if half_norm(rs, r) == dmax:
             out.append(r)
         else:
-            if all(rs.sym_d[i] < dmax for i in range(rs.rank) if r[i]):
+            if all(d[i] < dmax for i in range(rs.rank) if r[i]):
                 out.append(r)
     return out
 
@@ -76,7 +143,7 @@ def act_coroot(x: WeylElt, coeffs) -> tuple[int, ...]:
     r of its table word.  With alpha_j_check = alpha_j / d_j the coroot
     action is D r D^-1, and every entry r[k][j] d_k / d_j is an integer."""
     table = enumerate_group(x.rs)
-    d = x.rs.sym_d
+    d = symmetrizer(x.rs)
     return tuple(
         sum(row[j] * d[k] // d[j] * coeffs[j] for j in range(len(d)))
         for k, row in enumerate(word_matrix(x.rs, table.words[table.idx(x)]))

@@ -1,0 +1,112 @@
+"""Type A with no root data: the extended affine Weyl group of GL_n as
+affine permutations of Z, bijections f with f(i + n) = f(i) + n
+(Bjorner-Brenti, *Combinatorics of Coxeter Groups*, ch. 8), stored as
+the window f(0), ..., f(n - 1).
+
+An element t^lam x of type A_{n-1} (``AffineElt``, lam in pairing
+coordinates) translates by one fixed dictionary:
+
+- lam lifts to GL_n with lam_{n-1} = 0 and lam_i - lam_{i+1} = p_i;
+- x is the permutation of its reduced word ``WeylElt.to_word()``, the
+  0-based letter i swapping positions i and i + 1;
+- the window is f(i) = x(i) + n lam_{x(i)}, the translation
+  j -> j + n lam_j composed after x.
+
+The lift fixes the GL_n centre, so a window is defined up to a uniform
+shift by a multiple of n; ``normalize`` picks the one whose entry
+congruent to n - 1 is n - 1.  Length, Newton point and the affine
+generators below read only the window: nothing here shares code with
+``rootsys``, ``weyl`` or ``affine`` beyond the translation.
+"""
+
+from fractions import Fraction
+
+
+def lift(p) -> list[int]:
+    """GL_n coordinates of a pairing vector p: the last one 0, and
+    consecutive differences p_i."""
+    lam = [0]
+    for pi in reversed(p):
+        lam.append(lam[-1] + pi)
+    return lam[::-1]
+
+
+def permutation(word, n: int) -> list[int]:
+    """One-line notation of the product of the transpositions (i, i + 1)
+    of a word: each letter swaps two positions."""
+    x = list(range(n))
+    for i in word:
+        x[i], x[i + 1] = x[i + 1], x[i]
+    return x
+
+
+def window(w) -> list[int]:
+    """The window of an ``AffineElt`` t^lam x of type A."""
+    if w.rs.cartan_type != "A":
+        raise ValueError("affine permutations model type A only")
+    n = w.rs.rank + 1
+    lam, x = lift(w.lam), permutation(w.fin.to_word(), n)
+    return normalize([x[i] + n * lam[x[i]] for i in range(n)])
+
+
+def normalize(f: list[int]) -> list[int]:
+    """The shift of f by a multiple of n whose entry congruent to n - 1
+    is n - 1."""
+    n = len(f)
+    top = next(v for v in f if v % n == n - 1)
+    return [v - (top - (n - 1)) for v in f]
+
+
+def generator(j: int, n: int) -> list[int]:
+    """The window of the simple affine reflection s_j: for j >= 1 the swap
+    of positions j - 1 and j; s_0 swaps 0 with -1, and so n - 1 with n."""
+    f = list(range(n))
+    if j:
+        f[j - 1], f[j] = f[j], f[j - 1]
+    else:
+        f[0], f[n - 1] = -1, n
+    return f
+
+
+def compose(f: list[int], g: list[int]) -> list[int]:
+    """The window of f after g, each extended by f(i + kn) = f(i) + kn."""
+    n = len(f)
+    return normalize([f[v % n] + v - v % n for v in g])
+
+
+def length(f: list[int]) -> int:
+    """#{(i, j) : 0 <= i < n, i < j, f(i) > f(j)}, the inversion count of
+    an affine permutation (Shi 1986).  For each residue r of j, it counts
+    the k with r + kn > i and f(r) + kn < f(i)."""
+    n, count = len(f), 0
+    for i in range(n):
+        for r in range(n):
+            lo = (i - r) // n + 1            # least k with r + kn > i
+            hi = -((f[r] - f[i]) // n) - 1  # greatest k with f(r) + kn < f(i)
+            count += max(0, hi - lo + 1)
+    return count
+
+
+def newton(f: list[int]) -> tuple[Fraction, ...]:
+    """The Newton point in pairing coordinates: f = t^lam x averages lam
+    over each cycle of x, the averages sorted decreasingly are the GL_n
+    slopes, and their consecutive differences pair with the simple
+    roots."""
+    n = len(f)
+    x, lam = [v % n for v in f], [0] * n
+    for i, v in enumerate(f):
+        lam[x[i]] = (v - x[i]) // n
+    slope, seen = [Fraction(0)] * n, set()
+    for start in range(n):
+        if start in seen:
+            continue
+        cycle, j = [], start
+        while j not in seen:
+            seen.add(j)
+            cycle.append(j)
+            j = x[j]
+        avg = Fraction(sum(lam[j] for j in cycle), len(cycle))
+        for j in cycle:
+            slope[j] = avg
+    slope.sort(reverse=True)
+    return tuple(a - b for a, b in zip(slope, slope[1:]))

@@ -251,14 +251,26 @@ def test_usage_errors_exit_2(capsys, argv, fragment):
     assert fragment in capsys.readouterr().err
 
 
-def test_cap_and_budget_defaults_are_the_library_constants(monkeypatch):
+def test_cap_and_budget_defaults_are_the_library_constants(monkeypatch, capsys):
     """--budget defaults to ``affine.DEFAULT_INTERVAL_BUDGET``, read when
-    the command runs, so the command line does not restate it."""
+    the command runs, so the command line does not restate it: the parser
+    leaves an absent flag None, and ``RunConfig`` reads the constant."""
+    for argv in (["query", "len s1"], ["verify", "adm"]):
+        assert cli._build_parser().parse_args(argv).interval_budget is None
     for budget in (affine.DEFAULT_INTERVAL_BUDGET, 3):
         monkeypatch.setattr(affine, "DEFAULT_INTERVAL_BUDGET", budget)
-        for argv in (["query", "len s1"], ["verify", "adm"]):
-            assert cli._build_parser().parse_args(argv).interval_budget == budget
         assert RunConfig().interval_budget == budget
+    # A2's <2 rho, (1, 1)> = 4 exceeds the default of 3 read at run time
+    assert main(["verify", "adm"]) == 3
+    assert "exceeds the budget 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["tables", "qbg", "newton", "cover", "cascade"])
+def test_verify_refuses_budget_outside_adm(capsys, suite):
+    """Only the adm suite reads --budget; the others refuse it rather than
+    ignore it."""
+    assert main(["verify", suite, "--budget", "1"]) == 2
+    assert f"the {suite} suite does not read --budget" in capsys.readouterr().err
 
 
 def test_budget_errors_exit_3(capsys):
@@ -680,14 +692,18 @@ for check in (
             simple_reflection(a2, 0).to_word()),
     patched(weyl.WeylElt, "descent_right", lambda w, i: True, lambda:
             weyl.longest_element.__wrapped__(a2)),
-    patched(rootsys, "_dominantize", lambda rs, p: ((0, 0), []), lambda:
-            rootsys.dominant_rep(coweight(a2, (1, -1)))),
+    patched(weyl, "_dominantize", lambda rs, p: ((0, 0), []), lambda:
+            weyl.dominant_rep(coweight(a2, (1, -1)))),
     lambda: cascade.dp_root(
         replaced(a2, reflection_lengths=(2, 2, 2)), 0),
     lambda: corrupt.elements[3],
     patched(rootsys, "TYPE_TABLE", {**rootsys.TYPE_TABLE, "A":
         rootsys.TYPE_TABLE["A"]._replace(n_positive=lambda n: 0)}, lambda:
             rootsys._build_root_system.__wrapped__("A", 2)),
+    patched(rootsys, "_edges_and_d", lambda ct, n: ([(0, 1), (0, 0)], (1, 1)),
+            lambda: rootsys._build_root_system.__wrapped__("A", 2)),
+    patched(rootsys, "transpose", lambda m: m, lambda:
+            rootsys._build_root_system.__wrapped__("B", 2)),
 ):
     try:
         check()
@@ -708,9 +724,11 @@ def test_invariants_survive_python_O():
     dominant chamber, a table search that misses elements, finite descent and
     ascent searches that stop early, a dominating element that misses the
     dominant representative, a reflection of even length, a table
-    element built through a corrupted multiplication entry and a root
-    closure of the wrong size are refused by explicit checks, not asserts,
-    so -O keeps them."""
+    element built through a corrupted multiplication entry, a root
+    closure of the wrong size, a Cartan matrix with -1 on its diagonal
+    (so <beta, beta_check> != 2) and coroot pairings read off the
+    untransposed Cartan matrix (so a reflection leaves the roots) are
+    refused by explicit checks, not asserts, so -O keeps them."""
     res = _python_O("-c", _BROKEN_INVARIANTS)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
@@ -735,6 +753,8 @@ def test_invariants_survive_python_O():
         "raised: reflection of even length",
         "raised: table element's row keys to another index",
         "raised: root closure produced 3 roots for A2",
+        "raised: <beta, beta_check> != 2 for (1, 0) in A2",
+        "raised: s_(0, 1) sends (1, 2) to (1, -1), not a root",
     ]
 
 
@@ -750,6 +770,19 @@ def test_cli_import_generates_no_code():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def test_rootsys_imports_no_module_above_it():
+    """``rootsys`` is the bottom layer: in a fresh interpreter, importing it
+    loads no ``adlv`` module other than ``errors`` and ``_matrix``."""
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", "import adlv.rootsys, sys; "
+         "print(sorted(m for m in sys.modules if m.startswith('adlv.')))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(GOLDEN.parents[1])},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "['adlv._matrix', 'adlv.errors', 'adlv.rootsys']\n"
 
 
 def test_run_query_requires_scope():

@@ -19,13 +19,20 @@ from adlv.rootsys import (
     coweight_from_coroot,
     depth,
     dominance_leq,
-    dominant_rep,
     pairing,
     root_leq,
 )
-from adlv.weyl import identity_elt
+from adlv.weyl import dominant_rep, identity_elt
 
-from oracles import pair_root_coroot, quantum_roots_by_classification, simple_root
+from oracles import (
+    coroots_by_norms,
+    pair_root_coroot,
+    quantum_roots_by_classification,
+    reflect,
+    reflection_lengths_by_counting,
+    roots_by_strings,
+    simple_root,
+)
 
 ALL_SMALL = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -137,6 +144,30 @@ def test_derived_root_data(ct, n):
     for signed in (rs.signed_roots, rs.coroot_pairings, rs.coroot_columns):
         assert len(signed) == 2 * nroots
         assert all(signed[~c] == tuple(-x for x in signed[c]) for c in range(nroots))
+
+
+TABLE_ROWS = [(ct, n) for ct, row in TYPE_TABLE.items() for n in row.table_ranks]
+
+
+@pytest.mark.parametrize("ct,n", TABLE_ROWS)
+def test_walk_matches_string_closure_and_norms(ct, n):
+    """The one reflection walk against the derivation it replaced, on every
+    row ``adlv tables`` covers: the roots by the string criterion, the
+    coroots by norms, each reflection row against s_beta gamma computed
+    directly, the reflection lengths by counting negative images, and the
+    quantum flags from those."""
+    rs = build_root_system(ct, n)
+    roots = roots_by_strings(rs)
+    coroots = coroots_by_norms(rs, roots)
+    assert rs.positive_roots == tuple(roots)
+    assert rs.positive_coroots == tuple(coroots)
+    for row, beta, bc in zip(rs.reflection_rows, roots, coroots, strict=True):
+        assert [rs.signed_roots[c] for c in row] == [
+            reflect(rs, beta, bc, gamma) for gamma in roots]
+    lengths = reflection_lengths_by_counting(rs, roots, coroots)
+    assert rs.reflection_lengths == tuple(lengths)
+    assert rs.quantum_flags == tuple(
+        l == 2 * sum(bc) - 1 for l, bc in zip(lengths, coroots))
 
 
 @pytest.mark.parametrize("ct,n", ALL_SMALL)
