@@ -468,10 +468,16 @@ class IntervalEngine:
         return tuple([code // p % w + l
                       for p, w, l in zip(self.places, self.widths, self.lo)])
 
+    def scan_codes(self, b, width: int = 1):
+        """The codes of bucket b to scan: of a bitset, the ends of each run
+        of ``width`` bits that has a set one (width 1: every set bit); of a
+        frozenset, every code."""
+        return _line_ends(b, width) if self.dense else b
+
     def decoded(self, states: StateSet):
         """Per bucket: its finite index and an iterator over its translation parts."""
         for x, b in states.buckets.items():
-            yield x, map(self.unpack, _line_ends(b, 1) if self.dense else b)
+            yield x, map(self.unpack, self.scan_codes(b))
 
     def _translate(self, x: int, b):
         """Bucket b of index x translated by delta[x]."""

@@ -30,7 +30,6 @@ __all__ = [
     "dp_all",
     "ell_red",
     "ell_red_all",
-    "orthogonal_decompositions",
     "compare_wt_r",
 ]
 
@@ -178,33 +177,6 @@ def ell_red_all(rs: RootSystem) -> tuple[int, ...]:
 def ell_red(x: WeylElt) -> int:
     table = enumerate_group(x.rs)
     return _ell_red_table(table)[table.idx(x)]
-
-
-def orthogonal_decompositions(x: WeylElt) -> list[tuple[int, ...]]:
-    """All ways to write the involution x as a product of pairwise
-    orthogonal reflections, as sorted root-index tuples (order within a
-    tuple is irrelevant: the factors commute).  Orthogonal roots are
-    linearly independent, so no tuple has more than rank factors."""
-    _require_involution(x)
-    rs = x.rs
-    table = enumerate_group(x.rs)
-    cols = rs.coroot_columns  # cols[b][a] = <beta_a, beta_b_check>
-    nroots = len(rs.positive_roots)
-    target = table.idx(x)
-    mult = [table.rmult_root(a) for a in range(nroots)]
-    out: list[tuple[int, ...]] = []
-
-    def rec(start: int, chosen: list[int], cur: int) -> None:
-        if cur == target:
-            out.append(tuple(chosen))
-        for a in range(start, nroots):
-            if all(not cols[b][a] for b in chosen):
-                chosen.append(a)
-                rec(a + 1, chosen, mult[a][cur])
-                chosen.pop()
-
-    rec(0, [], 0)
-    return out
 
 
 def compare_wt_r(rs: RootSystem) -> dict:

@@ -33,9 +33,9 @@ group cap ``weyl.GROUP_CAP``, and one that builds the quantum Bruhat graph
 newton, adm and cascade) at the graph cap ``qbg.QBG_CAP``; both exit 3.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-refused input (including --budget below 1, or --budget for a verify
-suite other than adm) or an --out path that
-cannot be written (``error: cannot write ...``), 3 budget exceeded,
+refused input (including --budget below 1, --budget for a verify
+suite other than adm, or --seed for one other than qbg) or an --out path
+that cannot be written (``error: cannot write ...``), 3 budget exceeded,
 4 internal invariant violated (a bug, not bad input).
 Reports are deterministic for a fixed config and seed, except for the
 wall_time field in verify reports.
@@ -112,22 +112,29 @@ class QueryError(ValueError):
 
 
 class RunConfig(_Frozen):
-    """One command's settings; ``interval_budget`` defaults to the
-    library's bound, read when a config is made."""
+    """One command's settings.  An absent ``interval_budget`` or
+    ``sweep_seed`` stays None, so ``run_suite`` can refuse a flag its suite
+    does not read; ``_budget`` reads the library's bound when a command
+    runs, and a seed of None is 0."""
 
     __slots__ = ("cartan_type", "rank", "interval_budget", "sweep_seed",
                  "output_format", "with_brute")
 
     def __init__(self, cartan_type: str | None = None, rank: int | None = None,
-                 interval_budget: int | None = None, sweep_seed: int = 0,
+                 interval_budget: int | None = None, sweep_seed: int | None = None,
                  output_format: str = "json", with_brute: bool = False):
-        if interval_budget is None:
-            interval_budget = affine.DEFAULT_INTERVAL_BUDGET
-        if interval_budget <= 0:
+        if interval_budget is not None and interval_budget <= 0:
             raise QueryError(f"--budget must be positive, got {interval_budget}")
         super().__init__(cartan_type=cartan_type, rank=rank,
                          interval_budget=interval_budget, sweep_seed=sweep_seed,
                          output_format=output_format, with_brute=with_brute)
+
+
+def _budget(config: RunConfig) -> int:
+    """The config's budget, or the library's, read at run time."""
+    if config.interval_budget is None:
+        return affine.DEFAULT_INTERVAL_BUDGET
+    return config.interval_budget
 
 
 # -- tables ----------------------------------------------------------------
@@ -286,7 +293,7 @@ def run_query(config: RunConfig, expression: str) -> dict:
         mu = coweight(
             rs, _parse_coords(rest[0], rest[0][1:-1], rs.rank)
         )
-        result["size"] = len(adm_set(mu, budget=config.interval_budget))
+        result["size"] = len(adm_set(mu, budget=_budget(config)))
         return result
 
     w = parse_element(rs, rest)
@@ -303,7 +310,7 @@ def run_query(config: RunConfig, expression: str) -> dict:
         except RefusalError as e:
             formula_status = f"refused: {e}"
         brute = None
-        if affine_length(w) <= config.interval_budget:
+        if affine_length(w) <= _budget(config):
             brute = max_newton_brute(w).pairing
             methods.append("brute")
         elif nu is None:
@@ -404,7 +411,7 @@ def _suite_qbg(config: RunConfig, rs) -> tuple[int, list, dict]:
         if 2 * sum(wt) != table.lengths[i] + downs[i]:
             failures.append({"x": word_str(table.words[i]),
                              "check": "rho-wt-length identity"})
-    rng = Random(config.sweep_seed)
+    rng = Random(config.sweep_seed or 0)
     nelts = len(table)
     pairs = (
         list(product(range(nelts), repeat=2))
@@ -459,7 +466,7 @@ def _suite_cover(config: RunConfig, rs) -> tuple[int, list, dict]:
 
 
 def _suite_adm(config: RunConfig, rs) -> tuple[int, list, dict]:
-    n, budget = rs.rank, config.interval_budget
+    n, budget = rs.rank, _budget(config)
     cases, failures = 1, []  # the d_adm check always runs
     ones = coweight(rs, (1,) * n)
     lt = pairing(rs, rs.two_rho, ones)
@@ -515,6 +522,11 @@ def run_suite(config: RunConfig, suite: str) -> dict:
         raise QueryError(
             f"unknown suite {suite!r}; choose from {sorted(_SUITES)}"
         )
+    # a flag a suite does not read is refused, not ignored
+    if config.interval_budget is not None and suite != "adm":
+        raise QueryError(f"the {suite} suite does not read --budget; only adm does")
+    if config.sweep_seed is not None and suite != "qbg":
+        raise QueryError(f"the {suite} suite does not read --seed; only qbg does")
     t0 = time.perf_counter()
     if suite == "tables":
         ct, n, rs = config.cartan_type or "all", config.rank, None
@@ -534,7 +546,7 @@ def run_suite(config: RunConfig, suite: str) -> dict:
         "suite": suite,
         "type": ct,
         "rank": n,
-        "seed": config.sweep_seed,
+        "seed": config.sweep_seed or 0,
         "cases": cases,
         "failures": failures,
         "passed": not failures,
@@ -589,7 +601,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", dest="interval_budget", type=int,
                        help="largest element length to sweep (verify: adm only)")
     pq.add_argument("expression")
-    pv.add_argument("--seed", dest="sweep_seed", type=int, default=0)
+    pv.add_argument("--seed", dest="sweep_seed", type=int,
+                    help="seed of the sampled pairs (verify: qbg only)")
     pv.add_argument("suite")
     return ap
 
@@ -597,10 +610,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if (args.command == "verify" and args.suite != "adm"
-                and args.interval_budget is not None):
-            raise QueryError(
-                f"the {args.suite} suite does not read --budget; only adm does")
         # each subcommand defines only the flags it reads
         config = RunConfig(**{k: v for k, v in vars(args).items()
                               if k in RunConfig.__slots__})

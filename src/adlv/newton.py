@@ -23,7 +23,6 @@ from .affine import (
     IntervalEngine,
     StateSet,
     _interval_engine,
-    _line_ends,
 )
 from .errors import InvariantError, RefusalError
 from .qbg import build_qbg, m_tilde
@@ -158,7 +157,7 @@ def _nu_keys(eng: IntervalEngine, states: StateSet,
         A = [sum(t << S * k for k, t in enumerate(T[i * n:i * n + n])) for i in range(n)]
         P = sum(half << S * k for k in range(n)) + (m << S * n)
         P += sum(map(mul, eng.lo, A))
-        codes = list(_line_ends(b, eng.widths[0]) if eng.dense else b)
+        codes = list(eng.scan_codes(b, eng.widths[0]))
         raws = [P + c * A[0] for c in codes]
         for k in range(1, n):
             p, B = eng.places[k], A[k] - eng.widths[k - 1] * A[k - 1]

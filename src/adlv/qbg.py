@@ -12,8 +12,8 @@ accumulated weight.  Rather than trusting that, the breadth-first searches
 here check weight agreement layer by layer (raising InvariantError).  The
 weight wt(x, y) and the distance d_Gamma(x, y) are served from the one
 search to the identity through the group table; ``adlv verify qbg`` checks
-them against the forward search from x.  They and the downward-only
-decompositions drive the closed-form weight tables, the Newton-point
+them against the forward search from x.  They and the down-only
+distances ell_down drive the closed-form weight tables, the Newton-point
 weight bound and the dimension formulas.  ``build_qbg`` keeps one graph
 per group table, on the table (``weyl.per_table``), and refuses a group
 above its own cap, ``QBG_CAP``, below the group cap ``weyl.GROUP_CAP``.
@@ -26,7 +26,6 @@ from typing import NamedTuple
 from .errors import BudgetError, InvariantError, RefusalError
 from .rootsys import (
     Coroot,
-    Root,
     RootSystem,
     TYPE_TABLE,
     WEYL_ORDER,
@@ -117,11 +116,11 @@ class QBGraph:
                 elif d == drop:
                     down_in[v].append((w, c))
         self.up, self.down, self.up_in, self.down_in = up, down, up_in, down_in
-        self._rev_down: tuple[list[int], list[int]] | None = None
+        self._rev_down: list[int] | None = None
         # Strong connectivity: the identity reaches everything and is
         # reachable from everything.
         dist_from_e, _ = self.search(0)
-        rd, rwts, _ = self._run_bfs(0, up_in, down_in)
+        rd, rwts = self._run_bfs(0, up_in, down_in)
         if max(dist_from_e) == nv or max(rd) == nv:
             raise InvariantError("graph not strongly connected")
         # the width rests on d(e, y) = ell(y) and d(x, e) <= ell(x)
@@ -140,9 +139,9 @@ class QBGraph:
         )
 
     def _run_bfs(self, src: int, up, down):
-        """Layered BFS accumulating packed down-edge weights: distances, packed
-        weights and discovery order.  Distances start at |W|, above all, so an
-        edge into the same or an earlier layer costs one comparison."""
+        """Layered BFS accumulating packed down-edge weights: distances and
+        packed weights.  Distances start at |W|, above all, so an edge into
+        the same or an earlier layer costs one comparison."""
         n = len(up)
         dist = [n] * n
         wts = [0] * n
@@ -172,20 +171,19 @@ class QBGraph:
                     queue.append(u)
                 elif wts[u] != w:
                     raise InvariantError("two shortest paths with different weights")
-        return dist, wts, queue
+        return dist, wts
 
     def search(self, src) -> tuple[list[int], list[int]]:
         """Uncached forward search, the oracle for ``wt`` and ``d_gamma``:
         d_Gamma(src, y) and the packed wt(src, y) for every index y, each
         reached, as the graph is strongly connected."""
-        return self._run_bfs(self._idx(src), self.up, self.down)[:2]
+        return self._run_bfs(self._idx(src), self.up, self.down)
 
-    def _reverse_down(self):
-        """The down-only search to the identity: distances, and each vertex's
-        first-found parent, derived once as its earliest-queued in-neighbour."""
+    def _reverse_down(self) -> list[int]:
+        """Distances of the down-only search to the identity, derived once."""
         if self._rev_down is None:
             nv = len(self.up)
-            dist, _, order = self._run_bfs(0, [()] * nv, self.down_in)
+            dist, _ = self._run_bfs(0, [()] * nv, self.down_in)
             if max(dist) == nv:
                 raise InvariantError("element with no downward decomposition")
             # Down-only distance to the identity agrees with the
@@ -194,12 +192,7 @@ class QBGraph:
                 raise InvariantError(
                     "a shortest path to the identity beats the down-only one"
                 )
-            parent = [-1] * nv
-            for v in order:  # the first queued vertex with an edge to u found u
-                for u, _ in self.down_in[v]:
-                    if parent[u] < 0:
-                        parent[u] = v
-            self._rev_down = (dist, parent)
+            self._rev_down = dist
         return self._rev_down
 
     # -- queries ----------------------------------------------------------
@@ -244,28 +237,13 @@ class QBGraph:
 
     def ell_down(self, x) -> int:
         """Least number of down edges from x to the identity."""
-        return self._reverse_down()[0][self._idx(x)]
-
-    def rqrd(self, x) -> tuple[Root, ...]:
-        """A minimal downward decomposition x = s_{beta_1} ... s_{beta_k}
-        read off the search tree, as root coefficient vectors in product
-        order: each tree edge v -> parent[v] is v s_beta = parent[v]."""
-        _, parent = self._reverse_down()
-        t = self.table
-        v = self._idx(x)
-        labels = []
-        while v != 0:
-            p = parent[v]
-            labels.append(t.root_of_reflection[t.prod_idx(t.inv_idx(v), p)])
-            v = p
-        roots = self.rs.positive_roots
-        return tuple(roots[a] for a in reversed(labels))
+        return self._reverse_down()[self._idx(x)]
 
     def all_wt1(self) -> list[Coroot]:
         return self._rev[1]
 
     def all_ell_down(self) -> list[int]:
-        return self._reverse_down()[0]
+        return self._reverse_down()
 
 
 _graph = per_table(QBGraph)

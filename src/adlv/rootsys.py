@@ -365,18 +365,11 @@ def _same_rs(a: "Coweight", b: "Coweight") -> RootSystem:
 
 
 class Coweight(_Frozen):
-    """A rational coweight in pairing coordinates ``<alpha_i, lambda>``.
+    """A rational coweight in pairing coordinates ``<alpha_i, lambda>``,
+    each an int or a non-integral Fraction (an integral one is stored as an
+    int); equal and hashed by (rs, pairing)."""
 
-    ``lattice`` records where the point lives: "coroot" for the coroot
-    lattice, "coweight" for the coweight lattice, "rational" otherwise.
-    It is derived from the coordinates, never trusted from the caller, and
-    left out of equality and hashing, which are by (rs, pairing).
-    """
-
-    __slots__ = ("rs", "pairing", "lattice")
-
-    def _key(self) -> tuple:
-        return self.rs, self.pairing
+    __slots__ = ("rs", "pairing")
 
     def __init__(self, rs: RootSystem, pairing: tuple[Num, ...]):
         if len(pairing) != rs.rank:
@@ -385,23 +378,8 @@ class Coweight(_Frozen):
             )
         if not all(type(x) is int or isinstance(x, Fraction) for x in pairing):
             raise RefusalError("coweight coordinates must be int or Fraction")
-        coords = tuple(map(_norm_num, pairing))
         self._set("rs", rs)
-        self._set("pairing", coords)
-        if all(type(x) is int for x in self.coroot_coords()):
-            lat = "coroot"
-        elif all(type(x) is int for x in coords):
-            lat = "coweight"
-        else:
-            lat = "rational"
-        self._set("lattice", lat)
-
-    def coroot_coords(self) -> tuple[Num, ...]:
-        """Coefficients over the simple coroots (p = C^T c inverted exactly) as
-        den * C^-T p over den, integral iff den divides it (Fractions too)."""
-        den = self.rs.inv_cartan_den
-        return tuple([x // den if x % den == 0 else Fraction(x, den)
-                      for x in mat_vec(self.rs.inv_cartan_scaled, self.pairing)])
+        self._set("pairing", tuple(map(_norm_num, pairing)))
 
     def __add__(self, other: "Coweight") -> "Coweight":
         return Coweight(_same_rs(self, other), tuple(map(add, self.pairing, other.pairing)))
@@ -412,7 +390,7 @@ class Coweight(_Frozen):
     def int_pairing(self) -> tuple[int, ...]:
         """The pairing coordinates, which must all be integers (lambda in
         the coweight lattice); RefusalError otherwise."""
-        if self.lattice == "rational":
+        if not all(type(x) is int for x in self.pairing):
             raise RefusalError(
                 f"coweight {[str(x) for x in self.pairing]} is not integral"
             )
@@ -432,9 +410,9 @@ def coweight(rs: RootSystem, pairing_coords: Iterable[Num]) -> Coweight:
     return Coweight(rs, tuple(pairing_coords))
 
 
-def coweight_from_coroot(rs: RootSystem, coroot_coords: Iterable[Num]) -> Coweight:
+def coweight_from_coroot(rs: RootSystem, coeffs: Iterable[Num]) -> Coweight:
     """Coweight from coefficients over the simple coroots (p = C^T c)."""
-    return Coweight(rs, mat_vec(rs.cartan_t, tuple(coroot_coords)))
+    return Coweight(rs, mat_vec(rs.cartan_t, tuple(coeffs)))
 
 
 def pairing(rs: RootSystem, root: Root, lam: Coweight) -> Num:

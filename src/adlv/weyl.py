@@ -7,8 +7,8 @@ arithmetic runs on it: a product composes two rows
 ((xy)^-1 beta = y^-1(x^-1 beta)), an inverse inverts the permutation, the
 length counts negative entries, a left descent is one entry and a right
 descent one scan.  The pairing action reads the roots x^-1(alpha_k), and
-the root action, the rho_check key of a table index and the reflection
-length (the rank of x - 1) read the forward images x(alpha_j).
+the rho_check key of a table index and the reflection length (the rank of
+x - 1) read the forward images x(alpha_j).
 A reflection's row is ``RootSystem.reflection_rows``.
 
 While W has a cached ``GroupTable`` (only ``enumerate_group`` builds one),
@@ -94,9 +94,6 @@ class WeylElt:
         return WeylElt(self.rs, _inverse(self.imgs))
 
     # -- actions ----------------------------------------------------------
-
-    def act_root(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        return tuple([sum(map(mul, col, coeffs)) for col in zip(*self._forward())])
 
     def inv_images(self) -> tuple[int, ...]:
         """x^-1(beta) for each positive root beta, as a signed root index:

@@ -1,9 +1,10 @@
 """Brute-force oracles the tests compare the package against."""
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 
 from adlv.adm import DEFAULT_ADM_BUDGET, _orbit
 from adlv.affine import (
@@ -15,6 +16,7 @@ from adlv.affine import (
 )
 from adlv.cover import CocoverRecord, CoverResult, cover_depth_threshold
 from adlv.newton import _averaging_data
+from adlv.qbg import build_qbg
 from adlv.rootsys import _dominantize, _edges_and_d, coweight_from_coroot, depth
 from adlv.weyl import (
     WeylElt,
@@ -44,6 +46,16 @@ def pair_root_coroot(rs, root, coroot) -> int:
     the oracle for ``RootSystem.coroot_columns``."""
     n = rs.rank
     return sum(root[i] * coroot[j] * rs.cartan[j][i] for i in range(n) for j in range(n))
+
+
+def coroot_coords(lam) -> tuple:
+    """Coefficients of a coweight over the simple coroots: p = C^T c
+    solved as den * C^-T p over den (``RootSystem.inv_cartan_scaled``),
+    each integral one an int and the rest Fractions."""
+    den = lam.rs.inv_cartan_den
+    return tuple(x // den if x % den == 0 else Fraction(x, den)
+                 for x in (sum(map(mul, row, lam.pairing))
+                           for row in lam.rs.inv_cartan_scaled))
 
 
 def symmetrizer(rs) -> tuple[int, ...]:
@@ -136,6 +148,15 @@ def word_matrix(rs, word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     for i in word:
         m = [[v - row[i] * c for v, c in zip(row, rs.cartan[i])] for row in m]
     return tuple(map(tuple, m))
+
+
+def act_root(x: WeylElt, coeffs) -> tuple[int, ...]:
+    """x acting on a root in simple-root coordinates: x(alpha_j) is the
+    root at alpha_j's entry of the row of x^-1."""
+    rs = x.rs
+    row = x.inv().inv_images()
+    images = [rs.signed_roots[row[a]] for a in rs.letter_roots[1:]]
+    return tuple(sum(c * v[k] for c, v in zip(coeffs, images)) for k in range(rs.rank))
 
 
 def act_coroot(x: WeylElt, coeffs) -> tuple[int, ...]:
@@ -392,3 +413,67 @@ def predicted_cocovers_by_objects(u: WeylElt, lam, v: WeylElt,
     return CoverResult(
         "ok" if ok else "below-threshold", records, d, thr, non_cocover
     )
+
+
+def orthogonal_decompositions(x: WeylElt) -> list[tuple[int, ...]]:
+    """All ways to write the involution x as a product of pairwise
+    orthogonal reflections, as sorted root-index tuples (order within a
+    tuple is irrelevant: the factors commute).  Orthogonal roots are
+    linearly independent, so no tuple has more than rank factors."""
+    if not x.mul(x).is_identity():
+        raise ValueError("orthogonal decompositions are of involutions only")
+    rs = x.rs
+    table = enumerate_group(rs)
+    cols = rs.coroot_columns  # cols[b][a] = <beta_a, beta_b_check>
+    nroots = len(rs.positive_roots)
+    target = table.idx(x)
+    mult = [table.rmult_root(a) for a in range(nroots)]
+    out: list[tuple[int, ...]] = []
+
+    def rec(start: int, chosen: list[int], cur: int) -> None:
+        if cur == target:
+            out.append(tuple(chosen))
+        for a in range(start, nroots):
+            if all(not cols[b][a] for b in chosen):
+                chosen.append(a)
+                rec(a + 1, chosen, mult[a][cur])
+                chosen.pop()
+
+    rec(0, [], 0)
+    return out
+
+
+def _down_parents(table) -> list[int]:
+    """Each vertex's first-found parent in the down-only breadth-first
+    search from the identity along reversed down edges of the quantum
+    Bruhat graph: the first queued vertex with a down edge from it."""
+    g = build_qbg(table.rs)
+    parent = [-1] * len(table)
+    queue = [0]
+    for v in queue:  # the loop also visits the vertices appended below
+        for u, _ in g.down_in[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                queue.append(u)
+    return parent
+
+
+def down_parents(table) -> list[int]:
+    """``_down_parents`` of the graph on ``table``, kept on the table."""
+    return per_table(_down_parents)(table)
+
+
+def rqrd(g, x) -> tuple[tuple[int, ...], ...]:
+    """A minimal downward decomposition x = s_{beta_1} ... s_{beta_k} in the
+    graph ``g``, read off the down-only search tree, as root coefficient
+    vectors in product order: each tree edge v -> parent[v] is
+    v s_beta = parent[v]."""
+    t = g.table
+    parent = down_parents(t)
+    v = t.idx(x) if isinstance(x, WeylElt) else x
+    labels = []
+    while v != 0:
+        p = parent[v]
+        labels.append(t.root_of_reflection[t.prod_idx(t.inv_idx(v), p)])
+        v = p
+    return tuple(g.rs.positive_roots[a] for a in reversed(labels))

@@ -14,9 +14,10 @@ coordinates) translates by one fixed dictionary:
 
 The lift fixes the GL_n centre, so a window is defined up to a uniform
 shift by a multiple of n; ``normalize`` picks the one whose entry
-congruent to n - 1 is n - 1.  Length, Newton point and the affine
-generators below read only the window: nothing here shares code with
-``rootsys``, ``weyl`` or ``affine`` beyond the translation.
+congruent to n - 1 is n - 1.  Length, Newton point, descents, lower
+intervals and the affine generators below read only the window: nothing
+here shares code with ``rootsys``, ``weyl`` or ``affine`` beyond the
+translation.
 """
 
 from fractions import Fraction
@@ -88,10 +89,15 @@ def length(f: list[int]) -> int:
 
 
 def newton(f: list[int]) -> tuple[Fraction, ...]:
-    """The Newton point in pairing coordinates: f = t^lam x averages lam
-    over each cycle of x, the averages sorted decreasingly are the GL_n
-    slopes, and their consecutive differences pair with the simple
-    roots."""
+    """The Newton point in pairing coordinates: consecutive differences of
+    the slopes pair with the simple roots."""
+    slope = slopes(f)
+    return tuple(a - b for a, b in zip(slope, slope[1:]))
+
+
+def slopes(f: list[int]) -> list[Fraction]:
+    """The GL_n slopes of f = t^lam x: lam averaged over each cycle of x,
+    sorted decreasingly."""
     n = len(f)
     x, lam = [v % n for v in f], [0] * n
     for i, v in enumerate(f):
@@ -109,4 +115,78 @@ def newton(f: list[int]) -> tuple[Fraction, ...]:
         for j in cycle:
             slope[j] = avg
     slope.sort(reverse=True)
-    return tuple(a - b for a, b in zip(slope, slope[1:]))
+    return slope
+
+
+def dominates(a: list[Fraction], b: list[Fraction]) -> bool:
+    """a >= b in the dominance order on decreasing slope vectors: after
+    subtracting each vector's mean (the centre, which the window's shift
+    moves), every partial sum of a is at least b's."""
+    n = len(a)
+    ma, mb = sum(a) / n, sum(b) / n
+    pa = pb = 0
+    for x, y in zip(a, b):
+        pa, pb = pa + x - ma, pb + y - mb
+        if pa < pb:
+            return False
+    return True
+
+
+def right_descents(f: list[int]) -> set[int]:
+    """The j with ell(f s_j) < ell(f): s_j swaps positions j - 1 and j
+    (s_0 positions -1 and 0), a descent when f is larger at the first."""
+    n = len(f)
+    return {j for j in range(n) if (f[j - 1] if j else f[n - 1] - n) > f[j]}
+
+
+def inverse(f: list[int]) -> list[int]:
+    """The window of f^-1: f(i) = v + kn, 0 <= v < n, gives f^-1(v) = i - kn."""
+    n = len(f)
+    g = [0] * n
+    for i, v in enumerate(f):
+        g[v % n] = i - (v - v % n)
+    return normalize(g)
+
+
+def left_descents(f: list[int]) -> set[int]:
+    """The j with ell(s_j f) < ell(f), the right descents of f^-1."""
+    return right_descents(inverse(f))
+
+
+def lower_interval(f: list[int]) -> set[tuple[int, ...]]:
+    """Windows of every g <= f: peeling right descents writes
+    f = tau s_{j_1} ... s_{j_l} with l = ell(f) and tau of length 0, and the
+    elements below f are tau times the subwords (Bjorner-Brenti, Thm 2.2.2,
+    with tau carried along)."""
+    n, word, tau = len(f), [], f
+    while length(tau):
+        j = min(right_descents(tau))
+        word.append(j)
+        tau = compose(tau, generator(j, n))
+    below = {tuple(tau)}
+    for j in reversed(word):
+        s = generator(j, n)
+        below |= {tuple(compose(g, s)) for g in below}
+    return below
+
+
+def max_newton(windows) -> tuple[Fraction, ...]:
+    """Of the windows' Newton points, the one that dominates all the
+    others, in pairing coordinates; ValueError when none does.  Only the
+    highest, the largest sum of centred partial sums, can."""
+    points = {}
+    for g in windows:
+        slope = slopes(g)
+        points.setdefault(tuple(a - b for a, b in zip(slope, slope[1:])), slope)
+
+    def height(slope):
+        mean, acc, total = sum(slope) / len(slope), 0, 0
+        for x in slope:
+            acc += x - mean
+            total += acc
+        return total
+
+    top = max(points, key=lambda p: height(points[p]))
+    if not all(dominates(points[top], b) for b in points.values()):
+        raise ValueError("no Newton point dominates all the others")
+    return top

@@ -52,7 +52,13 @@ from adlv.weyl import (
     reflection_length,
 )
 
-from oracles import bruhat_leq_affine, bruhat_masks, from_word, pair_root_coroot
+from oracles import (
+    act_root,
+    bruhat_leq_affine,
+    bruhat_masks,
+    from_word,
+    pair_root_coroot,
+)
 
 GOLDEN = Path(__file__).resolve().parents[1] / "src" / "adlv" / "golden"
 
@@ -206,7 +212,7 @@ def test_criterion_04_cover_prediction():
     for _, lam, v in sample_triples(a3, 260, thr, thr + 2, seed=0):
         key = (
             tuple(lam.pairing),
-            tuple(v.act_root(r) for r in ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+            tuple(act_root(v, r) for r in ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
         )
         if key in seen:
             continue

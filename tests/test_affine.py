@@ -36,6 +36,7 @@ from adlv.newton import max_newton_brute, sweep_records, theorem_grid
 from adlv.weyl import enumerate_group, identity_elt, longest_element
 
 from oracles import (
+    act_root,
     affine_length_loop,
     bit_positions,
     bruhat_leq_affine,
@@ -55,7 +56,7 @@ def test_simple_affine_basics(a2):
     s0 = simple_affine(a2, 0)
     # s0 = t^{theta^} s_theta: translation part is the theta-coroot
     assert s0.lam == (1, 1)
-    assert s0.fin.act_root(a2.theta) == (-1, -1)
+    assert act_root(s0.fin, a2.theta) == (-1, -1)
 
 
 def test_translation_lengths(a2):

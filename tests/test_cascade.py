@@ -19,7 +19,6 @@ from adlv.cascade import (
     ell_red_all,
     involutions,
     minus_one_roots,
-    orthogonal_decompositions,
 )
 from adlv.qbg import build_qbg
 from adlv.rootsys import build_root_system
@@ -30,7 +29,12 @@ from adlv.weyl import (
     word_str,
 )
 
-from oracles import act_coroot, from_word, pair_root_coroot
+from oracles import (
+    act_coroot,
+    from_word,
+    orthogonal_decompositions,
+    pair_root_coroot,
+)
 
 # ---------------------------------------------------------------------------
 # involutions enumeration

@@ -16,6 +16,7 @@ import pytest
 from adlv import affine, cli
 from adlv.cli import (
     ALL_TABLE_RANKS,
+    QueryError,
     RunConfig,
     main,
     parse_element,
@@ -28,6 +29,8 @@ from adlv.errors import InvariantError
 from adlv.qbg import QBGraph, build_qbg
 from adlv.rootsys import build_root_system
 from adlv.weyl import word_str
+
+from oracles import act_root
 
 GOLDEN = Path(__file__).resolve().parents[1] / "src" / "adlv" / "golden"
 
@@ -106,7 +109,7 @@ def test_parse_element_products():
     rs = build_root_system("A", 2)
     w = parse_element(rs, ["t[3,3]", "s1"])
     assert w.lam == (3, 3)
-    assert w.fin.length() == 1 and w.fin.act_root((1, 0)) == (-1, 0)
+    assert w.fin.length() == 1 and act_root(w.fin, (1, 0)) == (-1, 0)
     w0 = parse_element(rs, ["w0"])
     assert not any(w0.lam) and w0.fin.length() == 3
 
@@ -253,16 +256,22 @@ def test_usage_errors_exit_2(capsys, argv, fragment):
 
 def test_cap_and_budget_defaults_are_the_library_constants(monkeypatch, capsys):
     """--budget defaults to ``affine.DEFAULT_INTERVAL_BUDGET``, read when
-    the command runs, so the command line does not restate it: the parser
-    leaves an absent flag None, and ``RunConfig`` reads the constant."""
-    for argv in (["query", "len s1"], ["verify", "adm"]):
-        assert cli._build_parser().parse_args(argv).interval_budget is None
-    for budget in (affine.DEFAULT_INTERVAL_BUDGET, 3):
-        monkeypatch.setattr(affine, "DEFAULT_INTERVAL_BUDGET", budget)
-        assert RunConfig().interval_budget == budget
+    the command runs, so neither the command line nor ``RunConfig``
+    restates it: an absent --budget or --seed stays None in both, and a
+    report prints an absent seed as 0."""
+    for argv in (["query", "len s1"], ["verify", "adm"], ["verify", "qbg"]):
+        args = cli._build_parser().parse_args(argv)
+        assert args.interval_budget is None
+        assert getattr(args, "sweep_seed", None) is None
+    assert (RunConfig().interval_budget, RunConfig().sweep_seed) == (None, None)
+    assert run_suite(RunConfig("A", 2), "qbg")["seed"] == 0
+    monkeypatch.setattr(affine, "DEFAULT_INTERVAL_BUDGET", 3)
     # A2's <2 rho, (1, 1)> = 4 exceeds the default of 3 read at run time
     assert main(["verify", "adm"]) == 3
     assert "exceeds the budget 3" in capsys.readouterr().err
+    # query reads it too: s1 s2 is longer than 1, and its nu has no closed form
+    monkeypatch.setattr(affine, "DEFAULT_INTERVAL_BUDGET", 1)
+    assert main(["query", "--type", "A", "--rank", "2", "nu s1 s2"]) == 3
 
 
 @pytest.mark.parametrize("suite", ["tables", "qbg", "newton", "cover", "cascade"])
@@ -271,6 +280,20 @@ def test_verify_refuses_budget_outside_adm(capsys, suite):
     ignore it."""
     assert main(["verify", suite, "--budget", "1"]) == 2
     assert f"the {suite} suite does not read --budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["tables", "newton", "cover", "adm", "cascade"])
+def test_verify_refuses_seed_outside_qbg(capsys, suite):
+    """Only the qbg suite reads --seed; the others refuse it, from the
+    command line and from a ``RunConfig`` alike, as the budget outside adm."""
+    assert main(["verify", suite, "--seed", "5"]) == 2
+    assert f"the {suite} suite does not read --seed" in capsys.readouterr().err
+    for config in (RunConfig("G", 2, sweep_seed=5), RunConfig("G", 2, sweep_seed=0)):
+        with pytest.raises(QueryError, match="does not read --seed"):
+            run_suite(config, suite)
+    if suite != "adm":
+        with pytest.raises(QueryError, match="does not read --budget"):
+            run_suite(RunConfig("G", 2, interval_budget=1), suite)
 
 
 def test_budget_errors_exit_3(capsys):
@@ -544,19 +567,22 @@ def _python_O(*args):
 
 
 def test_refusals_survive_python_O():
-    """The --budget refusal, the integrality, coordinate-count and
-    root-system checks on an affine element's parts, the coordinate count
-    of a coweight, the root-system check on finite and affine products, on
-    coweight sums, differences and dominance and on a group-table lookup,
-    and the range and bool checks on a graph query's index are not
-    asserts, and the checks a suite relies on still hold with asserts
-    stripped."""
+    """The --budget refusals, the --seed refusal outside qbg, the
+    integrality, coordinate-count and root-system checks on an affine
+    element's parts, the coordinate count of a coweight, the root-system
+    check on finite and affine products, on coweight sums, differences
+    and dominance and on a group-table lookup, and the range and bool
+    checks on a graph query's index are not asserts, and the checks a
+    suite relies on still hold with asserts stripped."""
 
     def run(*args):
         return _python_O("-m", "adlv.cli", *args)
 
     res = run("query", "--type", "A", "--rank", "2", "--budget", "0", "len s1")
     assert res.returncode == 2 and "--budget must be positive" in res.stderr
+    for flag, suite in (("--budget", "newton"), ("--seed", "adm")):
+        res = run("verify", suite, flag, "5")
+        assert res.returncode == 2 and f"does not read {flag}" in res.stderr
     res = run("verify", "newton", "--type", "A", "--rank", "2")
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["passed"] is True

@@ -1,6 +1,9 @@
 """Every export has a reader: each name in a module's ``__all__`` is read by
-package code outside its own definition, or the README's "Public API"
-table says why it is public without one."""
+package code outside its own definition, and each public method or property
+of a class in an ``__all__`` is read as an attribute by package code outside
+its own body, or the README's "Public API" table says why it is public
+without one.  Members match by attribute name alone: ``obj.name`` anywhere in
+the package reads every member called ``name``, whatever ``obj`` is."""
 
 import ast
 import re
@@ -47,8 +50,18 @@ def _reads(mod: str, tree: ast.Module) -> set[tuple[str, str]]:
     return reads
 
 
-def _unread_exports() -> set[str]:
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+def _trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__":
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _unread_exports(trees: dict[str, ast.Module]) -> set[str]:
     reads = set().union(*(_reads(m, t) for m, t in trees.items()))
     unread = set()
     for mod, tree in trees.items():
@@ -56,13 +69,33 @@ def _unread_exports() -> set[str]:
             a.asname or a.name: (_source_module(n), a.name)
             for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names
         }
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__":
-                for name in ast.literal_eval(node.value):
-                    # a re-export is read when the object it names is;
-                    # dunders (``__version__``) are metadata, not API
-                    if not name.startswith("__") and imported.get(name, (mod, name)) not in reads:
-                        unread.add(f"{mod}.{name}")
+        for name in _exports(tree):
+            # a re-export is read when the object it names is; dunders
+            # (``__version__``) are metadata, not API
+            if not name.startswith("__") and imported.get(name, (mod, name)) not in reads:
+                unread.add(f"{mod}.{name}")
+    return unread
+
+
+def _unread_members(trees: dict[str, ast.Module]) -> set[str]:
+    """``module.Class.member`` for each public method or property of an
+    exported class that no attribute load outside its own body names."""
+    loads: dict[str, set[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.attr, set()).add(id(node))
+    unread = set()
+    for mod, tree in trees.items():
+        exports = _exports(tree)
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exports):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    own = set(map(id, ast.walk(fn)))
+                    if not loads.get(fn.name, set()) - own:
+                        unread.add(f"{mod}.{cls.name}.{fn.name}")
     return unread
 
 
@@ -73,6 +106,7 @@ def _public_api_table() -> set[str]:
 
 
 def test_every_export_has_a_reader_or_a_public_api_row():
-    """The table lists exactly the exports without a reader, so a name that
-    gains one, or leaves, takes its row with it."""
-    assert _unread_exports() == _public_api_table()
+    """The table lists exactly the exports and class members without a
+    reader, so a name that gains one, or leaves, takes its row with it."""
+    trees = _trees()
+    assert _unread_exports(trees) | _unread_members(trees) == _public_api_table()

@@ -30,7 +30,7 @@ from adlv.qbg import (
     wt_w0_closed_form,
 )
 
-from oracles import from_word, leq_idx, pair_root_coroot
+from oracles import down_parents, from_word, leq_idx, pair_root_coroot, rqrd
 
 UNIQ = [("A", 2), ("B", 2), ("G", 2)]
 ORACLE_SCOPE = UNIQ + [("A", 3), ("B", 3), ("C", 3)]
@@ -116,8 +116,11 @@ def test_packed_weights_match_tuple_oracle_sampled(ct, n):
 
 @pytest.mark.parametrize("ct,n", UNIQ)
 def test_parents_from_discovery_order(ct, n):
-    """The parents read off the down-only search's discovery order are the
-    first-found parents of a reference search that stores them."""
+    """The parents ``oracles.rqrd`` reads off its down-only search's
+    discovery order are the first-found parents of a reference search that
+    stores them, and form a shortest down-only tree for the graph's
+    ``all_ell_down``: each parent is one down edge away and one step
+    closer to the identity."""
     g = build_qbg(build_root_system(ct, n))
     nv = len(g.table)
     parent = [-1] * nv
@@ -131,7 +134,12 @@ def test_parents_from_discovery_order(ct, n):
                 seen[u] = True
                 parent[u] = v
                 q.append(u)
-    assert g._reverse_down()[1] == parent
+    assert down_parents(g.table) == parent
+    downs = g.all_ell_down()
+    for u in range(1, nv):
+        p = parent[u]
+        assert downs[u] == downs[p] + 1
+        assert p in [w for w, _ in g.down[u]]
 
 
 SERVED_SCOPE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -369,7 +377,7 @@ def test_rqrd_of_w0(c3, g2):
         g = build_qbg(rs)
         for x, minimality in ((longest_element(rs), "reflection-length bound"),
                               (from_word(rs, word), "graph")):
-            dec = g.rqrd(x)
+            dec = rqrd(g, x)
             rep = verify_rqrd(x, dec)
             assert rep.ok, rep.reasons
             assert rep.minimality == minimality
@@ -399,7 +407,7 @@ def test_verify_rqrd_reasons(a2, c3):
 
 
 # sha256 of repr([rqrd(x) for every x]) and of repr(all_ell_down()),
-# recorded when each search tree edge still stored its root
+# recorded when the graph kept the search tree and each tree edge its root
 WITNESS_DIGESTS = {
     ("C", 3): ("604d3bce97dd7e67f3ee3a40bb5a7484fd7974dce7378ef63598677bf42c8a74",
                "b3e48cddce74457307811fd081b758f2d72554949e018eff0ba12fe15d2d15ce"),
@@ -414,10 +422,12 @@ WITNESS_DIGESTS = {
 
 @pytest.mark.parametrize("ct,n", sorted(WITNESS_DIGESTS))
 def test_rqrd_witnesses_frozen(ct, n):
-    """Deriving each tree edge's root from (vertex, parent) gives the same
-    decomposition of every x as storing it did."""
+    """The oracle's own down-only search, each vertex's parent the first
+    queued vertex to reach it, with each tree edge's root derived from
+    (vertex, parent), gives the same decomposition of every x as the graph's
+    stored tree did."""
     g = build_qbg(build_root_system(ct, n))
-    factors = [g.rqrd(x) for x in range(len(g.table))]
+    factors = [rqrd(g, x) for x in range(len(g.table))]
     got = tuple(
         hashlib.sha256(repr(v).encode()).hexdigest()
         for v in (factors, g.all_ell_down())

@@ -25,6 +25,7 @@ from adlv.rootsys import (
 from adlv.weyl import dominant_rep, identity_elt
 
 from oracles import (
+    coroot_coords,
     coroots_by_norms,
     pair_root_coroot,
     quantum_roots_by_classification,
@@ -185,19 +186,31 @@ def test_quantum_roots_simply_laced_all(a2, a3):
 
 
 def test_coweight_lattice_tags(a2):
+    """The lattice a coweight lies in, read from its coordinates: the
+    coroot lattice when its coroot coordinates are integers, the coweight
+    lattice when its pairings are, which ``int_pairing`` accepts."""
     # (1,1) is the theta-coroot: integral over simple coroots
-    assert coweight(a2, (1, 1)).lattice == "coroot"
+    theta = coweight(a2, (1, 1))
+    assert coroot_coords(theta) == (1, 1) and theta.int_pairing() == (1, 1)
     # a fundamental coweight has coroot coords (2/3, 1/3)
-    assert coweight(a2, (1, 0)).lattice == "coweight"
-    assert coweight(a2, (Fraction(1, 2), 0)).lattice == "rational"
+    omega = coweight(a2, (1, 0))
+    assert coroot_coords(omega) == (Fraction(2, 3), Fraction(1, 3))
+    assert omega.int_pairing() == (1, 0)
+    with pytest.raises(RefusalError, match="not integral"):
+        coweight(a2, (Fraction(1, 2), 0)).int_pairing()
+    # integral Fractions are stored, hashed and compared as ints
+    same = coweight(a2, (Fraction(2, 2), Fraction(0)))
+    assert [type(x) for x in same.pairing] == [int, int] and same == omega
+    assert hash(same) == hash(omega)
 
 
 @pytest.mark.parametrize("ct,n", ALL_SMALL + [("E", 6), ("E", 7), ("E", 8)])
 def test_coweight_lattice_matches_fraction_path(ct, n):
-    """Coweights are classified, and dominance decided, through den * C^-T;
-    on seeded integer and Fraction coweights, ``coroot_coords``,
-    ``lattice`` and ``dominance_leq`` (from 0, and from the previous
-    coweight) equal the all-Fraction computation through C^-T."""
+    """Coroot coordinates and dominance go through den * C^-T; on seeded
+    integer and Fraction coweights, the oracle ``coroot_coords`` and
+    ``dominance_leq`` (from 0, and from the previous coweight) equal the
+    all-Fraction computation through C^-T, and ``int_pairing`` refuses
+    exactly the points off the coweight lattice."""
     rs = build_root_system(ct, n)
     inv_cartan_t = mat_inv(rs.cartan_t)
     rng = Random(0)
@@ -211,23 +224,23 @@ def test_coweight_lattice_matches_fraction_path(ct, n):
             p = [sum(x * c for x, c in zip(col, p)) for col in zip(*rs.cartan)]
         lam = coweight(rs, p)
         cc = tuple(sum(x * y for x, y in zip(row, p)) for row in inv_cartan_t)
-        assert lam.coroot_coords() == cc
+        assert coroot_coords(lam) == cc
         assert dominance_leq(coweight(rs, (0,) * n), lam) is all(x >= 0 for x in cc)
         if prev is not None:
             pc, pp = prev
             d = [c - q for c, q in zip(cc, pc)]
             assert dominance_leq(pp, lam) is all(x >= 0 for x in d)
         prev = cc, lam
-        assert [type(x) for x in lam.coroot_coords()] == [
+        assert [type(x) for x in coroot_coords(lam)] == [
             int if x.denominator == 1 else Fraction for x in cc
         ]
-        lattice = (
-            "coroot" if all(x.denominator == 1 for x in cc)
-            else "coweight" if all(Fraction(x).denominator == 1 for x in p)
-            else "rational"
-        )
-        assert lam.lattice == lattice
-        assert (k % 4 == 0) <= (lattice == "coroot")
+        integral = all(Fraction(x).denominator == 1 for x in p)
+        if integral:
+            assert lam.int_pairing() == tuple(p)
+        else:
+            with pytest.raises(RefusalError, match="not integral"):
+                lam.int_pairing()
+        assert (k % 4 == 0) <= all(x.denominator == 1 for x in cc) <= integral
 
 
 @pytest.mark.parametrize(
