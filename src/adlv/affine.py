@@ -47,7 +47,7 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import BudgetError, InvariantError, RefusalError
-from .rootsys import Coweight, RootSystem
+from .rootsys import Coweight, RootSystem, _rank_vector
 from .weyl import (
     GroupTable,
     WeylElt,
@@ -88,9 +88,7 @@ class AffineElt:
     __slots__ = ("rs", "lam", "fin", "_len", "_hash", "_omega")
 
     def __init__(self, rs: RootSystem, lam: Sequence[int], fin: WeylElt):
-        lam = tuple(lam)
-        if len(lam) != rs.rank:
-            raise RefusalError(f"{len(lam)} translation coordinates in rank {rs.rank}")
+        lam = _rank_vector(rs, lam, "translation")
         if fin.rs is not rs:
             raise RefusalError("finite part of a different root system")
         if not {int}.issuperset(map(type, lam)):

@@ -15,7 +15,8 @@ Three subcommands:
     reflection; ``s0`` is the affine one), ``w0`` (finite longest element),
     or ``t[c1,...,cn]`` (translation by pairing coordinates); factors
     multiply left to right.  Operators: nu, wt, eta, len, dp, ellred,
-    elldown, cascade, admsize.
+    elldown, cascade, admsize.  Integers, here and in --rank, --budget and
+    --seed, are an optional sign then ASCII digits.
 
 ``adlv verify``
     Run a named suite (tables, qbg, newton, cover, adm, cascade) and write
@@ -221,11 +222,19 @@ def render_tables(rows: list[dict], fmt: str) -> str:
 # -- query -----------------------------------------------------------------
 
 
+def integer(text: str, tok: str = "") -> int:
+    """An optional sign, then ASCII digits, as an int; QueryError naming the
+    token otherwise, where ``int`` would also read '1_0', ' 1' or '١'."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise QueryError(f"bad integer {text!r} in token {tok or text!r}")
+    return int(text)
+
+
 def _parse_coords(tok: str, body: str, rank: int) -> tuple[int, ...]:
-    parts = [p.strip() for p in body.split(",")]
     try:
-        coords = tuple(int(p) for p in parts)
-    except ValueError:
+        coords = tuple(map(integer, body.split(",")))
+    except QueryError:
         raise QueryError(f"bad coordinate list in token {tok!r}") from None
     if len(coords) != rank:
         raise QueryError(
@@ -243,9 +252,9 @@ def parse_element(rs, tokens: list[str]) -> AffineElt:
         elif tok.startswith("t[") and tok.endswith("]"):
             coords = _parse_coords(tok, tok[2:-1], rs.rank)
             w = w.mul(AffineElt(rs, coords, identity_elt(rs)))
-        elif tok.startswith("s") and tok[1:].isdigit():
-            k = int(tok[1:])
-            if k > rs.rank:
+        elif tok.startswith("s"):
+            k = integer(tok[1:], tok)
+            if not 0 <= k <= rs.rank:
                 raise QueryError(
                     f"letter out of range in token {tok!r} (rank {rs.rank})"
                 )
@@ -419,17 +428,17 @@ def _suite_qbg(config: RunConfig, rs) -> tuple[int, list, dict]:
         else [(rng.randrange(nelts), rng.randrange(nelts))
               for _ in range(500)]
     )
-    # served wt(x, y) and d_Gamma(x, y) against the search from x, one
+    # served wt(x, y) and d_Gamma(x, y) against the search to y, one
     # search alive at a time (dropped before the next); failures in pair order
-    by_src: dict[int, list[int]] = {}
-    for k, (i, _) in enumerate(pairs):
-        by_src.setdefault(i, []).append(k)
+    by_dst: dict[int, list[int]] = {}
+    for k, (_, j) in enumerate(pairs):
+        by_dst.setdefault(j, []).append(k)
     bad = []
-    for i, ks in by_src.items():
-        dist, wts = g.search(i)
+    for j, ks in by_dst.items():
+        dist, wts = g.search(j)
         for k in ks:
-            j = pairs[k][1]
-            if g.wt(i, j) != g.decode(wts[j]) or g.d_gamma(i, j) != dist[j]:
+            i = pairs[k][0]
+            if g.wt(i, j) != g.decode(wts[i]) or g.d_gamma(i, j) != dist[i]:
                 bad.append(k)
         del dist, wts
     failures += [{"x": word_str(table.words[pairs[k][0]]),
@@ -585,7 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--type", dest="cartan_type", default=None,
                        help="Cartan type letter, or 'all' (tables only)")
-        p.add_argument("--rank", type=int, default=None)
+        p.add_argument("--rank", type=integer, default=None)
         p.add_argument("--out", dest="out_path", default=None)
 
     pt = sub.add_parser("tables", help="emit the bound/weight tables")
@@ -598,10 +607,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     for p in (pq, pv):
         common(p)
-        p.add_argument("--budget", dest="interval_budget", type=int,
+        p.add_argument("--budget", dest="interval_budget", type=integer,
                        help="largest element length to sweep (verify: adm only)")
     pq.add_argument("expression")
-    pv.add_argument("--seed", dest="sweep_seed", type=int,
+    pv.add_argument("--seed", dest="sweep_seed", type=integer,
                     help="seed of the sampled pairs (verify: qbg only)")
     pv.add_argument("suite")
     return ap

@@ -12,7 +12,8 @@ accumulated weight.  Rather than trusting that, the breadth-first searches
 here check weight agreement layer by layer (raising InvariantError).  The
 weight wt(x, y) and the distance d_Gamma(x, y) are served from the one
 search to the identity through the group table; ``adlv verify qbg`` checks
-them against the forward search from x.  They and the down-only
+them against the search to y.  Every search reads the in-edge lists, which
+hold each edge once.  They and the down-only
 distances ell_down drive the closed-form weight tables, the Newton-point
 weight bound and the dimension formulas.  ``build_qbg`` keeps one graph
 per group table, on the table (``weyl.per_table``), and refuses a group
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ._matrix import mat_vec
 from .errors import BudgetError, InvariantError, RefusalError
 from .rootsys import (
     Coroot,
@@ -59,14 +61,15 @@ QBG_CAP = 10 ** 5
 class QBGraph:
     """The graph, with weighted breadth-first search utilities.
 
-    ``up[x]`` lists the targets of the weight-zero edges leaving x and
-    ``down[x]`` the ``(target, packed coroot)`` pairs of its down edges, in
-    root-index order, each edge through beta carrying the one int
-    ``inc[beta]``; ``up_in``/``down_in`` list them by target.  The root of
-    an edge x -> y is fixed by x^-1 y = s_beta.  Layered searches check
-    every shortest-path edge for weight agreement.  The lists are kept
-    rather than re-derived from ``rmult_root`` per search: a vertex has a
-    handful of edges but |Phi+| candidate roots.
+    ``up_in[y]`` lists the sources of the weight-zero edges into y and
+    ``down_in[y]`` the ``(source, packed coroot)`` pairs of its down edges,
+    in root-index order, each edge through beta carrying the one int
+    ``inc[beta]``; each edge is stored once, at its target.  The root of an
+    edge x -> y is fixed by x^-1 y = s_beta.  Every search runs to a target
+    over these lists, and layered searches check every shortest-path edge
+    for weight agreement.  The lists are kept rather than re-derived from
+    ``rmult_root`` per search: a vertex has a handful of edges but |Phi+|
+    candidate roots.
 
     A search carries its accumulated weight as one packed int: field i,
     ``width`` bits at offset ``i * width``, holds simple-coroot coordinate
@@ -76,8 +79,8 @@ class QBGraph:
     (ell(x) + k - ell(y)) / 2, as an up edge adds 1 to the length and a
     down edge through beta subtracts <2 rho, beta_check> - 1.  Descents
     are down edges and reduced words up paths, so d(x, e) <= ell(x) and
-    d(e, y) = ell(y), which the constructor certifies from its two
-    searches rooted at the identity; a shortest path has
+    d(e, y) = ell(y), which the constructor certifies from its one search
+    to the identity and an up in-edge at every y != e; a shortest path has
     k <= ell(x) + ell(y), so each coordinate is at most ell(x) <= ell(w0).
     Packing is then injective, and comparing two packed weights is
     comparing the tuples.
@@ -93,38 +96,33 @@ class QBGraph:
             sum(c << (i * width) for i, c in enumerate(cr))
             for cr in rs.positive_coroots
         ]
-        up, up_in, down, down_in = ([[] for _ in range(nv)] for _ in range(4))
+        up_in, down_in = [[] for _ in range(nv)], [[] for _ in range(nv)]
         roots = [  # <2 rho, alpha_i_check> = 2 for all i gives the drop
             (table.rmult_root(a), 2 * sum(cr) - 1, rs.quantum_flags[a], inc[a])
             for a, cr in enumerate(rs.positive_coroots)
         ]
-        # v s_beta = w iff w s_beta = v: each vertex lists its out- and
-        # in-edges in root order, allocated together for the searches' scans
+        # v s_beta = w iff w s_beta = v: each vertex lists its in-edges in
+        # root order, and each edge is listed once, at its target
         for v in range(nv):
             lv = lengths[v]
             for tab, drop, quantum, c in roots:
                 w = tab[v]
                 d = lengths[w] - lv
-                if d == 1:
-                    up[v].append(w)
-                elif d == -drop:
-                    if not quantum:
-                        raise InvariantError("down edge through a non-quantum root")
-                    down[v].append((w, c))
                 if d == -1:
                     up_in[v].append(w)
                 elif d == drop:
+                    if not quantum:
+                        raise InvariantError("down edge through a non-quantum root")
                     down_in[v].append((w, c))
-        self.up, self.down, self.up_in, self.down_in = up, down, up_in, down_in
+        self.up_in, self.down_in = up_in, down_in
         self._rev_down: list[int] | None = None
-        # Strong connectivity: the identity reaches everything and is
-        # reachable from everything.
-        dist_from_e, _ = self.search(0)
-        rd, rwts = self._run_bfs(0, up_in, down_in)
-        if max(dist_from_e) == nv or max(rd) == nv:
+        # Strong connectivity: everything reaches the identity, and by
+        # induction on length an up in-edge at each y != e gives d(e, y) <= ell(y)
+        rd, rwts = self.search(0)
+        if max(rd) == nv:
             raise InvariantError("graph not strongly connected")
         # the width rests on d(e, y) = ell(y) and d(x, e) <= ell(x)
-        if dist_from_e != list(lengths) or any(map(int.__gt__, rd, lengths)):
+        if not all(up_in[1:]) or any(map(int.__gt__, rd, lengths)):
             raise InvariantError("an identity distance breaks the weight width bound")
         self._rev: tuple[list[int], list[Coroot]] = (rd, list(map(self.decode, rwts)))
 
@@ -138,15 +136,15 @@ class QBGraph:
             packed >> (i * width) & mask for i in range(self.rs.rank)
         )
 
-    def _run_bfs(self, src: int, up, down):
-        """Layered BFS accumulating packed down-edge weights: distances and
-        packed weights.  Distances start at |W|, above all, so an edge into
-        the same or an earlier layer costs one comparison."""
+    def _run_bfs(self, dst: int, up, down):
+        """Layered BFS to dst along in-edges accumulating packed down-edge
+        weights: distances and packed weights.  Distances start at |W|, above
+        all, so an edge into the same or an earlier layer costs one comparison."""
         n = len(up)
         dist = [n] * n
         wts = [0] * n
-        dist[src] = 0
-        queue = [src]
+        dist[dst] = 0
+        queue = [dst]
         for v in queue:  # the loop also visits the vertices appended below
             dnext = dist[v] + 1
             wv = wts[v]
@@ -173,27 +171,11 @@ class QBGraph:
                     raise InvariantError("two shortest paths with different weights")
         return dist, wts
 
-    def search(self, src) -> tuple[list[int], list[int]]:
-        """Uncached forward search, the oracle for ``wt`` and ``d_gamma``:
-        d_Gamma(src, y) and the packed wt(src, y) for every index y, each
+    def search(self, dst) -> tuple[list[int], list[int]]:
+        """Uncached search to dst, the oracle for ``wt`` and ``d_gamma``:
+        d_Gamma(x, dst) and the packed wt(x, dst) for every index x, each
         reached, as the graph is strongly connected."""
-        return self._run_bfs(self._idx(src), self.up, self.down)
-
-    def _reverse_down(self) -> list[int]:
-        """Distances of the down-only search to the identity, derived once."""
-        if self._rev_down is None:
-            nv = len(self.up)
-            dist, _ = self._run_bfs(0, [()] * nv, self.down_in)
-            if max(dist) == nv:
-                raise InvariantError("element with no downward decomposition")
-            # Down-only distance to the identity agrees with the
-            # unrestricted one.
-            if dist != self._rev[0]:
-                raise InvariantError(
-                    "a shortest path to the identity beats the down-only one"
-                )
-            self._rev_down = dist
-        return self._rev_down
+        return self._run_bfs(self._idx(dst), self.up_in, self.down_in)
 
     # -- queries ----------------------------------------------------------
 
@@ -237,13 +219,23 @@ class QBGraph:
 
     def ell_down(self, x) -> int:
         """Least number of down edges from x to the identity."""
-        return self._reverse_down()[self._idx(x)]
+        return self.all_ell_down()[self._idx(x)]
 
     def all_wt1(self) -> list[Coroot]:
         return self._rev[1]
 
     def all_ell_down(self) -> list[int]:
-        return self._reverse_down()
+        """Distances of the down-only search to the identity, derived once."""
+        if self._rev_down is None:
+            dist, _ = self._run_bfs(0, [()] * len(self.up_in), self.down_in)
+            # Down-only distance to the identity agrees with the unrestricted
+            # one, which is below |W|: every element has a downward path.
+            if dist != self._rev[0]:
+                raise InvariantError(
+                    "a shortest path to the identity beats the down-only one"
+                )
+            self._rev_down = dist
+        return self._rev_down
 
 
 _graph = per_table(QBGraph)
@@ -388,14 +380,6 @@ def reflection_length_w0(cartan_type: str, rank: int) -> int:
 
 
 def compute_M(rs: RootSystem) -> int:
-    """max over x in W and simple alpha of <alpha, wt(x)>, by enumeration."""
-    g = build_qbg(rs)
-    C = rs.cartan
-    n = rs.rank
-    best = 0
-    for v in g.all_wt1():
-        for i in range(n):
-            s = sum(v[j] * C[j][i] for j in range(n) if v[j])
-            if s > best:
-                best = s
-    return best
+    """max over x in W and simple alpha of <alpha, wt(x)>, by enumeration:
+    the largest pairing coordinate C^T wt(x) of a weight to the identity."""
+    return max(max(mat_vec(rs.cartan_t, v)) for v in build_qbg(rs).all_wt1())

@@ -364,6 +364,14 @@ def _same_rs(a: "Coweight", b: "Coweight") -> RootSystem:
     return a.rs
 
 
+def _rank_vector(rs: RootSystem, v: Iterable[Num], what: str) -> tuple:
+    """v as a tuple of rank-many coordinates; RefusalError otherwise."""
+    v = tuple(v)
+    if len(v) != rs.rank:
+        raise RefusalError(f"{len(v)} {what} coordinates in rank {rs.rank}")
+    return v
+
+
 class Coweight(_Frozen):
     """A rational coweight in pairing coordinates ``<alpha_i, lambda>``,
     each an int or a non-integral Fraction (an integral one is stored as an
@@ -372,10 +380,7 @@ class Coweight(_Frozen):
     __slots__ = ("rs", "pairing")
 
     def __init__(self, rs: RootSystem, pairing: tuple[Num, ...]):
-        if len(pairing) != rs.rank:
-            raise RefusalError(
-                f"{len(pairing)} coweight coordinates in rank {rs.rank}"
-            )
+        pairing = _rank_vector(rs, pairing, "coweight")
         if not all(type(x) is int or isinstance(x, Fraction) for x in pairing):
             raise RefusalError("coweight coordinates must be int or Fraction")
         self._set("rs", rs)
@@ -412,12 +417,14 @@ def coweight(rs: RootSystem, pairing_coords: Iterable[Num]) -> Coweight:
 
 def coweight_from_coroot(rs: RootSystem, coeffs: Iterable[Num]) -> Coweight:
     """Coweight from coefficients over the simple coroots (p = C^T c)."""
-    return Coweight(rs, mat_vec(rs.cartan_t, tuple(coeffs)))
+    return Coweight(rs, mat_vec(rs.cartan_t, _rank_vector(rs, coeffs, "coroot")))
 
 
 def pairing(rs: RootSystem, root: Root, lam: Coweight) -> Num:
-    """Exact pairing <beta, lambda> of a root with a coweight."""
-    return _norm_num(sum(c * p for c, p in zip(root, lam.pairing)))
+    """Exact pairing <beta, lambda> of a root with a coweight of rs."""
+    if lam.rs is not rs:
+        raise RefusalError("coweight of another root system")
+    return _norm_num(sum(map(mul, _rank_vector(rs, root, "root"), lam.pairing)))
 
 
 def depth(lam: Coweight) -> Num:

@@ -15,6 +15,7 @@ from adlv.affine import (
     simple_affine,
 )
 from adlv.cover import CocoverRecord, CoverResult, cover_depth_threshold
+from adlv.errors import InvariantError
 from adlv.newton import _averaging_data
 from adlv.qbg import build_qbg
 from adlv.rootsys import _dominantize, _edges_and_d, coweight_from_coroot, depth
@@ -441,6 +442,51 @@ def orthogonal_decompositions(x: WeylElt) -> list[tuple[int, ...]]:
 
     rec(0, [], 0)
     return out
+
+
+def qbg_edges(table, forward: bool = True) -> list[list[tuple]]:
+    """Each vertex's quantum Bruhat graph edges, leaving it when
+    ``forward`` and entering it otherwise, as (other end, root index, or
+    None for an up edge), derived from ``rmult_root``, the lengths and the
+    quantum flags rather than read off a graph: an up edge raises the
+    length by one, a down edge through a quantum root beta drops it by
+    <2 rho, beta_check> - 1."""
+    rs = table.rs
+    ell = table.lengths
+    sign = 1 if forward else -1
+    edges = [[] for _ in range(len(table))]
+    for a, cr in enumerate(rs.positive_coroots):
+        drop = pair_root_coroot(rs, rs.two_rho, cr) - 1
+        for x, y in enumerate(table.rmult_root(a)):
+            d = sign * (ell[y] - ell[x])
+            if d == 1:
+                edges[x].append((y, None))
+            elif d == -drop and rs.quantum_flags[a]:
+                edges[x].append((y, a))
+    return edges
+
+
+def qbg_search(rs, edges, src: int) -> tuple[list[int], list[tuple]]:
+    """Reference layered BFS from src along ``edges`` (``qbg_edges``; with
+    in-edges it runs to src), each weight a tuple of simple-coroot
+    coordinates, refusing two shortest paths of different weights.
+    Unreached vertices keep distance -1."""
+    coroots = rs.positive_coroots
+    dist = [-1] * len(edges)
+    wts = [None] * len(edges)
+    dist[src] = 0
+    wts[src] = (0,) * rs.rank
+    queue = [src]
+    for v in queue:  # the loop also visits the vertices appended below
+        for u, a in edges[v]:
+            w = wts[v] if a is None else tuple(map(add, wts[v], coroots[a]))
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                wts[u] = w
+                queue.append(u)
+            elif dist[u] == dist[v] + 1 and wts[u] != w:
+                raise InvariantError("two shortest paths with different weights")
+    return dist, wts
 
 
 def _down_parents(table) -> list[int]:

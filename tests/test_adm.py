@@ -186,13 +186,13 @@ def test_min_dgamma_small(a2, g2):
 
 @pytest.mark.parametrize("ct,n", [("A", 3), ("B", 3), ("C", 3), ("F", 4)])
 def test_min_dgamma_matches_full_scan(ct, n):
-    """The served minimum equals the one read off a forward search from
-    every element."""
+    """The served minimum equals the one read off the search to x w0 from
+    every element x."""
     rs = build_root_system(ct, n)
     g = build_qbg(rs)
     table = g.table
     full = min(
-        g.search(x)[0][table.prod_idx(x, table.w0_idx)]
+        g.search(table.prod_idx(x, table.w0_idx))[0][x]
         for x in range(len(table))
     )
     assert min_dgamma(rs) == full

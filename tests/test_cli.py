@@ -247,6 +247,21 @@ def test_query_finite_only_ops_refuse_translations(capsys):
          "unrecognized arguments: --budget 7 --seed 3"),
         # the group cap is the library's alone
         (["verify", "qbg", "--cap", "5"], "unrecognized arguments: --cap 5"),
+        # integers are an optional sign and ASCII digits, nothing int() also reads
+        (["query", "--type", "A", "--rank", "2", "len t[1_0,2]"],
+         "bad coordinate list in token 't[1_0,2]'"),
+        (["query", "--type", "A", "--rank", "2", "len t[\u0661,2]"],
+         "bad coordinate list in token 't[\u0661,2]'"),
+        (["query", "--type", "A", "--rank", "2", "len s\u0661"],
+         "bad integer '\u0661' in token 's\u0661'"),
+        (["query", "--type", "A", "--rank", "2", "admsize [1_1,1]"],
+         "bad coordinate list in token '[1_1,1]'"),
+        (["query", "--type", "A", "--rank", "1_0", "len s1"],
+         "argument --rank: invalid integer value: '1_0'"),
+        (["query", "--type", "A", "--rank", "2", "--budget", " 3", "len s1"],
+         "argument --budget: invalid integer value: ' 3'"),
+        (["verify", "qbg", "--seed", "\u0661"],
+         "argument --seed: invalid integer value: '\u0661'"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, fragment):
@@ -497,9 +512,9 @@ def test_tables_suite_names_a_wrong_wt_w0_row(capsys, monkeypatch, ct, n, reason
 
 
 def test_qbg_suite_holds_one_search_at_a_time():
-    """With the D5 graph built, the seeded qbg suite (441 distinct sources)
-    allocates under 2 MB at its peak: one forward search is about 0.1 MB,
-    and keeping every search alive until the end took about 20 MB."""
+    """With the D5 graph built, the seeded qbg suite (436 distinct targets)
+    allocates under 2 MB at its peak: one search to a target is about
+    0.1 MB, and keeping every search alive until the end took about 20 MB."""
     build_qbg(build_root_system("D", 5)).all_ell_down()
     tracemalloc.start()
     try:
@@ -512,18 +527,18 @@ def test_qbg_suite_holds_one_search_at_a_time():
 
 
 def test_qbg_suite_reports_failures_in_pair_order(monkeypatch):
-    """Searches run grouped by source, but a served value that disagrees is
+    """Searches run grouped by target, but a served value that disagrees is
     reported in the order of the seeded pairs, with the same fields."""
     g = build_qbg(build_root_system("D", 5))
     nv = len(g.table)
     rng = Random(0)
     pairs = [(rng.randrange(nv), rng.randrange(nv)) for _ in range(500)]
-    # positions k1 < k2 < k3 with sources i, i2 < i, i: taking the sources
+    # positions k1 < k2 < k3 with targets j, j2 < j, j: taking the targets
     # in first-seen or in sorted order would report them out of pair order
     first = {}
-    for k3, (i, _) in enumerate(pairs):
-        k1 = first.setdefault(i, k3)
-        k2 = next((k for k in range(k1 + 1, k3) if pairs[k][0] < i), None)
+    for k3, (_, j) in enumerate(pairs):
+        k1 = first.setdefault(j, k3)
+        k2 = next((k for k in range(k1 + 1, k3) if pairs[k][1] < j), None)
         if k2 is not None:
             break
     chosen = [k1, k2, k3]
@@ -541,7 +556,7 @@ def test_qbg_suite_reports_failures_in_pair_order(monkeypatch):
         for i, j in pairs if (i, j) in wrong
     ]
     assert len(rep["failures"]) >= 3
-    assert pairs[k1][0] == pairs[k3][0] > pairs[k2][0]
+    assert pairs[k1][1] == pairs[k3][1] > pairs[k2][1]
     assert rep["cases"] == 2420
 
 
@@ -679,7 +694,7 @@ swapped.lengths = [0, 3, 1, 2, 2, 1]
 unlinked = copy.copy(table)
 unlinked.rmult_root = lambda a: list(range(6))
 skewed = QBGraph(table)
-for edges in skewed.down + skewed.down_in:  # one wrong packed coroot
+for edges in skewed.down_in:  # one wrong packed coroot
     edges[:] = [(u, c + (c == skewed.inc[0])) for u, c in edges]
 corrupt = weyl.GroupTable(a2)
 corrupt.rmult[1][3] = 2  # claims s1 s2 * s2 = s2

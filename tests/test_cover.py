@@ -191,6 +191,18 @@ def test_sample_triples_deterministic(a3):
         assert rep["match"], rep
 
 
+@pytest.mark.parametrize(
+    "count,lo,hi",
+    [(5, -1, 3), (5, 4, 3), (-1, 3, 5)],
+    ids=["negative-lo", "lo-above-hi", "negative-count"],
+)
+def test_sample_triples_refuses_bad_range(a3, count, lo, hi):
+    """A range that would give non-dominant lambda or none at all, or a
+    negative count, is refused rather than sampled, leaked or emptied."""
+    with pytest.raises(RefusalError, match="0 <= lo <= hi"):
+        sample_triples(a3, count, lo, hi)
+
+
 def test_non_cocover_reported_below_threshold(a2, monkeypatch):
     """At depth 1 cases 2 and 4 predict elements that are not cocovers;
     the report lists them instead of raising.  Once the same input counts

@@ -2,6 +2,7 @@
 downward decompositions."""
 
 import hashlib
+import tracemalloc
 from collections import deque
 from itertools import product
 from random import Random
@@ -30,7 +31,15 @@ from adlv.qbg import (
     wt_w0_closed_form,
 )
 
-from oracles import down_parents, from_word, leq_idx, pair_root_coroot, rqrd
+from oracles import (
+    down_parents,
+    from_word,
+    leq_idx,
+    pair_root_coroot,
+    qbg_edges,
+    qbg_search,
+    rqrd,
+)
 
 UNIQ = [("A", 2), ("B", 2), ("G", 2)]
 ORACLE_SCOPE = UNIQ + [("A", 3), ("B", 3), ("C", 3)]
@@ -42,75 +51,50 @@ def _root(table, x, y):
     return table.reflections.index(table.prod_idx(table.inv_idx(x), y))
 
 
-def _edges(g, up, down, x):
-    """The edges at x as (other end, root index or None for an up edge)."""
-    return [(u, None) for u in up[x]] + [
-        (u, _root(g.table, x, u)) for u, _ in down[x]
-    ]
-
-
 def _corrupt(g, a):
     """Add one to the packed coroot of root a on every edge carrying it;
     packing is injective, so those are the edges whose weight equals it."""
     bad = g.inc[a]
-    for lists in (g.down, g.down_in):
-        for edges in lists:
-            edges[:] = [(u, c + (c == bad)) for u, c in edges]
-
-
-def _tuple_bfs(g, src, up, down):
-    """Reference search: the layered BFS carrying each weight as a tuple of
-    simple-coroot coordinates, with the same agreement check."""
-    coroots = g.rs.positive_coroots
-    dist = [-1] * len(up)
-    wts = [None] * len(up)
-    dist[src] = 0
-    wts[src] = (0,) * g.rs.rank
-    q = deque([src])
-    while q:
-        v = q.popleft()
-        for u, a in _edges(g, up, down, v):
-            w = wts[v]
-            if a is not None:
-                w = tuple(p + c for p, c in zip(w, coroots[a]))
-            if dist[u] < 0:
-                dist[u] = dist[v] + 1
-                wts[u] = w
-                q.append(u)
-            elif dist[u] == dist[v] + 1 and wts[u] != w:
-                raise InvariantError("two shortest paths with different weights")
-    return dist, wts
+    for edges in g.down_in:
+        edges[:] = [(u, c + (c == bad)) for u, c in edges]
 
 
 @pytest.mark.parametrize("ct,n", ORACLE_SCOPE)
 def test_packed_weights_match_tuple_oracle(ct, n):
+    """The search to each target over the in-lists equals, column by
+    column, the tuple searches forward from every source along edges
+    derived from the table, and so do the served weights to the identity."""
     rs = build_root_system(ct, n)
     g = build_qbg(rs)
     nv = len(g.table)
-    for src in range(nv):
-        dist, wts = _tuple_bfs(g, src, g.up, g.down)
-        got_dist, got_wts = g.search(src)
-        assert got_dist == dist
-        assert [g.decode(p) for p in got_wts] == wts
-    dist, wts = _tuple_bfs(g, 0, g.up_in, g.down_in)
+    out = qbg_edges(g.table)
+    fwd = [qbg_search(rs, out, src) for src in range(nv)]
+    for dst in range(nv):
+        got_dist, got_wts = g.search(dst)
+        assert got_dist == [fwd[x][0][dst] for x in range(nv)]
+        assert [g.decode(p) for p in got_wts] == [fwd[x][1][dst] for x in range(nv)]
+    wts = [fwd[x][1][0] for x in range(nv)]
     assert g.all_wt1() == wts
     assert [g.wt1(x) for x in range(nv)] == wts
 
 
 @pytest.mark.parametrize("ct,n", [("F", 4), ("D", 5)])
 def test_packed_weights_match_tuple_oracle_sampled(ct, n):
-    """The benchmark's groups: a seeded sample of forward searches, and the
-    search to the identity, equal the tuple search, and every vertex is
-    reached, so no distance is left at the |W| sentinel."""
-    g = build_qbg(build_root_system(ct, n))
+    """The benchmark's groups: a seeded sample of searches to a target, and
+    the search to the identity, equal the tuple search along in-edges
+    derived from the table, and every vertex is reached, so no distance is
+    left at the |W| sentinel."""
+    rs = build_root_system(ct, n)
+    g = build_qbg(rs)
     nv = len(g.table)
-    for src in Random(0).sample(range(nv), 6):
-        got_dist, got_wts = g.search(src)
+    into = qbg_edges(g.table, forward=False)
+    for dst in Random(0).sample(range(nv), 6):
+        got_dist, got_wts = g.search(dst)
         assert max(got_dist) < nv
-        assert (got_dist, [g.decode(p) for p in got_wts]) == _tuple_bfs(
-            g, src, g.up, g.down
+        assert (got_dist, [g.decode(p) for p in got_wts]) == qbg_search(
+            rs, into, dst
         )
-    assert g.all_wt1() == _tuple_bfs(g, 0, g.up_in, g.down_in)[1]
+    assert g.all_wt1() == qbg_search(rs, into, 0)[1]
     assert max(g.all_ell_down()) < nv
 
 
@@ -119,8 +103,8 @@ def test_parents_from_discovery_order(ct, n):
     """The parents ``oracles.rqrd`` reads off its down-only search's
     discovery order are the first-found parents of a reference search that
     stores them, and form a shortest down-only tree for the graph's
-    ``all_ell_down``: each parent is one down edge away and one step
-    closer to the identity."""
+    ``all_ell_down``: each parent is one down edge, derived from the table,
+    away and one step closer to the identity."""
     g = build_qbg(build_root_system(ct, n))
     nv = len(g.table)
     parent = [-1] * nv
@@ -136,10 +120,11 @@ def test_parents_from_discovery_order(ct, n):
                 q.append(u)
     assert down_parents(g.table) == parent
     downs = g.all_ell_down()
+    out = qbg_edges(g.table)
     for u in range(1, nv):
         p = parent[u]
         assert downs[u] == downs[p] + 1
-        assert p in [w for w, _ in g.down[u]]
+        assert p in [w for w, a in out[u] if a is not None]
 
 
 SERVED_SCOPE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
@@ -149,15 +134,15 @@ SERVED_SCOPE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
 @pytest.mark.parametrize("ct,n", SERVED_SCOPE)
 def test_served_queries_match_search(ct, n):
     """wt(x, y), served through the min-fold, and d_gamma(x, y), served by
-    the length identity, equal the forward search from x for every y:
-    from every x up to order 384, from a seeded sample of 24 in F4."""
+    the length identity, equal the search to y for every x: to every y up
+    to order 384, to a seeded sample of 24 in F4."""
     g = build_qbg(build_root_system(ct, n))
     nv = len(g.table)
-    sources = range(nv) if nv <= 384 else Random(0).sample(range(nv), 24)
-    for x in sources:
-        dist, wts = g.search(x)
-        assert [g.wt(x, y) for y in range(nv)] == list(map(g.decode, wts))
-        assert [g.d_gamma(x, y) for y in range(nv)] == dist
+    targets = range(nv) if nv <= 384 else Random(0).sample(range(nv), 24)
+    for y in targets:
+        dist, wts = g.search(y)
+        assert [g.wt(x, y) for x in range(nv)] == list(map(g.decode, wts))
+        assert [g.d_gamma(x, y) for x in range(nv)] == dist
 
 
 def test_queries_keep_no_state():
@@ -177,6 +162,23 @@ def test_queries_keep_no_state():
         g.wt(x, 0)
         g.d_gamma(x, 0)
     assert sizes() == before
+
+
+def test_graph_stores_each_edge_once():
+    """A D5 graph, on a table whose reflection tables are built beforehand,
+    retains under 1.3 MiB by ``tracemalloc``: each edge is stored once, in
+    the in-lists (1.0 MiB; 1.8 MiB with out-lists kept beside them)."""
+    table = enumerate_group(build_root_system("D", 5))
+    for a in range(len(table.rs.positive_roots)):
+        table.rmult_root(a)
+    tracemalloc.start()
+    try:
+        g = QBGraph(table)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(g.up_in) == len(table)
+    assert retained < 1.3 * 2 ** 20
 
 
 def test_build_qbg_checks_cap_when_cached(b3, monkeypatch):
@@ -236,8 +238,8 @@ def test_ltri_idx_matches_affine_fold(ct, n, count):
 
 def test_edge_classification(b2):
     """Up edges raise the length by one, down edges through quantum roots
-    drop it by <2 rho, beta_check> - 1, and up and down together hold each
-    edge derived from ``rmult_root`` once, in both directions; each down
+    drop it by <2 rho, beta_check> - 1, and the in-lists hold each edge
+    derived from ``rmult_root`` exactly once, at its target; each down
     edge through beta carries the packed coroot ``inc[beta]``."""
     g = build_qbg(b2)
     table = g.table
@@ -252,23 +254,21 @@ def test_edge_classification(b2):
                 expected.add((x, tab[x], None))
             elif d == -drop:
                 expected.add((x, tab[x], a))
-    for x in range(nv):
-        for y in g.up[x]:
+    edges = []
+    for y in range(nv):
+        for x in g.up_in[y]:
             assert table.lengths[y] - table.lengths[x] == 1
-        for y, c in g.down[x]:
+            edges.append((x, y, None))
+        for x, c in g.down_in[y]:
             a = _root(table, x, y)
             assert c is g.inc[a]
             drop = pair_root_coroot(b2, b2.two_rho, b2.positive_coroots[a]) - 1
             assert table.lengths[y] - table.lengths[x] == -drop
             assert b2.quantum_flags[a]
-    for up, down, fwd in ((g.up, g.down, True), (g.up_in, g.down_in, False)):
-        edges = [
-            (x, u, a) if fwd else (u, x, a)
-            for x in range(nv)
-            for u, a in _edges(g, up, down, x)
-        ]
-        assert len(edges) == len(set(edges))
-        assert set(edges) == expected
+            edges.append((x, y, a))
+    assert len(edges) == len(set(edges))
+    assert set(edges) == expected
+    assert not hasattr(g, "up") and not hasattr(g, "down")
 
 
 @pytest.mark.parametrize("ct,n", UNIQ)
@@ -279,7 +279,7 @@ def test_shortest_path_weight_uniqueness(ct, n):
     rs = build_root_system(ct, n)
     g = build_qbg(rs)
     nv = len(g.table)
-    nroots = len(rs.positive_roots)
+    out = qbg_edges(g.table)
     for src in range(nv):
         # layered distances
         dist = [None] * nv
@@ -288,7 +288,7 @@ def test_shortest_path_weight_uniqueness(ct, n):
         while frontier:
             nxt = []
             for x in frontier:
-                for y, a in _edges(g, g.up, g.down, x):
+                for y, a in out[x]:
                     if dist[y] is None:
                         dist[y] = dist[x] + 1
                         nxt.append(y)
@@ -298,7 +298,7 @@ def test_shortest_path_weight_uniqueness(ct, n):
         wsets[src] = {(0,) * rs.rank}
         order = sorted(range(nv), key=lambda v: dist[v])
         for x in order:
-            for y, a in _edges(g, g.up, g.down, x):
+            for y, a in out[x]:
                 if dist[y] != dist[x] + 1:
                     continue
                 gamma = rs.positive_coroots[a] if a is not None else (0,) * rs.rank
@@ -466,8 +466,9 @@ def test_wt_additive_along_up_edges(a2):
     """Up edges carry weight zero: wt(x,1) is constant along them going
     away from the identity only through down contributions."""
     g = build_qbg(a2)
+    out = qbg_edges(g.table)
     for x in range(len(g.table)):
-        for y, a in _edges(g, g.up, g.down, x):
+        for y, a in out[x]:
             gamma = a2.positive_coroots[a] if a is not None else (0,) * 2
             lhs = coweight_from_coroot(a2, g.wt(x, 0))
             # triangle bound through the edge

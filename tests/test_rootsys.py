@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adlv._matrix import mat_inv
-from adlv.adm import adm_membership_char, adm_set
+from adlv.adm import BInvariants, adm_membership_char, adm_set, virtual_dim
+from adlv.affine import embed
 from adlv.cover import predicted_cocovers
 from adlv.errors import RefusalError
 from adlv.rootsys import (
@@ -266,6 +267,34 @@ def test_coweight_refuses_non_exact_coordinates(a2, bad):
     with pytest.raises(RefusalError, match="int or Fraction"):
         coweight(a2, (bad, 1))
     assert coweight(a2, (Fraction(4, 2), 1)).pairing == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "call,fragment",
+    [
+        (lambda a2, a3, b2: pairing(a3, a3.two_rho, coweight(a2, (1, 1))),
+         "coweight of another root system"),
+        (lambda a2, a3, b2: pairing(a3, (1, 1), coweight(a3, (1, 1, 1))),
+         "2 root coordinates in rank 3"),
+        (lambda a2, a3, b2: pairing(a3, (1, 1, 1, 5), coweight(a3, (1, 1, 1))),
+         "4 root coordinates in rank 3"),
+        (lambda a2, a3, b2: coweight_from_coroot(a3, (1, 1)),
+         "2 coroot coordinates in rank 3"),
+        (lambda a2, a3, b2: coweight_from_coroot(a3, (1, 1, 1, 5)),
+         "4 coroot coordinates in rank 3"),
+        (lambda a2, a3, b2: virtual_dim(embed(identity_elt(a2)),
+                                        BInvariants(coweight(b2, (0, 0)), 0)),
+         "coweight of another root system"),
+    ],
+    ids=["pairing-rs", "pairing-short", "pairing-long", "coroot-short",
+         "coroot-long", "virtual_dim-rs"],
+)
+def test_mismatched_vectors_refused(a2, a3, b2, call, fragment):
+    """A coweight of another root system, or a root or coroot vector whose
+    length is not the rank, is refused rather than truncated by ``zip``
+    (pairing the A3 two_rho with an A2 coweight once gave 7)."""
+    with pytest.raises(RefusalError, match=fragment):
+        call(a2, a3, b2)
 
 
 def test_depth_and_dominance(a2):
