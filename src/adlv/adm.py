@@ -13,18 +13,13 @@ data here: the formulas consume them, nothing computes them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import ceil
 from operator import add
 from typing import NamedTuple
 
-from .affine import (
-    AffineElt,
-    affine_length,
-    descent_left,
-    lower_union,
-    simple_affine,
-    translation,
-)
+from . import affine
+from .affine import AffineElt, _peel, affine_length, lower_union, translation
 from .errors import BudgetError, InvariantError, RefusalError
 from .qbg import build_qbg, reflection_length_w0
 from .rootsys import (
@@ -37,18 +32,13 @@ from .rootsys import (
     dominance_leq,
     pairing,
 )
-from .weyl import (
-    WeylElt,
-    enumerate_group,
-    identity_elt,
-)
+from .weyl import WeylElt, enumerate_group, identity_elt, simple_reflection
 
 __all__ = [
     "AdmSet",
     "BInvariants",
     "MembershipResult",
     "DimResult",
-    "DEFAULT_ADM_BUDGET",
     "adm_set",
     "product_set",
     "adm_membership_char",
@@ -59,9 +49,6 @@ __all__ = [
     "d_adm_brute",
     "dim_X_formula",
 ]
-
-DEFAULT_ADM_BUDGET = 40
-
 
 class AdmSet(_Frozen):
     """A dominant lattice coweight with its admissible set.  A slotted class,
@@ -98,13 +85,16 @@ def _rho_pair(rs: RootSystem, lam: Coweight) -> Fraction:
     return Fraction(pairing(rs, rs.two_rho, lam)) / 2
 
 
-def adm_set(mu: Coweight, budget: int = DEFAULT_ADM_BUDGET) -> AdmSet:
+def adm_set(mu: Coweight, budget: int | None = None) -> AdmSet:
     """Union of the lower intervals of t^{x(mu)} over the Weyl orbit.  The
     orbit translations share one lattice class, so one ``lower_union``
-    engine runs all their words and builds each member once."""
+    engine runs all their words and builds each member once.  BudgetError
+    when ell(t^mu) = <2 rho, mu> exceeds ``budget``
+    (``affine.DEFAULT_INTERVAL_BUDGET`` when None, read at call time)."""
     rs = mu.rs
     if not mu.is_dominant():
         raise RefusalError("admissible sets are indexed by dominant mu")
+    budget = affine.DEFAULT_INTERVAL_BUDGET if budget is None else budget
     mu_int = mu.int_pairing()
     lt = pairing(rs, rs.two_rho, mu)
     if lt > budget:
@@ -197,18 +187,9 @@ def eta(w: AffineElt) -> WeylElt:
     """v u for the unique w = u t^lam v with lam dominant and t^lam v of
     minimal length in its left W-coset."""
     rs = w.rs
-    u = identity_elt(rs)
-    y = w
-    while True:
-        # finite letters sit at 1..n in the affine indexing
-        i = next(
-            (i for i in range(rs.rank) if descent_left(y, i + 1)), None
-        )
-        if i is None:
-            break
-        s = simple_affine(rs, i + 1)
-        y = s.mul(y)
-        u = u.mul(s.fin)
+    # peel the finite letters, 1..n in the affine indexing: w = u y
+    word, y = _peel(w, range(1, rs.rank + 1))
+    u = reduce(lambda a, j: a.mul(simple_reflection(rs, j - 1)), word, identity_elt(rs))
     if min(y.lam) < 0:
         raise InvariantError(
             "coset-minimal element does not have a dominant translation part"
@@ -266,10 +247,9 @@ def d_adm(
     return DimResult(status, value, reason)
 
 
-def d_adm_brute(
-    mu: Coweight, b: BInvariants, budget: int = DEFAULT_ADM_BUDGET
-) -> Fraction:
-    """max of the virtual dimension over the whole admissible set."""
+def d_adm_brute(mu: Coweight, b: BInvariants, budget: int | None = None) -> Fraction:
+    """max of the virtual dimension over the whole admissible set, within
+    ``adm_set``'s budget."""
     return max(virtual_dim(w, b) for w in adm_set(mu, budget).members)
 
 

@@ -30,7 +30,7 @@ program runs along the reduced word of each top w = tau s_{j_1} ... s_{j_l}
 Bruhat order), and the state sets merge bucket by bucket.  Every interval,
 Newton maxima's included, is set up by ``_interval_engine`` and refused
 past ``STATE_CAP`` states.  Cocovers come from enumerating separating
-reflections, and the three Demazure products from folding reduced words.
+reflections, and the three Demazure products from folding ``tau_word``.
 
 The engine keeps a state set grouped by finite Weyl index, one bucket of
 mixed-radix codes of translation parts per index over a box sized from the
@@ -65,7 +65,6 @@ __all__ = [
     "affine_length",
     "descent_left",
     "descent_right",
-    "reduced_word_and_tau",
     "tau_word",
     "lower_union",
     "cocovers",
@@ -206,49 +205,51 @@ def descent_left(w: AffineElt, j: int) -> bool:
     return li < 0 or (li == 0 and neg)
 
 
-def reduced_word_and_tau(w: AffineElt) -> tuple[tuple[int, ...], AffineElt]:
-    """Greedy least-left-descent word and the length-zero residual:
-    w = s_{j_1} ... s_{j_l} tau with l = ell(w).
-
-    The residual tau is the identity exactly when the translation part lies
-    in the coroot lattice; otherwise it is the stabilizer element of w's
-    lattice class."""
-    n = w.rs.rank
-    target = affine_length(w)
-    out: list[int] = []
-    cur = w
-    while len(out) < target:
-        j = next((k for k in range(n + 1) if descent_left(cur, k)), None)
+def _peel(w: AffineElt, letters: range) -> tuple[list[int], AffineElt]:
+    """(word, rest) with w = s_{j_1} ... s_{j_k} rest: each j_i the least
+    left descent among ``letters`` of what is left, peeled at most ell(w)
+    times, so k < ell(w) only where rest has no descent among them."""
+    word, rest = [], w
+    for _ in range(affine_length(w)):
+        j = next((k for k in letters if descent_left(rest, k)), None)
         if j is None:
-            raise InvariantError("no descent on a length-positive element")
-        out.append(j)
-        cur = simple_affine(w.rs, j).mul(cur)
-    if affine_length(cur) != 0:
-        raise InvariantError("peeling left descents left length behind")
-    return tuple(out), cur
+            break
+        word.append(j)
+        rest = simple_affine(w.rs, j).mul(rest)
+    return word, rest
 
 
 def tau_word(w: AffineElt) -> tuple[AffineElt, tuple[int, ...]]:
     """(tau, word) with w = tau s_{j_1} ... s_{j_l}, tau of length zero and
-    l = ell(w), from the greedy word of w^-1.
+    l = ell(w), from the least-left-descent peel of w^-1.  tau is the
+    identity exactly when the translation part lies in the coroot lattice;
+    otherwise it is the stabilizer element of w's lattice class.
 
     >>> from adlv.rootsys import build_root_system, coweight
     >>> tau, word = tau_word(translation(coweight(build_root_system("A", 2), (1, 0))))
     >>> word, affine_length(tau), tau.lam, tau.fin.to_word()
     ((2, 1), 0, (1, 0), (0, 1))
     """
-    word, tau = reduced_word_and_tau(w.inv())
-    return tau.inv(), word[::-1]
+    word, rest = _peel(w.inv(), range(w.rs.rank + 1))
+    if len(word) < affine_length(w):  # = ell(w^-1), the peel's bound
+        raise InvariantError("no descent on a length-positive element")
+    if affine_length(rest) != 0:
+        raise InvariantError("peeling left descents left length behind")
+    return rest.inv(), tuple(word[::-1])
 
 
 def lower_union(tops: Sequence[AffineElt],
-                budget: int = DEFAULT_INTERVAL_BUDGET) -> frozenset[AffineElt]:
+                budget: int | None = None) -> frozenset[AffineElt]:
     """All u below some element of ``tops``, which must share one
     length-zero part tau: tau times the union of the intervals [e, v] over
     the words v of ``tau_word``, from ``_interval_engine``; each distinct
-    member is decoded and built once.  BudgetError past ``STATE_CAP``
-    states, or for a group above the ``enumerate_group`` cap (E7, E8),
-    whose finite Weyl group the engine indexes."""
+    member is decoded and built once.  BudgetError for a top longer than
+    ``budget`` (None: ``DEFAULT_INTERVAL_BUDGET``, read at call time), past
+    ``STATE_CAP`` states, or for a group above the ``enumerate_group`` cap
+    (E7, E8), whose finite Weyl group the engine indexes."""
+    if not tops:
+        raise RefusalError("a lower interval needs at least one top")
+    budget = DEFAULT_INTERVAL_BUDGET if budget is None else budget
     lw = max(map(affine_length, tops))
     if lw > budget:
         raise BudgetError(
@@ -315,37 +316,40 @@ def cocovers(w: AffineElt) -> list[AffineElt]:
 
 # -- Demazure products ---------------------------------------------------
 
-def demazure_star(x: AffineElt, y: AffineElt) -> AffineElt:
-    """Max-fold product: the longest element of {u v : u <= x, v <= y}."""
-    word, tau = reduced_word_and_tau(y)
-    cur = x
+def _right_fold(x: AffineElt, y: AffineElt, longer: bool) -> AffineElt:
+    """x times y = tau v (``tau_word``), folded from x tau (a length-zero tau
+    keeps length and Bruhat order): each letter of v taken exactly when it
+    makes the product longer (``longer``), or else shorter."""
+    tau, word = tau_word(y)
+    cur = x.mul(tau)
     for j in word:
         cand = cur.mul(simple_affine(x.rs, j))
-        if affine_length(cand) > affine_length(cur):
-            cur = cand
-    return cur if tau.is_identity() else cur.mul(tau)
-
-
-def demazure_rtri(x: AffineElt, y: AffineElt) -> AffineElt:
-    """Left min-fold x |> y: the unique minimum of {u y : u <= x}."""
-    word, tau = reduced_word_and_tau(x)
-    cur = y if tau.is_identity() else tau.mul(y)
-    for j in reversed(word):
-        cand = simple_affine(x.rs, j).mul(cur)
-        if affine_length(cand) < affine_length(cur):
+        if (affine_length(cand) > affine_length(cur)) == longer:
             cur = cand
     return cur
 
 
-def demazure_ltri(x: AffineElt, y: AffineElt) -> AffineElt:
-    """Right min-fold x <| y: the unique minimum of {x v : v <= y}."""
-    word, tau = reduced_word_and_tau(y)
-    cur = x
-    for j in word:
-        cand = cur.mul(simple_affine(x.rs, j))
+def demazure_star(x: AffineElt, y: AffineElt) -> AffineElt:
+    """Max-fold product: the longest element of {u v : u <= x, v <= y}."""
+    return _right_fold(x, y, True)
+
+
+def demazure_rtri(x: AffineElt, y: AffineElt) -> AffineElt:
+    """Left min-fold x |> y: the unique minimum of {u y : u <= x}.  With
+    x = tau v (``tau_word``) it is tau (v |> y), v folded on the left of y
+    from its last letter."""
+    tau, word = tau_word(x)
+    cur = y
+    for j in reversed(word):
+        cand = simple_affine(x.rs, j).mul(cur)
         if affine_length(cand) < affine_length(cur):
             cur = cand
-    return cur if tau.is_identity() else cur.mul(tau)
+    return tau.mul(cur)
+
+
+def demazure_ltri(x: AffineElt, y: AffineElt) -> AffineElt:
+    """Right min-fold x <| y: the unique minimum of {x v : v <= y}."""
+    return _right_fold(x, y, False)
 
 
 # -- interval engine -----------------------------------------------------
@@ -441,6 +445,7 @@ class IntervalEngine:
                  start: AffineElt | None = None):
         self.table = table
         self.rs = rs = table.rs
+        _require_letters(rs, word)
         self.start = start or embed(identity_elt(rs))
         self.zeros = zeros = word.count(0)
         self.rmult_stheta = table.rmult_root(rs.theta_index)
@@ -508,7 +513,9 @@ class IntervalEngine:
         return states
 
     def interval_states(self, word: Sequence[int]) -> StateSet:
-        """start times each subword of word, bounded by ``STATE_CAP``."""
+        """start times each subword of word, bounded by ``STATE_CAP``; like
+        the constructor, and unlike ``step``, it refuses bad letters."""
+        _require_letters(self.rs, word)
         code = self.pack(self.start.lam)
         seed = 1 << code if self.dense else frozenset([code])
         states = StateSet({self.table.idx(self.start.fin): seed}, 0, 1)
@@ -517,12 +524,20 @@ class IntervalEngine:
         return states
 
 
+def _require_letters(rs: RootSystem, word: Sequence[int]) -> None:
+    """RefusalError unless every letter is an int (not a bool) in 0..rank."""
+    if not all(type(j) is int and 0 <= j <= rs.rank for j in word):
+        raise RefusalError(f"letters must be ints in 0..{rs.rank}, got {tuple(word)}")
+
+
 def _interval_engine(tops: Sequence[AffineElt]) -> tuple[IntervalEngine, StateSet]:
     """One ``IntervalEngine`` started at the length-zero part tau that
     ``tops`` share, its box sized for the word with the most letters 0, and
     the union, bucket by bucket, of the state sets of their words
     (``tau_word``): tau times the intervals [e, v].  Each state set and the
     union are bounded by ``STATE_CAP``."""
+    if not tops:
+        raise RefusalError("a lower interval needs at least one top")
     rs = tops[0].rs
     tws = [tau_word(w) for w in tops]
     tau = tws[0][0]

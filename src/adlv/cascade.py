@@ -6,13 +6,15 @@ already taken, and so on, yields the cascade levels of x, and r(x) is the
 sum of the coroots across all levels.  Alongside sit two statistics on the
 whole group: dp(x), the cheapest reflection factorization where a
 reflection costs (ell + 1)/2, and ell_red(x), the fewest reflections
-multiplying to x with perfectly additive lengths.  The comparison driver
-lines these up against the graph weight wt(x) per involution.
+multiplying to x with perfectly additive lengths, both from one
+uniform-cost search over right multiplication by reflections.  The
+comparison driver lines these up against the graph weight wt(x) per
+involution.
 """
 
 from __future__ import annotations
 
-import heapq
+from math import inf
 from typing import NamedTuple
 
 from .errors import InvariantError
@@ -110,28 +112,40 @@ def dp_root(rs: RootSystem, root_idx: int) -> int:
     return (l + 1) // 2
 
 
+def _reflection_search(table: GroupTable, costs, additive: bool) -> tuple[int, ...]:
+    """Least total cost from the identity to every element over the steps
+    v -> v s_beta (``rmult_root``), costing costs[beta], small positive
+    integers; with ``additive`` only the steps adding ell(s_beta) to the
+    length.  A bucket queue indexed by cost (Dial's algorithm)."""
+    refl_len, lengths = table.rs.reflection_lengths, table.lengths
+    steps = [(table.rmult_root(a), c, refl_len[a]) for a, c in enumerate(costs)]
+    dist = [inf] * len(table)  # tentative until popped from its bucket
+    dist[0] = 0
+    buckets = [[0]]
+    for d, bucket in enumerate(buckets):  # buckets grows while it is read
+        for v in bucket:
+            if dist[v] < d:  # improved since it was pushed here
+                continue
+            lv = lengths[v]
+            for mult, c, l in steps:
+                u, du = mult[v], d + c
+                if du < dist[u] and (not additive or lengths[u] == lv + l):
+                    dist[u] = du
+                    while len(buckets) <= du:
+                        buckets.append([])
+                    buckets[du].append(u)
+    if inf in dist:
+        raise InvariantError("reflection search left an element unreached")
+    return tuple(dist)
+
+
 @per_table
 def _dp_table(table: GroupTable) -> tuple[int, ...]:
     """Least factorization cost from the identity to every element, where
-    multiplying by s_beta costs dp_root(beta); uniform-cost search."""
+    multiplying by s_beta costs dp_root(beta)."""
     rs = table.rs
-    nroots = len(rs.positive_roots)
-    costs = [dp_root(rs, a) for a in range(nroots)]
-    mult = [table.rmult_root(a) for a in range(nroots)]
-    dist = [None] * len(table)
-    heap = [(0, 0)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if dist[v] is not None:
-            continue
-        dist[v] = d
-        for a in range(nroots):
-            u = mult[a][v]
-            if dist[u] is None:
-                heapq.heappush(heap, (d + costs[a], u))
-    if None in dist:
-        raise InvariantError("dp search left an element unreached")
-    return tuple(dist)
+    costs = [dp_root(rs, a) for a in range(len(rs.positive_roots))]
+    return _reflection_search(table, costs, additive=False)
 
 
 def dp_all(rs: RootSystem) -> tuple[int, ...]:
@@ -147,27 +161,8 @@ def dp(x: WeylElt) -> int:
 @per_table
 def _ell_red_table(table: GroupTable) -> tuple[int, ...]:
     """Fewest reflections with additive lengths, from the identity to every
-    element, by breadth-first search."""
-    rs = table.rs
-    nroots = len(rs.positive_roots)
-    refl_len = rs.reflection_lengths
-    mult = [table.rmult_root(a) for a in range(nroots)]
-    lengths = table.lengths
-    dist = [None] * len(table)
-    dist[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for a in range(nroots):
-                u = mult[a][v]
-                if dist[u] is None and lengths[u] == lengths[v] + refl_len[a]:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    if None in dist:
-        raise InvariantError("ell_red search left an element unreached")
-    return tuple(dist)
+    element."""
+    return _reflection_search(table, [1] * len(table.rs.positive_roots), additive=True)
 
 
 def ell_red_all(rs: RootSystem) -> tuple[int, ...]:

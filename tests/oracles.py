@@ -6,7 +6,7 @@ from itertools import chain
 from math import gcd
 from operator import add, mul, sub
 
-from adlv.adm import DEFAULT_ADM_BUDGET, _orbit
+from adlv.adm import _orbit
 from adlv.affine import (
     AffineElt,
     affine_length,
@@ -200,10 +200,11 @@ def leq_idx(table, a: int, b: int) -> bool:
     return bool((bruhat_masks(table)[b] >> a) & 1)
 
 
-def adm_set_by_intervals(mu, budget: int = DEFAULT_ADM_BUDGET) -> frozenset:
+def adm_set_by_intervals(mu, budget: int | None = None) -> frozenset:
     """The admissible set as the literal union of ``lower_union`` over
     the translations by the Weyl orbit of mu, one engine per orbit point:
-    the oracle for the merged engine of ``adm_set``."""
+    the oracle for the merged engine of ``adm_set``.  Like it, a budget of
+    None reads ``affine.DEFAULT_INTERVAL_BUDGET`` at call time."""
     rs = mu.rs
     members = set()
     for pt in _orbit(rs, mu.int_pairing()):

@@ -21,6 +21,7 @@ translation.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 
 def lift(p) -> list[int]:
@@ -167,6 +168,37 @@ def lower_interval(f: list[int]) -> set[tuple[int, ...]]:
     for j in reversed(word):
         s = generator(j, n)
         below |= {tuple(compose(g, s)) for g in below}
+    return below
+
+
+def cocovers(f: list[int]) -> set[tuple[int, ...]]:
+    """Windows of the Bruhat cocovers of f: the f t with t an affine
+    transposition, swapping a + kn and b + kn for every k (a < b, a and b
+    apart mod n), and ell(f t) = ell(f) - 1.  Only the t with f(a) > f(b)
+    shorten f; with a in the window and b = r + kn, f(b) = f(r) + kn, so k
+    runs below (f(a) - f(r)) / n, and f t takes f(b) at a and f(a) - kn at r."""
+    n, target, out = len(f), length(f) - 1, set()
+    for a in range(n):
+        for r in range(n):
+            if r == a:
+                continue
+            k = (a - r) // n + 1  # least k with r + kn > a
+            while f[r] + k * n < f[a]:
+                g = list(f)
+                g[a], g[r] = f[r] + k * n, f[a] - k * n
+                if length(g) == target:
+                    out.add(tuple(normalize(g)))
+                k += 1
+    return out
+
+
+def admissible(p) -> set[tuple[int, ...]]:
+    """Windows of Adm(mu) for mu with pairing vector p: the union of the
+    lower intervals of the translations t^lam, j -> j + n lam_j, by the
+    distinct permutations lam of the GL_n lift of p."""
+    n, below = len(p) + 1, set()
+    for lam in set(permutations(lift(p))):
+        below |= lower_interval(normalize([i + n * lam[i] for i in range(n)]))
     return below
 
 

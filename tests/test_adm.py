@@ -8,7 +8,9 @@ import pytest
 from adlv.errors import BudgetError, RefusalError
 from adlv.qbg import build_qbg
 from adlv.rootsys import build_root_system, coweight
-from adlv.affine import AffineElt, embed, translation
+from adlv import affine
+from adlv.affine import AffineElt, embed, lower_union, translation
+from adlv.cli import main
 from adlv.weyl import enumerate_group, identity_elt, simple_reflection
 from adlv.adm import (
     BInvariants,
@@ -28,6 +30,28 @@ from oracles import adm_set_by_intervals
 
 def b0(rs):
     return BInvariants(coweight(rs, (0,) * rs.rank), 0)
+
+
+def test_adm_budget_default_is_the_interval_budget(monkeypatch, capsys):
+    """``adm_set``, ``d_adm_brute`` and ``lower_union`` read the one
+    default, ``affine.DEFAULT_INTERVAL_BUDGET``, at call time, as the CLI
+    does: G2 (2, 2), of translation length 32 > 30, is refused by both, and
+    a patched constant moves the library default either way."""
+    g2, a2 = build_root_system("G", 2), build_root_system("A", 2)
+    mu = coweight(g2, (2, 2))
+    for call in (lambda: adm_set(mu), lambda: d_adm_brute(mu, b0(g2))):
+        with pytest.raises(BudgetError, match="32 exceeds the admissible-set budget 30"):
+            call()
+    assert main(["query", "--type", "G", "--rank", "2", "admsize [2,2]"]) == 3
+    assert "32 exceeds the admissible-set budget 30" in capsys.readouterr().err
+    monkeypatch.setattr(affine, "DEFAULT_INTERVAL_BUDGET", 3)
+    for call in (lambda: adm_set(coweight(a2, (1, 1))),
+                 lambda: lower_union([translation(coweight(a2, (1, 1)))])):
+        with pytest.raises(BudgetError):
+            call()
+    assert len(adm_set(coweight(a2, (1, 0)))) == 7
+    monkeypatch.setattr(affine, "DEFAULT_INTERVAL_BUDGET", 32)
+    assert len(adm_set(mu)) == 1149
 
 
 def test_adm_sizes_frozen():

@@ -27,7 +27,6 @@ from adlv.affine import (
     descent_right,
     embed,
     lower_union,
-    reduced_word_and_tau,
     simple_affine,
     tau_word,
     translation,
@@ -84,7 +83,7 @@ def test_length_additive_over_dominant_regular(a2):
 
 def test_reduced_word_roundtrip(b2):
     w = aff(b2, (2, 1), longest_element(b2))
-    word, tau = reduced_word_and_tau(w)
+    tau, word = tau_word(w)
     assert tau.is_identity()
     assert len(word) == affine_length(w)
     prod = embed(identity_elt(b2))
@@ -95,19 +94,23 @@ def test_reduced_word_roundtrip(b2):
 
 def test_residual_tau_classes(a2):
     # theta-coroot translation: inside the coroot lattice, trivial residual
-    word, tau = reduced_word_and_tau(aff(a2, (1, 1)))
+    tau, word = tau_word(aff(a2, (1, 1)))
     assert tau.is_identity() and len(word) == 4
     # fundamental coweight: nontrivial residual of length zero
-    word, tau = reduced_word_and_tau(aff(a2, (1, 0)))
+    tau, word = tau_word(aff(a2, (1, 0)))
     assert not tau.is_identity()
     assert affine_length(tau) == 0
-    prod = embed(identity_elt(a2))
+    prod = tau
     for j in word:
         prod = prod.mul(simple_affine(a2, j))
-    assert prod.mul(tau) == aff(a2, (1, 0))
+    assert prod == aff(a2, (1, 0))
     # same residual class for any translation congruent mod coroots
-    _, tau2 = reduced_word_and_tau(aff(a2, (9, 8)))
+    tau2, _ = tau_word(aff(a2, (9, 8)))
     assert tau2 == tau
+    # tau is the identity exactly on the coroot lattice, where omega is 0
+    for lam in product(range(-2, 3), repeat=2):
+        w = aff(a2, lam)
+        assert tau_word(w)[0].is_identity() == (not any(w.omega)), lam
 
 
 def test_omega_classes_incomparable(a2):
@@ -140,6 +143,29 @@ def test_lower_union_refuses_tops_of_different_classes(a2, b2):
         lower_union([aff(a2, (1, 0)), aff(a2, (0, 1))])
     with pytest.raises(RefusalError):
         lower_union([aff(a2, (1, 1)), aff(b2, (1, 1))])
+
+
+def test_empty_tops_refused():
+    """No tops is refused, not left to ``max`` or to indexing."""
+    for call in (lambda: lower_union([]), lambda: affine._interval_engine([])):
+        with pytest.raises(RefusalError, match="at least one top"):
+            call()
+
+
+@pytest.mark.parametrize("word", [(1, 2, -1), (5,), (True,), (1.0,), (0, "1")])
+def test_interval_engine_refuses_bad_letters(a2, word):
+    """A letter must be an int in 0..rank: -1 is not read as the last row
+    of ``rmult``, 3 and 5 do not leak an IndexError and True is not the
+    letter 1.  The constructor and ``interval_states`` both check."""
+    table = enumerate_group(a2)
+    with pytest.raises(RefusalError, match="letters must be ints in 0..2"):
+        IntervalEngine(table, word)
+    eng = IntervalEngine(table, (1, 2, 0))
+    with pytest.raises(RefusalError, match="letters must be ints in 0..2"):
+        eng.interval_states(word)
+    with pytest.raises(RefusalError):
+        eng.interval_states((1, 3))
+    assert len(eng.interval_states((1, 2))) == 4
 
 
 def test_lower_interval_budget(a2):
@@ -194,14 +220,13 @@ def _affine_ball(rs, max_len):
 
 
 def _literal_interval(w):
-    """The subword dynamic program over sets of elements along a reduced
-    word, then the length-zero residual: the oracle for the packed engine."""
-    word, tau = reduced_word_and_tau(w)
-    members = {embed(identity_elt(w.rs))}
+    """The subword dynamic program over sets of elements along the word of
+    w = tau v, from tau: tau times the subwords of v, the oracle for the
+    packed engine."""
+    tau, word = tau_word(w)
+    members = {tau}
     for j in word:
         members |= {u.mul(simple_affine(w.rs, j)) for u in members}
-    if not tau.is_identity():
-        members = {u.mul(tau) for u in members}
     return frozenset(members)
 
 

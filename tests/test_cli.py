@@ -722,10 +722,10 @@ for check in (
                                      coweight(no_quantum, (3, 3)),
                                      simple_reflection(no_quantum, 0)),
     patched(affine, "descent_left", lambda w, j: False, lambda:
-            affine.reduced_word_and_tau(t11)),
+            affine.tau_word(t11)),
     patched(affine, "affine_length", lambda w: real_length(w) // 2, lambda:
-            affine.reduced_word_and_tau(t11)),
-    patched(adm, "descent_left", lambda w, j: False, lambda:
+            affine.tau_word(t11)),
+    patched(affine, "descent_left", lambda w, j: False, lambda:
             adm.eta(translation(coweight(a2, (-1, 2))))),
     lambda: cascade._dp_table(unlinked),
     lambda: cascade._ell_red_table(unlinked),
@@ -786,8 +786,8 @@ def test_invariants_survive_python_O():
         "raised: peeling left descents left length behind",
         "raised: coset-minimal element does not have a dominant "
         "translation part",
-        "raised: dp search left an element unreached",
-        "raised: ell_red search left an element unreached",
+        "raised: reflection search left an element unreached",
+        "raised: reflection search left an element unreached",
         "raised: descents ran out off the identity",
         "raised: ascents ran out below w0",
         "raised: g(lambda) is not the dominant representative",

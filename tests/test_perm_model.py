@@ -2,19 +2,25 @@
 permutations of Z (``oracles_perm``)."""
 
 from itertools import product
+from random import Random
 
 import pytest
 
+from adlv.adm import adm_set
 from adlv.affine import (
     AffineElt,
     affine_length,
+    cocovers,
     descent_left,
     descent_right,
+    embed,
     lower_union,
     simple_affine,
+    translation,
 )
+from adlv.cover import cover_depth_threshold, predicted_cocovers
 from adlv.newton import max_newton_brute, newton_point
-from adlv.rootsys import build_root_system
+from adlv.rootsys import build_root_system, coweight
 from adlv.weyl import enumerate_group
 
 import oracles_perm as perm
@@ -82,3 +88,54 @@ def test_lower_intervals_and_max_newton_match_affine_permutations(rank):
             assert perm.max_newton(below) == max_newton_brute(w).pairing, w
             cases += 1
     assert cases == {1: 10, 2: 54, 3: 96}[rank]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_cocovers_match_affine_permutations(rank):
+    """The affine transpositions that shorten a window by exactly one are
+    ``cocovers``, on every x at the interval checks' lambda windows."""
+    rs = build_root_system("A", rank)
+    for lam in INTERVAL_WINDOWS[rank]:
+        for x in enumerate_group(rs).elements:
+            w = AffineElt(rs, lam, x)
+            found = {tuple(perm.window(c)) for c in cocovers(w)}
+            assert perm.cocovers(perm.window(w)) == found, w
+
+
+def _cover_cases(rank):
+    """(u, lam, v) with lam in {c, c + 1}^rank, c the depth threshold: every
+    u and v in A2, a seeded sample of 60 pairs in A3."""
+    rs = build_root_system("A", rank)
+    c = cover_depth_threshold("A")
+    elements = enumerate_group(rs).elements
+    pairs = list(product(elements, repeat=2))
+    if rank == 3:
+        pairs = Random(0).sample(pairs, 60)
+    for lam in product((c, c + 1), repeat=rank):
+        for u, v in pairs:
+            yield u, coweight(rs, lam), v
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_predicted_cocovers_match_affine_permutations(rank):
+    """At depth c and c + 1 the four-case prediction for u t^lam v, whose
+    window is composed here from the windows of u, t^lam and v, is exactly
+    the set of shortening transpositions."""
+    cases = 0
+    for u, lam, v in _cover_cases(rank):
+        f = perm.compose(perm.compose(perm.window(embed(u)), perm.window(translation(lam))),
+                         perm.window(embed(v)))
+        res = predicted_cocovers(u, lam, v)
+        assert res.status == "ok"
+        found = {tuple(perm.window(r.result)) for r in res.records}
+        assert found == perm.cocovers(f), (u, lam, v)
+        cases += 1
+    assert cases == {2: 144, 3: 480}[rank]
+
+
+@pytest.mark.parametrize("rank,mu", [(2, (1, 0)), (2, (1, 1)), (3, (1, 0, 0)), (3, (0, 1, 0))])
+def test_adm_set_matches_affine_permutations(rank, mu):
+    """Adm(mu) is the union of the perm-model lower intervals of the
+    translations by the permutations of mu's GL_n lift."""
+    members = adm_set(coweight(build_root_system("A", rank), mu)).members
+    assert {tuple(perm.window(w)) for w in members} == perm.admissible(mu)
