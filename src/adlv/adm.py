@@ -88,13 +88,14 @@ def _rho_pair(rs: RootSystem, lam: Coweight) -> Fraction:
 def adm_set(mu: Coweight, budget: int | None = None) -> AdmSet:
     """Union of the lower intervals of t^{x(mu)} over the Weyl orbit.  The
     orbit translations share one lattice class, so one ``lower_union``
-    engine runs all their words and builds each member once.  BudgetError
-    when ell(t^mu) = <2 rho, mu> exceeds ``budget``
-    (``affine.DEFAULT_INTERVAL_BUDGET`` when None, read at call time)."""
+    engine runs all their words and builds each member once.  The budget
+    follows ``affine.interval_budget`` (None: the default, read at call
+    time; RefusalError unless an int >= 1); BudgetError when ell(t^mu) =
+    <2 rho, mu>, the length of every orbit top, exceeds it."""
     rs = mu.rs
     if not mu.is_dominant():
         raise RefusalError("admissible sets are indexed by dominant mu")
-    budget = affine.DEFAULT_INTERVAL_BUDGET if budget is None else budget
+    budget = affine.interval_budget(budget)
     mu_int = mu.int_pairing()
     lt = pairing(rs, rs.two_rho, mu)
     if lt > budget:
@@ -105,7 +106,7 @@ def adm_set(mu: Coweight, budget: int | None = None) -> AdmSet:
     enumerate_group(rs)  # the cap refusal, before the orbit is walked
     e = identity_elt(rs)
     tops = [AffineElt(rs, pt, e) for pt in sorted(_orbit(rs, mu_int))]
-    return AdmSet(mu, lower_union(tops, budget=budget))
+    return AdmSet(mu, lower_union(tops))
 
 
 def _orbit(rs: RootSystem, p: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -247,10 +248,9 @@ def d_adm(
     return DimResult(status, value, reason)
 
 
-def d_adm_brute(mu: Coweight, b: BInvariants, budget: int | None = None) -> Fraction:
-    """max of the virtual dimension over the whole admissible set, within
-    ``adm_set``'s budget."""
-    return max(virtual_dim(w, b) for w in adm_set(mu, budget).members)
+def d_adm_brute(adm: AdmSet, b: BInvariants) -> Fraction:
+    """max of the virtual dimension over a built admissible set."""
+    return max(virtual_dim(w, b) for w in adm.members)
 
 
 def dim_X_formula(

@@ -29,8 +29,10 @@ program runs along the reduced word of each top w = tau s_{j_1} ... s_{j_l}
 (``tau_word``; left multiplication by a length-zero tau preserves the
 Bruhat order), and the state sets merge bucket by bucket.  Every interval,
 Newton maxima's included, is set up by ``_interval_engine`` and refused
-past ``STATE_CAP`` states.  Cocovers come from enumerating separating
-reflections, and the three Demazure products from folding ``tau_word``.
+past ``STATE_CAP`` states, its one bound; ``interval_budget`` is the one
+rule of the length budget on admissible sets.  Cocovers come from
+enumerating separating reflections, and the three Demazure products from
+folding ``tau_word``.
 
 The engine keeps a state set grouped by finite Weyl index, one bucket of
 mixed-radix codes of translation parts per index over a box sized from the
@@ -66,6 +68,7 @@ __all__ = [
     "descent_left",
     "descent_right",
     "tau_word",
+    "interval_budget",
     "lower_union",
     "cocovers",
     "cocovers_with_reflections",
@@ -79,6 +82,15 @@ __all__ = [
 DEFAULT_INTERVAL_BUDGET = 30
 # the most states an interval's state set may hold
 STATE_CAP = 5_000_000
+
+
+def interval_budget(budget: int | None) -> int:
+    """A length budget: ``budget``, or ``DEFAULT_INTERVAL_BUDGET`` read now
+    when it is None; RefusalError unless that is an int (not a bool) >= 1."""
+    budget = DEFAULT_INTERVAL_BUDGET if budget is None else budget
+    if type(budget) is not int or budget < 1:
+        raise RefusalError(f"a length budget must be an int >= 1, not {budget!r}")
+    return budget
 
 
 class AffineElt:
@@ -161,9 +173,11 @@ def translation(lam: Coweight) -> AffineElt:
     return AffineElt(lam.rs, lam.int_pairing(), identity_elt(lam.rs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True is not the cached s_1
 def simple_affine(rs: RootSystem, j: int) -> AffineElt:
-    """The affine generator s_0 = t^{theta_check} s_theta, or s_j for j >= 1."""
+    """The affine generator s_0 = t^{theta_check} s_theta, or s_j for j >= 1;
+    RefusalError unless j is an int (not a bool) in 0..rank."""
+    _require_letters(rs, (j,))
     if j == 0:
         th = rs.theta_index
         return AffineElt(rs, rs.coroot_pairings[th], reflection(rs, th))
@@ -238,24 +252,13 @@ def tau_word(w: AffineElt) -> tuple[AffineElt, tuple[int, ...]]:
     return rest.inv(), tuple(word[::-1])
 
 
-def lower_union(tops: Sequence[AffineElt],
-                budget: int | None = None) -> frozenset[AffineElt]:
+def lower_union(tops: Sequence[AffineElt]) -> frozenset[AffineElt]:
     """All u below some element of ``tops``, which must share one
     length-zero part tau: tau times the union of the intervals [e, v] over
     the words v of ``tau_word``, from ``_interval_engine``; each distinct
-    member is decoded and built once.  BudgetError for a top longer than
-    ``budget`` (None: ``DEFAULT_INTERVAL_BUDGET``, read at call time), past
-    ``STATE_CAP`` states, or for a group above the ``enumerate_group`` cap
-    (E7, E8), whose finite Weyl group the engine indexes."""
-    if not tops:
-        raise RefusalError("a lower interval needs at least one top")
-    budget = DEFAULT_INTERVAL_BUDGET if budget is None else budget
-    lw = max(map(affine_length, tops))
-    if lw > budget:
-        raise BudgetError(
-            f"lower interval of an element of length {lw} exceeds the budget "
-            f"of {budget}; raise the budget explicitly to proceed"
-        )
+    member is decoded and built once.  BudgetError past ``STATE_CAP``
+    states, or for a group above the ``enumerate_group`` cap (E7, E8),
+    whose finite Weyl group the engine indexes."""
     eng, states = _interval_engine(tops)
     elements = eng.table.elements
     members = frozenset([_affine(eng.rs, mu, elements[x])

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import inf
 from typing import NamedTuple
 
-from .errors import InvariantError
+from .errors import InvariantError, RefusalError
 from .qbg import build_qbg
 from .rootsys import Coroot, Root, RootSystem, root_leq
 from .weyl import GroupTable, WeylElt, enumerate_group, per_table, word_str
@@ -38,7 +38,7 @@ __all__ = [
 
 def _require_involution(x: WeylElt) -> None:
     if not x.mul(x).is_identity():
-        raise ValueError("cascade data is defined for involutions only")
+        raise RefusalError("cascade data is defined for involutions only")
 
 
 def minus_one_roots(x: WeylElt) -> list[Root]:

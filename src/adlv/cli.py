@@ -27,7 +27,9 @@ Three subcommands:
     on one group (A2 with neither --type nor --rank), and adm exits 3 when
     it would check nothing.
 
-Type and rank are checked against the per-type table in ``adlv.rootsys``.
+Type and rank are checked against the per-type table in ``adlv.rootsys``,
+and --budget by the library's rule ``affine.interval_budget``: absent, it
+is ``affine.DEFAULT_INTERVAL_BUDGET``, read when the command runs.
 A command that enumerates the finite Weyl group stops at the library's
 group cap ``weyl.GROUP_CAP``, and one that builds the quantum Bruhat graph
 (query wt, elldown, and nu where the closed form applies; verify qbg,
@@ -38,7 +40,7 @@ refused input (including --budget below 1, --budget for a verify
 suite other than adm, or --seed for one other than qbg) or an --out path
 that cannot be written (``error: cannot write ...``), 3 budget exceeded,
 4 internal invariant violated (a bug, not bad input).
-Reports are deterministic for a fixed config and seed, except for the
+Reports are deterministic for fixed flags and seed, except for the
 wall_time field in verify reports.
 """
 
@@ -54,12 +56,12 @@ from fractions import Fraction
 from itertools import product
 from random import Random
 
-from . import affine
-from .adm import BInvariants, adm_set, d_adm, d_adm_brute, eta, product_set, virtual_dim
+from .adm import BInvariants, adm_set, d_adm, d_adm_brute, eta, product_set
 from .affine import (
     AffineElt,
     affine_length,
     embed,
+    interval_budget,
     simple_affine,
 )
 from .cascade import cascade_r, compare_wt_r, dp, ell_red
@@ -84,7 +86,6 @@ from .qbg import (
 from .rootsys import (
     TYPE_TABLE,
     WEYL_ORDER,
-    _Frozen,
     build_root_system,
     check_type,
     coweight,
@@ -112,46 +113,21 @@ class QueryError(ValueError):
     token or flag."""
 
 
-class RunConfig(_Frozen):
-    """One command's settings.  An absent ``interval_budget`` or
-    ``sweep_seed`` stays None, so ``run_suite`` can refuse a flag its suite
-    does not read; ``_budget`` reads the library's bound when a command
-    runs, and a seed of None is 0."""
-
-    __slots__ = ("cartan_type", "rank", "interval_budget", "sweep_seed",
-                 "output_format", "with_brute")
-
-    def __init__(self, cartan_type: str | None = None, rank: int | None = None,
-                 interval_budget: int | None = None, sweep_seed: int | None = None,
-                 output_format: str = "json", with_brute: bool = False):
-        if interval_budget is not None and interval_budget <= 0:
-            raise QueryError(f"--budget must be positive, got {interval_budget}")
-        super().__init__(cartan_type=cartan_type, rank=rank,
-                         interval_budget=interval_budget, sweep_seed=sweep_seed,
-                         output_format=output_format, with_brute=with_brute)
-
-
-def _budget(config: RunConfig) -> int:
-    """The config's budget, or the library's, read at run time."""
-    if config.interval_budget is None:
-        return affine.DEFAULT_INTERVAL_BUDGET
-    return config.interval_budget
-
-
 # -- tables ----------------------------------------------------------------
 
 
-def table_rows(config: RunConfig) -> list[dict]:
+def table_rows(*, cartan_type: str | None = None, rank: int | None = None,
+               with_brute: bool = False) -> list[dict]:
     """One row per (type, rank): the four tabulated bounds plus the wt(w0)
     coefficient vector; with ``with_brute`` set, small groups also carry
     brute-force companion columns."""
-    if config.cartan_type in (None, "all"):
-        if config.rank is not None:
+    if cartan_type in (None, "all"):
+        if rank is not None:
             raise QueryError("--rank needs a single --type")
         scope = [(ct, n) for ct, ns in ALL_TABLE_RANKS.items() for n in ns]
     else:
-        ct = check_type(config.cartan_type, config.rank)
-        ns = ALL_TABLE_RANKS[ct] if config.rank is None else [config.rank]
+        ct = check_type(cartan_type, rank)
+        ns = ALL_TABLE_RANKS[ct] if rank is None else [rank]
         scope = [(ct, n) for n in ns]
     rows = []
     for ct, n in scope:
@@ -164,7 +140,7 @@ def table_rows(config: RunConfig) -> list[dict]:
             "ell_R_w0": reflection_length_w0(ct, n),
             "wt_w0": list(wt_w0_closed_form(ct, n)),
         }
-        if config.with_brute and WEYL_ORDER(ct, n) <= TABLE_BRUTE_CAP:
+        if with_brute and WEYL_ORDER(ct, n) <= TABLE_BRUTE_CAP:
             rs = build_root_system(ct, n)
             g = build_qbg(rs)
             row["wt_w0_brute"] = list(g.wt1(longest_element(rs)))
@@ -278,13 +254,17 @@ def _require_finite(w: AffineElt, op: str):
     return w.fin
 
 
-def run_query(config: RunConfig, expression: str) -> dict:
+def run_query(expression: str, *, cartan_type: str | None = None,
+              rank: int | None = None, budget: int | None = None) -> dict:
+    """Evaluate one expression; ``budget`` (``affine.interval_budget``)
+    bounds admsize's translation length and nu's brute-force sweep."""
+    budget = interval_budget(budget)
     tokens = expression.split()
     if not tokens:
         raise QueryError("empty expression")
-    if config.cartan_type in (None, "all") or config.rank is None:
+    if cartan_type in (None, "all") or rank is None:
         raise QueryError("query needs --type and --rank")
-    rs = build_root_system(config.cartan_type, config.rank)
+    rs = build_root_system(cartan_type, rank)
     op, rest = tokens[0], tokens[1:]
     result: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -302,7 +282,7 @@ def run_query(config: RunConfig, expression: str) -> dict:
         mu = coweight(
             rs, _parse_coords(rest[0], rest[0][1:-1], rs.rank)
         )
-        result["size"] = len(adm_set(mu, budget=_budget(config)))
+        result["size"] = len(adm_set(mu, budget))
         return result
 
     w = parse_element(rs, rest)
@@ -319,7 +299,7 @@ def run_query(config: RunConfig, expression: str) -> dict:
         except RefusalError as e:
             formula_status = f"refused: {e}"
         brute = None
-        if affine_length(w) <= _budget(config):
+        if affine_length(w) <= budget:
             brute = max_newton_brute(w).pairing
             methods.append("brute")
         elif nu is None:
@@ -374,8 +354,9 @@ def run_query(config: RunConfig, expression: str) -> dict:
 # -- verify ----------------------------------------------------------------
 
 
-# Each suite takes the config and the scoped root system (None for tables,
-# which scopes itself) and returns (cases, failures, extra report keys).
+# Each suite takes the scoped root system (None for tables, which scopes
+# itself) and, by keyword, the settings it reads; it returns (cases,
+# failures, extra report keys).
 
 
 def _w0_cascade_reasons(row: dict) -> list[str]:
@@ -395,11 +376,12 @@ def _w0_cascade_reasons(row: dict) -> list[str]:
     return reasons
 
 
-def _suite_tables(config: RunConfig, _rs: None) -> tuple[int, list, dict]:
+def _suite_tables(_rs: None, cartan_type: str | None,
+                  rank: int | None) -> tuple[int, list, dict]:
     """Each row's brute-force columns, where the group is small, and on
     every row the cascade of w0 against ell_R_w0 and wt_w0."""
     cases, failures = 0, []
-    for row in table_rows(RunConfig(config.cartan_type, config.rank, with_brute=True)):
+    for row in table_rows(cartan_type=cartan_type, rank=rank, with_brute=True):
         cases += 1
         reasons = _w0_cascade_reasons(row)
         if not row.get("match", True):
@@ -410,7 +392,7 @@ def _suite_tables(config: RunConfig, _rs: None) -> tuple[int, list, dict]:
     return cases, failures, {}
 
 
-def _suite_qbg(config: RunConfig, rs) -> tuple[int, list, dict]:
+def _suite_qbg(rs, seed: int) -> tuple[int, list, dict]:
     g = build_qbg(rs)  # construction itself checks weight consistency
     table = enumerate_group(rs)
     failures = []
@@ -420,7 +402,7 @@ def _suite_qbg(config: RunConfig, rs) -> tuple[int, list, dict]:
         if 2 * sum(wt) != table.lengths[i] + downs[i]:
             failures.append({"x": word_str(table.words[i]),
                              "check": "rho-wt-length identity"})
-    rng = Random(config.sweep_seed or 0)
+    rng = Random(seed)
     nelts = len(table)
     pairs = (
         list(product(range(nelts), repeat=2))
@@ -447,7 +429,7 @@ def _suite_qbg(config: RunConfig, rs) -> tuple[int, list, dict]:
     return nelts + len(pairs), failures, {}
 
 
-def _suite_newton(config: RunConfig, rs) -> tuple[int, list, dict]:
+def _suite_newton(rs) -> tuple[int, list, dict]:
     recs = sweep_records(rs, theorem_grid(rs))
     failures = [
         {"lambda": r["lambda"], "x": r["x"], "nu_formula": r["nu_formula"],
@@ -458,7 +440,7 @@ def _suite_newton(config: RunConfig, rs) -> tuple[int, list, dict]:
     return len(recs), failures, {}
 
 
-def _suite_cover(config: RunConfig, rs) -> tuple[int, list, dict]:
+def _suite_cover(rs) -> tuple[int, list, dict]:
     thr = cover_depth_threshold(rs.cartan_type)
     lams = [
         coweight(rs, p)
@@ -474,8 +456,8 @@ def _suite_cover(config: RunConfig, rs) -> tuple[int, list, dict]:
     return len(reports), failures, {}
 
 
-def _suite_adm(config: RunConfig, rs) -> tuple[int, list, dict]:
-    n, budget = rs.rank, _budget(config)
+def _suite_adm(rs, budget: int) -> tuple[int, list, dict]:
+    n = rs.rank
     cases, failures = 1, []  # the d_adm check always runs
     ones = coweight(rs, (1,) * n)
     lt = pairing(rs, rs.two_rho, ones)
@@ -484,25 +466,20 @@ def _suite_adm(config: RunConfig, rs) -> tuple[int, list, dict]:
             f"<2 rho, (1, ..., 1)> = {lt} exceeds the budget {budget}, so "
             "the adm suite would check nothing"
         )
+    adm = adm_set(ones, budget)
     # additivity at the smallest regular lattice point, budget permitting
-    A1 = None
     if 2 * lt <= budget:
-        A1 = adm_set(ones, budget=budget)
-        A2 = adm_set(ones + ones, budget=budget)
         cases += 1
-        if product_set(A1, A1) != A2.members:
+        if product_set(adm, adm) != adm_set(ones + ones, budget).members:
             failures.append({"check": "additivity", "mu": [1] * n})
-    # closed form vs exhaustive max of the virtual dimension, over A1 when
-    # it was built
+    # closed form vs exhaustive max of the virtual dimension
     b0 = BInvariants(coweight(rs, (0,) * n), 0)
-    brute = (d_adm_brute(ones, b0, budget=budget) if A1 is None
-             else max(virtual_dim(w, b0) for w in A1.members))
-    if d_adm(ones, b0).value != brute:
+    if d_adm(ones, b0).value != d_adm_brute(adm, b0):
         failures.append({"check": "d_adm-vs-brute", "mu": [1] * n})
     return cases, failures, {}
 
 
-def _suite_cascade(config: RunConfig, rs) -> tuple[int, list, dict]:
+def _suite_cascade(rs) -> tuple[int, list, dict]:
     rep = compare_wt_r(rs)
     mism = [row for row in rep["rows"] if not row["match"]]
     # no witness in types A and C (measured through C5; B2 is C2)
@@ -526,36 +503,41 @@ _SUITES = {
 }
 
 
-def run_suite(config: RunConfig, suite: str) -> dict:
+def run_suite(suite: str, *, cartan_type: str | None = None,
+              rank: int | None = None, budget: int | None = None,
+              seed: int | None = None) -> dict:
+    """Run one suite on its scope.  Only adm reads ``budget``
+    (``affine.interval_budget``) and only qbg reads ``seed`` (None is 0)."""
+    limit = interval_budget(budget)
     if suite not in _SUITES:
         raise QueryError(
             f"unknown suite {suite!r}; choose from {sorted(_SUITES)}"
         )
     # a flag a suite does not read is refused, not ignored
-    if config.interval_budget is not None and suite != "adm":
+    if budget is not None and suite != "adm":
         raise QueryError(f"the {suite} suite does not read --budget; only adm does")
-    if config.sweep_seed is not None and suite != "qbg":
+    if seed is not None and suite != "qbg":
         raise QueryError(f"the {suite} suite does not read --seed; only qbg does")
     t0 = time.perf_counter()
     if suite == "tables":
-        ct, n, rs = config.cartan_type or "all", config.rank, None
-    elif config.cartan_type == "all":
+        ct, n, rs = cartan_type or "all", rank, None
+    elif cartan_type == "all":
         raise QueryError(f"--type all is for tables only, not the {suite} suite")
-    elif config.cartan_type is None and config.rank is not None:
+    elif cartan_type is None and rank is not None:
         raise QueryError("--rank needs a single --type")
     else:
         # the other suites default to A2
-        rs = build_root_system(
-            config.cartan_type or "A", 2 if config.rank is None else config.rank
-        )
+        rs = build_root_system(cartan_type or "A", 2 if rank is None else rank)
         ct, n = rs.cartan_type, rs.rank
-    cases, failures, extras = _SUITES[suite](config, rs)
+    reads = {"tables": {"cartan_type": cartan_type, "rank": rank},
+             "qbg": {"seed": seed or 0}, "adm": {"budget": limit}}
+    cases, failures, extras = _SUITES[suite](rs, **reads.get(suite, {}))
     report = {
         "schema_version": SCHEMA_VERSION,
         "suite": suite,
         "type": ct,
         "rank": n,
-        "seed": config.sweep_seed or 0,
+        "seed": seed or 0,
         "cases": cases,
         "failures": failures,
         "passed": not failures,
@@ -607,10 +589,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     for p in (pq, pv):
         common(p)
-        p.add_argument("--budget", dest="interval_budget", type=integer,
+        p.add_argument("--budget", type=integer,
                        help="largest element length to sweep (verify: adm only)")
     pq.add_argument("expression")
-    pv.add_argument("--seed", dest="sweep_seed", type=integer,
+    pv.add_argument("--seed", type=integer,
                     help="seed of the sampled pairs (verify: qbg only)")
     pv.add_argument("suite")
     return ap
@@ -620,16 +602,16 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         # each subcommand defines only the flags it reads
-        config = RunConfig(**{k: v for k, v in vars(args).items()
-                              if k in RunConfig.__slots__})
+        scope = {"cartan_type": args.cartan_type, "rank": args.rank}
         code = 0
         if args.command == "tables":
-            text = render_tables(table_rows(config), config.output_format)
+            rows = table_rows(**scope, with_brute=args.with_brute)
+            text = render_tables(rows, args.output_format)
         elif args.command == "query":
-            text = json.dumps(run_query(config, args.expression), indent=2,
-                              sort_keys=True)
+            result = run_query(args.expression, **scope, budget=args.budget)
+            text = json.dumps(result, indent=2, sort_keys=True)
         else:  # verify; argparse admits no other command
-            report = run_suite(config, args.suite)
+            report = run_suite(args.suite, **scope, budget=args.budget, seed=args.seed)
             text = json.dumps(report, indent=2, sort_keys=True)
             code = 0 if report["passed"] else 1
         _write_out(text, args.out_path)

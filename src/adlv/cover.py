@@ -234,9 +234,10 @@ def sample_triples(
     seed: int = 0,
 ) -> list[tuple[WeylElt, Coweight, WeylElt]]:
     """Seeded (u, lam, v) sample with dominant lam coordinates in [lo, hi];
-    u and v uniform over the finite group; a negative count or other range is refused."""
-    if count < 0 or not 0 <= lo <= hi:
-        raise RefusalError(f"need count >= 0 and 0 <= lo <= hi, not {count}, {lo}, {hi}")
+    u and v uniform over the finite group; anything but ints (a bool is
+    not one) with count >= 0 and 0 <= lo <= hi is refused."""
+    if not {int}.issuperset(map(type, (count, lo, hi))) or count < 0 or not 0 <= lo <= hi:
+        raise RefusalError(f"need ints count >= 0 and 0 <= lo <= hi, not {count}, {lo}, {hi}")
     table = enumerate_group(rs)
     rng = Random(seed)
     out = []

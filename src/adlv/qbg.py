@@ -270,9 +270,14 @@ def verify_rqrd(x: WeylElt, factors) -> RQRDReport:
     Valid factors give a downward path of k edges, so ell_down(x) <= k,
     and ell_down(x) >= ell_R(x) = rank(x - 1): a factor count meeting that
     bound is minimal.  Only when it does not is minimality decided by the
-    graph, for a group under ``QBG_CAP``; above it, it stays undecided."""
+    graph, for a group under ``QBG_CAP``; above it, it stays undecided.
+    RefusalError for a factor that is not a tuple or list of rank ints."""
     rs = x.rs
-    factors = tuple(tuple(f) for f in factors)
+    factors = tuple(factors)
+    if not all(isinstance(f, (tuple, list)) and len(f) == rs.rank
+               and {int}.issuperset(map(type, f)) for f in factors):
+        raise RefusalError(f"factors must be vectors of {rs.rank} ints, not {factors!r}")
+    factors = tuple(map(tuple, factors))
     k = len(factors)
     reasons: list[str] = []
     idxs: list[int] = []

@@ -203,15 +203,22 @@ def identity_elt(rs: RootSystem) -> WeylElt:
     return WeylElt(rs, tuple(range(len(rs.positive_roots))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True is not the cached s_1
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
-    """s_i for 0-based simple index i."""
+    """s_i for 0-based simple index i; RefusalError unless i is an int (not
+    a bool) in 0..rank-1."""
+    if type(i) is not int or not 0 <= i < rs.rank:
+        raise RefusalError(f"simple indices are ints in 0..{rs.rank - 1}, not {i!r}")
     return _reflection_by_index(rs, rs.letter_roots[i + 1])
 
 
 def reflection(rs: RootSystem, root) -> WeylElt:
-    """s_beta for a positive root (given by coefficients or by index)."""
-    a = root if isinstance(root, int) else rs.root_index[tuple(root)]
+    """s_beta for a positive root, given by its index or its coefficients;
+    RefusalError for an index that is not an int (not a bool) in range, or
+    a vector that is not a positive root."""
+    a = root if isinstance(root, int) else rs.root_index.get(tuple(root))
+    if type(a) is not int or not 0 <= a < len(rs.positive_roots):
+        raise RefusalError(f"{root!r} is neither a positive root nor its index")
     return _reflection_by_index(rs, a)
 
 

@@ -200,15 +200,14 @@ def leq_idx(table, a: int, b: int) -> bool:
     return bool((bruhat_masks(table)[b] >> a) & 1)
 
 
-def adm_set_by_intervals(mu, budget: int | None = None) -> frozenset:
+def adm_set_by_intervals(mu) -> frozenset:
     """The admissible set as the literal union of ``lower_union`` over
     the translations by the Weyl orbit of mu, one engine per orbit point:
-    the oracle for the merged engine of ``adm_set``.  Like it, a budget of
-    None reads ``affine.DEFAULT_INTERVAL_BUDGET`` at call time."""
+    the oracle for the merged engine of ``adm_set``."""
     rs = mu.rs
     members = set()
     for pt in _orbit(rs, mu.int_pairing()):
-        members |= lower_union([AffineElt(rs, pt, identity_elt(rs))], budget)
+        members |= lower_union([AffineElt(rs, pt, identity_elt(rs))])
     return frozenset(members)
 
 

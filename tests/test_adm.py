@@ -33,25 +33,33 @@ def b0(rs):
 
 
 def test_adm_budget_default_is_the_interval_budget(monkeypatch, capsys):
-    """``adm_set``, ``d_adm_brute`` and ``lower_union`` read the one
-    default, ``affine.DEFAULT_INTERVAL_BUDGET``, at call time, as the CLI
-    does: G2 (2, 2), of translation length 32 > 30, is refused by both, and
-    a patched constant moves the library default either way."""
+    """``adm_set`` reads the one default, ``affine.DEFAULT_INTERVAL_BUDGET``,
+    at call time, as the CLI does: G2 (2, 2), of translation length
+    32 > 30, is refused by both, and a patched constant moves the library
+    default either way.  ``lower_union`` reads no budget."""
     g2, a2 = build_root_system("G", 2), build_root_system("A", 2)
     mu = coweight(g2, (2, 2))
-    for call in (lambda: adm_set(mu), lambda: d_adm_brute(mu, b0(g2))):
-        with pytest.raises(BudgetError, match="32 exceeds the admissible-set budget 30"):
-            call()
+    with pytest.raises(BudgetError, match="32 exceeds the admissible-set budget 30"):
+        adm_set(mu)
     assert main(["query", "--type", "G", "--rank", "2", "admsize [2,2]"]) == 3
     assert "32 exceeds the admissible-set budget 30" in capsys.readouterr().err
     monkeypatch.setattr(affine, "DEFAULT_INTERVAL_BUDGET", 3)
-    for call in (lambda: adm_set(coweight(a2, (1, 1))),
-                 lambda: lower_union([translation(coweight(a2, (1, 1)))])):
-        with pytest.raises(BudgetError):
-            call()
+    with pytest.raises(BudgetError, match="4 exceeds the admissible-set budget 3"):
+        adm_set(coweight(a2, (1, 1)))
+    assert len(lower_union([translation(coweight(a2, (1, 1)))])) == 12
     assert len(adm_set(coweight(a2, (1, 0)))) == 7
     monkeypatch.setattr(affine, "DEFAULT_INTERVAL_BUDGET", 32)
     assert len(adm_set(mu)) == 1149
+
+
+@pytest.mark.parametrize("budget", [2.5, True, -1, 0, "3"])
+def test_adm_set_refuses_a_bad_budget(budget):
+    """A budget must be an int >= 1 (``affine.interval_budget``): 2.5 is
+    not compared as a length, True is not 1, -1 and 0 are not reported as
+    exceeded, and '3' does not leak a TypeError."""
+    mu = coweight(build_root_system("A", 2), (1, 0))
+    with pytest.raises(RefusalError, match=f"must be an int >= 1, not {budget!r}"):
+        adm_set(mu, budget=budget)
 
 
 def test_adm_sizes_frozen():
@@ -227,7 +235,7 @@ def test_d_adm_matches_brute(a2):
     res = d_adm(mu, b0(a2))
     assert res.status == "ok"
     assert res.value == Fraction(5)
-    assert d_adm_brute(mu, b0(a2)) == res.value
+    assert d_adm_brute(adm_set(mu), b0(a2)) == res.value
 
 
 def test_d_adm_singular_probe(a2):

@@ -47,6 +47,15 @@ def aff(rs, lam, fin=None):
     return AffineElt(rs, lam, fin if fin is not None else identity_elt(rs))
 
 
+@pytest.mark.parametrize("j", [-1, 3, True], ids=["-1", "3", "True"])
+def test_simple_affine_refuses_an_out_of_range_index(a2, j):
+    """A letter is an int (not a bool) in 0..rank: -1 is not s_2, 3 does
+    not leak an IndexError, and True is not the cached s_1."""
+    simple_affine(a2, 1)
+    with pytest.raises(RefusalError, match="letters must be ints in 0..2"):
+        simple_affine(a2, j)
+
+
 def test_simple_affine_basics(a2):
     for j in range(3):
         s = simple_affine(a2, j)
@@ -169,18 +178,28 @@ def test_interval_engine_refuses_bad_letters(a2, word):
 
 
 def test_lower_interval_budget(a2):
-    with pytest.raises(BudgetError):
-        lower_union([aff(a2, (20, 20))])
-    # the engine indexes the finite group, which E8 has too many elements for
-    with pytest.raises(BudgetError):
+    """``lower_union`` reads no length budget; the engine indexes the
+    finite group, which E8 has too many elements for."""
+    with pytest.raises(BudgetError, match="exceeding the cap of 1000000"):
         lower_union([simple_affine(build_root_system("E", 8), 1)])
 
 
 def test_state_cap_bounds_every_interval(a2, monkeypatch):
-    """``STATE_CAP`` is read at call time and bounds every interval: the
-    admissible set of (1, 0), whose three words' intervals hold 4 states
-    each, is refused for its union of 7, and a Newton maximum and a Newton
-    sweep for their single intervals."""
+    """``STATE_CAP`` is read at call time and bounds every interval: a
+    lower interval called directly, whose top t^(20, 20) of length 80 is
+    far past the default length budget, is built at a cap of its 7080
+    members and refused one below; the admissible set of (1, 0), whose
+    three words' intervals hold 4 states each, is refused for its union of
+    7, and a Newton maximum and a Newton sweep for their single
+    intervals."""
+    top = aff(a2, (20, 20))
+    assert affine_length(top) == 80
+    monkeypatch.setattr(affine, "STATE_CAP", 7080)
+    assert len(lower_union([top])) == 7080
+    monkeypatch.setattr(affine, "STATE_CAP", 7079)
+    with pytest.raises(BudgetError, match="interval grew past 7079 states"):
+        lower_union([top])
+    monkeypatch.undo()
     assert len(adm_set(coweight(a2, (1, 0)))) == 7
     monkeypatch.setattr(affine, "STATE_CAP", 4)
     w = aff(a2, (2, 2), longest_element(a2))

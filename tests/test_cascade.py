@@ -20,6 +20,8 @@ from adlv.cascade import (
     involutions,
     minus_one_roots,
 )
+from adlv.cli import main
+from adlv.errors import RefusalError
 from adlv.qbg import build_qbg
 from adlv.rootsys import build_root_system
 from adlv.weyl import (
@@ -64,6 +66,15 @@ def test_cascade_requires_involution(a2):
         minus_one_roots(x)
     with pytest.raises(ValueError):
         orthogonal_decompositions(x)
+
+
+def test_non_involution_is_a_refusal(a2, capsys):
+    """A non-involution is refused like every other bad input: a
+    RefusalError (a ValueError), which the CLI maps to exit 2."""
+    with pytest.raises(RefusalError, match="defined for involutions only"):
+        cascade_r(from_word(a2, (0, 1)))
+    assert main(["query", "--type", "A", "--rank", "2", "cascade s1 s2"]) == 2
+    assert "defined for involutions only" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from adlv import affine, cli
 from adlv.cli import (
     ALL_TABLE_RANKS,
     QueryError,
-    RunConfig,
     main,
     parse_element,
     render_tables,
@@ -59,14 +58,11 @@ def test_tables_markdown_matches_shipped_file(tmp_path):
 
 
 def test_tables_deterministic():
-    config = RunConfig(output_format="json")
-    assert render_tables(table_rows(config), "json") == render_tables(
-        table_rows(config), "json"
-    )
+    assert render_tables(table_rows(), "json") == render_tables(table_rows(), "json")
 
 
 def test_tables_row_scope():
-    rows = table_rows(RunConfig())
+    rows = table_rows()
     assert len(rows) == sum(len(v) for v in ALL_TABLE_RANKS.values())
     a2 = next(r for r in rows if r["type"] == "A" and r["rank"] == 2)
     assert (a2["S"], a2["m_tilde"], a2["xi"], a2["ell_R_w0"]) == (
@@ -238,8 +234,9 @@ def test_query_finite_only_ops_refuse_translations(capsys):
         (["query", "--type", "A", "--rank", "2", "admsize [-1,2]"], "dominant"),
         (["tables", "--cap", "0"], "--cap"),
         (["tables", "--budget", "0"], "--budget"),
+        # the library's one budget rule, for an operator that reads none too
         (["query", "--type", "A", "--rank", "2", "--budget", "0", "len s1"],
-         "--budget must be positive"),
+         "a length budget must be an int >= 1, not 0"),
         # each subcommand refuses the flags it does not read
         (["query", "--type", "A", "--rank", "2", "--format", "csv",
           "--seed", "5", "len s1"], "unrecognized arguments: --format"),
@@ -262,6 +259,8 @@ def test_query_finite_only_ops_refuse_translations(capsys):
          "argument --budget: invalid integer value: ' 3'"),
         (["verify", "qbg", "--seed", "\u0661"],
          "argument --seed: invalid integer value: '\u0661'"),
+        (["verify", "adm", "--budget", "-3"],
+         "a length budget must be an int >= 1, not -3"),
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, fragment):
@@ -271,15 +270,14 @@ def test_usage_errors_exit_2(capsys, argv, fragment):
 
 def test_cap_and_budget_defaults_are_the_library_constants(monkeypatch, capsys):
     """--budget defaults to ``affine.DEFAULT_INTERVAL_BUDGET``, read when
-    the command runs, so neither the command line nor ``RunConfig``
-    restates it: an absent --budget or --seed stays None in both, and a
-    report prints an absent seed as 0."""
+    the command runs, so the command line does not restate it: an absent
+    --budget or --seed stays None, and a report prints an absent seed as
+    0."""
     for argv in (["query", "len s1"], ["verify", "adm"], ["verify", "qbg"]):
         args = cli._build_parser().parse_args(argv)
-        assert args.interval_budget is None
-        assert getattr(args, "sweep_seed", None) is None
-    assert (RunConfig().interval_budget, RunConfig().sweep_seed) == (None, None)
-    assert run_suite(RunConfig("A", 2), "qbg")["seed"] == 0
+        assert args.budget is None
+        assert getattr(args, "seed", None) is None
+    assert run_suite("qbg", cartan_type="A", rank=2)["seed"] == 0
     monkeypatch.setattr(affine, "DEFAULT_INTERVAL_BUDGET", 3)
     # A2's <2 rho, (1, 1)> = 4 exceeds the default of 3 read at run time
     assert main(["verify", "adm"]) == 3
@@ -300,15 +298,15 @@ def test_verify_refuses_budget_outside_adm(capsys, suite):
 @pytest.mark.parametrize("suite", ["tables", "newton", "cover", "adm", "cascade"])
 def test_verify_refuses_seed_outside_qbg(capsys, suite):
     """Only the qbg suite reads --seed; the others refuse it, from the
-    command line and from a ``RunConfig`` alike, as the budget outside adm."""
+    command line and from ``run_suite`` alike, as the budget outside adm."""
     assert main(["verify", suite, "--seed", "5"]) == 2
     assert f"the {suite} suite does not read --seed" in capsys.readouterr().err
-    for config in (RunConfig("G", 2, sweep_seed=5), RunConfig("G", 2, sweep_seed=0)):
+    for seed in (5, 0):
         with pytest.raises(QueryError, match="does not read --seed"):
-            run_suite(config, suite)
+            run_suite(suite, cartan_type="G", rank=2, seed=seed)
     if suite != "adm":
         with pytest.raises(QueryError, match="does not read --budget"):
-            run_suite(RunConfig("G", 2, interval_budget=1), suite)
+            run_suite(suite, cartan_type="G", rank=2, budget=1)
 
 
 def test_budget_errors_exit_3(capsys):
@@ -381,7 +379,7 @@ def test_verify_defaults_to_a2(capsys):
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(
-        cli._SUITES, "qbg", lambda config, rs: (1, [{"check": "forced"}], {})
+        cli._SUITES, "qbg", lambda rs, seed: (1, [{"check": "forced"}], {})
     )
     code, rep = run_json(
         capsys, ["verify", "qbg", "--type", "A", "--rank", "2"]
@@ -406,7 +404,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command):
 
 
 def test_invariant_violation_exits_4(capsys, monkeypatch):
-    def broken(config, rs):
+    def broken(rs, seed):
         raise InvariantError("forced")
 
     monkeypatch.setitem(cli._SUITES, "qbg", broken)
@@ -420,16 +418,14 @@ def test_invariant_violation_exits_4(capsys, monkeypatch):
 
 @pytest.mark.parametrize("suite", ["qbg", "newton", "adm", "cascade"])
 def test_suites_pass_on_a2(suite):
-    rep = run_suite(
-        RunConfig(cartan_type="A", rank=2), suite
-    )
+    rep = run_suite(suite, cartan_type="A", rank=2)
     assert rep["passed"] is True
     assert rep["cases"] > 0
     assert rep["failures"] == []
 
 
 def test_cascade_suite_expected_mismatches_b4():
-    rep = run_suite(RunConfig(cartan_type="B", rank=4), "cascade")
+    rep = run_suite("cascade", cartan_type="B", rank=4)
     assert rep["passed"] is True
     words = {row["x_word"] for row in rep["expected_mismatches"]}
     assert "s2s4s3s2s1s4s3s2s4s3s4" in words
@@ -440,7 +436,7 @@ def test_cascade_suite_expected_mismatches_b4():
 def test_cascade_suite_expects_no_witness_in_type_c(ct, n, cases):
     """Type C, and B2 = C2, has wt = r on every involution, as type A
     does, so its suite passes with no expected mismatches."""
-    rep = run_suite(RunConfig(cartan_type=ct, rank=n), "cascade")
+    rep = run_suite("cascade", cartan_type=ct, rank=n)
     assert rep["passed"] is True
     assert rep["failures"] == []
     assert rep["cases"] == cases
@@ -456,7 +452,7 @@ NEWTON_G2_REPORT_DIGEST = (
 
 
 def test_newton_suite_report_frozen_g2():
-    rep = run_suite(RunConfig(cartan_type="G", rank=2), "newton")
+    rep = run_suite("newton", cartan_type="G", rank=2)
     rep.pop("wall_time")
     assert rep["cases"] == 48
     text = json.dumps(rep, indent=2, sort_keys=True)
@@ -464,12 +460,12 @@ def test_newton_suite_report_frozen_g2():
 
 
 def test_cover_suite_small():
-    rep = run_suite(RunConfig(cartan_type="A", rank=2), "cover")
+    rep = run_suite("cover", cartan_type="A", rank=2)
     assert rep["passed"] is True
 
 
 def test_tables_suite_small_scope():
-    rep = run_suite(RunConfig(cartan_type="G", rank=2), "tables")
+    rep = run_suite("tables", cartan_type="G", rank=2)
     assert rep["passed"] is True
     assert rep["cases"] == 1
 
@@ -482,7 +478,7 @@ TABLES_REPORT_DIGEST = (
 
 
 def test_tables_suite_report_frozen():
-    rep = run_suite(RunConfig(), "tables")
+    rep = run_suite("tables")
     rep.pop("wall_time")
     assert rep["cases"] == 32
     text = json.dumps(rep, indent=2, sort_keys=True)
@@ -518,7 +514,7 @@ def test_qbg_suite_holds_one_search_at_a_time():
     build_qbg(build_root_system("D", 5)).all_ell_down()
     tracemalloc.start()
     try:
-        rep = run_suite(RunConfig("D", 5), "qbg")
+        rep = run_suite("qbg", cartan_type="D", rank=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -548,7 +544,7 @@ def test_qbg_suite_reports_failures_in_pair_order(monkeypatch):
         QBGraph, "wt",
         lambda self, x, y: (-1,) * 5 if (x, y) in wrong else real(self, x, y),
     )
-    rep = run_suite(RunConfig("D", 5), "qbg")
+    rep = run_suite("qbg", cartan_type="D", rank=5)
     words = g.table.words
     assert rep["failures"] == [
         {"x": word_str(words[i]), "y": word_str(words[j]),
@@ -561,9 +557,8 @@ def test_qbg_suite_reports_failures_in_pair_order(monkeypatch):
 
 
 def test_verify_reports_deterministic():
-    config = RunConfig(cartan_type="A", rank=2)
-    a = run_suite(config, "qbg")
-    b = run_suite(config, "qbg")
+    a = run_suite("qbg", cartan_type="A", rank=2)
+    b = run_suite("qbg", cartan_type="A", rank=2)
     a.pop("wall_time")
     b.pop("wall_time")
     assert a == b
@@ -582,7 +577,8 @@ def _python_O(*args):
 
 
 def test_refusals_survive_python_O():
-    """The --budget refusals, the --seed refusal outside qbg, the
+    """The --budget refusals and the library's budget rule, the --seed
+    refusal outside qbg, a generator's index check, the
     integrality, coordinate-count and root-system checks on an affine
     element's parts, the coordinate count of a coweight, the root-system
     check on finite and affine products, on coweight sums, differences
@@ -594,7 +590,7 @@ def test_refusals_survive_python_O():
         return _python_O("-m", "adlv.cli", *args)
 
     res = run("query", "--type", "A", "--rank", "2", "--budget", "0", "len s1")
-    assert res.returncode == 2 and "--budget must be positive" in res.stderr
+    assert res.returncode == 2 and "length budget must be an int >= 1" in res.stderr
     for flag, suite in (("--budget", "newton"), ("--seed", "adm")):
         res = run("verify", suite, flag, "5")
         assert res.returncode == 2 and f"does not read {flag}" in res.stderr
@@ -620,12 +616,16 @@ def test_refusals_survive_python_O():
         "refused: index 6 outside the group of order 6",
         "refused: index True outside the group of order 6",
         "refused: index False outside the group of order 6",
+        *(f"refused: a length budget must be an int >= 1, not {b}"
+          for b in ("2.5", "True", "-1", "0", "'3'")),
+        "refused: simple indices are ints in 0..1, not -1",
         "B2 index of s2s1s2 intact: True",
     ]
 
 
 _REFUSED_INPUTS = """
 from fractions import Fraction
+from adlv.adm import adm_set
 from adlv.affine import AffineElt, embed
 from adlv.errors import RefusalError
 from adlv.qbg import build_qbg
@@ -654,6 +654,9 @@ for check in (
     lambda: build_qbg(a2).wt1(6),
     lambda: build_qbg(a2).wt1(True),
     lambda: build_qbg(a2).d_gamma(False, 1),
+    *(lambda b=b: adm_set(coweight(a2, (1, 0)), budget=b)
+      for b in (2.5, True, -1, 0, "3")),
+    lambda: simple_reflection(a2, -1),
 ):
     try:
         check()
@@ -828,4 +831,4 @@ def test_rootsys_imports_no_module_above_it():
 
 def test_run_query_requires_scope():
     with pytest.raises(cli.QueryError):
-        run_query(RunConfig(), "wt w0")
+        run_query("wt w0")

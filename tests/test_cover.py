@@ -193,12 +193,16 @@ def test_sample_triples_deterministic(a3):
 
 @pytest.mark.parametrize(
     "count,lo,hi",
-    [(5, -1, 3), (5, 4, 3), (-1, 3, 5)],
-    ids=["negative-lo", "lo-above-hi", "negative-count"],
+    [(5, -1, 3), (5, 4, 3), (-1, 3, 5), (True, 3, 5), (2.5, 3, 5), (5, True, 3),
+     (5, 1.5, 3)],
+    ids=["negative-lo", "lo-above-hi", "negative-count", "bool-count", "float-count",
+         "bool-lo", "float-lo"],
 )
 def test_sample_triples_refuses_bad_range(a3, count, lo, hi):
-    """A range that would give non-dominant lambda or none at all, or a
-    negative count, is refused rather than sampled, leaked or emptied."""
+    """A range that would give non-dominant lambda or none at all, a
+    negative count, or a count or bound that is not an int (True is not 1,
+    2.5 and 1.5 do not leak a TypeError or ValueError), is refused rather
+    than sampled, leaked or emptied."""
     with pytest.raises(RefusalError, match="0 <= lo <= hi"):
         sample_triples(a3, count, lo, hi)
 

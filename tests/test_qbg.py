@@ -12,7 +12,7 @@ import pytest
 from adlv import qbg
 from adlv.cascade import cascade_r
 from adlv.affine import demazure_ltri, embed, translation
-from adlv.errors import BudgetError, InvariantError
+from adlv.errors import BudgetError, InvariantError, RefusalError
 from adlv.newton import max_newton_formula
 from adlv.rootsys import (
     build_root_system,
@@ -404,6 +404,19 @@ def test_verify_rqrd_reasons(a2, c3):
     for x, factors, reason in cases:
         rep = verify_rqrd(x, factors)
         assert (rep.ok, rep.reasons, rep.minimality) == (False, [reason], None)
+
+
+@pytest.mark.parametrize("factors", [
+    [1, 2],            # no TypeError from tuple(1)
+    [(1, 0, 0)],       # three coordinates in rank 2
+    [(True, 0)],       # not the root (1, 0)
+    [(1.0, 0)],
+], ids=["ints", "rank-3", "bool", "float"])
+def test_verify_rqrd_refuses_malformed_factors(a2, factors):
+    """A factor must be a rank-length vector of ints; anything else is
+    refused rather than leaked as a TypeError or read as a root."""
+    with pytest.raises(RefusalError, match="factors must be vectors of 2 ints"):
+        verify_rqrd(longest_element(a2), factors)
 
 
 # sha256 of repr([rqrd(x) for every x]) and of repr(all_ell_down()),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adlv import cascade, newton, qbg, weyl
-from adlv.errors import InvariantError
+from adlv.errors import InvariantError, RefusalError
 from adlv.rootsys import TYPE_TABLE, WEYL_ORDER, build_root_system
 from adlv.weyl import (
     enumerate_group,
@@ -57,6 +57,24 @@ def test_simple_reflection_involution(a2):
     # braid relation s1 s2 s1 = s2 s1 s2 in A2
     s2 = simple_reflection(a2, 1)
     assert s1.mul(s2).mul(s1) == s2.mul(s1).mul(s2)
+
+
+@pytest.mark.parametrize("make,index", [
+    (simple_reflection, -1),    # not s_theta, the last letter root
+    (simple_reflection, 2),     # no IndexError
+    (simple_reflection, True),  # not the cached s_2
+    (reflection, -1),           # not the highest root's reflection
+    (reflection, True),         # not s_{beta_1}
+    (reflection, 3),            # A2 has three positive roots
+    (reflection, (2, 2)),       # no KeyError
+], ids=["simple--1", "simple-2", "simple-True", "reflection--1",
+        "reflection-True", "reflection-3", "reflection-(2,2)"])
+def test_generators_refuse_an_out_of_range_index(a2, make, index):
+    """An index is an int (not a bool) in range, and a vector a positive
+    root; anything else is refused, not read modulo the row or leaked."""
+    simple_reflection(a2, 1), reflection(a2, 0)  # cached, as True would hit
+    with pytest.raises(RefusalError):
+        make(a2, index)
 
 
 def test_reflections_negate_their_root(b3):
