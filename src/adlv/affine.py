@@ -449,21 +449,21 @@ class IntervalEngine:
         self.table = table
         self.rs = rs = table.rs
         _require_letters(rs, word)
-        self.start = start or embed(identity_elt(rs))
+        self._start = start or embed(identity_elt(rs))
         self.zeros = zeros = word.count(0)
-        self.rmult_stheta = table.rmult_root(rs.theta_index)
+        self._rmult_stheta = table.rmult_root(rs.theta_index)
         # x(theta_check) is the coroot of x(theta), read from the root
         # images of x^-1 as a signed root index
         cps, imgs, th = rs.coroot_pairings, table.inv_images(), rs.theta_index
-        self.delta = [cps[imgs[table.inv_idx(x)][th]] for x in range(len(table))]
-        cols = list(zip(*self.delta))
-        self.lo = tuple([s + zeros * min(0, *c) for s, c in zip(self.start.lam, cols)])
-        self.hi = tuple([s + zeros * max(0, *c) for s, c in zip(self.start.lam, cols)])
+        self._delta = [cps[imgs[table.inv_idx(x)][th]] for x in range(len(table))]
+        cols = list(zip(*self._delta))
+        self.lo = tuple([s + zeros * min(0, *c) for s, c in zip(self._start.lam, cols)])
+        self.hi = tuple([s + zeros * max(0, *c) for s, c in zip(self._start.lam, cols)])
         self.widths = tuple([h - l + 1 for l, h in zip(self.lo, self.hi)])
         self.places = [prod(self.widths[:k]) for k in range(rs.rank)]
-        self.offset = [sum(map(mul, dv, self.places)) for dv in self.delta]
-        self.size = len(table) * prod(self.widths)  # the states the box holds
-        self.dense = rs.rank <= DENSE_MAX_RANK
+        self._offset = [sum(map(mul, dv, self.places)) for dv in self._delta]
+        self._size = len(table) * prod(self.widths)  # the states the box holds
+        self._dense = rs.rank <= DENSE_MAX_RANK
 
     def pack(self, mu: Sequence[int]) -> int:
         if not all(l <= c <= h for l, c, h in zip(self.lo, mu, self.hi)):
@@ -478,7 +478,7 @@ class IntervalEngine:
         """The codes of bucket b to scan: of a bitset, the ends of each run
         of ``width`` bits that has a set one (width 1: every set bit); of a
         frozenset, every code."""
-        return _line_ends(b, width) if self.dense else b
+        return _line_ends(b, width) if self._dense else b
 
     def decoded(self, states: StateSet):
         """Per bucket: its finite index and an iterator over its translation parts."""
@@ -487,8 +487,8 @@ class IntervalEngine:
 
     def _translate(self, x: int, b):
         """Bucket b of index x translated by delta[x]."""
-        off = self.offset[x]
-        if not self.dense:
+        off = self._offset[x]
+        if not self._dense:
             return frozenset(map(off.__add__, b))
         return b << off if off >= 0 else b >> -off
 
@@ -497,7 +497,7 @@ class IntervalEngine:
         if j:
             r = self.table.rmult[j - 1]
         elif zeros < self.zeros:
-            r, zeros = self.rmult_stheta, zeros + 1
+            r, zeros = self._rmult_stheta, zeros + 1
         else:
             raise InvariantError(f"letter 0 past the {self.zeros} the box is sized for")
         out = dict(states.buckets)
@@ -509,7 +509,7 @@ class IntervalEngine:
     def _bounded(self, states: StateSet) -> StateSet:
         """states, or BudgetError if they number more than ``STATE_CAP``;
         counted only when the box and their bound can hold that many."""
-        if self.size > STATE_CAP and states.bound > STATE_CAP:
+        if self._size > STATE_CAP and states.bound > STATE_CAP:
             states.bound = len(states)
             if states.bound > STATE_CAP:
                 raise BudgetError(f"interval grew past {STATE_CAP} states")
@@ -519,9 +519,9 @@ class IntervalEngine:
         """start times each subword of word, bounded by ``STATE_CAP``; like
         the constructor, and unlike ``step``, it refuses bad letters."""
         _require_letters(self.rs, word)
-        code = self.pack(self.start.lam)
-        seed = 1 << code if self.dense else frozenset([code])
-        states = StateSet({self.table.idx(self.start.fin): seed}, 0, 1)
+        code = self.pack(self._start.lam)
+        seed = 1 << code if self._dense else frozenset([code])
+        states = StateSet({self.table.idx(self._start.fin): seed}, 0, 1)
         for j in word:
             states = self._bounded(self.step(states, j))
         return states

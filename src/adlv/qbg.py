@@ -61,10 +61,10 @@ QBG_CAP = 10 ** 5
 class QBGraph:
     """The graph, with weighted breadth-first search utilities.
 
-    ``up_in[y]`` lists the sources of the weight-zero edges into y and
-    ``down_in[y]`` the ``(source, packed coroot)`` pairs of its down edges,
+    ``_up_in[y]`` lists the sources of the weight-zero edges into y and
+    ``_down_in[y]`` the ``(source, packed coroot)`` pairs of its down edges,
     in root-index order, each edge through beta carrying the one int
-    ``inc[beta]``; each edge is stored once, at its target.  The root of an
+    ``_inc[beta]``; each edge is stored once, at its target.  The root of an
     edge x -> y is fixed by x^-1 y = s_beta.  Every search runs to a target
     over these lists, and layered searches check every shortest-path edge
     for weight agreement.  The lists are kept rather than re-derived from
@@ -72,8 +72,8 @@ class QBGraph:
     candidate roots.
 
     A search carries its accumulated weight as one packed int: field i,
-    ``width`` bits at offset ``i * width``, holds simple-coroot coordinate
-    i, and ``inc[a]`` is the packed positive coroot of root a.  No field
+    ``width`` bits at offset ``_shifts[i] = i * width``, holds simple-coroot
+    coordinate i, and ``_inc[a]`` is the packed positive coroot of root a.  No field
     carries with ``width = max(1, ell(w0).bit_length())``: along k edges
     from x to y the coordinates, all nonnegative, sum to
     (ell(x) + k - ell(y)) / 2, as an up edge adds 1 to the length and a
@@ -91,10 +91,10 @@ class QBGraph:
         self.rs = rs = table.rs
         nv = len(table)
         lengths = table.lengths
-        self.width = width = max(1, max(lengths).bit_length())
-        self.inc = inc = [
-            sum(c << (i * width) for i, c in enumerate(cr))
-            for cr in rs.positive_coroots
+        width = max(1, max(lengths).bit_length())
+        self._shifts, self._mask = [i * width for i in range(rs.rank)], (1 << width) - 1
+        self._inc = inc = [
+            sum(c << s for c, s in zip(cr, self._shifts)) for cr in rs.positive_coroots
         ]
         up_in, down_in = [[] for _ in range(nv)], [[] for _ in range(nv)]
         roots = [  # <2 rho, alpha_i_check> = 2 for all i gives the drop
@@ -114,7 +114,7 @@ class QBGraph:
                     if not quantum:
                         raise InvariantError("down edge through a non-quantum root")
                     down_in[v].append((w, c))
-        self.up_in, self.down_in = up_in, down_in
+        self._up_in, self._down_in = up_in, down_in
         self._rev_down: list[int] | None = None
         # Strong connectivity: everything reaches the identity, and by
         # induction on length an up in-edge at each y != e gives d(e, y) <= ell(y)
@@ -130,11 +130,8 @@ class QBGraph:
 
     def decode(self, packed: int) -> Coroot:
         """The simple-coroot coordinates of a packed weight."""
-        width = self.width
-        mask = (1 << width) - 1
-        return tuple(
-            packed >> (i * width) & mask for i in range(self.rs.rank)
-        )
+        mask = self._mask
+        return tuple([packed >> s & mask for s in self._shifts])
 
     def _run_bfs(self, dst: int, up, down):
         """Layered BFS to dst along in-edges accumulating packed down-edge
@@ -175,7 +172,7 @@ class QBGraph:
         """Uncached search to dst, the oracle for ``wt`` and ``d_gamma``:
         d_Gamma(x, dst) and the packed wt(x, dst) for every index x, each
         reached, as the graph is strongly connected."""
-        return self._run_bfs(self._idx(dst), self.up_in, self.down_in)
+        return self._run_bfs(self._idx(dst), self._up_in, self._down_in)
 
     # -- queries ----------------------------------------------------------
 
@@ -227,7 +224,7 @@ class QBGraph:
     def all_ell_down(self) -> list[int]:
         """Distances of the down-only search to the identity, derived once."""
         if self._rev_down is None:
-            dist, _ = self._run_bfs(0, [()] * len(self.up_in), self.down_in)
+            dist, _ = self._run_bfs(0, [()] * len(self._up_in), self._down_in)
             # Down-only distance to the identity agrees with the unrestricted
             # one, which is below |W|: every element has a downward path.
             if dist != self._rev[0]:

@@ -17,7 +17,8 @@ elements, whose lengths, pairing roots and descent masks are cached once
 per index; groups with no cached table (E7, E8, or any group not yet
 enumerated) compose rows.  A table element and its row are built on first
 access, from its word-prefix parent, so building a table (and the quantum
-Bruhat graph on it) builds no table element.  Whatever is derived from a table
+Bruhat graph on it) builds no table element; a reflection's table conjugates
+a lower one's by a simple reflection.  Whatever is derived from a table
 (the quantum Bruhat graph, the Newton averaging sums, dp, ell_red) is kept
 on that table by ``per_table``, so it lives exactly as long as the table's
 cache entry.  ``enumerate_group`` refuses a group above ``GROUP_CAP``
@@ -119,7 +120,7 @@ class WeylElt:
 
     def _forward(self) -> list[tuple[int, ...]]:
         """The root coordinates of x(alpha_j) for each simple root: their
-        heights are the rho_check key of ``GroupTable.index``."""
+        heights are the rho_check key of ``GroupTable._index``."""
         roots, fwd = self.rs.signed_roots, _inverse(self.imgs)
         return [roots[fwd[a]] for a in self.rs.letter_roots[1:]]
 
@@ -215,8 +216,9 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
 def reflection(rs: RootSystem, root) -> WeylElt:
     """s_beta for a positive root, given by its index or its coefficients;
     RefusalError for an index that is not an int (not a bool) in range, or
-    a vector that is not a positive root."""
-    a = root if isinstance(root, int) else rs.root_index.get(tuple(root))
+    a vector that is not a positive root as a tuple or list of ints (no bools)."""
+    vector = isinstance(root, (tuple, list)) and {int}.issuperset(map(type, root))
+    a = rs.root_index.get(tuple(root)) if vector else root
     if type(a) is not int or not 0 <= a < len(rs.positive_roots):
         raise RefusalError(f"{root!r} is neither a positive root nor its index")
     return _reflection_by_index(rs, a)
@@ -275,10 +277,10 @@ class GroupTable:
     The search runs over the orbit of rho_check: x is keyed by the pairing
     coordinates of x^-1 rho_check, so x s_i is one reflection of the key and
     a right descent is a negative key entry.  ``rmult[i][a]`` is the index
-    of ``elements[a] * s_i``; every other product (``prod_idx``,
-    ``inv_idx``, ``rmult_root``) is a fold of ``rmult`` along ``words``.
-    ``reflections`` maps a positive root index to the index of its
-    reflection, and ``root_of_reflection`` back.  The build records only
+    of ``elements[a] * s_i``; ``prod_idx`` and ``inv_idx`` fold ``rmult``
+    along ``words``, and ``rmult_root`` conjugates a lower root's table by
+    one simple reflection.  ``root_of_reflection`` maps the index of a
+    reflection to its positive root index.  The build records only
     this index data: each element's row of root images (``inv_images``)
     and the element holding it are built on first access (see
     ``_Elements``), and so are reflection-multiplication tables and what
@@ -303,7 +305,7 @@ class GroupTable:
                     if pi < 0:
                         continue
                     Ci = C[i]
-                    q = tuple(p[j] - Ci[j] * pi for j in range(n))
+                    q = tuple([a - c * pi for a, c in zip(p, Ci)])
                     b = index.get(q)
                     if b is None:
                         b = index[q] = len(words)
@@ -316,15 +318,15 @@ class GroupTable:
             raise InvariantError(f"BFS found {len(words)} of {order}")
         self.elements = _Elements(rs, words, rmult, index)
         self.words = words
-        self.index = index
+        self._index = index
         self.lengths = [len(w) for w in words]
         self.rmult = rmult
         # the key of s_beta: ht(alpha_j - <alpha_j, beta_check> beta)
-        self.reflections = [
+        self._reflections = [
             index[tuple([1 - p * h for p in rs.coroot_pairings[a]])]
             for a, h in enumerate(rs.heights)
         ]
-        self.root_of_reflection = {r: a for a, r in enumerate(self.reflections)}
+        self.root_of_reflection = {r: a for a, r in enumerate(self._reflections)}
         self._refl_mult: dict[int, list[int]] = {}
         self._inv_images: list[tuple[int, ...]] | None = None
         self._derived: dict = {}  # per_table: build -> build(self)
@@ -338,7 +340,7 @@ class GroupTable:
             raise RefusalError("element and table of different root systems")
         a = x._idx
         if a is None:
-            a = x._idx = self.index[tuple(map(sum, x._forward()))]
+            a = x._idx = self._index[tuple(map(sum, x._forward()))]
         return a
 
     def inv_idx(self, a: int) -> int:
@@ -365,13 +367,24 @@ class GroupTable:
         return a
 
     def rmult_root(self, root_idx: int) -> list[int]:
-        """Table of right multiplication by the reflection s_beta."""
+        """Table of right multiplication by s_beta, shared and read-only:
+        ``rmult[i]`` for beta = alpha_{i+1}, else s_i s_gamma s_i for the
+        first simple s_i taking beta to a lower root gamma (Humphreys,
+        *Reflection Groups and Coxeter Groups*, 1.2).  RefusalError unless
+        root_idx is an int (not a bool) in 0..|Phi+|-1."""
+        rs, top = self.rs, len(self.rs.heights) - 1
+        if type(root_idx) is not int or not 0 <= root_idx <= top:
+            raise RefusalError(f"root indices are ints in 0..{top}, not {root_idx!r}")
         tab = self._refl_mult.get(root_idx)
-        if tab is None:
-            tab = list(range(len(self.elements)))
-            for i in self.words[self.reflections[root_idx]]:
-                ri = self.rmult[i]
-                tab = [ri[v] for v in tab]
+        if tab is None:  # the first s_i negating beta (beta = alpha_i) or lowering it
+            h, rows = rs.heights[root_idx], rs.reflection_rows
+            i, g = next((i, g) for i, s in enumerate(rs.letter_roots[1:])
+                        if (g := rows[s][root_idx]) < 0 or rs.heights[g] < h)
+            tab = self.rmult[i]
+            if g >= 0:  # x s_beta = ((x s_i) s_gamma) s_i
+                tab = list(map(tab.__getitem__, map(self.rmult_root(g).__getitem__, tab)))
+            if tab[0] != self._reflections[root_idx]:
+                raise InvariantError("a reflection table does not send e to s_beta")
             self._refl_mult[root_idx] = tab
         return tab
 

@@ -172,6 +172,17 @@ def act_coroot(x: WeylElt, coeffs) -> tuple[int, ...]:
     )
 
 
+def rmult_root_by_word(table, root_idx: int) -> list[int]:
+    """Right multiplication by s_beta, folding ``rmult`` along the table's
+    reduced word of s_beta, found by its rho_check key (``idx``): the
+    reference for ``GroupTable.rmult_root``."""
+    tab = list(range(len(table)))
+    for i in table.words[table.idx(reflection(table.rs, root_idx))]:
+        ri = table.rmult[i]
+        tab = [ri[v] for v in tab]
+    return tab
+
+
 def _bruhat_masks(table) -> list[int]:
     nroots = len(table.rs.positive_roots)
     tabs = [table.rmult_root(t) for t in range(nroots)]
@@ -333,7 +344,7 @@ def nu_keys(eng, states) -> set:
     for x_idx, b in states.buckets.items():
         T, m = data[x_idx]
         cols = [T[k::n] for k in range(n)]
-        for mu in map(eng.unpack, bit_positions(b) if eng.dense else b):
+        for mu in map(eng.unpack, bit_positions(b) if eng._dense else b):
             raw = tuple(sum(a * t for a, t in zip(mu, col)) for col in cols)
             dom, _ = _dominantize(rs, raw)
             g = gcd(m, *dom)
@@ -497,7 +508,7 @@ def _down_parents(table) -> list[int]:
     parent = [-1] * len(table)
     queue = [0]
     for v in queue:  # the loop also visits the vertices appended below
-        for u, _ in g.down_in[v]:
+        for u, _ in g._down_in[v]:
             if parent[u] < 0:
                 parent[u] = v
                 queue.append(u)

@@ -447,8 +447,8 @@ def _set_step(eng, states, j):
         if j >= 1:
             out.add((eng.table.rmult[j - 1][x], mu))
         else:
-            mu2 = tuple(a + b for a, b in zip(mu, eng.delta[x]))
-            out.add((eng.rmult_stheta[x], mu2))
+            mu2 = tuple(a + b for a, b in zip(mu, eng._delta[x]))
+            out.add((eng._rmult_stheta[x], mu2))
     return out
 
 
@@ -484,7 +484,7 @@ def test_interval_states_match_set_oracle(ct, n, lams, dense):
     cases.append((aff(rs, (0,) * n), ZERO_HEAVY))
     for tau, word in cases:
         eng = IntervalEngine(table, word, tau)
-        assert eng.dense is dense
+        assert eng._dense is dense
         half = eng.interval_states(word[: len(word) // 2])
         expect = {(table.idx(tau.fin), tau.lam)}
         for j in word[: len(word) // 2]:
@@ -566,7 +566,7 @@ def test_engine_keeps_bitsets_up_to_rank_3():
     states."""
     for ct, rank in (("A", 1), ("G", 2), ("A", 3), ("C", 3), ("A", 4), ("D", 5)):
         eng = IntervalEngine(enumerate_group(build_root_system(ct, rank)), (1,))
-        assert eng.dense is (rank <= 3)
+        assert eng._dense is (rank <= 3)
     states = eng.interval_states((1,))
     assert len(states) == 2
     assert _pairs(eng, states) == {
@@ -692,5 +692,5 @@ def test_engine_and_orbit_multiply_no_matrices(ct, n, monkeypatch):
     assert eng.table.elements._slots[1:] == [None] * (len(eng.table) - 1)
     theta_check = rs.coroot_pairings[rs.theta_index]
     elts = eng.table.elements
-    assert eng.delta == [x.act_pairing(theta_check) for x in elts]
+    assert eng._delta == [x.act_pairing(theta_check) for x in elts]
     assert orbit == {x.act_pairing(mu) for x in elts}

@@ -619,6 +619,8 @@ def test_refusals_survive_python_O():
         *(f"refused: a length budget must be an int >= 1, not {b}"
           for b in ("2.5", "True", "-1", "0", "'3'")),
         "refused: simple indices are ints in 0..1, not -1",
+        *(f"refused: root indices are ints in 0..2, not {a}"
+          for a in ("-1", "True", "1.0", "3", "None")),
         "B2 index of s2s1s2 intact: True",
     ]
 
@@ -657,6 +659,8 @@ for check in (
     *(lambda b=b: adm_set(coweight(a2, (1, 0)), budget=b)
       for b in (2.5, True, -1, 0, "3")),
     lambda: simple_reflection(a2, -1),
+    # the graph built above filled the table's reflection cache
+    *(lambda a=a: enumerate_group(a2).rmult_root(a) for a in (-1, True, 1.0, 3, None)),
 ):
     try:
         check()
@@ -697,8 +701,8 @@ swapped.lengths = [0, 3, 1, 2, 2, 1]
 unlinked = copy.copy(table)
 unlinked.rmult_root = lambda a: list(range(6))
 skewed = QBGraph(table)
-for edges in skewed.down_in:  # one wrong packed coroot
-    edges[:] = [(u, c + (c == skewed.inc[0])) for u, c in edges]
+for edges in skewed._down_in:  # one wrong packed coroot
+    edges[:] = [(u, c + (c == skewed._inc[0])) for u, c in edges]
 corrupt = weyl.GroupTable(a2)
 corrupt.rmult[1][3] = 2  # claims s1 s2 * s2 = s2
 t11 = translation(coweight(a2, (1, 1)))

@@ -268,7 +268,7 @@ def _check_keys_against_oracle(monkeypatch, rank):
     trivial_tau = set()
 
     def checked(eng, states, memo):
-        assert eng.dense is (rank <= affine.DENSE_MAX_RANK)
+        assert eng._dense is (rank <= affine.DENSE_MAX_RANK)
         got, full = real(eng, states, memo), nu_keys(eng, states)
         assert got <= full
         assert _top_or_refusal(eng.rs, got) == _top_or_refusal(eng.rs, full)

@@ -1,9 +1,10 @@
 """Every export has a reader: each name in a module's ``__all__`` is read by
-package code outside its own definition, and each public method or property
-of a class in an ``__all__`` is read as an attribute by package code outside
-its own body, or the README's "Public API" table says why it is public
-without one.  Members match by attribute name alone: ``obj.name`` anywhere in
-the package reads every member called ``name``, whatever ``obj`` is."""
+package code outside its own definition, each public method or property of a
+class in an ``__all__`` is read as an attribute by package code outside its
+own body, and so is each public instance attribute its ``__init__`` sets, or
+the README's "Public API" table says why it is public without one.  Members
+match by attribute name alone: ``obj.name`` anywhere in the package reads
+every member called ``name``, whatever ``obj`` is."""
 
 import ast
 import re
@@ -77,9 +78,20 @@ def _unread_exports(trees: dict[str, ast.Module]) -> set[str]:
     return unread
 
 
+def _init_attributes(cls: ast.ClassDef) -> set[str]:
+    """The names ``__init__`` assigns as ``self.name``, in any target."""
+    return {node.attr for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"}
+
+
 def _unread_members(trees: dict[str, ast.Module]) -> set[str]:
     """``module.Class.member`` for each public method or property of an
-    exported class that no attribute load outside its own body names."""
+    exported class that no attribute load outside its own body names, and
+    each public attribute set in its ``__init__`` that no attribute load
+    outside the class body names."""
     loads: dict[str, set[int]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -96,6 +108,10 @@ def _unread_members(trees: dict[str, ast.Module]) -> set[str]:
                     own = set(map(id, ast.walk(fn)))
                     if not loads.get(fn.name, set()) - own:
                         unread.add(f"{mod}.{cls.name}.{fn.name}")
+            body = set(map(id, ast.walk(cls)))
+            for name in _init_attributes(cls):
+                if not name.startswith("_") and not loads.get(name, set()) - body:
+                    unread.add(f"{mod}.{cls.name}.{name}")
     return unread
 
 

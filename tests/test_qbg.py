@@ -48,14 +48,14 @@ ORACLE_SCOPE = UNIQ + [("A", 3), ("B", 3), ("C", 3)]
 def _root(table, x, y):
     """The root of the edge between x and y, read off the table: x^-1 y is
     the reflection s_beta, whichever way the edge points."""
-    return table.reflections.index(table.prod_idx(table.inv_idx(x), y))
+    return table._reflections.index(table.prod_idx(table.inv_idx(x), y))
 
 
 def _corrupt(g, a):
     """Add one to the packed coroot of root a on every edge carrying it;
     packing is injective, so those are the edges whose weight equals it."""
-    bad = g.inc[a]
-    for edges in g.down_in:
+    bad = g._inc[a]
+    for edges in g._down_in:
         edges[:] = [(u, c + (c == bad)) for u, c in edges]
 
 
@@ -113,7 +113,7 @@ def test_parents_from_discovery_order(ct, n):
     q = deque([0])
     while q:
         v = q.popleft()
-        for u, _ in g.down_in[v]:
+        for u, _ in g._down_in[v]:
             if not seen[u]:
                 seen[u] = True
                 parent[u] = v
@@ -177,7 +177,7 @@ def test_graph_stores_each_edge_once():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(g.up_in) == len(table)
+    assert len(g._up_in) == len(table)
     assert retained < 1.3 * 2 ** 20
 
 
@@ -256,12 +256,12 @@ def test_edge_classification(b2):
                 expected.add((x, tab[x], a))
     edges = []
     for y in range(nv):
-        for x in g.up_in[y]:
+        for x in g._up_in[y]:
             assert table.lengths[y] - table.lengths[x] == 1
             edges.append((x, y, None))
-        for x, c in g.down_in[y]:
+        for x, c in g._down_in[y]:
             a = _root(table, x, y)
-            assert c is g.inc[a]
+            assert c is g._inc[a]
             drop = pair_root_coroot(b2, b2.two_rho, b2.positive_coroots[a]) - 1
             assert table.lengths[y] - table.lengths[x] == -drop
             assert b2.quantum_flags[a]

@@ -9,7 +9,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adlv import cascade, newton, qbg, weyl
+from adlv import cascade, cli, newton, qbg, weyl
 from adlv.errors import InvariantError, RefusalError
 from adlv.rootsys import TYPE_TABLE, WEYL_ORDER, build_root_system
 from adlv.weyl import (
@@ -21,7 +21,14 @@ from adlv.weyl import (
     word_str,
 )
 
-from oracles import act_coroot, act_root, bruhat_leq, from_word, leq_idx
+from oracles import (
+    act_coroot,
+    act_root,
+    bruhat_leq,
+    from_word,
+    leq_idx,
+    rmult_root_by_word,
+)
 
 SMALL = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("D", 4)]
 
@@ -67,14 +74,74 @@ def test_simple_reflection_involution(a2):
     (reflection, True),         # not s_{beta_1}
     (reflection, 3),            # A2 has three positive roots
     (reflection, (2, 2)),       # no KeyError
+    (reflection, (True, 0)),    # not the root (1, 0)
+    (reflection, (1.0, 0)),     # nor this
+    (reflection, [0, False]),   # nor (0, 1) as a list
+    (reflection, 2.5),          # no TypeError from tuple(2.5)
+    (reflection, None),
 ], ids=["simple--1", "simple-2", "simple-True", "reflection--1",
-        "reflection-True", "reflection-3", "reflection-(2,2)"])
+        "reflection-True", "reflection-3", "reflection-(2,2)",
+        "reflection-(True,0)", "reflection-(1.0,0)", "reflection-[0,False]",
+        "reflection-2.5", "reflection-None"])
 def test_generators_refuse_an_out_of_range_index(a2, make, index):
-    """An index is an int (not a bool) in range, and a vector a positive
-    root; anything else is refused, not read modulo the row or leaked."""
+    """An index is an int (not a bool) in range, and a vector a tuple or list
+    of rank ints (not bools) forming a positive root; anything else is
+    refused, not read modulo the row, coerced or leaked."""
     simple_reflection(a2, 1), reflection(a2, 0)  # cached, as True would hit
     with pytest.raises(RefusalError):
         make(a2, index)
+
+
+def test_reflection_reads_a_root_vector_as_a_tuple_or_list(a2):
+    assert reflection(a2, [1, 0]) is reflection(a2, (1, 0)) is reflection(
+        a2, a2.root_index[(1, 0)])
+
+
+@pytest.mark.parametrize("index", [-1, True, 1.0, 3, None])
+def test_rmult_root_refuses_a_bad_root_index(a2, index):
+    """A root index is an int (not a bool) in 0..|Phi+|-1, checked before the
+    cache, so -1 and True are not other roots' tables, 1.0 is not root 1's,
+    and 3 and None leak no IndexError or TypeError."""
+    table = weyl.GroupTable(a2)
+    for a in range(3):
+        table.rmult_root(a)
+    with pytest.raises(RefusalError):
+        table.rmult_root(index)
+
+
+TABLE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+               ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5),
+               ("F", 4), ("G", 2), ("E", 6)]
+
+
+@pytest.mark.parametrize("ct,n", TABLE_TYPES)
+def test_reflection_tables_match_the_word_fold(ct, n):
+    """Each reflection table, built by conjugating a lower root's, equals
+    the fold of the simple tables along a reduced word of s_beta; a simple
+    root's table is the generator table itself.  Asking from the highest
+    root down builds each chain of lower tables on the way."""
+    rs = build_root_system(ct, n)
+    table = weyl.GroupTable(rs)
+    for a in reversed(range(len(rs.positive_roots))):
+        assert table.rmult_root(a) == rmult_root_by_word(table, a)
+    for i in range(n):
+        assert table.rmult_root(rs.letter_roots[i + 1]) is table.rmult[i]
+
+
+def test_reflection_tables_survive_the_suites(monkeypatch):
+    """The simple-root tables are the shared ``rmult`` lists: after the
+    qbg, cover, cascade and adm suites on B3, and the newton suite on B2
+    (on B3 it exceeds the interval state cap), every reflection table
+    still equals the word fold, so no suite wrote into them."""
+    monkeypatch.setattr(weyl, "_TABLES", {})
+    runs = [(s, 3) for s in ("qbg", "cover", "cascade", "adm")] + [("newton", 2)]
+    for suite, n in runs:
+        assert cli.run_suite(suite, cartan_type="B", rank=n)["passed"]
+    for n in (2, 3):
+        rs = build_root_system("B", n)
+        table = enumerate_group(rs)
+        for a in range(len(rs.positive_roots)):
+            assert table.rmult_root(a) == rmult_root_by_word(table, a)
 
 
 def test_reflections_negate_their_root(b3):
@@ -234,7 +301,7 @@ def test_index_path_matches_matrices(ct, n, monkeypatch):
         assert p is elts[table.prod_idx(k // len(elts), k % len(elts))]
         assert p.length() == sum(c < 0 for c in p.inv_images())
     assert [x.inv() for x in invs] == elts
-    for a, t in enumerate(table.reflections):
+    for a, t in enumerate(table._reflections):
         assert elts[t] == reflection(rs, a)
         assert elts[t].inv_images()[a] == ~a
 
