@@ -13,7 +13,6 @@ data here: the formulas consume them, nothing computes them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import ceil
 from operator import add
 from typing import NamedTuple
@@ -32,7 +31,7 @@ from .rootsys import (
     dominance_leq,
     pairing,
 )
-from .weyl import WeylElt, enumerate_group, identity_elt, simple_reflection
+from .weyl import WeylElt, enumerate_group, identity_elt
 
 __all__ = [
     "AdmSet",
@@ -125,17 +124,17 @@ def _orbit(rs: RootSystem, p: tuple[int, ...]) -> set[tuple[int, ...]]:
 def product_set(a: AdmSet, b: AdmSet) -> frozenset[AffineElt]:
     """The literal product set {w w' : w in a, w' in b}.  Products are keyed
     on (translation part, table index of the finite part), and each
-    distinct one is built once."""
-    table = enumerate_group(a.mu.rs)
-    ys = [(y, y.lam, table.idx(y.fin)) for y in b.members]
-    firsts: dict = {}
+    distinct one is built once, from its key."""
+    rs = a.mu.rs
+    table = enumerate_group(rs)
+    ys = [(y.lam, table.idx(y.fin)) for y in b.members]
+    keys = set()
     for x in a.members:
         lam, act, xi = x.lam, x.fin.act_pairing, table.idx(x.fin)
-        for y, ylam, yi in ys:
-            key = (tuple(map(add, lam, act(ylam))), table.prod_idx(xi, yi))
-            if key not in firsts:
-                firsts[key] = x, y
-    return frozenset([x.mul(y) for x, y in firsts.values()])
+        for ylam, yi in ys:
+            keys.add((tuple(map(add, lam, act(ylam))), table.prod_idx(xi, yi)))
+    elements = table.elements
+    return frozenset([affine._affine(rs, lam, elements[k]) for lam, k in keys])
 
 
 class MembershipResult(NamedTuple):
@@ -186,16 +185,12 @@ def adm_membership_char(
 
 def eta(w: AffineElt) -> WeylElt:
     """v u for the unique w = u t^lam v with lam dominant and t^lam v of
-    minimal length in its left W-coset."""
-    rs = w.rs
-    # peel the finite letters, 1..n in the affine indexing: w = u y
-    word, y = _peel(w, range(1, rs.rank + 1))
-    u = reduce(lambda a, j: a.mul(simple_reflection(rs, j - 1)), word, identity_elt(rs))
+    minimal length in its left W-coset: v x v^-1, x the finite part of w."""
+    # peel the finite letters, 1..n in the affine indexing: w = u y, y = t^lam v
+    y = _peel(w, range(1, w.rs.rank + 1))[1]
     if min(y.lam) < 0:
-        raise InvariantError(
-            "coset-minimal element does not have a dominant translation part"
-        )
-    return y.fin.mul(u)
+        raise InvariantError("coset-minimal element does not have a dominant translation part")
+    return y.fin.mul(w.fin).mul(y.fin.inv())
 
 
 def virtual_dim(w: AffineElt, b: BInvariants) -> Fraction:

@@ -12,16 +12,14 @@ arithmetic: for each positive root alpha the contribution is
 |<alpha, lambda>| when x^-1 alpha > 0 and |<alpha, lambda> - 1| otherwise.
 
 Lengths, descents and cocovers read the signs and heights of x^-1 alpha
-from the finite part's row of root images ``WeylElt.inv_images`` (lengths
+from the finite part's row of root images ``WeylElt.imgs`` (lengths
 through its 0/1 form ``WeylElt.neg_mask``), and products of finite parts
-go through ``WeylElt.mul``: a table lookup when the finite group has a
-cached ``GroupTable`` (``enumerate_group`` builds one; nothing here does),
-else a composition of rows (E7, E8, or any group not yet enumerated).
-Translation parts move by ``WeylElt.act_pairing``, on the roots
-x^-1(alpha_k) cached on the finite part, so with a table they are read once
-per index.  Products, inverses, cocover candidates and interval members are
-built by ``_affine``, which skips the refusals of the public constructor:
-their parts come from elements that passed them.
+compose rows through ``WeylElt.mul``, in every group alike: nothing here
+reads or builds a ``GroupTable`` outside the interval engine.  Translation
+parts move by ``WeylElt.act_pairing``, on the roots x^-1(alpha_k) cached
+on the finite part.  Products, inverses, cocover candidates and interval
+members are built by ``_affine``, which skips the refusals of the public
+constructor: their parts come from elements that passed them.
 
 Lower intervals, and their unions over tops that share tau (admissible
 sets), come from one ``IntervalEngine`` started at tau: its subword dynamic
@@ -204,14 +202,22 @@ def affine_length(w: AffineElt) -> int:
 
 
 def descent_right(w: AffineElt, j: int) -> bool:
-    """True iff ell(w s_j) < ell(w), i.e. s_j is a left descent of w^-1."""
+    """True iff ell(w s_j) < ell(w), i.e. s_j is a left descent of w^-1;
+    refuses j as ``descent_left`` does."""
     return descent_left(w.inv(), j)
 
 
 def descent_left(w: AffineElt, j: int) -> bool:
-    """True iff ell(s_j w) < ell(w)."""
+    """True iff ell(s_j w) < ell(w); RefusalError unless j is an int (not
+    a bool) in 0..rank."""
+    _require_letters(w.rs, (j,))
+    return _descent_left(w, j)
+
+
+def _descent_left(w: AffineElt, j: int) -> bool:
+    """``descent_left`` for a letter j already known to be in 0..rank."""
     rs = w.rs
-    neg = w.fin.inv_images()[rs.letter_roots[j]] < 0
+    neg = w.fin.imgs[rs.letter_roots[j]] < 0
     if j == 0:
         c = sum(map(mul, rs.theta, w.lam))
         return c > 1 or (c == 1 and not neg)
@@ -225,7 +231,7 @@ def _peel(w: AffineElt, letters: range) -> tuple[list[int], AffineElt]:
     times, so k < ell(w) only where rest has no descent among them."""
     word, rest = [], w
     for _ in range(affine_length(w)):
-        j = next((k for k in letters if descent_left(rest, k)), None)
+        j = next((k for k in letters if _descent_left(rest, k)), None)
         if j is None:
             break
         word.append(j)
@@ -287,7 +293,7 @@ def cocovers_with_reflections(w: AffineElt) -> list[tuple[int, int, AffineElt]]:
     pairs = list(_pairings(rs, lam))
     out = []
     nsep = 0
-    for a, (p, img) in enumerate(zip(pairs, x.inv_images())):
+    for a, (p, img) in enumerate(zip(pairs, x.imgs)):
         # h * <alpha, w(q)> with q = rho_check/h, by the signed height of
         # x^-1 alpha
         hi = h * p + (heights[img] if img >= 0 else -heights[~img])
@@ -300,7 +306,8 @@ def cocovers_with_reflections(w: AffineElt) -> list[tuple[int, int, AffineElt]]:
             continue
         nsep += len(ms)
         fin = reflection(rs, a).mul(x)
-        base, col = list(map(sub, pairs, fin.neg_mask())), rs.coroot_columns[a]
+        base = [q - 1 if c < 0 else q for q, c in zip(pairs, fin.imgs)]
+        col = rs.coroot_columns[a]
         for m in ms:
             k = m - p
             if sum(map(abs, map(add, base, map(k.__mul__, col)))) == lw - 1:

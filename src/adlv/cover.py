@@ -184,7 +184,8 @@ def predicted_cocovers(u: WeylElt, lam: Coweight, v: WeylElt,
 
 def verify_cover_theorem(u: WeylElt, lam: Coweight, v: WeylElt) -> dict:
     """Compare the four-case prediction for w = u t^lam v against the
-    exhaustive cocover enumeration, as (translation, table index) pairs.
+    exhaustive cocover enumeration, as (translation, finite part's row)
+    pairs, mapping to reduced words only the pairs reported.
     Below the depth threshold the report is flagged and carries the mismatch
     data without any claim, including the predicted elements that are not
     cocovers at all (``non_cocover``)."""
@@ -192,22 +193,24 @@ def verify_cover_theorem(u: WeylElt, lam: Coweight, v: WeylElt) -> dict:
     res = predicted_cocovers(u, lam, v, force=True)
     table = enumerate_group(rs)
     lam_int = lam.int_pairing()
+    ui, vi = table.idx(u), table.idx(v)
 
     def keys(elts) -> set:
-        return {(e.lam, table.idx(e.fin)) for e in elts}
+        return {(e.lam, e.fin.imgs) for e in elts}
 
     def label(key) -> list:
-        return [list(key[0]), word_str(table.words[key[1]])]
+        return [list(key[0]), word_str(table.words[table.idx(WeylElt(rs, key[1]))])]
 
-    enumerated = keys(cocovers(AffineElt(rs, u.act_pairing(lam_int), u.mul(v))))
+    w = AffineElt(rs, u.act_pairing(lam_int), table.elements[table.prod_idx(ui, vi)])
+    enumerated = keys(cocovers(w))
     predicted = keys(r.result for r in res.records)
     non_cocover = sorted(map(label, keys(res.non_cocover)))
     return {
         "type": rs.cartan_type,
         "rank": rs.rank,
-        "u": word_str(table.words[table.idx(u)]),
+        "u": word_str(table.words[ui]),
         "lambda": list(lam_int),
-        "v": word_str(table.words[table.idx(v)]),
+        "v": word_str(table.words[vi]),
         "status": res.status,
         "below_threshold": res.status != "ok",
         "predicted": len(predicted),
@@ -235,9 +238,10 @@ def sample_triples(
 ) -> list[tuple[WeylElt, Coweight, WeylElt]]:
     """Seeded (u, lam, v) sample with dominant lam coordinates in [lo, hi];
     u and v uniform over the finite group; anything but ints (a bool is
-    not one) with count >= 0 and 0 <= lo <= hi is refused."""
-    if not {int}.issuperset(map(type, (count, lo, hi))) or count < 0 or not 0 <= lo <= hi:
-        raise RefusalError(f"need ints count >= 0 and 0 <= lo <= hi, not {count}, {lo}, {hi}")
+    not one) with count >= 0 and 0 <= lo <= hi, and an int seed, is refused."""
+    if not {int}.issuperset(map(type, (count, lo, hi, seed))) or count < 0 or not 0 <= lo <= hi:
+        raise RefusalError(f"need ints count >= 0, 0 <= lo <= hi and seed, "
+                           f"not {count!r}, {lo!r}, {hi!r}, {seed!r}")
     table = enumerate_group(rs)
     rng = Random(seed)
     out = []

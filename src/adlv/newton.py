@@ -255,7 +255,7 @@ def max_newton_formula(w: AffineElt, force: bool = False) -> FormulaResult:
     # w = u t^lam v with u = g^{-1}, v = g z, and x = v <| u
     graph = build_qbg(rs)
     t = graph.table
-    x = t.ltri_idx(t.idx(g.mul(w.fin)), t.inv_idx(t.idx(g)))
+    x = t.ltri_idx(t.prod_idx(t.idx(g), t.idx(w.fin)), t.inv_idx(t.idx(g)))
     value = lam_plus - coweight_from_coroot(rs, graph.wt1(x))
     return FormulaResult("ok" if ok else "below-threshold", value, d, thr)
 

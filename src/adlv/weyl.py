@@ -6,21 +6,21 @@ negative.  It is the row ``GroupTable.inv_images`` stores, and all the
 arithmetic runs on it: a product composes two rows
 ((xy)^-1 beta = y^-1(x^-1 beta)), an inverse inverts the permutation, the
 length counts negative entries, a left descent is one entry and a right
-descent one scan.  The pairing action reads the roots x^-1(alpha_k), and
-the rho_check key of a table index and the reflection length (the rank of
-x - 1) read the forward images x(alpha_j).
+descent one scan.  The pairing action reads the roots x^-1(alpha_k), the
+rho_check key of a table index the positions of +-alpha_j in the row, and
+the reflection length (the rank of x - 1) the forward images x(alpha_j).
 A reflection's row is ``RootSystem.reflection_rows``.
 
-While W has a cached ``GroupTable`` (only ``enumerate_group`` builds one),
-products and inverses are table lookups that hand out the shared table
-elements, whose lengths, pairing roots and descent masks are cached once
-per index; groups with no cached table (E7, E8, or any group not yet
-enumerated) compose rows.  A table element and its row are built on first
-access, from its word-prefix parent, so building a table (and the quantum
-Bruhat graph on it) builds no table element; a reflection's table conjugates
-a lower one's by a simple reflection.  Whatever is derived from a table
-(the quantum Bruhat graph, the Newton averaging sums, dp, ell_red) is kept
-on that table by ``per_table``, so it lives exactly as long as the table's
+Products and inverses always compose and invert rows, whether or not W has
+a cached ``GroupTable`` (only ``enumerate_group`` builds one; E7 and E8 have
+none); code holding table indices multiplies them by ``prod_idx`` and reads
+``elements``, which cache their lengths, pairing roots and descent masks
+once per index.  A table element and its row are built on first access,
+from its word-prefix parent, so building a table (and the quantum Bruhat
+graph on it) builds no table element; a reflection's table conjugates a
+lower one's by a simple reflection.  Whatever is derived from a table (the
+quantum Bruhat graph, the Newton averaging sums, dp, ell_red) is kept on
+that table by ``per_table``, so it lives exactly as long as the table's
 cache entry.  ``enumerate_group`` refuses a group above ``GROUP_CAP``
 elements.
 
@@ -80,26 +80,14 @@ class WeylElt:
         rs = self.rs
         if rs is not other.rs:
             raise RefusalError("product of elements of different root systems")
-        tab = _TABLES.get(rs)
-        if tab is not None:
-            k = tab.prod_idx(tab.idx(self), tab.idx(other))
-            return tab.elements._slots[k] or tab.elements[k]
         # (xy)^-1 beta = y^-1(x^-1 beta)
-        return WeylElt(rs, tuple(map(_signed(other.imgs).__getitem__, self.imgs)))
+        o = other.imgs
+        return WeylElt(rs, tuple([o[c] if c >= 0 else ~o[~c] for c in self.imgs]))
 
     def inv(self) -> "WeylElt":
-        tab = _TABLES.get(self.rs)
-        if tab is not None:
-            k = tab.inv_idx(tab.idx(self))
-            return tab.elements._slots[k] or tab.elements[k]
         return WeylElt(self.rs, _inverse(self.imgs))
 
     # -- actions ----------------------------------------------------------
-
-    def inv_images(self) -> tuple[int, ...]:
-        """x^-1(beta) for each positive root beta, as a signed root index:
-        c for the c-th positive root, ~c for its negative."""
-        return self.imgs
 
     def neg_mask(self) -> tuple[int, ...]:
         """1 where x^-1(beta) < 0 and 0 where it is positive, over the
@@ -118,17 +106,11 @@ class WeylElt:
             cols = self._cols = tuple([roots[imgs[a]] for a in self.rs.letter_roots[1:]])
         return tuple([sum(map(mul, col, p)) for col in cols])
 
-    def _forward(self) -> list[tuple[int, ...]]:
-        """The root coordinates of x(alpha_j) for each simple root: their
-        heights are the rho_check key of ``GroupTable._index``."""
-        roots, fwd = self.rs.signed_roots, _inverse(self.imgs)
-        return [roots[fwd[a]] for a in self.rs.letter_roots[1:]]
-
     # -- length and descents ----------------------------------------------
 
     def length(self) -> int:
         if self._len is None:
-            self._len = sum(c < 0 for c in self.imgs)
+            self._len = len([c for c in self.imgs if c < 0])
         return self._len
 
     def is_identity(self) -> bool:
@@ -136,12 +118,14 @@ class WeylElt:
 
     def descent_right(self, i: int) -> bool:
         """ell(w s_i) < ell(w), i.e. w(alpha_i) < 0 (i is 0-based): some
-        positive root has image -alpha_i under w^-1."""
-        return ~self.rs.letter_roots[i + 1] in self.imgs
+        positive root has image -alpha_i under w^-1.  RefusalError unless
+        i is an int (not a bool) in 0..rank-1."""
+        return ~_simple_root(self.rs, i) in self.imgs
 
     def descent_left(self, i: int) -> bool:
-        """ell(s_i w) < ell(w), i.e. w^-1(alpha_i) < 0."""
-        return self.imgs[self.rs.letter_roots[i + 1]] < 0
+        """ell(s_i w) < ell(w), i.e. w^-1(alpha_i) < 0; refuses i as
+        ``descent_right`` does."""
+        return self.imgs[_simple_root(self.rs, i)] < 0
 
     def to_word(self) -> tuple[int, ...]:
         """Lexicographically least reduced word (0-based generator indices)."""
@@ -173,12 +157,6 @@ class WeylElt:
         return "WeylElt(e)" if not w else f"WeylElt({word_str(w)})"
 
 
-def _signed(imgs: tuple[int, ...]) -> tuple[int, ...]:
-    """A row extended to every signed root index: entry c as given, and
-    entry ~c, read from the end, its negative."""
-    return imgs + tuple([~c for c in reversed(imgs)])
-
-
 def _inverse(imgs: tuple[int, ...]) -> tuple[int, ...]:
     """The row of x from the row of x^-1: x^-1(beta_c) = +-beta_s means
     x(beta_s) = +-beta_c."""
@@ -189,6 +167,14 @@ def _inverse(imgs: tuple[int, ...]) -> tuple[int, ...]:
         else:
             out[s] = c
     return tuple(out)
+
+
+def _rho_key(rs: RootSystem, imgs: tuple[int, ...]) -> tuple[int, ...]:
+    """ht(x alpha_j) over the simple roots, the rho_check key of x, from its
+    row: x^-1(beta_s) = +-alpha_j at one position s, so x(alpha_j) = +-beta_s."""
+    h = rs.heights
+    return tuple([h[imgs.index(a)] if a in imgs else -h[imgs.index(~a)]
+                  for a in rs.letter_roots[1:]])
 
 
 def word_str(word: Iterable[int]) -> str:
@@ -208,9 +194,15 @@ def identity_elt(rs: RootSystem) -> WeylElt:
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
     """s_i for 0-based simple index i; RefusalError unless i is an int (not
     a bool) in 0..rank-1."""
+    return _reflection_by_index(rs, _simple_root(rs, i))
+
+
+def _simple_root(rs: RootSystem, i) -> int:
+    """The positive root index of alpha_{i+1}; RefusalError unless i is an
+    int (not a bool) in 0..rank-1."""
     if type(i) is not int or not 0 <= i < rs.rank:
         raise RefusalError(f"simple indices are ints in 0..{rs.rank - 1}, not {i!r}")
-    return _reflection_by_index(rs, rs.letter_roots[i + 1])
+    return rs.letter_roots[i + 1]
 
 
 def reflection(rs: RootSystem, root) -> WeylElt:
@@ -248,8 +240,10 @@ def reflection_length(x: WeylElt) -> int:
     """Least number of reflections multiplying to x: the rank of (x - 1) on
     the reflection representation (the same on root and coroot
     coordinates).  Row j of its transpose is x(alpha_j) - alpha_j."""
+    rs, fwd = x.rs, _inverse(x.imgs)
     return mat_rank([
-        [c - (k == j) for k, c in enumerate(v)] for j, v in enumerate(x._forward())
+        [c - (k == j) for k, c in enumerate(rs.signed_roots[fwd[a]])]
+        for j, a in enumerate(rs.letter_roots[1:])
     ])
 
 
@@ -340,7 +334,7 @@ class GroupTable:
             raise RefusalError("element and table of different root systems")
         a = x._idx
         if a is None:
-            a = x._idx = self._index[tuple(map(sum, x._forward()))]
+            a = x._idx = self._index[_rho_key(self.rs, x.imgs)]
         return a
 
     def inv_idx(self, a: int) -> int:
@@ -409,8 +403,7 @@ class _Elements(Sequence):
         e._idx, e._len = 0, 0
         self._slots: list[WeylElt | None] = [e] + [None] * (len(words) - 1)
         self._rows: list = [e.imgs] + [None] * (len(words) - 1)
-        # the row of s_i over every signed root index
-        self._perms = [_signed(simple_reflection(rs, i).imgs) for i in range(rs.rank)]
+        self._perms = [simple_reflection(rs, i).imgs for i in range(rs.rank)]  # s_i's rows
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -426,7 +419,7 @@ class _Elements(Sequence):
             return x
         a = range(len(self))[a]
         x = WeylElt(self._rs, self._row(a))
-        if self._index.get(tuple(map(sum, x._forward()))) != a:
+        if self._index.get(_rho_key(self._rs, x.imgs)) != a:
             raise InvariantError("table element's row keys to another index")
         x._idx, x._len = a, len(self._words[a])
         self._slots[a] = x
@@ -447,8 +440,9 @@ class _Elements(Sequence):
         row = rows[a]
         if row is None:
             raise InvariantError("word-prefix parents do not reach the identity")
-        for b, i in reversed(path):
-            row = rows[b] = tuple(map(self._perms[i].__getitem__, row))
+        for b, i in reversed(path):  # the row of y s_i, as ``WeylElt.mul`` composes it
+            p = self._perms[i]
+            row = rows[b] = tuple([p[c] if c >= 0 else ~p[~c] for c in row])
         return row
 
 

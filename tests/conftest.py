@@ -4,12 +4,12 @@ The library builds one root system per (type, rank), with its derived root
 data on it, and caches one group table per root system in ``weyl._TABLES``;
 whatever is derived from a table (the graph, the Newton averaging sums, dp
 and ell_red) is kept on that table.  A finite Weyl element is its row of
-signed root images: with its group's table cached, products and inverses
-hand out the shared table elements, and without one they compose rows,
-the only path of E7 and E8.  Fixtures hand out the cached objects, and a
-test that needs fresh tables, or the composition path, monkeypatches
-``weyl._TABLES``.  The package is imported from ``src`` through the
-``pythonpath`` setting in ``pyproject.toml``.
+signed root images, and products and inverses compose and invert rows
+whether or not its group's table is cached (E7 and E8 have none); code
+holding table indices reads the table's elements.  Fixtures hand out the
+cached objects, and a test that needs fresh tables, or no table at all,
+monkeypatches ``weyl._TABLES``.  The package is imported from ``src``
+through the ``pythonpath`` setting in ``pyproject.toml``.
 """
 
 import pytest

@@ -155,9 +155,15 @@ def act_root(x: WeylElt, coeffs) -> tuple[int, ...]:
     """x acting on a root in simple-root coordinates: x(alpha_j) is the
     root at alpha_j's entry of the row of x^-1."""
     rs = x.rs
-    row = x.inv().inv_images()
+    row = x.inv().imgs
     images = [rs.signed_roots[row[a]] for a in rs.letter_roots[1:]]
     return tuple(sum(c * v[k] for c, v in zip(coeffs, images)) for k in range(rs.rank))
+
+
+def rho_key_by_forward_images(x: WeylElt) -> tuple[int, ...]:
+    """ht(x alpha_j) over the simple roots alpha_j: the rho_check key of
+    ``GroupTable``'s index, from the forward images."""
+    return tuple(sum(act_root(x, simple_root(x.rs, j))) for j in range(x.rs.rank))
 
 
 def act_coroot(x: WeylElt, coeffs) -> tuple[int, ...]:
@@ -278,7 +284,7 @@ def affine_length_loop(w: AffineElt) -> int:
     x^-1 alpha > 0 and |<alpha, lam> - 1| otherwise.  The oracle for the
     column kernel of ``affine_length``."""
     total = 0
-    for root, c in zip(w.rs.positive_roots, w.fin.inv_images()):
+    for root, c in zip(w.rs.positive_roots, w.fin.imgs):
         a = _pair(root, w.lam)
         total += abs(a) if c >= 0 else abs(a - 1)
     return total
@@ -292,7 +298,7 @@ def cocovers_by_reflections(w: AffineElt) -> list:
     h = rs.coxeter_number
     lw = affine_length_loop(w)
     out = []
-    for a, (root, img) in enumerate(zip(rs.positive_roots, w.fin.inv_images())):
+    for a, (root, img) in enumerate(zip(rs.positive_roots, w.fin.imgs)):
         ht = rs.heights[img] if img >= 0 else -rs.heights[~img]
         hi = h * _pair(root, w.lam) + ht
         ms = range(1, (hi - 1) // h + 1) if hi > 0 else range(hi // h + 1, 1)

@@ -391,45 +391,26 @@ def test_descent_left_matches_length(a2):
 
 
 @pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)])
-def test_index_path_matches_matrices(ct, n, monkeypatch):
-    """Lengths, descents on both sides and cocovers of t^lam x, for every
-    finite x and every lam in {-1, 0, 1}^n (in {-2, ..., 2}^2 at rank 2),
-    read root signs and heights from the group table when it is cached and
-    from the matrices when it is not: both give the same values, and the
-    descents agree with the lengths."""
+def test_index_path_matches_matrices(ct, n):
+    """Lengths and descents on both sides of t^lam x, for every finite x
+    and every lam in {-1, 0, 1}^n (in {-2, ..., 2}^2 at rank 2), read root
+    signs from the finite part's row; the descents agree with the lengths
+    of s_j w and w s_j."""
     rs = build_root_system(ct, n)
     elts = enumerate_group(rs).elements
-    box = list(product(range(-2, 3) if n == 2 else range(-1, 2), repeat=n))
-    letters = range(n + 1)
-
-    def run():
-        out = []
-        for lam in box:
-            for x in elts:
-                w = aff(rs, lam, x)
-                out.append((
-                    affine_length(w),
-                    [descent_left(w, j) for j in letters],
-                    [descent_right(w, j) for j in letters],
-                    cocovers_with_reflections(w),
-                ))
-        return out
-
-    got = run()
-    with monkeypatch.context() as m:
-        m.setattr(weyl, "_TABLES", {})
-        assert run() == got
-    for (lw, left, right, _), (lam, x) in zip(got, product(box, elts)):
+    box = product(range(-2, 3) if n == 2 else range(-1, 2), repeat=n)
+    for lam, x in product(box, elts):
         w = aff(rs, lam, x)
-        for j in letters:
+        lw = affine_length(w)
+        for j in range(n + 1):
             s = simple_affine(rs, j)
-            assert left[j] == (affine_length(s.mul(w)) < lw)
-            assert right[j] == (affine_length(w.mul(s)) < lw)
+            assert descent_left(w, j) == (affine_length(s.mul(w)) < lw)
+            assert descent_right(w, j) == (affine_length(w.mul(s)) < lw)
 
 
 def test_no_table_built_implicitly(monkeypatch):
     """Affine lengths, descents and cocovers in E6 with no cached table
-    run on the matrices and leave the cache empty."""
+    run on the finite parts' rows and leave the cache empty."""
     monkeypatch.setattr(weyl, "_TABLES", {})
     e6 = build_root_system("E", 6)
     w = simple_affine(e6, 0).mul(simple_affine(e6, 2))
@@ -618,32 +599,25 @@ KERNEL_GROUPS = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]
 
 
 @pytest.mark.parametrize("ct,n", KERNEL_GROUPS)
-def test_length_and_cocover_kernels_match_oracles(ct, n, monkeypatch):
+def test_length_and_cocover_kernels_match_oracles(ct, n):
     """The column kernel of ``affine_length`` and the direct cocover
     candidates t^{lam + (m - <alpha, lam>) alpha_check} s_alpha x equal the
     per-root loop and the r.mul(w) route, on the affine ball and on t^lam x
-    for every finite x and lam in {-2, ..., 2}^n, with and without a cached
-    group table."""
+    for every finite x and lam in {-2, ..., 2}^n, each with a fresh finite
+    part (nothing cached on it)."""
     rs = build_root_system(ct, n)
     elts = enumerate_group(rs).elements
     box = product(range(-2, 3), repeat=n)
     pairs = [(w.lam, w.fin) for w in _affine_ball(rs, 4 if n == 2 else 3)]
     pairs += [(lam, x) for lam in box for x in elts]
-
-    def run():  # fresh finite parts: nothing cached on them by a previous run
-        ws = [aff(rs, lam, weyl.WeylElt(rs, x.imgs)) for lam, x in pairs]
-        return [(affine_length(w), cocovers_with_reflections(w)) for w in ws], ws
-
-    got, ws = run()
+    ws = [aff(rs, lam, weyl.WeylElt(rs, x.imgs)) for lam, x in pairs]
+    got = [(affine_length(w), cocovers_with_reflections(w)) for w in ws]
     assert got == [(affine_length_loop(w), cocovers_by_reflections(w)) for w in ws]
-    with monkeypatch.context() as m:
-        m.setattr(weyl, "_TABLES", {})
-        assert run()[0] == got
 
 
 def test_unchecked_products_pass_the_public_constructor(monkeypatch):
-    """Every element that mul, inv, cocovers_with_reflections or
-    lower_union builds without the refusals, over B2 and G2 cover sweeps,
+    """Every element that mul, inv, cocovers_with_reflections, lower_union
+    or product_set builds without the refusals, over B2 and G2 cover sweeps,
     the A2, B2 and A3 admissible sets of (1, ..., 1), the A3 one of
     (2, 2, 2), a lower interval and a product set, is accepted by the
     public constructor and equals its rebuilt self, with the same hash."""
@@ -670,7 +644,7 @@ def test_unchecked_products_pass_the_public_constructor(monkeypatch):
     ones = adm_set(coweight(b2, (1, 1)))
     product_set(ones, ones)
     assert {name for name, _ in made} == {
-        "mul", "inv", "cocovers_with_reflections", "lower_union"
+        "mul", "inv", "cocovers_with_reflections", "lower_union", "product_set"
     }
     assert len(made) > 5_000
     for _, w in made:

@@ -619,6 +619,9 @@ def test_refusals_survive_python_O():
         *(f"refused: a length budget must be an int >= 1, not {b}"
           for b in ("2.5", "True", "-1", "0", "'3'")),
         "refused: simple indices are ints in 0..1, not -1",
+        *(f"refused: simple indices are ints in 0..1, not {i}" for i in ("5", "-1")),
+        *(f"refused: letters must be ints in 0..2, got ({j},)"
+          for j in ("3", "-1", "True", "3", "-1", "True")),
         *(f"refused: root indices are ints in 0..2, not {a}"
           for a in ("-1", "True", "1.0", "3", "None")),
         "B2 index of s2s1s2 intact: True",
@@ -628,7 +631,7 @@ def test_refusals_survive_python_O():
 _REFUSED_INPUTS = """
 from fractions import Fraction
 from adlv.adm import adm_set
-from adlv.affine import AffineElt, embed
+from adlv.affine import AffineElt, descent_left, descent_right, embed
 from adlv.errors import RefusalError
 from adlv.qbg import build_qbg
 from adlv.rootsys import build_root_system, coweight, dominance_leq
@@ -659,6 +662,10 @@ for check in (
     *(lambda b=b: adm_set(coweight(a2, (1, 0)), budget=b)
       for b in (2.5, True, -1, 0, "3")),
     lambda: simple_reflection(a2, -1),
+    lambda: e.descent_left(5),
+    lambda: e.descent_right(-1),
+    *(lambda j=j, d=d: d(embed(e), j)
+      for d in (descent_left, descent_right) for j in (3, -1, True)),
     # the graph built above filled the table's reflection cache
     *(lambda a=a: enumerate_group(a2).rmult_root(a) for a in (-1, True, 1.0, 3, None)),
 ):
@@ -728,11 +735,11 @@ for check in (
     lambda: cover.predicted_cocovers(identity_elt(no_quantum),
                                      coweight(no_quantum, (3, 3)),
                                      simple_reflection(no_quantum, 0)),
-    patched(affine, "descent_left", lambda w, j: False, lambda:
+    patched(affine, "_descent_left", lambda w, j: False, lambda:
             affine.tau_word(t11)),
     patched(affine, "affine_length", lambda w: real_length(w) // 2, lambda:
             affine.tau_word(t11)),
-    patched(affine, "descent_left", lambda w, j: False, lambda:
+    patched(affine, "_descent_left", lambda w, j: False, lambda:
             adm.eta(translation(coweight(a2, (-1, 2))))),
     lambda: cascade._dp_table(unlinked),
     lambda: cascade._ell_red_table(unlinked),

@@ -192,19 +192,20 @@ def test_sample_triples_deterministic(a3):
 
 
 @pytest.mark.parametrize(
-    "count,lo,hi",
-    [(5, -1, 3), (5, 4, 3), (-1, 3, 5), (True, 3, 5), (2.5, 3, 5), (5, True, 3),
-     (5, 1.5, 3)],
+    "count,lo,hi,seed",
+    [(5, -1, 3, 0), (5, 4, 3, 0), (-1, 3, 5, 0), (True, 3, 5, 0), (2.5, 3, 5, 0),
+     (5, True, 3, 0), (5, 1.5, 3, 0), (5, 3, 5, True), (5, 3, 5, 1.5), (5, 3, 5, "x")],
     ids=["negative-lo", "lo-above-hi", "negative-count", "bool-count", "float-count",
-         "bool-lo", "float-lo"],
+         "bool-lo", "float-lo", "bool-seed", "float-seed", "str-seed"],
 )
-def test_sample_triples_refuses_bad_range(a3, count, lo, hi):
+def test_sample_triples_refuses_bad_range(a3, count, lo, hi, seed):
     """A range that would give non-dominant lambda or none at all, a
-    negative count, or a count or bound that is not an int (True is not 1,
-    2.5 and 1.5 do not leak a TypeError or ValueError), is refused rather
-    than sampled, leaked or emptied."""
+    negative count, or a count, bound or seed that is not an int (True is
+    not 1, 2.5 and 1.5 do not leak a TypeError or ValueError, and True does
+    not sample as seed 1), is refused rather than sampled, leaked or
+    emptied."""
     with pytest.raises(RefusalError, match="0 <= lo <= hi"):
-        sample_triples(a3, count, lo, hi)
+        sample_triples(a3, count, lo, hi, seed)
 
 
 def test_non_cocover_reported_below_threshold(a2, monkeypatch):

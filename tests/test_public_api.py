@@ -126,3 +126,31 @@ def test_every_export_has_a_reader_or_a_public_api_row():
     reader, so a name that gains one, or leaves, takes its row with it."""
     trees = _trees()
     assert _unread_exports(trees) | _unread_members(trees) == _public_api_table()
+
+
+def _table_cache_loads(trees: dict[str, ast.Module]) -> set[str]:
+    """``module.function`` (or ``module.Class.method``) for each place that
+    loads ``_TABLES``, the cache of group tables, by name or as an
+    attribute."""
+    places = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        named = getattr(node, "id", None) or getattr(node, "attr", None)
+        if named == "_TABLES" and isinstance(node.ctx, ast.Load):
+            places.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for mod, tree in trees.items():
+        visit(tree, mod)
+    return places
+
+
+def test_only_enumerate_group_reads_the_table_cache():
+    """Whether a group table is cached picks no path: ``weyl._TABLES`` is
+    loaded only inside ``weyl.enumerate_group``, so a product or an
+    inverse is computed the same way in a process with a table and in one
+    without."""
+    assert _table_cache_loads(_trees()) == {"weyl.enumerate_group"}

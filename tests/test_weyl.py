@@ -14,6 +14,7 @@ from adlv.errors import InvariantError, RefusalError
 from adlv.rootsys import TYPE_TABLE, WEYL_ORDER, build_root_system
 from adlv.weyl import (
     enumerate_group,
+    identity_elt,
     longest_element,
     reflection,
     reflection_length,
@@ -27,6 +28,7 @@ from oracles import (
     bruhat_leq,
     from_word,
     leq_idx,
+    rho_key_by_forward_images,
     rmult_root_by_word,
 )
 
@@ -79,14 +81,19 @@ def test_simple_reflection_involution(a2):
     (reflection, [0, False]),   # nor (0, 1) as a list
     (reflection, 2.5),          # no TypeError from tuple(2.5)
     (reflection, None),
+    (lambda rs, i: identity_elt(rs).descent_left(i), 5),    # no IndexError
+    (lambda rs, i: identity_elt(rs).descent_right(i), -1),   # not theta's entry
+    (lambda rs, i: longest_element(rs).descent_right(i), True),
 ], ids=["simple--1", "simple-2", "simple-True", "reflection--1",
         "reflection-True", "reflection-3", "reflection-(2,2)",
         "reflection-(True,0)", "reflection-(1.0,0)", "reflection-[0,False]",
-        "reflection-2.5", "reflection-None"])
+        "reflection-2.5", "reflection-None", "descent_left-5", "descent_right--1",
+        "descent_right-True"])
 def test_generators_refuse_an_out_of_range_index(a2, make, index):
     """An index is an int (not a bool) in range, and a vector a tuple or list
     of rank ints (not bools) forming a positive root; anything else is
-    refused, not read modulo the row, coerced or leaked."""
+    refused, not read modulo the row, coerced or leaked.  The descents of
+    a finite element take a simple index as ``simple_reflection`` does."""
     simple_reflection(a2, 1), reflection(a2, 0)  # cached, as True would hit
     with pytest.raises(RefusalError):
         make(a2, index)
@@ -280,30 +287,43 @@ INDEX_PATH = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)]
 
 
 @pytest.mark.parametrize("ct,n", INDEX_PATH)
-def test_index_path_matches_matrices(ct, n, monkeypatch):
-    """With the group table cached, products and inverses are table
-    lookups; with the table taken out of the cache the same calls compose
-    and invert rows of root images.  Both give the same elements, and the
-    table path hands out the shared table elements with their lengths."""
+def test_index_path_matches_matrices(ct, n):
+    """Products and inverses compose and invert rows of root images,
+    whether or not a table is cached: each equals the table element at
+    ``prod_idx`` or ``inv_idx``, with the length the table records.
+    Every reflection is a table element at its index."""
     rs = build_root_system(ct, n)
     table = enumerate_group(rs)
     elts = table.elements
-
-    def run():
-        prods = [x.mul(y) for x in elts for y in elts]
-        return prods, [x.inv() for x in elts], [x.inv_images() for x in elts]
-
-    prods, invs, images = run()
-    with monkeypatch.context() as m:
-        m.setattr(weyl, "_TABLES", {})
-        assert run() == (prods, invs, images)
-    for k, p in enumerate(prods):
-        assert p is elts[table.prod_idx(k // len(elts), k % len(elts))]
-        assert p.length() == sum(c < 0 for c in p.inv_images())
-    assert [x.inv() for x in invs] == elts
+    for a, x in enumerate(elts):
+        assert x.inv() == elts[table.inv_idx(a)]
+        for b, y in enumerate(elts):
+            p, k = x.mul(y), table.prod_idx(a, b)
+            assert p == elts[k] and p.length() == table.lengths[k]
+    assert [x.inv().inv() for x in elts] == elts
     for a, t in enumerate(table._reflections):
         assert elts[t] == reflection(rs, a)
-        assert elts[t].inv_images()[a] == ~a
+        assert elts[t].imgs[a] == ~a
+
+
+@pytest.mark.parametrize("ct,n,sample", [
+    *((ct, n, None) for ct, n in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2),
+                                  ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4),
+                                  ("D", 4), ("F", 4), ("G", 2)]),
+    ("E", 6, 400),
+])
+def test_rho_key_is_the_heights_of_the_forward_images(ct, n, sample):
+    """The rho_check key that ``GroupTable.idx`` reads off a row by two
+    index scans per simple root equals ht(x alpha_j), from the forward
+    images, on every element (on a seeded sample of E6), and keys a fresh
+    element with that row to its table index."""
+    rs = build_root_system(ct, n)
+    table = enumerate_group(rs)
+    idxs = range(len(table))
+    for a in random.Random(6).sample(idxs, sample) if sample else idxs:
+        x = table.elements[a]
+        assert weyl._rho_key(rs, x.imgs) == rho_key_by_forward_images(x)
+        assert table.idx(weyl.WeylElt(rs, x.imgs)) == a
 
 
 def test_table_and_qbg_build_multiply_no_matrices(monkeypatch):
@@ -336,10 +356,11 @@ def test_derived_data_lives_and_dies_with_its_table(monkeypatch):
 
 
 def test_composition_path_on_e7_and_e8(monkeypatch):
-    """E7 and E8 are above ``GROUP_CAP``, so composing and inverting rows
-    is their only path.  On E8, w0 has length 120, is an involution, has
-    the tabulated reflection length 8, and its reduced word folds back to
-    it; on E7, (xy)^-1 = y^-1 x^-1 for seeded words.  No table is built."""
+    """Composing and inverting rows needs no table, so E7 and E8, above
+    ``GROUP_CAP``, multiply as every group does.  On E8, w0 has length 120,
+    is an involution, has the tabulated reflection length 8, and its
+    reduced word folds back to it; on E7, (xy)^-1 = y^-1 x^-1 for seeded
+    words.  No table is built."""
     monkeypatch.setattr(weyl, "_TABLES", {})
     e8 = build_root_system("E", 8)
     w0 = longest_element(e8)
@@ -356,12 +377,11 @@ def test_composition_path_on_e7_and_e8(monkeypatch):
 
 
 @pytest.mark.parametrize("ct,n", [("B", 3), ("G", 2), ("D", 4), ("F", 4)])
-def test_lazy_elements_match_eager_in_any_order(ct, n, monkeypatch):
+def test_lazy_elements_match_eager_in_any_order(ct, n):
     """Table elements built in a shuffled order equal the row products
     of their words, carry their index and length, and are built once; the
     whole sequence equals a fresh table's, read in index order."""
     rs = build_root_system(ct, n)
-    monkeypatch.setattr(weyl, "_TABLES", {})  # from_word composes rows
     table = weyl.GroupTable(rs)
     order = list(range(len(table)))
     random.Random(5).shuffle(order)
