@@ -15,8 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil
 from operator import add
-from typing import NamedTuple
-
 from . import affine
 from .affine import AffineElt, _peel, affine_length, lower_union, translation
 from .errors import BudgetError, InvariantError, RefusalError
@@ -25,7 +23,9 @@ from .rootsys import (
     TYPE_TABLE,
     Coweight,
     RootSystem,
+    Verdict,
     _Frozen,
+    coweight,
     coweight_from_coroot,
     depth,
     dominance_leq,
@@ -36,8 +36,6 @@ from .weyl import WeylElt, enumerate_group, identity_elt
 __all__ = [
     "AdmSet",
     "BInvariants",
-    "MembershipResult",
-    "DimResult",
     "adm_set",
     "product_set",
     "adm_membership_char",
@@ -137,23 +135,13 @@ def product_set(a: AdmSet, b: AdmSet) -> frozenset[AffineElt]:
     return frozenset([affine._affine(rs, lam, elements[k]) for lam, k in keys])
 
 
-class MembershipResult(NamedTuple):
-    """Membership verdict with its validity status ("ok" inside the
-    proposition's regime, "outside-regime" otherwise; the verdict is filled
-    outside the regime only on request and certifies nothing there)."""
-
-    status: str
-    value: bool | None
-    reason: str = ""
-
-
 def adm_membership_char(
     x: WeylElt,
     lam: Coweight,
     y: WeylElt,
     mu: Coweight,
     force: bool = False,
-) -> MembershipResult:
+) -> Verdict:
     """Is x t^lam y in the admissible set of mu, read off the quantum
     Bruhat graph: lattice classes must agree and wt(x, y^{-1}) <= mu - lam
     in dominance order.
@@ -173,14 +161,14 @@ def adm_membership_char(
     if gap >= ceil(Fraction(depth(mu) - c, 2)):
         reasons.append("<rho, mu - lam> not below the ceiling")
     if reasons and not force:
-        return MembershipResult("outside-regime", None, "; ".join(reasons))
+        return Verdict("outside-regime", None, "; ".join(reasons))
     if lam_elt.omega != mu_elt.omega:
         value = False
     else:
         wt_cw = coweight_from_coroot(rs, build_qbg(rs).wt(x, y.inv()))
         value = dominance_leq(wt_cw, mu - lam)
     status = "ok" if not reasons else "outside-regime"
-    return MembershipResult(status, value, "; ".join(reasons))
+    return Verdict(status, value, "; ".join(reasons))
 
 
 def eta(w: AffineElt) -> WeylElt:
@@ -209,17 +197,15 @@ def min_dgamma(rs: RootSystem) -> int:
     return min(g.d_gamma(x, t.prod_idx(x, t.w0_idx)) for x in range(len(t)))
 
 
-class DimResult(NamedTuple):
-    """A closed-form dimension value with its validity status."""
-
-    status: str
-    value: Fraction | None
-    reason: str = ""
+def _dim(mu: Coweight, b: BInvariants, k: int) -> Fraction:
+    """<rho, mu - nu> - defect/2 + k/2, the shape of both closed dimension
+    formulas."""
+    return _rho_pair(mu.rs, mu - b.nu) - Fraction(b.defect, 2) + Fraction(k, 2)
 
 
 def d_adm(
     mu: Coweight, b: BInvariants, force: bool = False
-) -> DimResult:
+) -> Verdict:
     """<rho, mu - nu> - defect/2 + ell(w0)/2 - min_dgamma/2, the virtual
     dimension of the admissible set of mu (its max over members).
 
@@ -228,19 +214,11 @@ def d_adm(
     rs = mu.rs
     if not mu.is_dominant():
         raise RefusalError("mu must be dominant")
-    if not mu.is_regular():
-        if not force:
-            return DimResult("refused", None, "mu not regular")
-        status, reason = "probe", "mu not regular"
-    else:
-        status, reason = "ok", ""
-    value = (
-        _rho_pair(rs, mu - b.nu)
-        - Fraction(b.defect, 2)
-        + Fraction(len(rs.positive_roots), 2)
-        - Fraction(min_dgamma(rs), 2)
-    )
-    return DimResult(status, value, reason)
+    reason = "" if mu.is_regular() else "mu not regular"
+    if reason and not force:
+        return Verdict("refused", None, reason)
+    value = _dim(mu, b, len(rs.positive_roots) - min_dgamma(rs))
+    return Verdict("probe" if reason else "ok", value, reason)
 
 
 def d_adm_brute(adm: AdmSet, b: BInvariants) -> Fraction:
@@ -250,35 +228,22 @@ def d_adm_brute(adm: AdmSet, b: BInvariants) -> Fraction:
 
 def dim_X_formula(
     mu: Coweight, b: BInvariants, force: bool = False
-) -> DimResult:
+) -> Verdict:
     """<rho, mu - nu> - defect/2 + (ell(w0) - ell_R(w0))/2.
 
     Holds for dominant regular mu with mu >= nu + 2 rho_check in dominance;
-    violations refuse (or downgrade to a probe when forced)."""
+    violations refuse (or downgrade to a probe when forced).  2 rho_check
+    pairs to 2 with every simple root."""
     rs = mu.rs
     if not mu.is_dominant():
         raise RefusalError("mu must be dominant")
     reasons = []
     if not mu.is_regular():
         reasons.append("mu not regular")
-    two_rho_check = coweight_from_coroot(
-        rs,
-        tuple(
-            sum(c[i] for c in rs.positive_coroots) for i in range(rs.rank)
-        ),
-    )
-    if not dominance_leq(b.nu + two_rho_check, mu):
+    if not dominance_leq(b.nu + coweight(rs, (2,) * rs.rank), mu):
         reasons.append("mu - nu - 2 rho_check not >= 0 in dominance")
     if reasons and not force:
-        return DimResult("refused", None, "; ".join(reasons))
-    value = (
-        _rho_pair(rs, mu - b.nu)
-        - Fraction(b.defect, 2)
-        + Fraction(
-            len(rs.positive_roots)
-            - reflection_length_w0(rs.cartan_type, rs.rank),
-            2,
-        )
-    )
-    return DimResult("ok" if not reasons else "probe", value, "; ".join(reasons))
-
+        return Verdict("refused", None, "; ".join(reasons))
+    ell_r = reflection_length_w0(rs.cartan_type, rs.rank)
+    value = _dim(mu, b, len(rs.positive_roots) - ell_r)
+    return Verdict("ok" if not reasons else "probe", value, "; ".join(reasons))

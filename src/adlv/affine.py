@@ -51,6 +51,7 @@ from .rootsys import Coweight, RootSystem, _rank_vector
 from .weyl import (
     GroupTable,
     WeylElt,
+    _reflection_by_index,
     enumerate_group,
     identity_elt,
     reflection,
@@ -305,7 +306,7 @@ def cocovers_with_reflections(w: AffineElt) -> list[tuple[int, int, AffineElt]]:
         if not ms:
             continue
         nsep += len(ms)
-        fin = reflection(rs, a).mul(x)
+        fin = _reflection_by_index(rs, a).mul(x)  # a is in range: no index check
         base = [q - 1 if c < 0 else q for q, c in zip(pairs, fin.imgs)]
         col = rs.coroot_columns[a]
         for m in ms:

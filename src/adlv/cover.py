@@ -68,8 +68,6 @@ class CoverResult(NamedTuple):
 
     status: str
     records: list[CocoverRecord]
-    depth: object
-    threshold: int
     non_cocover: Sequence[AffineElt] = ()
 
 
@@ -103,10 +101,9 @@ def predicted_cocovers(u: WeylElt, lam: Coweight, v: WeylElt,
     lam_int = lam.int_pairing()
     table = enumerate_group(rs)
     thr = cover_depth_threshold(rs.cartan_type)
-    d = depth(lam)
-    ok = d >= thr
+    ok = depth(lam) >= thr
     if not ok and not force:
-        return CoverResult("below-threshold", [], d, thr)
+        return CoverResult("below-threshold", [])
 
     imgs, lengths = table.inv_images(), table.lengths
     cols, cps, simple = rs.coroot_columns, rs.coroot_pairings, rs.letter_roots[1:]
@@ -179,7 +176,7 @@ def predicted_cocovers(u: WeylElt, lam: Coweight, v: WeylElt,
     ]
     records.sort(key=lambda r: (r.case_label, r.root, r.m))
     status = "ok" if ok else "below-threshold"
-    return CoverResult(status, records, d, thr, list(map(built, non_cocover)))
+    return CoverResult(status, records, list(map(built, non_cocover)))
 
 
 def verify_cover_theorem(u: WeylElt, lam: Coweight, v: WeylElt) -> dict:

@@ -16,8 +16,6 @@ from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm
 from operator import add, mul
-from typing import NamedTuple
-
 from .affine import (
     AffineElt,
     IntervalEngine,
@@ -31,6 +29,7 @@ from .rootsys import (
     Coweight,
     Num,
     RootSystem,
+    Verdict,
     _dominantize,
     _Frozen,
     check_type,
@@ -40,7 +39,6 @@ from .rootsys import (
 )
 from .weyl import (
     GroupTable,
-    dominant_rep,
     enumerate_group,
     longest_element,
     per_table,
@@ -49,7 +47,6 @@ from .weyl import (
 
 __all__ = [
     "NewtonPoint",
-    "FormulaResult",
     "newton_point",
     "max_newton_brute",
     "max_newton_formula",
@@ -221,43 +218,38 @@ def xi_bound(cartan_type: str, rank: int) -> int:
 # -- the closed form ------------------------------------------------------
 
 
-class FormulaResult(NamedTuple):
-    """Closed-form evaluation with its validity status.
-
-    ``status`` is "ok" above the depth threshold and "below-threshold"
-    otherwise; in the latter case ``value`` is filled only on request, and
-    need not be dominant."""
-
-    status: str
-    value: Coweight | None
-    depth: Num
-    threshold: int
-
-
-def max_newton_formula(w: AffineElt, force: bool = False) -> FormulaResult:
+def max_newton_formula(w: AffineElt, force: bool = False) -> Verdict:
     """Closed form for the maximal Newton point: lam - wt(x) after writing
     w = u t^lam v with lam dominant and folding u into the finite part.
 
     Guaranteed only when depth(lam) exceeds ``xi_bound``; below that the
-    result carries a "below-threshold" status, and a value only when
-    ``force`` is set (exploration mode)."""
+    verdict is "below-threshold", with a value (which need not be dominant)
+    only when ``force`` is set (exploration mode)."""
     rs = w.rs
-    lam_plus, g = dominant_rep(coweight(rs, w.lam))
+    coords, word = _dominantize(rs, w.lam)
+    lam_plus = coweight(rs, coords)
     thr = xi_bound(rs.cartan_type, rs.rank)
     d = depth(lam_plus)
     ok = d > thr
+    reason = "" if ok else f"depth(lam) = {d} <= Xi = {thr}"
     if not ok and not force:
-        return FormulaResult("below-threshold", None, d, thr)
-    if not (g.is_identity() or lam_plus.is_regular()):
+        return Verdict("below-threshold", None, reason)
+    if word and not lam_plus.is_regular():
         raise RefusalError(
             "translation part is singular and not dominant; cannot fold"
         )
-    # w = u t^lam v with u = g^{-1}, v = g z, and x = v <| u
     graph = build_qbg(rs)
     t = graph.table
-    x = t.ltri_idx(t.prod_idx(t.idx(g), t.idx(w.fin)), t.inv_idx(t.idx(g)))
+    # g = s_{i_k} ... s_{i_1} for the word i_1 .. i_k, so g(lam) = lam_plus
+    g = 0
+    for i in reversed(word):
+        g = t.rmult[i][g]
+    if t.elements[g].act_pairing(w.lam) != coords:
+        raise InvariantError("g(lambda) is not the dominant representative")
+    # w = u t^lam_plus v with u = g^{-1}, v = g z, and x = v <| u
+    x = t.ltri_idx(t.prod_idx(g, t.idx(w.fin)), t.inv_idx(g))
     value = lam_plus - coweight_from_coroot(rs, graph.wt1(x))
-    return FormulaResult("ok" if ok else "below-threshold", value, d, thr)
+    return Verdict("ok" if ok else "below-threshold", value, reason)
 
 
 # -- verification sweeps --------------------------------------------------

@@ -11,7 +11,8 @@ row i lists the pairings of all simple roots against the i-th simple coroot.
 
 The per-type constants the paper's theorems use (valid ranks, |Phi+|, |W|,
 the depth threshold c, S, M-tilde and ell_R(w0)) are defined once, in
-``TYPE_TABLE``; ``check_type`` is the one type/rank validator.
+``TYPE_TABLE``; ``check_type`` is the one type/rank validator.  The
+closed forms that hold only inside a regime answer with a ``Verdict``.
 
 >>> rs = build_root_system("G", 2)
 >>> len(rs.positive_roots)
@@ -45,6 +46,7 @@ __all__ = [
     "root_leq",
     "TYPE_TABLE",
     "TypeRow",
+    "Verdict",
     "WEYL_ORDER",
     "check_type",
 ]
@@ -132,6 +134,18 @@ TYPE_TABLE = {
     "G": TypeRow(2, 2, 6, lambda n: 6, lambda n: 12, lambda n: 10,
                  lambda n: 4, lambda n: 2),
 }
+
+
+class Verdict(NamedTuple):
+    """A closed form behind its regime gate.  ``status`` is "ok" inside the
+    regime, where ``value`` is certified; outside it, "below-threshold",
+    "outside-regime", "refused" or "probe", with ``value`` filled only on
+    request (``force``) and certifying nothing, and ``reason`` naming the
+    clause that failed."""
+
+    status: str
+    value: object
+    reason: str = ""
 
 
 def check_type(cartan_type: str, rank: int | None = None) -> str:
@@ -319,6 +333,10 @@ def _build_root_system(ct: str, n: int) -> RootSystem:
     two_rho = tuple(sum(r[i] for r in positive) for i in range(n))
     if any(p != 2 for p in mat_vec(C, two_rho)):
         raise InvariantError("2 rho != sum of positive roots")
+    # and the positive coroots sum to 2 rho_check, which pairs to 2 with
+    # every simple root
+    if any(p != 2 for p in map(sum, zip(*cps[:len(positive)]))):
+        raise InvariantError("2 rho_check != sum of positive coroots")
     cinv_t = mat_inv(Ct)
     den = math.lcm(*(x.denominator for row in cinv_t for x in row))
 

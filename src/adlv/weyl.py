@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 from ._matrix import mat_rank
 from .errors import BudgetError, InvariantError, RefusalError
-from .rootsys import Coweight, RootSystem, WEYL_ORDER, _dominantize
+from .rootsys import RootSystem, WEYL_ORDER
 
 __all__ = [
     "WeylElt",
@@ -49,7 +49,6 @@ __all__ = [
     "reflection",
     "longest_element",
     "reflection_length",
-    "dominant_rep",
     "enumerate_group",
     "per_table",
     "word_str",
@@ -245,22 +244,6 @@ def reflection_length(x: WeylElt) -> int:
         [c - (k == j) for k, c in enumerate(rs.signed_roots[fwd[a]])]
         for j, a in enumerate(rs.letter_roots[1:])
     ])
-
-
-def dominant_rep(lam: Coweight) -> tuple[Coweight, WeylElt]:
-    """Dominant representative of the Weyl orbit of lam.
-
-    Returns ``(lam_plus, g)`` with ``g(lam) = lam_plus``.
-    """
-    rs = lam.rs
-    coords, word = _dominantize(rs, lam.pairing)
-    g = identity_elt(rs)
-    for i in word:
-        g = simple_reflection(rs, i).mul(g)
-    out = Coweight(rs, coords)
-    if g.act_pairing(lam.pairing) != out.pairing:
-        raise InvariantError("g(lambda) is not the dominant representative")
-    return out, g
 
 
 class GroupTable:

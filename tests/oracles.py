@@ -384,10 +384,9 @@ def predicted_cocovers_by_objects(u: WeylElt, lam, v: WeylElt,
     rs = lam.rs
     lam_int = lam.int_pairing()
     thr = cover_depth_threshold(rs.cartan_type)
-    d = depth(lam)
-    ok = d >= thr
+    ok = depth(lam) >= thr
     if not ok and not force:
-        return CoverResult("below-threshold", [], d, thr)
+        return CoverResult("below-threshold", [])
     w = _utv(u, lam_int, v)
     lw = affine_length(w)
     lu, lv = u.length(), v.length()
@@ -428,9 +427,7 @@ def predicted_cocovers_by_objects(u: WeylElt, lam, v: WeylElt,
         for w2, (cases, beta, m) in by_result.items()
     ]
     records.sort(key=lambda r: (r.case_label, r.root, r.m))
-    return CoverResult(
-        "ok" if ok else "below-threshold", records, d, thr, non_cocover
-    )
+    return CoverResult("ok" if ok else "below-threshold", records, non_cocover)
 
 
 def orthogonal_decompositions(x: WeylElt) -> list[tuple[int, ...]]:

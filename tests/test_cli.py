@@ -682,7 +682,7 @@ print("B2 index of s2s1s2 intact:",
 _BROKEN_INVARIANTS = """
 import copy
 from unittest import mock
-from adlv import adm, affine, cascade, cover, rootsys, weyl
+from adlv import adm, affine, cascade, cover, newton, rootsys, weyl
 from adlv.affine import IntervalEngine, translation
 from adlv.cover import _reflection_shape
 from adlv.errors import InvariantError
@@ -747,8 +747,8 @@ for check in (
             simple_reflection(a2, 0).to_word()),
     patched(weyl.WeylElt, "descent_right", lambda w, i: True, lambda:
             weyl.longest_element.__wrapped__(a2)),
-    patched(weyl, "_dominantize", lambda rs, p: ((0, 0), []), lambda:
-            weyl.dominant_rep(coweight(a2, (1, -1)))),
+    patched(newton, "_dominantize", lambda rs, p: ((0, 0), []), lambda:
+            newton.max_newton_formula(translation(coweight(a2, (1, -1))), force=True)),
     lambda: cascade.dp_root(
         replaced(a2, reflection_lengths=(2, 2, 2)), 0),
     lambda: corrupt.elements[3],
@@ -777,8 +777,8 @@ def test_invariants_survive_python_O():
     full drop through a root not listed as quantum, a word search that runs
     out of descents or leaves length behind, a coset walk ending off the
     dominant chamber, a table search that misses elements, finite descent and
-    ascent searches that stop early, a dominating element that misses the
-    dominant representative, a reflection of even length, a table
+    ascent searches that stop early, a Newton fold whose dominating element
+    misses the dominant representative, a reflection of even length, a table
     element built through a corrupted multiplication entry, a root
     closure of the wrong size, a Cartan matrix with -1 on its diagonal
     (so <beta, beta_check> != 2) and coroot pairings read off the

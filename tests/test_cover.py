@@ -119,7 +119,7 @@ def test_records_carry_separating_reflection(ct, n):
 
 @pytest.mark.parametrize("ct,n", [("B", 2), ("G", 2), ("A", 3), ("C", 3)])
 def test_index_classifier_matches_object_oracle(ct, n):
-    """The whole ``CoverResult`` (status, depth, records with root, m, case
+    """The whole ``CoverResult`` (status, records with root, m, case
     labels and result, and ``non_cocover``, in order) equals the object
     oracle's, for every v, u in {e, s1, w0} and depths thr - 2 ... thr + 1,
     forced, so below-threshold rows are included, and at depth 1, where

@@ -96,6 +96,26 @@ def test_extended_element_three_routes(a2):
     assert fr.value.pairing == (7, 9)
 
 
+@pytest.mark.parametrize("ct,n", [("A", 2), ("B", 2)])
+def test_formula_folds_u_into_v_on_the_theorem_grid(ct, n):
+    """For every u, v in W and every lam of the theorem grid, the closed
+    form of u t^lam v = t^{u(lam)} uv, whose translation part needs the
+    whole dominantizing fold, is certified and equals the interval
+    maximum."""
+    rs = build_root_system(ct, n)
+    elts = enumerate_group(rs).elements
+    cases = 0
+    for lam in theorem_grid(rs):
+        for u in elts:
+            for v in elts:
+                w = AffineElt(rs, u.act_pairing(lam.pairing), u.mul(v))
+                fr = max_newton_formula(w)
+                assert fr.status == "ok" and fr.reason == ""
+                assert fr.value.pairing == max_newton_brute(w).pairing, (lam, u, v)
+                cases += 1
+    assert cases == len(elts) ** 2 * 2 ** n
+
+
 def test_brute_routes_at_rank_5():
     """On D5 the interval engine keeps sparse state sets: the maximum below
     t^lam is lam (dominant), and below s1 it is 0."""
@@ -110,6 +130,7 @@ def test_formula_below_threshold(a2):
     fr = max_newton_formula(w)
     assert fr.status == "below-threshold"
     assert fr.value is None
+    assert fr.reason == "depth(lam) = 1 <= Xi = 7"
     forced = max_newton_formula(w, force=True)
     assert forced.status == "below-threshold"
     assert forced.value is not None

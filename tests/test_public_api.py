@@ -154,3 +154,25 @@ def test_only_enumerate_group_reads_the_table_cache():
     inverse is computed the same way in a process with a table and in one
     without."""
     assert _table_cache_loads(_trees()) == {"weyl.enumerate_group"}
+
+
+def _named_tuple_fields(trees: dict[str, ast.Module]) -> dict[str, tuple[str, ...]]:
+    """``module.Class`` -> its field names, for each class of the package
+    that subclasses ``NamedTuple``."""
+    return {f"{mod}.{cls.name}": tuple(f.target.id for f in cls.body
+                                       if isinstance(f, ast.AnnAssign))
+            for mod, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            and any(getattr(b, "id", None) == "NamedTuple" for b in cls.bases)}
+
+
+def test_no_two_named_tuples_share_a_field_list():
+    """A record shape is declared once: two NamedTuple classes with the same
+    fields would be one type under two names (the gated closed forms all
+    answer with ``rootsys.Verdict``)."""
+    fields = _named_tuple_fields(_trees())
+    assert "rootsys.Verdict" in fields
+    by_fields: dict[tuple[str, ...], list[str]] = {}
+    for name, names in fields.items():
+        by_fields.setdefault(names, []).append(name)
+    assert [names for names in by_fields.values() if len(names) > 1] == []

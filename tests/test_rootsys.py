@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from adlv._matrix import mat_inv
 from adlv.adm import BInvariants, adm_membership_char, adm_set, virtual_dim
-from adlv.affine import embed
+from adlv.affine import embed, translation
 from adlv.cover import predicted_cocovers
 from adlv.errors import RefusalError
+from adlv.newton import newton_point
 from adlv.rootsys import (
     TYPE_TABLE,
     _dominantize,
+    _Frozen,
     build_root_system,
     coweight,
     coweight_from_coroot,
@@ -23,7 +25,7 @@ from adlv.rootsys import (
     pairing,
     root_leq,
 )
-from adlv.weyl import dominant_rep, identity_elt
+from adlv.weyl import identity_elt, simple_reflection
 
 from oracles import (
     coroot_coords,
@@ -297,6 +299,26 @@ def test_mismatched_vectors_refused(a2, a3, b2, call, fragment):
         call(a2, a3, b2)
 
 
+def test_frozen_values_refuse_assignment_and_deletion(a2):
+    """An instance of each slotted value class refuses, with AttributeError,
+    to assign or delete any of its fields, which keep their values, or to
+    take a new attribute."""
+    lam = coweight(a2, (1, 0))
+    values = [a2, lam, adm_set(lam), BInvariants(coweight(a2, (0, 0)), 0),
+              newton_point(translation(lam))]
+    assert {type(v) for v in values} == set(_Frozen.__subclasses__())
+    for v in values:
+        for name in v.__slots__:
+            before = getattr(v, name)
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(v, name)
+            assert getattr(v, name) is before
+        with pytest.raises(AttributeError, match="is immutable"):
+            v.extra = 1
+
+
 def test_depth_and_dominance(a2):
     lam = coweight(a2, (3, 1))
     assert depth(lam) == 1
@@ -323,12 +345,17 @@ def test_dominant_rep_properties(tn, coords):
     ct, n = tn
     rs = build_root_system(ct, n)
     lam = coweight(rs, tuple(coords[:n]) + (0,) * (n - len(coords[:n])))
-    rep, g = dominant_rep(lam)
-    assert rep.is_dominant()
-    assert g.act_pairing(lam.pairing) == rep.pairing
-    # a dominant input is its own representative
+    rep, word = _dominantize(rs, lam.pairing)
+    assert coweight(rs, rep).is_dominant()
+    # the word's simple reflections, applied in order, take lam to rep
+    g = identity_elt(rs)
+    for i in word:
+        g = simple_reflection(rs, i).mul(g)
+    assert g.act_pairing(lam.pairing) == rep
+    assert g.length() == len(word)
+    # a dominant input is its own representative, by the empty word
     if lam.is_dominant():
-        assert rep.pairing == lam.pairing
+        assert rep == lam.pairing and not word
 
 
 @pytest.mark.parametrize("ct,n", ALL_SMALL)
