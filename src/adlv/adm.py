@@ -120,17 +120,21 @@ def _orbit(rs: RootSystem, p: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 
 def product_set(a: AdmSet, b: AdmSet) -> frozenset[AffineElt]:
-    """The literal product set {w w' : w in a, w' in b}.  Products are keyed
-    on (translation part, table index of the finite part), and each
-    distinct one is built once, from its key."""
+    """The literal product set {w w' : w in a, w' in b}, keyed on (translation
+    part, table index of the finite part): x(lam') and x y are computed once
+    per finite part x of a and w' = t^lam' y in b, each product built once."""
     rs = a.mu.rs
     table = enumerate_group(rs)
     ys = [(y.lam, table.idx(y.fin)) for y in b.members]
-    keys = set()
+    lams_by_fin: dict[int, list[tuple[int, ...]]] = {}
     for x in a.members:
-        lam, act, xi = x.lam, x.fin.act_pairing, table.idx(x.fin)
+        lams_by_fin.setdefault(table.idx(x.fin), []).append(x.lam)
+    keys = set()
+    for xi, lams in lams_by_fin.items():
+        act = table.elements[xi].act_pairing
         for ylam, yi in ys:
-            keys.add((tuple(map(add, lam, act(ylam))), table.prod_idx(xi, yi)))
+            moved, z = act(ylam), table.prod_idx(xi, yi)
+            keys.update([(tuple(map(add, lam, moved)), z) for lam in lams])
     elements = table.elements
     return frozenset([affine._affine(rs, lam, elements[k]) for lam, k in keys])
 

@@ -17,9 +17,11 @@ through its 0/1 form ``WeylElt.neg_mask``), and products of finite parts
 compose rows through ``WeylElt.mul``, in every group alike: nothing here
 reads or builds a ``GroupTable`` outside the interval engine.  Translation
 parts move by ``WeylElt.act_pairing``, on the roots x^-1(alpha_k) cached
-on the finite part.  Products, inverses, cocover candidates and interval
-members are built by ``_affine``, which skips the refusals of the public
-constructor: their parts come from elements that passed them.
+on the finite part.  The descent peel behind ``tau_word`` walks raw parts,
+a translation tuple and a row, and builds only what is left.  Products,
+inverses, cocover candidates, interval members and the peel's rest are
+built by ``_affine``, which skips the refusals of the public constructor:
+their parts come from elements that passed them.
 
 Lower intervals, and their unions over tops that share tau (admissible
 sets), come from one ``IntervalEngine`` started at tau: its subword dynamic
@@ -212,32 +214,40 @@ def descent_left(w: AffineElt, j: int) -> bool:
     """True iff ell(s_j w) < ell(w); RefusalError unless j is an int (not
     a bool) in 0..rank."""
     _require_letters(w.rs, (j,))
-    return _descent_left(w, j)
+    return _descent_left(w.rs, w.lam, w.fin.imgs, j)
 
 
-def _descent_left(w: AffineElt, j: int) -> bool:
-    """``descent_left`` for a letter j already known to be in 0..rank."""
-    rs = w.rs
-    neg = w.fin.imgs[rs.letter_roots[j]] < 0
+def _descent_left(rs: RootSystem, lam: tuple, row: tuple, j: int) -> bool:
+    """``descent_left`` of t^lam x, x given by its row, for a letter j
+    already known to be in 0..rank."""
+    neg = row[rs.letter_roots[j]] < 0
     if j == 0:
-        c = sum(map(mul, rs.theta, w.lam))
+        c = sum(map(mul, rs.theta, lam))
         return c > 1 or (c == 1 and not neg)
-    li = w.lam[j - 1]
+    li = lam[j - 1]
     return li < 0 or (li == 0 and neg)
 
 
 def _peel(w: AffineElt, letters: range) -> tuple[list[int], AffineElt]:
     """(word, rest) with w = s_{j_1} ... s_{j_k} rest: each j_i the least
     left descent among ``letters`` of what is left, peeled at most ell(w)
-    times, so k < ell(w) only where rest has no descent among them."""
-    word, rest = [], w
+    times, so k < ell(w) only where rest has no descent among them.  What
+    is left is walked as its translation part and row, and built once: s_j
+    = t^{[j = 0] beta_check} s_beta, beta = theta or alpha_j, sends lam to
+    lam + ([j = 0] - <beta, lam>) beta_check (whose pairings, for j >= 1,
+    are row j - 1 of the Cartan matrix) and the row to beta's reflection
+    row composed with it."""
+    rs, word, lam, row = w.rs, [], w.lam, w.fin.imgs
     for _ in range(affine_length(w)):
-        j = next((k for k in letters if _descent_left(rest, k)), None)
+        j = next((k for k in letters if _descent_left(rs, lam, row, k)), None)
         if j is None:
             break
         word.append(j)
-        rest = simple_affine(w.rs, j).mul(rest)
-    return word, rest
+        b = rs.letter_roots[j]
+        c = (j == 0) - sum(map(mul, rs.positive_roots[b], lam))
+        lam = tuple([a + c * e for a, e in zip(lam, rs.coroot_pairings[b])])
+        row = tuple([row[e] if e >= 0 else ~row[~e] for e in rs.reflection_rows[b]])
+    return word, _affine(rs, lam, WeylElt(rs, row))
 
 
 def tau_word(w: AffineElt) -> tuple[AffineElt, tuple[int, ...]]:

@@ -53,6 +53,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from random import Random
 
@@ -566,6 +567,7 @@ class _Parser(argparse.ArgumentParser):
         raise QueryError(f"{message}\n{self.format_usage().rstrip()}")
 
 
+@lru_cache(maxsize=None)  # one parser per process, reused by every ``main``
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="adlv",

@@ -8,10 +8,11 @@ reflecting v down across the drop (translation loses alpha_check).  This
 module evaluates the four length conditions directly and checks the
 resulting list against the exhaustive cocover enumeration from ``affine``.
 
-The classifier runs on group-table indices and builds an ``AffineElt`` only
-for what it returns.  Each record carries the separating affine reflection:
-w' = t^{m beta_check} s_beta w for a finite positive root beta (u(alpha),
-made positive) and an integer m, recomputed from w' w^-1 and checked.
+The classifier runs on group-table indices and returns keys (translation,
+table index), each with its separating affine reflection: w' = t^{m
+beta_check} s_beta w for a finite positive root beta (u(alpha), made
+positive) and an integer m, recomputed from w' w^-1 and checked.  Records
+are built from the keys; the theorem check compares the keys themselves.
 """
 
 from __future__ import annotations
@@ -85,14 +86,12 @@ def _reflection_shape(table: GroupTable, lam: tuple[int, ...], x: int) -> tuple[
     return b, m
 
 
-def predicted_cocovers(u: WeylElt, lam: Coweight, v: WeylElt,
-                       force: bool = False) -> CoverResult:
-    """The four-case cocover list of w = u t^lam v.
-
-    Guaranteed complete only when depth(lam) is at least the type's
-    threshold; below that the result carries a "below-threshold" status and
-    records only when ``force`` is set.  It needs the group table, so E7
-    and E8 raise BudgetError; mixed root systems raise RefusalError."""
+def _classify(u: WeylElt, lam: Coweight, v: WeylElt,
+              force: bool) -> tuple[str, dict, list]:
+    """(status, cases, non_cocover) for w = u t^lam v: ``cases`` maps each
+    cocover key (nu, y), t^nu times table element y, to (its cases, root
+    index b, m), and ``non_cocover`` lists the predicted keys of another
+    length; both empty below the threshold unless ``force`` is set."""
     rs = lam.rs
     if u.rs is not rs or v.rs is not rs:
         raise RefusalError("u, lambda and v must share one root system")
@@ -100,10 +99,12 @@ def predicted_cocovers(u: WeylElt, lam: Coweight, v: WeylElt,
         raise RefusalError("translation part must be dominant to classify")
     lam_int = lam.int_pairing()
     table = enumerate_group(rs)
-    thr = cover_depth_threshold(rs.cartan_type)
-    ok = depth(lam) >= thr
+    ok = depth(lam) >= cover_depth_threshold(rs.cartan_type)
+    status = "ok" if ok else "below-threshold"
+    by_result: dict[tuple, tuple[list[int], int, int]] = {}
+    non_cocover: list[tuple] = []
     if not ok and not force:
-        return CoverResult("below-threshold", [])
+        return status, by_result, non_cocover
 
     imgs, lengths = table.inv_images(), table.lengths
     cols, cps, simple = rs.coroot_columns, rs.coroot_pairings, rs.letter_roots[1:]
@@ -121,8 +122,6 @@ def predicted_cocovers(u: WeylElt, lam: Coweight, v: WeylElt,
         return sum(map(abs, map(sub, pairs, map((0).__gt__, imgs[y]))))
 
     lw = length(q, x)
-    by_result: dict[tuple, tuple[list[int], int, int]] = {}
-    non_cocover: list[tuple] = []
 
     def emit(case: int, k: int, c: int, y: int) -> None:
         # the candidate t^nu y, nu = mu - k gamma_check, gamma at signed index c
@@ -165,56 +164,67 @@ def predicted_cocovers(u: WeylElt, lam: Coweight, v: WeylElt,
             if not rs.quantum_flags[a]:
                 raise InvariantError("a full-drop descent from v must use a quantum root")
             emit(4, 1, ua, y)
+    return status, by_result, non_cocover
+
+
+def predicted_cocovers(u: WeylElt, lam: Coweight, v: WeylElt,
+                       force: bool = False) -> CoverResult:
+    """The four-case cocover list of w = u t^lam v.
+
+    Guaranteed complete only when depth(lam) is at least the type's
+    threshold; below that the result carries a "below-threshold" status and
+    records only when ``force`` is set.  It needs the group table, so E7
+    and E8 raise BudgetError; mixed root systems raise RefusalError."""
+    status, cases, non_cocover = _classify(u, lam, v, force)
+    if status != "ok" and not force:
+        return CoverResult(status, [])
+    rs, elements = lam.rs, enumerate_group(lam.rs).elements
 
     def built(key: tuple) -> AffineElt:
-        return AffineElt(rs, key[0], table.elements[key[1]])
+        return AffineElt(rs, key[0], elements[key[1]])
 
     records = [
-        CocoverRecord(rs.positive_roots[b], m, min(cases),
-                      tuple(sorted(set(cases))), built(key))
-        for key, (cases, b, m) in by_result.items()
+        CocoverRecord(rs.positive_roots[b], m, min(labels),
+                      tuple(sorted(set(labels))), built(key))
+        for key, (labels, b, m) in cases.items()
     ]
     records.sort(key=lambda r: (r.case_label, r.root, r.m))
-    status = "ok" if ok else "below-threshold"
     return CoverResult(status, records, list(map(built, non_cocover)))
 
 
 def verify_cover_theorem(u: WeylElt, lam: Coweight, v: WeylElt) -> dict:
-    """Compare the four-case prediction for w = u t^lam v against the
+    """Compare the four-case classification of w = u t^lam v against the
     exhaustive cocover enumeration, as (translation, finite part's row)
     pairs, mapping to reduced words only the pairs reported.
     Below the depth threshold the report is flagged and carries the mismatch
     data without any claim, including the predicted elements that are not
     cocovers at all (``non_cocover``)."""
     rs = lam.rs
-    res = predicted_cocovers(u, lam, v, force=True)
+    status, cases, non_cocover = _classify(u, lam, v, force=True)
     table = enumerate_group(rs)
+    imgs = table.inv_images()
     lam_int = lam.int_pairing()
     ui, vi = table.idx(u), table.idx(v)
-
-    def keys(elts) -> set:
-        return {(e.lam, e.fin.imgs) for e in elts}
 
     def label(key) -> list:
         return [list(key[0]), word_str(table.words[table.idx(WeylElt(rs, key[1]))])]
 
     w = AffineElt(rs, u.act_pairing(lam_int), table.elements[table.prod_idx(ui, vi)])
-    enumerated = keys(cocovers(w))
-    predicted = keys(r.result for r in res.records)
-    non_cocover = sorted(map(label, keys(res.non_cocover)))
+    enumerated = {(c.lam, c.fin.imgs) for c in cocovers(w)}
+    predicted = {(nu, imgs[y]) for nu, y in cases}
     return {
         "type": rs.cartan_type,
         "rank": rs.rank,
         "u": word_str(table.words[ui]),
         "lambda": list(lam_int),
         "v": word_str(table.words[vi]),
-        "status": res.status,
-        "below_threshold": res.status != "ok",
+        "status": status,
+        "below_threshold": status != "ok",
         "predicted": len(predicted),
         "enumerated": len(enumerated),
         "missing": sorted(map(label, enumerated - predicted)),
         "extra": sorted(map(label, predicted - enumerated)),
-        "non_cocover": non_cocover,
+        "non_cocover": sorted([[list(nu), word_str(table.words[y])] for nu, y in non_cocover]),
         "match": predicted == enumerated and not non_cocover,
     }
 

@@ -4,6 +4,7 @@ Bruhat order, intervals, and Demazure products against brute force."""
 
 import sys
 import time
+from collections import Counter
 from itertools import product
 from random import Random
 
@@ -292,6 +293,45 @@ def test_tau_word_a3(a3):
         w = aff(a3, lam, w0)
         assert tau_word(w)[0].is_identity() is trivial
         _check_tau_word(w)
+
+
+def test_peel_builds_one_element_for_its_rest(b2, monkeypatch):
+    """The peel walks translation parts and rows and builds only its rest,
+    so ``tau_word`` and ``adm.eta`` build a fixed number of elements
+    whatever ell(w): over tau_word(t^lam w0) on the B2 theorem grid, an
+    inverse, the rest and its inverse (three AffineElt, three WeylElt), and
+    over eta on Adm(1, 1) of B2, the rest and the conjugate v x v^-1 (one
+    AffineElt, four WeylElt)."""
+    w0 = longest_element(b2)
+    tops = [aff(b2, lam.int_pairing(), w0) for lam in theorem_grid(b2)]
+    members = adm_set(coweight(b2, (1, 1))).members
+    made = Counter()
+    real_affine, real_init = affine._affine, weyl.WeylElt.__init__
+
+    def counting_affine(*args):
+        made["AffineElt"] += 1
+        return real_affine(*args)
+
+    def counting_init(self, *args):
+        made["WeylElt"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(affine, "_affine", counting_affine)
+    monkeypatch.setattr(weyl.WeylElt, "__init__", counting_init)
+
+    def built(call, w) -> dict:
+        made.clear()
+        call(w)
+        return dict(made)
+
+    for w in tops:
+        assert built(tau_word, w) == {"AffineElt": 3, "WeylElt": 3}
+    for w in members:
+        assert built(adm.eta, w) == {"AffineElt": 1, "WeylElt": 4}
+    monkeypatch.undo()
+    # the counts hold over a spread of lengths
+    assert {affine_length(w) for w in tops} == {73, 76, 77, 80}
+    assert {affine_length(w) for w in members} == set(range(8))
 
 
 def _products(xs, ys):
@@ -616,11 +656,12 @@ def test_length_and_cocover_kernels_match_oracles(ct, n):
 
 
 def test_unchecked_products_pass_the_public_constructor(monkeypatch):
-    """Every element that mul, inv, cocovers_with_reflections, lower_union
-    or product_set builds without the refusals, over B2 and G2 cover sweeps,
-    the A2, B2 and A3 admissible sets of (1, ..., 1), the A3 one of
-    (2, 2, 2), a lower interval and a product set, is accepted by the
-    public constructor and equals its rebuilt self, with the same hash."""
+    """Every element that mul, inv, cocovers_with_reflections, lower_union,
+    _peel or product_set builds without the refusals, over B2 and G2 cover
+    sweeps, the A2, B2 and A3 admissible sets of (1, ..., 1) and eta on
+    each member, the A3 one of (2, 2, 2), a lower interval, a product set
+    and a Demazure product, is accepted by the public constructor and
+    equals its rebuilt self, with the same hash."""
     made = []
     real = affine._affine
 
@@ -637,14 +678,18 @@ def test_unchecked_products_pass_the_public_constructor(monkeypatch):
         rs = build_root_system(ct, 2)
         cover_sweep(rs, [coweight(rs, (2, 2)), coweight(rs, (3, 2))])
     for ct, n in (("A", 2), ("B", 2), ("A", 3)):
-        adm_set(coweight(build_root_system(ct, n), (1,) * n))
+        for w in adm_set(coweight(build_root_system(ct, n), (1,) * n)).members:
+            adm.eta(w)
     adm_set(coweight(build_root_system("A", 3), (2, 2, 2)))
     b2 = build_root_system("B", 2)
-    lower_union([translation(coweight(b2, (2, 1)))])
+    t21 = translation(coweight(b2, (2, 1)))
+    lower_union([t21])
     ones = adm_set(coweight(b2, (1, 1)))
     product_set(ones, ones)
+    demazure_star(t21, t21)
     assert {name for name, _ in made} == {
-        "mul", "inv", "cocovers_with_reflections", "lower_union", "product_set"
+        "mul", "inv", "cocovers_with_reflections", "lower_union", "_peel",
+        "product_set",
     }
     assert len(made) > 5_000
     for _, w in made:

@@ -735,11 +735,11 @@ for check in (
     lambda: cover.predicted_cocovers(identity_elt(no_quantum),
                                      coweight(no_quantum, (3, 3)),
                                      simple_reflection(no_quantum, 0)),
-    patched(affine, "_descent_left", lambda w, j: False, lambda:
+    patched(affine, "_descent_left", lambda rs, lam, row, j: False, lambda:
             affine.tau_word(t11)),
     patched(affine, "affine_length", lambda w: real_length(w) // 2, lambda:
             affine.tau_word(t11)),
-    patched(affine, "_descent_left", lambda w, j: False, lambda:
+    patched(affine, "_descent_left", lambda rs, lam, row, j: False, lambda:
             adm.eta(translation(coweight(a2, (-1, 2))))),
     lambda: cascade._dp_table(unlinked),
     lambda: cascade._ell_red_table(unlinked),
