@@ -226,8 +226,10 @@ def d_adm(
 
 
 def d_adm_brute(adm: AdmSet, b: BInvariants) -> Fraction:
-    """max of the virtual dimension over a built admissible set."""
-    return max(virtual_dim(w, b) for w in adm.members)
+    """max of the virtual dimension over a built admissible set, of which
+    only the integer ell(w) + ell(eta(w)) varies with the member w."""
+    top = max(affine_length(w) + eta(w).length() for w in adm.members)
+    return Fraction(top - b.defect, 2) - _rho_pair(adm.mu.rs, b.nu)
 
 
 def dim_X_formula(

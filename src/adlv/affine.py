@@ -46,6 +46,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from math import prod
 from operator import add, mul, sub
+from re import finditer
 from typing import Sequence
 
 from .errors import BudgetError, InvariantError, RefusalError
@@ -375,28 +376,48 @@ def demazure_ltri(x: AffineElt, y: AffineElt) -> AffineElt:
 
 # -- interval engine -----------------------------------------------------
 
-def _line_ends(bits: int, width: int):
-    """Ascending, the lowest and highest set bit (a lone one once) of each
-    run of ``width`` bits that has one: a box line's ends; width 1, all bits."""
-    s = bin(bits)[:1:-1]
+def _corners(bits: int, width: int, plane: int) -> set[int]:
+    """The set bits that are vertices of their plane's hull, in a box of
+    planes of ``plane`` bits and lines of ``width``: the ends (lowest and
+    highest set bit) of a plane's lines on its left or right convex chain.
+    A vertex of the hull of all set bits is one of its plane's."""
+    k = max((bits & -bits).bit_length() - 1, 0) // plane * plane  # skip empty low planes
+    s, out = bin(bits >> k)[:1:-1], set()
     i = s.find("1")
     while i >= 0:
-        end = i - i % width + width
-        j = s.rfind("1", i, end)
-        yield i
-        if j > i:
-            yield j
-        i = s.find("1", end)
+        stop, left, right = i - i % plane + plane, [], []
+        while 0 <= i < stop:
+            end = i - i % width + width
+            left.append(i + k)
+            right.append(s.rfind("1", i, end) + k)
+            i = s.find("1", end)
+        out.update(_chain(left, width, 1), _chain(right, width, -1))
+    return out
+
+
+def _chain(ends: list[int], width: int, sign: int) -> list[int]:
+    """The codes among ``ends``, one per line and ascending, on their left
+    convex chain (least place in the line) for sign 1, right one for -1."""
+    hull: list[tuple[int, int, int]] = []
+    for c in ends:
+        r, x = divmod(c, width)
+        while len(hull) > 1:
+            (ra, xa, _), (rb, xb, _) = hull[-2], hull[-1]
+            if sign * ((xb - xa) * (r - ra) - (x - xa) * (rb - ra)) < 0:
+                break
+            hull.pop()
+        hull.append((r, x, c))
+    return [c for _, _, c in hull]
 
 
 # bitsets up to this rank, frozensets of codes above it: the box, width**rank
 # codes per finite index, outgrows the interval as the rank grows, and
 # neither kind serves every rank.  One process per run on an x86-64 host,
 # Python 3.11, CPU time and peak RSS, equal outputs.  Rank 2: the A2, B2, C2
-# and G2 theorem grids take 0.3 s at 18 MB with bitsets, 2.4 s at 50 MB with
-# frozensets.  Rank 3: the A3 grid 20-25 s at 73 MB against 35-43 s at
-# 290 MB, and Adm(1,1,1) of B3 0.05 against 0.13 s.  Rank 4: Adm(1,1,1,1)
-# of A4 takes 4.7 s against 0.55 s, and of D4 45 s against 4.5 s.
+# and G2 theorem grids take 0.2 s at 16 MB with bitsets, 2.8 s at 56 MB with
+# frozensets.  Rank 3: the A3 grid 3.4-5.1 s at 55 MB against 51 s at 340 MB,
+# and Adm(1,1,1) of B3 0.05 against 0.13 s.  Rank 4: Adm(1,1,1,1) of A4
+# takes 4.7 s against 0.55 s, and of D4 45 s against 4.5 s.
 DENSE_MAX_RANK = 3
 
 
@@ -406,7 +427,7 @@ class StateSet:
     (a dense engine) or a frozenset of ints (a sparse one).  ``zeros``
     counts the letters 0 the states have taken, and ``bound`` is at least
     their number: exact after a count, doubled by a step (each state stays
-    or moves), summed by a union and kept by a difference."""
+    or moves) and summed by a union."""
 
     __slots__ = ("buckets", "zeros", "bound")
 
@@ -426,13 +447,6 @@ class StateSet:
         for x, b in other.buckets.items():
             out[x] = out[x] | b if x in out else b
         return StateSet(out, max(self.zeros, other.zeros), self.bound + other.bound)
-
-    def __sub__(self, other: "StateSet") -> "StateSet":
-        out = {}
-        for x, b in self.buckets.items():
-            c = other.buckets.get(x)
-            out[x] = b if c is None else b & ~c if isinstance(b, int) else b - c
-        return StateSet(out, self.zeros, self.bound)
 
 
 class IntervalEngine:
@@ -492,16 +506,17 @@ class IntervalEngine:
         return tuple([code // p % w + l
                       for p, w, l in zip(self.places, self.widths, self.lo)])
 
-    def scan_codes(self, b, width: int = 1):
-        """The codes of bucket b to scan: of a bitset, the ends of each run
-        of ``width`` bits that has a set one (width 1: every set bit); of a
-        frozenset, every code."""
-        return _line_ends(b, width) if self._dense else b
+    def corners(self, b):
+        """Codes of bucket b among which are its hull's extreme points: of a
+        bitset, its planes' hull vertices (the first two coordinates free,
+        ``_corners``); of a frozenset, every code."""
+        return _corners(b, self.widths[0], prod(self.widths[:2])) if self._dense else b
 
     def decoded(self, states: StateSet):
         """Per bucket: its finite index and an iterator over its translation parts."""
         for x, b in states.buckets.items():
-            yield x, map(self.unpack, self.scan_codes(b))
+            codes = (m.start() for m in finditer("1", bin(b)[:1:-1])) if self._dense else b
+            yield x, map(self.unpack, codes)
 
     def _translate(self, x: int, b):
         """Bucket b of index x translated by delta[x]."""

@@ -16,12 +16,7 @@ from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm
 from operator import add, mul
-from .affine import (
-    AffineElt,
-    IntervalEngine,
-    StateSet,
-    _interval_engine,
-)
+from .affine import AffineElt, IntervalEngine, _interval_engine
 from .errors import InvariantError, RefusalError
 from .qbg import build_qbg, m_tilde
 from .rootsys import (
@@ -116,16 +111,17 @@ def _averaging_data(table: GroupTable) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _nu_keys(eng: IntervalEngine, states: StateSet,
-             memo: dict) -> set[tuple[tuple[int, ...], int]]:
-    """Newton keys, normalized as (integer dominant vector, denominator), of
-    the states that end a box line in their bucket (every state of a sparse
-    engine); ``_max_point`` answers on them as on all keys.  A state t^mu z
-    has key dom(mu T / m), (T, m) the averaging data of z, and mu -> mu T / m
-    is linear.  <2 rho, dom v> = max_w <2 rho, w v> is convex in v, and for
-    dominant nu, t, nu <= t iff nu lies in conv(W t) (Kostant, Ann. Sci. ENS
-    1973), so the height maximum and "every key <= t" over a bucket are
-    decided at the extreme points of its hull, and each of those ends a line.
+def _nu_keys(eng: IntervalEngine, memo: dict):
+    """The Newton keys, normalized as (integer dominant vector, denominator),
+    of the states of ``eng``'s box: a function from a mapping of finite
+    indices z to codes (``IntervalEngine.corners`` of their buckets, or a
+    part of them) to the set of their keys; ``_max_point`` answers on the
+    corners' keys as on all keys.  A state t^mu z has key dom(mu T / m),
+    (T, m) the averaging data of z, and mu -> mu T / m is linear.  <2 rho,
+    dom v> = max_w <2 rho, w v> is convex in v, and for dominant nu, t,
+    nu <= t iff nu lies in conv(W t) (Kostant, Ann. Sci. ENS 1973), so the
+    height maximum and "every key <= t" over a bucket are decided at the
+    extreme points of its hull, each of them a corner.
 
     ``memo`` maps S to packed ints to keys, and each key to itself so equal
     keys share one tuple.  A packed int encodes mu T and m themselves (lo is
@@ -134,38 +130,48 @@ def _nu_keys(eng: IntervalEngine, states: StateSet,
     and gives the key 0 unread.  Otherwise (raw, m) packs into sum (raw_k +
     2^(S-1)) 2^(S k) + m 2^(S n), Z-linear in mu: P + sum mu_i A_i with A_i
     row i of T packed.  From c = sum (mu_k - lo_k) places_k it is P' + c A_0
-    + sum_{k>=1} (c // places_k) (A_k - width_{k-1} A_{k-1}), P' = P + sum
-    lo_k A_k.  No field carries: every mu lies in the engine's box, so
-    |mu_i| <= bound = max |lo_i|, |hi_i| and |raw_k| < 2^(S-1)."""
+    + sum_{k>=1} (c // places_k) B_k, B_k = A_k - width_{k-1} A_{k-1} and
+    P' = P + sum lo_k A_k, all fixed here once per engine.  No field
+    carries: every mu lies in the engine's box, so |mu_i| <= bound = max
+    |lo_i|, |hi_i| and |raw_k| < 2^(S-1)."""
     rs, n = eng.rs, eng.rs.rank
     data = _averaging_data(eng.table)
     tmax = max(max(map(abs, T)) for T, _ in data)
     bound = max(map(abs, eng.lo + eng.hi))
     S = (n * bound * tmax).bit_length() + 1
     memo, half, mask = memo.setdefault(S, {}), 1 << S - 1, (1 << S) - 1
-    keys: set[tuple[tuple[int, ...], int]] = set()
-    for x, b in states.buckets.items():
-        if not b:
-            continue
-        T, m = data[x]
+    zero, fields = ((0,) * n, 1), [1 << S * k for k in range(n)]
+    packs = []
+    for T, m in data:
         if not any(T):
-            keys.add(((0,) * n, 1))
+            packs.append(None)
             continue
-        A = [sum(t << S * k for k, t in enumerate(T[i * n:i * n + n])) for i in range(n)]
-        P = sum(half << S * k for k in range(n)) + (m << S * n)
-        P += sum(map(mul, eng.lo, A))
-        codes = list(eng.scan_codes(b, eng.widths[0]))
-        raws = [P + c * A[0] for c in codes]
-        for k in range(1, n):
-            p, B = eng.places[k], A[k] - eng.widths[k - 1] * A[k - 1]
-            raws = [r + c // p * B for r, c in zip(raws, codes)]
-        raws = set(raws)
-        for r in raws.difference(memo):
-            dom, _ = _dominantize(rs, [(r >> S * k & mask) - half for k in range(n)])
-            g = gcd(m, *dom)
-            key = (tuple(c // g for c in dom), m // g)
-            memo[r] = memo.setdefault(key, key)
-        keys.update(map(memo.__getitem__, raws))
+        A = [sum(map(mul, T[i * n:i * n + n], fields)) for i in range(n)]
+        P = half * sum(fields) + (m << S * n) + sum(map(mul, eng.lo, A))
+        Bs = [(eng.places[k], A[k] - eng.widths[k - 1] * A[k - 1]) for k in range(1, n)]
+        packs.append((m, P, A[0], Bs))
+
+    def keys(buckets) -> set[tuple[tuple[int, ...], int]]:
+        out = set()
+        for x, codes in buckets.items():
+            if not codes:
+                continue
+            if packs[x] is None:
+                out.add(zero)
+                continue
+            m, P, A0, Bs = packs[x]
+            raws = [P + c * A0 for c in codes]
+            for p, B in Bs:
+                raws = [r + c // p * B for r, c in zip(raws, codes)]
+            raws = set(raws)
+            for r in raws.difference(memo):
+                dom, _ = _dominantize(rs, [(r >> S * k & mask) - half for k in range(n)])
+                g = gcd(m, *dom)
+                key = (tuple(c // g for c in dom), m // g)
+                memo[r] = memo.setdefault(key, key)
+            out.update(map(memo.__getitem__, raws))
+        return out
+
     return keys
 
 
@@ -178,9 +184,9 @@ def _max_point(rs: RootSystem, keys) -> tuple[tuple[int, ...], int]:
     K u N has a top iff {t} u N has one, for t the top of K: a top of {t} u N
     dominates K through t, and a top of K u N lying in K dominates t, so it
     is t.  A sweep therefore carries a running top, not the whole set.
-    Line ends' keys (``_nu_keys``) have the top of all keys, or none: that
-    top, of greatest height, is a line end's, and a top t of the ends' keys
-    bounds every key, each bucket's hull mapping into conv(W t)."""
+    Corners' keys (``_nu_keys``) have the top of all keys, or none: that
+    top, of greatest height, is a corner's, and a top t of the corners'
+    keys bounds every key, each bucket's hull mapping into conv(W t)."""
     if not keys:
         raise InvariantError("empty Newton point set")
     two_rho, den = rs.two_rho, lcm(*(m for _, m in keys))
@@ -195,7 +201,8 @@ def _max_point(rs: RootSystem, keys) -> tuple[tuple[int, ...], int]:
 def max_newton_brute(w: AffineElt) -> NewtonPoint:
     """max{nu(u) : u <= w} by scanning the whole lower interval."""
     eng, states = _interval_engine([w])
-    cs, m = _max_point(w.rs, _nu_keys(eng, states, {}))
+    corners = {x: eng.corners(b) for x, b in states.buckets.items()}
+    cs, m = _max_point(w.rs, _nu_keys(eng, {})(corners))
     return NewtonPoint(coweight(w.rs, tuple(Fraction(c, m) for c in cs)))
 
 
@@ -298,9 +305,14 @@ def sweep_records(rs: RootSystem, lambdas) -> list[dict]:
     the word w2 extended letter by letter along a reduced word of w0 stays
     reduced, so snapshots of the subword DP from tau are exactly the
     intervals below t^lam x for x on a chain from w0 down to the identity.
-    These only grow, so each top's maximum is over the last top and the keys
-    of the states new since (exact, see ``_max_point``), starting from the
-    base interval's top, found once per lam; one key memo serves every lam."""
+    Beside the state sets, which the engine bounds, the walk carries a set
+    of codes per bucket holding its hull's corners: the base interval's
+    ``IntervalEngine.corners``, found once per lam, and after a letter j
+    C[y] | C[y s_j] for bucket y, as the vertices of conv(A | B) lie among
+    those of A and B.  Each top's maximum is over the last top and the keys
+    of the codes new to their bucket's set since (exact, see
+    ``_max_point``), starting from the base's top; one key memo serves
+    every lam."""
     table = enumerate_group(rs)
     graph = build_qbg(rs)
     w0_elt = longest_element(rs)
@@ -314,19 +326,23 @@ def sweep_records(rs: RootSystem, lambdas) -> list[dict]:
         lam_int = lam.int_pairing()
         # the chains add finite letters only, so the base interval's box holds
         eng, base = _interval_engine([AffineElt(rs, lam_int, w0_elt)])
-        base_top = _max_point(rs, _nu_keys(eng, base, memo))
+        keys = _nu_keys(eng, memo)
+        base_corners = {x: eng.corners(b) for x, b in base.buckets.items()}
+        base_top = _max_point(rs, keys(base_corners))
         done = [False] * n_elts
         results: dict[int, dict] = {}
         for chain in chains:
-            states = seen = base
+            states = base
+            corners = seen = base_corners
             best = base_top
             pref = 0
             for step_no in range(len(chain) + 1):
                 top = table.prod_idx(table.w0_idx, pref)
                 if not done[top]:
                     done[top] = True
-                    best = _max_point(rs, _nu_keys(eng, states - seen, memo) | {best})
-                    seen = states
+                    new = {x: c - seen.get(x, frozenset()) for x, c in corners.items()}
+                    best = _max_point(rs, keys(new) | {best})
+                    seen = corners
                     nu_b = tuple(Fraction(c, best[1]) for c in best[0])
                     nu_f = lam - coweight_from_coroot(rs, graph.wt1(top))
                     results[top] = {
@@ -341,6 +357,11 @@ def sweep_records(rs: RootSystem, lambdas) -> list[dict]:
                 if step_no < len(chain):
                     j = chain[step_no]
                     states = eng._bounded(eng.step(states, j + 1))
-                    pref = table.rmult[j][pref]
+                    r, merged = table.rmult[j], {}
+                    for x, c in corners.items():  # r is an involution
+                        if x not in merged:
+                            merged[x] = merged[r[x]] = c | corners.get(r[x], c)
+                    corners = merged
+                    pref = r[pref]
         records.extend(results[i] for i in sorted(results))
     return records

@@ -332,7 +332,8 @@ def averaging_data_matrices(table) -> list:
 
 def bit_positions(bits: int):
     """Indices of the set bits of a nonnegative int, ascending, one find
-    per bit: the oracle for ``affine._line_ends``."""
+    per bit: the every-bit reading behind the oracles for
+    ``affine._corners``."""
     s = bin(bits)[:1:-1]
     i = s.find("1")
     while i >= 0:
@@ -343,7 +344,7 @@ def bit_positions(bits: int):
 def nu_keys(eng, states) -> set:
     """Normalized Newton keys of every state of a state set, one decoded mu
     tuple and one matrix-vector product per state: the oracle for the packed
-    ``newton._nu_keys``, which reads only the ends of each box line."""
+    ``newton._nu_keys``, which reads only the corners of each bucket."""
     rs, n = eng.rs, eng.rs.rank
     data = _averaging_data(eng.table)
     keys = set()

@@ -8,7 +8,8 @@ virtual dimension on each admissible member, and the product sets.  An
 element is written as its translation part and its finite part's row of
 root images, which name it exactly.  The digests were recorded before the
 descent peel, the cocover check and the product set stopped building
-per-step objects.
+per-step objects; the G2 and A3 ``sweep_records`` digests (48 and 192
+records) before the Newton sweep read only hull corners.
 """
 
 import hashlib
@@ -62,6 +63,10 @@ SWEEP_RECORDS = {
         "4b744dbc530e337df3f9f53e4ce0039ac7492eb7c4557a4eb3689f6c3d7b5906",
     ("C", 2):
         "c16191dd887207c9fc632fe62f7ff6734f310eb026d818a54e547617ebd689ef",
+    ("G", 2):
+        "dbf054c13e0fd9b66ab8274e7c44ca79f7b7f0af0bb000a0e8c987aaffbdb7e4",
+    ("A", 3):
+        "03d770a5d6a957b02dce778517742ca53be870aae94b11d0126c7a8bd6991aef",
 }
 
 

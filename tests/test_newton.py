@@ -260,10 +260,15 @@ def test_sweep_shares_memo_exactly(ct, n, lams, monkeypatch):
     alone = [r for lam in lams for r in sweep_records(rs, [lam])]
     widths, real = set(), newton._nu_keys
 
-    def recorded(eng, states, memo):
-        out = real(eng, states, memo)
-        widths.update(memo)
-        return out
+    def recorded(eng, memo):
+        keys = real(eng, memo)
+
+        def recorded_keys(buckets):
+            out = keys(buckets)
+            widths.update(memo)
+            return out
+
+        return recorded_keys
 
     monkeypatch.setattr(newton, "_nu_keys", recorded)
     assert sweep_records(rs, lams) == alone
@@ -279,27 +284,57 @@ def _top_or_refusal(rs, keys):
 
 
 def _check_keys_against_oracle(monkeypatch, rank):
-    """Patch ``_nu_keys`` so every call also runs the tuple oracle over
-    every state, and ``tau_word`` to record whether each sweep starts from
-    tau = 1; returns counts of the kinds of bucket the patched calls saw
-    and the set of recorded tau kinds.  The packed keys must be a subset of
-    the oracle's, with the same ``_max_point`` or the same refusal."""
-    real, real_tau_word = newton._nu_keys, affine.tau_word
+    """Patch the sweep's key seam, ``_nu_keys``, and ``_max_point`` so that
+    each call also runs the tuple oracle over every state of the interval
+    the engine last bounded, and ``tau_word`` to record whether each sweep
+    starts from tau = 1; returns counts of the kinds of bucket the key
+    calls saw and the set of recorded tau kinds.  Every key set, of new
+    corners or handed to ``_max_point`` with the running top, must be a
+    subset of the oracle's, and ``_max_point`` must give the oracle's top
+    or the same refusal; at each key call, every corner of every bucket of
+    the interval must have had its key read for that bucket."""
+    real_keys, real_top = newton._nu_keys, newton._max_point
+    real_bounded, real_tau_word = affine.IntervalEngine._bounded, affine.tau_word
     seen = dict.fromkeys(["empty", "zero T"], 0)
     trivial_tau = set()
+    last, oracle = [None, None], [None, None]
 
-    def checked(eng, states, memo):
+    def bounded(eng, states):
+        last[:] = eng, real_bounded(eng, states)
+        return last[1]
+
+    def full_keys():
+        eng, states = last
+        if oracle[0] is not states:
+            oracle[:] = states, nu_keys(eng, states)
+        return oracle[1]
+
+    def checked(eng, memo):
         assert eng._dense is (rank <= affine.DENSE_MAX_RANK)
-        got, full = real(eng, states, memo), nu_keys(eng, states)
-        assert got <= full
-        assert _top_or_refusal(eng.rs, got) == _top_or_refusal(eng.rs, full)
-        data = newton._averaging_data(eng.table)
-        for x, b in states.buckets.items():
-            if not b:
-                seen["empty"] += 1
-            elif not any(data[x][0]):
-                seen["zero T"] += 1
-        return got
+        keys, data = real_keys(eng, memo), newton._averaging_data(eng.table)
+        keyed = {}
+
+        def checked_keys(buckets):
+            got = keys(buckets)
+            assert last[0] is eng and got <= full_keys()
+            for x, codes in buckets.items():
+                keyed.setdefault(x, set()).update(codes)
+                if not codes:
+                    seen["empty"] += 1
+                elif not any(data[x][0]):
+                    seen["zero T"] += 1
+            # every corner of the interval has had its key read by now
+            for x, b in last[1].buckets.items():
+                assert set(eng.corners(b)) <= keyed[x]
+            return got
+
+        return checked_keys
+
+    def top(rs, keys):
+        full = full_keys()
+        assert keys <= full
+        assert _top_or_refusal(rs, keys) == _top_or_refusal(rs, full)
+        return real_top(rs, keys)
 
     def recorded(w):
         tau, word = real_tau_word(w)
@@ -307,45 +342,53 @@ def _check_keys_against_oracle(monkeypatch, rank):
         return tau, word
 
     monkeypatch.setattr(newton, "_nu_keys", checked)
+    monkeypatch.setattr(newton, "_max_point", top)
+    monkeypatch.setattr(affine.IntervalEngine, "_bounded", bounded)
     monkeypatch.setattr(affine, "tau_word", recorded)
     return seen, trivial_tau
 
 
-def _box_engine(ct):
-    """A dense rank-2 engine sized for three letters 0: its box holds
-    [-6, 6]^2 (A2), [-6, 6] x [-3, 3] (B2) or [-3, 3] x [-6, 6] (G2)."""
-    return affine.IntervalEngine(enumerate_group(build_root_system(ct, 2)), (0, 0, 0))
+def _box_engine(ct, n):
+    """A dense engine sized for three letters 0: its box holds [-6, 6]^2
+    (A2), [-6, 6] x [-3, 3] (B2), [-3, 3] x [-6, 6] (G2) or [-6, 6]^3 (A3)."""
+    return affine.IntervalEngine(enumerate_group(build_root_system(ct, n)), (0, 0, 0))
 
 
-_MU = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+_MU = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from("ABG"), st.dictionaries(
-    st.integers(0, 11),
-    st.one_of(st.lists(_MU, max_size=40), st.integers(0, (1 << 169) - 1)),
+@given(st.sampled_from([("A", 2), ("B", 2), ("G", 2), ("A", 3)]), st.dictionaries(
+    st.integers(0, 23),
+    st.one_of(st.lists(_MU, max_size=40), st.integers(0, (1 << 2197) - 1)),
     max_size=4))
 # no unique top: two incomparable keys, (2, 0) and (0, 2), in the
 # identity's bucket, and the ends (3, 0) and (0, 3) of a line through 0
-@example("A", {0: [(2, 0), (0, 2)]})
-@example("A", {0: [(k, 0) for k in range(-3, 4)]})
+@example(("A", 2), {0: [(2, 0, 0), (0, 2, 0)]})
+@example(("A", 2), {0: [(k, 0, 0) for k in range(-3, 4)]})
 # every state of G2's box in one bucket and a line's interior in another
-@example("G", {7: (1 << 91) - 1, 3: [(-2, 0), (-1, 0), (0, 0), (1, 0)]})
-def test_line_end_keys_give_the_top_of_all_keys(ct, buckets):
+@example(("G", 2), {7: (1 << 91) - 1, 3: [(-2, 0, 0), (-1, 0, 0), (0, 0, 0), (1, 0, 0)]})
+# every state of A3's box in one bucket, and two planes' points in another
+@example(("A", 3), {13: (1 << 2197) - 1,
+                    5: [(a, b, c) for a in (-2, 0, 2) for b in (-1, 1) for c in (0, 3)]})
+def test_line_end_keys_give_the_top_of_all_keys(group, buckets):
     """Over random subsets of an engine's box, one per bucket (a list of
-    coweights, those outside the box dropped, or a bitset), the line-end
-    keys of ``_nu_keys`` are among the tuple oracle's keys of every state,
-    and ``_max_point`` gives both the same key or refuses both."""
-    eng = _box_engine(ct)
+    coweights, those outside the box dropped, or a bitset), the keys of the
+    bucket corners (``IntervalEngine.corners``, ``_nu_keys``) are among
+    the tuple oracle's keys of every state, and ``_max_point`` gives both
+    the same key or refuses both."""
+    eng = _box_engine(*group)
     box, bits = (1 << prod(eng.widths)) - 1, {}
     for x, b in buckets.items():
         if isinstance(b, list):
-            inside = {mu for mu in b if all(map(le, eng.lo, mu)) and all(map(le, mu, eng.hi))}
+            inside = {mu[:eng.rs.rank] for mu in b}
+            inside = {mu for mu in inside if all(map(le, eng.lo, mu)) and all(map(le, mu, eng.hi))}
             b = sum(1 << eng.pack(mu) for mu in inside)
         x %= len(eng.table)
         bits[x] = bits.get(x, 0) | b & box
     states = affine.StateSet(bits, 0, 0)
-    got, full = newton._nu_keys(eng, states, {}), nu_keys(eng, states)
+    corners = {x: eng.corners(b) for x, b in bits.items()}
+    got, full = newton._nu_keys(eng, {})(corners), nu_keys(eng, states)
     assert got <= full
     assert _top_or_refusal(eng.rs, got) == _top_or_refusal(eng.rs, full)
 
@@ -365,10 +408,10 @@ def test_averaging_data_builds_no_elements(ct, n, monkeypatch):
 @pytest.mark.parametrize("ct,n", [("A", 1), ("A", 2), ("B", 2)])
 def test_packed_keys_match_tuple_oracle(ct, n, dense, monkeypatch):
     """On both engines, every key set of the rank <= 2 theorem-grid sweep
-    is a subset of the tuple oracle's with the same maximum or refusal:
-    full intervals and the partial sets ``states - seen`` with a shared
-    memo, from trivial and nontrivial tau, with empty buckets and buckets
-    whose averaging matrix is 0."""
+    is a subset of the tuple oracle's over the whole interval, and each
+    top is the oracle's: the base corners and, at each top, the corners new
+    since the last one with a shared memo, from trivial and nontrivial
+    tau, with empty buckets and buckets whose averaging matrix is 0."""
     rs = build_root_system(ct, n)
     seen, trivial_tau = _check_keys_against_oracle(monkeypatch, n)
     assert all(r["match"] for r in sweep_records(rs, theorem_grid(rs)))
